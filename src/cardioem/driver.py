@@ -215,7 +215,10 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
     )
     mech_state, mres = mechanics.solve_mechanics(mech_sys, tol=config.mech_tol)
     if not mres.converged:
-        raise SimulationError("initial mechanics solve failed", 0)
+        raise SimulationError(
+            "initial mechanics solve failed", 0,
+            checkpoint={"state": state, "gamma": gamma.copy()},
+        )
     mech_residuals = [(mres.res_primal, mres.res_constraint)]
 
     def rebuild_bidomain():
@@ -255,9 +258,10 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
 
     energy = diagnostics.EnergyRecord.empty()
     if config.track_energy:
+        h1_gram = (statics.mass_u + assemble_stiffness(u_space)).tocsr()
         diagnostics.append_energy(
-            energy, state, gamma, mech_state, mass, stiff_unit,
-            u_space, p_space, space, config.dt,
+            energy, state, gamma, mech_state, mass, stiff_unit, h1_gram,
+            space, config.dt,
         )
 
     snapshots = {}
@@ -322,7 +326,7 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
                 statics=statics,
             )
             mech_state, mres = mechanics.solve_mechanics(
-                mech_sys, tol=config.mech_tol, warm=mech_state
+                mech_sys, tol=config.mech_tol
             )
             if not mres.converged:
                 raise SimulationError(
@@ -336,8 +340,8 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
         track_compat(n + 1)
         if config.track_energy:
             diagnostics.append_energy(
-                energy, state, gamma, mech_state, mass, stiff_unit,
-                u_space, p_space, space, config.dt,
+                energy, state, gamma, mech_state, mass, stiff_unit, h1_gram,
+                space, config.dt,
             )
         if (n + 1) in config.snapshot_iters:
             take_snapshot(n + 1)

@@ -6,10 +6,14 @@ All bilinear forms are assembled with the same degree-4 symmetric triangle
 rule (exact for every product appearing in the P2/P1 pair with affine
 coefficients); boundary terms use a 3-point Gauss rule on edges.
 
-Matrices are scipy CSR with sorted, duplicate-free structure.  The solvers
-are a preconditioned conjugate gradient with an optional subspace projector
-and a Schur-complement (Uzawa-type) iteration for saddle-point blocks; no
-direct sparse factorization is used anywhere.
+Matrices are scipy CSR with sorted, duplicate-free structure.  There are
+two solvers: a preconditioned conjugate gradient with an optional subspace
+projector, and one MINRES run on the whole saddle-point block
+[[A, B^T], [B, -C]].  The saddle solver requires the displacement block to
+be A = blockdiag(K, K), two identical scalar copies as every vector-space
+stiffness and mass here is, and preconditions with one sparse LU of the
+scalar block K, applied to both components, and a pressure diagonal.  That
+LU is the only direct factorization in the package.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, minres, splu
 
 from .mesh import TriMesh
 
@@ -576,6 +581,21 @@ class SaddleResult(NamedTuple):
     res_constraint: float
 
 
+def _scalar_block(A) -> sp.csc_matrix:
+    """The scalar block K of A = blockdiag(K, K), or ValueError."""
+    A = sp.csr_matrix(A)
+    n = A.shape[0] // 2
+    K = A[:n, :n]
+    if (
+        A.shape != (2 * n, 2 * n)
+        or A[:n, n:].count_nonzero()
+        or A[n:, :n].count_nonzero()
+        or (A[n:, n:] != K).nnz
+    ):
+        raise ValueError("solve_saddle requires A = blockdiag(K, K)")
+    return K.tocsc()
+
+
 def solve_saddle(
     A,
     B,
@@ -583,88 +603,68 @@ def solve_saddle(
     g: np.ndarray | None = None,
     tol: float = 1e-10,
     C=None,
-    maxit: int | None = None,
-    u0: np.ndarray | None = None,
-    p0: np.ndarray | None = None,
-    inner_tol: float | None = None,
     prec_diag: np.ndarray | None = None,
 ) -> SaddleResult:
     """Solve the block system [[A, B^T], [B, -C]] (u, p) = (f, g).
 
-    A must be SPD; C (optional) symmetric positive semidefinite.  Pressure is
-    found by conjugate gradients on the Schur complement S = B A^-1 B^T + C,
-    each application performing one inner CG solve with A.  With C = None
-    this is the classical Uzawa iteration for the incompressible block.
-    `prec_diag` (typically the pressure mass diagonal, to which the Schur
-    complement is spectrally equivalent) preconditions the outer iteration.
+    Precondition: A = blockdiag(K, K) with K symmetric positive definite,
+    the two identical component blocks of a vector space (ValueError
+    otherwise); C (optional) is symmetric positive semidefinite.  The whole
+    block is applied matrix-free and solved by one preconditioned MINRES
+    run from zero; a warm start from an earlier solution can stall when the
+    new load is at round-off level.  The preconditioner is diag(K^-1, K^-1, D^-1): one sparse
+    LU of the scalar block K, applied to both components, and the diagonal
+    D = prec_diag + diag(C).  `prec_diag` is typically the pressure mass
+    diagonal, to which the Schur complement B A^-1 B^T is spectrally
+    equivalent, so the iteration count does not grow with the mesh.
+
+    `converged` is decided on the true residuals of both block rows,
+    relative to |f| and to max(|g|, |u|), each within 10 * tol.
     """
     np_, nu = B.shape
     if g is None:
         g = np.zeros(np_)
-    if maxit is None:
-        maxit = 10 * np_
-    if inner_tol is None:
-        inner_tol = max(1e-14, tol * 1e-2)
-    Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: np.zeros(np_))
-    if prec_diag is None:
-        precond = lambda r: r
-    else:
-        dinv = 1.0 / np.asarray(prec_diag, dtype=float)
-        precond = lambda r: dinv * r
+    lu = splu(
+        _scalar_block(A),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    BT = B.T.tocsr()
+    Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
+    d = np.ones(np_) if prec_diag is None else np.asarray(prec_diag, float)
+    if C is not None:
+        d = d + C.diagonal()
 
-    inner_iters = 0
-    u_guess = u0.copy() if u0 is not None else np.zeros(nu)
+    def block(x):
+        u, p = x[:nu], x[nu:]
+        return np.concatenate([A.dot(u) + BT.dot(p), B.dot(u) - Cdot(p)])
 
-    def asolve(rhs, guess):
-        nonlocal inner_iters
-        res = solve_cg(A, rhs, tol=inner_tol, x0=guess, jacobi=True)
-        inner_iters += res.iterations
-        return res.x
+    def precondition(x):
+        uu = lu.solve(x[:nu].reshape(2, -1).T).T.ravel()
+        return np.concatenate([uu, x[nu:] / d])
 
-    uf = asolve(f, u_guess)
-    rhs_s = B.dot(uf) - g
+    shape = (nu + np_, nu + np_)
+    iterations = 0
 
-    p = p0.copy() if p0 is not None else np.zeros(np_)
-    w_cache = [uf]
+    def count(_x):
+        nonlocal iterations
+        iterations += 1
 
-    def smatvec(q):
-        w = asolve(B.T.dot(q), np.zeros(nu))
-        w_cache[0] = w
-        return B.dot(w) + Cdot(q)
-
-    snorm = np.linalg.norm(rhs_s)
-    if snorm == 0.0 and np.linalg.norm(p) == 0.0:
-        u = uf
-        rp = np.linalg.norm(A.dot(u) + B.T.dot(p) - f)
-        fscale = np.linalg.norm(f) + 1e-300
-        return SaddleResult(u, p, True, 0, rp / fscale, 0.0)
-
-    r = rhs_s - smatvec(p)
-    z = precond(r)
-    d = z.copy()
-    rz = float(r @ z)
-    rr = float(r @ r)
-    it = 0
-    target = max(tol * snorm, 1e-300)
-    while np.sqrt(rr) > target and it < maxit:
-        q = smatvec(d)
-        dq = float(d @ q)
-        if dq <= 0:
-            break
-        a = rz / dq
-        p += a * d
-        r -= a * q
-        rr = float(r @ r)
-        z = precond(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-        it += 1
-
-    u = asolve(f - B.T.dot(p), w_cache[0] if it else uf)
+    # MINRES stops on its own preconditioned residual estimate; the
+    # convergence decision below is on the true residuals.
+    x, _ = minres(
+        LinearOperator(shape, matvec=block, dtype=float),
+        np.concatenate([f, g]),
+        rtol=0.1 * tol,
+        M=LinearOperator(shape, matvec=precondition, dtype=float),
+        callback=count,
+    )
+    u, p = x[:nu], x[nu:]
     fscale = max(np.linalg.norm(f), 1e-300)
-    res_primal = np.linalg.norm(A.dot(u) + B.T.dot(p) - f) / fscale
+    res_primal = np.linalg.norm(A.dot(u) + BT.dot(p) - f) / fscale
     cres = np.linalg.norm(B.dot(u) - Cdot(p) - g)
     cscale = max(np.linalg.norm(g), np.linalg.norm(u), 1e-300)
-    converged = np.sqrt(rr) <= target and res_primal <= 10 * tol
-    return SaddleResult(u, p, converged, it, res_primal, cres / cscale)
+    res_constraint = cres / cscale
+    converged = res_primal <= 10 * tol and res_constraint <= 10 * tol
+    return SaddleResult(u, p, converged, iterations, res_primal, res_constraint)

@@ -8,9 +8,10 @@ differentiated: it is assembled by parts as
 -int sigma : grad(v) + int_{dO} (sigma n).v + int g.v, valid for coefficient
 fields that are only piecewise smooth.
 
-Two solution modes: a direct saddle solve, and a pseudo-compressible
-evolution (eps d/dt u, eps d/dt p added) stepped by implicit Euler whose
-fixed point is the saddle solution.
+Two solution modes: a saddle solve of the incompressible block, and a
+pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
+implicit Euler whose fixed point is the saddle solution.  Both go through
+`fem.solve_saddle`, one preconditioned MINRES run per system.
 """
 
 from __future__ import annotations
@@ -187,19 +188,11 @@ def assemble_mechanics(
 
 
 def solve_mechanics(
-    system: MechSystem,
-    tol: float = 1e-10,
-    warm: MechState | None = None,
+    system: MechSystem, tol: float = 1e-10
 ) -> tuple[MechState, SaddleResult]:
-    """Direct saddle solve of the assembled block."""
+    """Solve the assembled block by preconditioned MINRES from zero."""
     res = solve_saddle(
-        system.A,
-        system.B,
-        system.f,
-        tol=tol,
-        u0=warm.u if warm is not None else None,
-        p0=warm.p if warm is not None else None,
-        prec_diag=system.schur_diag(),
+        system.A, system.B, system.f, tol=tol, prec_diag=system.schur_diag()
     )
     return MechState(res.u, res.p), res
 
@@ -229,8 +222,6 @@ def step_mechanics_regularized(
         g=-r * Mp.dot(state.p),
         C=(r * Mp).tocsr(),
         tol=tol,
-        u0=state.u,
-        p0=state.p,
         prec_diag=system.schur_diag(),
     )
     return MechState(res.u, res.p), res

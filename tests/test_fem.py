@@ -357,13 +357,15 @@ def test_saddle_decoupled_block():
     assert np.allclose(res.p, 0.0)
 
 
-def test_saddle_matches_dense_lu_oracle():
+@pytest.mark.parametrize("c_scale", [None, 1.0, 1e6], ids=["None", "Mp", "1e6Mp"])
+def test_saddle_matches_dense_lu_oracle(c_scale):
     u_space, p_space = build_th(3)
     A = (assemble_stiffness(u_space) + assemble_boundary_mass(u_space, 1.0)).tocsr()
     B = (-assemble_divergence(u_space, p_space)).tocsr()
     rng = np.random.default_rng(3)
     f = rng.standard_normal(u_space.ndof)
-    res = solve_saddle(A, B, f, tol=1e-12)
+    C = None if c_scale is None else (c_scale * assemble_mass(p_space)).tocsr()
+    res = solve_saddle(A, B, f, tol=1e-12, C=C)
     assert res.converged
 
     n, k = u_space.ndof, p_space.n_scalar
@@ -371,6 +373,8 @@ def test_saddle_matches_dense_lu_oracle():
     block[:n, :n] = A.toarray()
     block[:n, n:] = B.T.toarray()
     block[n:, :n] = B.toarray()
+    if C is not None:
+        block[n:, n:] = -C.toarray()
     sol = np.linalg.solve(block, np.concatenate([f, np.zeros(k)]))
     assert np.linalg.norm(res.u - sol[:n]) < 1e-8 * max(1, np.linalg.norm(sol[:n]))
     assert np.linalg.norm(res.p - sol[n:]) < 1e-8 * max(1, np.linalg.norm(sol[n:]))
@@ -385,3 +389,12 @@ def test_saddle_residual_contracts():
     assert res.converged
     assert res.res_primal <= 1e-9
     assert res.res_constraint <= 1e-9
+
+
+def test_saddle_rejects_unequal_component_blocks():
+    B = sp.csr_matrix((2, 4))
+    f = np.ones(4)
+    with pytest.raises(ValueError):
+        solve_saddle(sp.diags([1.0, 2.0, 3.0, 4.0], format="csr"), B, f)
+    with pytest.raises(ValueError):
+        solve_saddle(sp.eye(3, format="csr"), sp.csr_matrix((2, 3)), np.ones(3))

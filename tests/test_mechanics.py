@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardioem import physics
+from cardioem import electrics, physics
 from cardioem.fem import FeSpace, assemble_mass
 from cardioem.mechanics import (
     MechParams,
@@ -117,6 +117,32 @@ def test_incompressibility_residual():
     assert res.converged
     bu = np.linalg.norm(system.B.dot(state.u))
     assert bu <= 1e-8 * max(1.0, np.linalg.norm(state.u))
+
+
+def test_roundoff_load_converges_from_zero():
+    # the driver's initial activation is <= 0 and clips to an inert sigma,
+    # so the assembled load is round-off
+    mesh = structured_unit_square(8, 8)
+    u_space = FeSpace(mesh, 2, rank=1)
+    p_space = FeSpace(mesh, 1)
+    v0 = p_space.interpolate(electrics.initial_stimulus)
+    gamma = -0.3 * v0 / (2.0 - v0)
+    system = assemble_mechanics(
+        u_space, p_space, gamma, FiberField.axis_aligned(mesh), MechParams(),
+        physics.ActivationParams(),
+    )
+    assert 0.0 < np.linalg.norm(system.f) < 1e-12
+    state, res = solve_mechanics(system, tol=1e-9)
+    assert res.converged
+    assert np.linalg.norm(state.u) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_bump_iterations_do_not_grow_with_mesh(n):
+    *_, system = setup(n, gamma_fn=bump)
+    _, res = solve_mechanics(system, tol=1e-10)
+    assert res.converged
+    assert res.iterations <= 60
 
 
 def test_robin_uniqueness_dense_nullspace_probe():
