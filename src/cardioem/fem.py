@@ -8,12 +8,13 @@ coefficients); boundary terms use a 3-point Gauss rule on edges.
 
 Matrices are scipy CSR with sorted, duplicate-free structure.  There are
 two solvers: a preconditioned conjugate gradient with an optional subspace
-projector, and one MINRES run on the whole saddle-point block
-[[A, B^T], [B, -C]].  The saddle solver requires the displacement block to
-be A = blockdiag(K, K), two identical scalar copies as every vector-space
-stiffness and mass here is, and preconditions with one sparse LU of the
-scalar block K, applied to both components, and a pressure diagonal.  That
-LU is the only direct factorization in the package.
+projector and a caller-supplied preconditioner (the electric step passes
+the bordered LU of its bidomain block), and one MINRES run on the whole
+saddle-point block [[A, B^T], [B, -C]].  The saddle solver requires the
+displacement block to be A = blockdiag(K, K), two identical scalar copies
+as every vector-space stiffness and mass here is, and preconditions with
+one sparse LU of the scalar block K, applied to both components, and a
+pressure diagonal.
 """
 
 from __future__ import annotations
@@ -511,6 +512,7 @@ def solve_cg(
     x0: np.ndarray | None = None,
     jacobi: bool = False,
     callback: Callable[[np.ndarray], None] | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CgResult:
     """Conjugate gradients for SPD (or projected semidefinite) systems.
 
@@ -518,6 +520,11 @@ def solve_cg(
     solves P A P x = P b with all iterates kept inside the subspace, which
     removes a known semidefinite kernel.  Non-convergence after `maxit`
     returns the best iterate with converged=False.
+
+    `precondition`, if given, replaces the Jacobi (`jacobi=True`) or plain
+    projector preconditioner.  It must be symmetric positive definite on the
+    subspace and map into it, i.e. P(precondition(r)) == precondition(r) for
+    every residual r = P r, since its output becomes a search direction.
     """
     import math
 
@@ -528,7 +535,9 @@ def solve_cg(
     P = (lambda v: v) if identity else constraint
     matvec = A.dot if hasattr(A, "dot") else A
 
-    if jacobi:
+    if precondition is not None:
+        prec = precondition
+    elif jacobi:
         diag = np.asarray(A.diagonal(), dtype=float)
         diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
         if identity:

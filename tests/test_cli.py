@@ -1,0 +1,78 @@
+"""The top layer: run_simulation failure reporting and the command line."""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cardioem.driver import SimConfig, SimulationError, run_simulation
+from cardioem.io_cli import config_hash, main, parse_config, read_vtk_points_and_fields
+
+SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
+STALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.0125\nsolver.tol = 1e-30\n"
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_electric_stall_raises_with_checkpoint():
+    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.0125, solver_tol=1e-30)
+    with pytest.raises(SimulationError) as info:
+        run_simulation(config)
+    assert "electric solve stalled" in str(info.value)
+    assert info.value.step == 0
+    checkpoint = info.value.checkpoint
+    assert set(checkpoint) == {"state", "gamma"}
+    assert len(checkpoint["gamma"]) == 25
+
+
+def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, STALL)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "runtime failure" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL + "mesh.nz = 4\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "unknown key 'mesh.nz'" in capsys.readouterr().err
+
+
+def test_mesh_info_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["mesh-info", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "vertices:  25" in out
+    assert "triangles: 32" in out
+
+
+def test_run_snapshot_round_trips_through_vtk(tmp_path):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    args = ["run", "--config", cfg, "--out", str(out), "--snapshots", "0,2"]
+    assert main(args) == 0
+    assert sorted(os.listdir(out)) == [
+        "energy.csv", "probes.csv", "snapshot_00000.vtk", "snapshot_00002.vtk",
+    ]
+
+    config = replace(parse_config(SMALL), snapshot_iters=(0, 2))
+    result = run_simulation(config)
+    with open(out / "probes.csv") as fh:
+        assert fh.readline() == f"# seed=0 config={config_hash(config)}\n"
+    mesh = config.build_mesh()
+    points, fields, vectors = read_vtk_points_and_fields(out / "snapshot_00002.vtk")
+    snap = result.snapshots[2]
+    nv = mesh.num_vertices
+    np.testing.assert_allclose(points[:, :2], mesh.vertices, rtol=1e-8, atol=0)
+    assert sorted(fields) == ["gamma", "p", "v", "v_e", "w"]
+    for name, arr in fields.items():
+        np.testing.assert_allclose(
+            arr, getattr(snap, name)[:nv], rtol=1e-8, atol=1e-300
+        )
+    n_s = len(snap.u) // 2
+    u = np.column_stack([snap.u[:n_s][:nv], snap.u[n_s:][:nv], np.zeros(nv)])
+    np.testing.assert_allclose(vectors["u"], u, rtol=1e-8, atol=1e-300)

@@ -15,7 +15,13 @@ from cardioem.electrics import (
     initial_stimulus,
     step_bidomain,
 )
-from cardioem.fem import FeSpace, assemble_load, assemble_mass, assemble_stiffness
+from cardioem.fem import (
+    FeSpace,
+    assemble_load,
+    assemble_mass,
+    assemble_stiffness,
+    solve_cg,
+)
 from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff
 
@@ -23,12 +29,17 @@ PAPER_IONIC = physics.IonicParams(k=-80.0, a=0.25, d1=0.17, d2=1.0)
 COND = physics.ConductivityParams()
 
 
-def make_system(n=4, dt=0.0125):
+def make_system(n=4, dt=0.0125, grad_u=None):
     mesh = structured_unit_square(n, n)
     space = FeSpace(mesh, 1)
     mass = assemble_mass(space)
-    Mi, Me = conductivities_from_gradient(space, None, COND)
+    Mi, Me = conductivities_from_gradient(space, grad_u, COND)
     return space, mass, assemble_bidomain(space, Mi, Me, dt, mass)
+
+
+def random_grad_u(n):
+    # (ne, nq, 2, 2) on the n x n mesh: 2 n^2 triangles, 6 quadrature points
+    return 0.2 * np.random.default_rng(5).standard_normal((2 * n * n, 6, 2, 2))
 
 
 def uniform_state(space, v, w):
@@ -274,7 +285,7 @@ def test_nonconvergence_leaves_state_unchanged():
     i_app = np.zeros(space.n_scalar)
     out, info = step_bidomain(
         sys_, state, PAPER_IONIC, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO,
-        tol=1e-16, maxit=1,
+        tol=1e-16, maxit=0,
     )
     assert not info.converged
     assert out is state
@@ -297,3 +308,46 @@ def test_elliptic_compatibility_residual():
     r = sys_.block.dot(x) - np.concatenate([rec.rhs_i, rec.rhs_e])
     total = float(np.sum(r))
     assert abs(total + 2.0 * i_app.sum()) < 1e-10 * max(1.0, abs(2 * i_app.sum()))
+
+
+# ---------------------------------------------------------------------------
+# bordered-LU preconditioner
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("n", [8, 16])
+def test_precondition_inverts_projected_block(n, deformed):
+    space, _, sys_ = make_system(n, grad_u=random_grad_u(n) if deformed else None)
+    proj = sys_.projector()
+    r = proj(np.random.default_rng(n).standard_normal(2 * space.n_scalar))
+    z = sys_.precondition(r)
+    z_e = z[space.n_scalar:]
+    assert np.linalg.norm(proj(sys_.block.dot(z)) - r) <= 1e-12 * np.linalg.norm(r)
+    assert abs(sys_.lumped @ z_e) <= 1e-12 * np.linalg.norm(sys_.lumped) * np.linalg.norm(z_e)
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("n", [8, 16])
+def test_preconditioned_step_matches_jacobi_reference(n, deformed):
+    space, mass, sys_ = make_system(n, grad_u=random_grad_u(n) if deformed else None)
+    v0 = space.interpolate(initial_stimulus)
+    v_i, v_e = initial_split(v0, mass)
+    state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
+    i_app = assemble_load(space, initial_stimulus)
+    new, info, rec = step_bidomain(
+        sys_, state, physics.IonicParams(k=80.0), i_app,
+        np.array([0.1]), np.array([0.05]), NoiseCoeff("constant", 0.3), ZERO,
+        tol=1e-10, record=True,
+    )
+    assert info.converged
+    assert info.iterations <= 2
+
+    ref = solve_cg(
+        sys_.block, np.concatenate([rec.rhs_i, rec.rhs_e]), tol=1e-12,
+        constraint=sys_.projector(), x0=np.concatenate([state.v_i, state.v_e]),
+        jacobi=True,
+    )
+    assert ref.converged
+    n_s = space.n_scalar
+    assert np.abs(new.v_i - ref.x[:n_s]).max() < 1e-9
+    assert np.abs(new.v_e - enforce_zero_mean(ref.x[n_s:], mass)).max() < 1e-9

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from cardioem.fem import (
     FeSpace,
@@ -296,6 +297,18 @@ def test_cg_nonconvergence_flag():
     assert not res.converged
     assert res.iterations == 2
     assert np.all(np.isfinite(res.x))
+
+
+def test_cg_exact_preconditioner_takes_one_iteration():
+    s = FeSpace(structured_unit_square(8, 8), 1)
+    K = (assemble_stiffness(s) + assemble_mass(s)).tocsc()
+    b = np.random.default_rng(2).standard_normal(s.n_scalar)
+    lu = splu(K)
+    # `precondition` takes the place of the Jacobi preconditioner
+    res = solve_cg(K, b, tol=1e-12, jacobi=True, precondition=lu.solve)
+    assert res.converged
+    assert res.iterations == 1
+    assert np.linalg.norm(K.dot(res.x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_cg_poisson_mms_second_order():

@@ -1,0 +1,54 @@
+"""Golden probe traces of two short coupled runs.
+
+The traces under tests/data/ were recorded with the Jacobi-preconditioned
+electric CG, before the bordered-LU preconditioner; a solver change must
+reproduce them to within solver tolerance.  Regenerate them only for an
+intended change of results:
+
+    PYTHONPATH=src python tests/test_regression.py
+"""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cardioem.driver import SimConfig, run_simulation
+from cardioem.io_cli import config_hash, write_probes
+from cardioem.noise import NoiseCoeff
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+QUIET = SimConfig(mesh_nx=8, mesh_ny=8, T=0.25, mech_refresh=5)
+CASES = {
+    "quiet": QUIET,
+    "noisy": replace(
+        QUIET, seed=7, n_modes=2,
+        noise_v=NoiseCoeff("linear-clipped", 0.1),
+        noise_w=NoiseCoeff("constant", 0.05),
+    ),
+}
+
+
+def _path(name):
+    return os.path.join(DATA, f"regression_{name}.csv")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_probes_match_golden_trace(name):
+    config = CASES[name]
+    with open(_path(name)) as fh:
+        header = fh.readline()
+    assert f"config={config_hash(config)}" in header
+    golden = np.loadtxt(_path(name), delimiter=",", skiprows=2)
+    result = run_simulation(config)
+    assert golden.shape == (result.n_steps + 1, 1 + len(config.probes))
+    np.testing.assert_array_equal(golden[:, 0], result.times)
+    np.testing.assert_allclose(result.probes, golden[:, 1:], rtol=0, atol=1e-8)
+
+
+if __name__ == "__main__":
+    os.makedirs(DATA, exist_ok=True)
+    for name, config in CASES.items():
+        write_probes(_path(name), run_simulation(config))
