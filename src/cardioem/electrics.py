@@ -139,11 +139,14 @@ def conductivities_from_gradient(
     return Mi, Me
 
 
-def enforce_zero_mean(v_e: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
-    """Shift by a constant so the mass-weighted mean vanishes."""
-    m = np.asarray(mass.sum(axis=1)).ravel()
-    total = float(m.sum())
-    return v_e - (float(m @ v_e) / total)
+def enforce_zero_mean(v_e: np.ndarray, lumped: np.ndarray) -> np.ndarray:
+    """Shift by a constant so the mass-weighted mean vanishes.
+
+    `lumped` holds the row sums of the mass matrix, the integrals of the
+    basis functions (`BidomainSystem.lumped`).
+    """
+    total = float(lumped.sum())
+    return v_e - (float(lumped @ v_e) / total)
 
 
 @dataclass
@@ -223,7 +226,7 @@ def step_bidomain(
 
     n = system.space.n_scalar
     v_i_new = res.x[:n]
-    v_e_new = enforce_zero_mean(res.x[n:], M)
+    v_e_new = enforce_zero_mean(res.x[n:], system.lumped)
     v_new = v_i_new - v_e_new
     w_new = w + dt * physics.h_kin(v, w, ionic) + noise_w
     new_state = ElectricState(v_i_new, v_e_new, v_new, w_new)
@@ -245,6 +248,6 @@ def step_bidomain(
 
 def initial_split(v0: np.ndarray, mass: sp.csr_matrix):
     """Split v0 into (v_i, v_e) with v_i - v_e = v0 and zero-mean v_e."""
-    v_e = enforce_zero_mean(-0.5 * v0, mass)
+    v_e = enforce_zero_mean(-0.5 * v0, np.asarray(mass.sum(axis=1)).ravel())
     v_i = v0 + v_e
     return v_i, v_e

@@ -6,20 +6,32 @@ All bilinear forms are assembled with the same degree-4 symmetric triangle
 rule (exact for every product appearing in the P2/P1 pair with affine
 coefficients); boundary terms use a 3-point Gauss rule on edges.
 
-Matrices are scipy CSR with sorted, duplicate-free structure.  There are
-two solvers: a preconditioned conjugate gradient with an optional subspace
-projector and a caller-supplied preconditioner (the electric step passes
-the bordered LU of its bidomain block), and one MINRES run on the whole
-saddle-point block [[A, B^T], [B, -C]].  The saddle solver requires the
-displacement block to be A = blockdiag(K, K), two identical scalar copies
-as every vector-space stiffness and mass here is, and preconditions with
-one sparse LU of the scalar block K, applied to both components, and a
-pressure diagonal.
+Matrices are scipy CSR with sorted, duplicate-free structure.  Each space
+builds its scalar sparsity pattern once, on first use: the CSR `indptr` and
+`indices` of its dof graph and a slot map from every local element entry
+(e, l, m) to its position in the CSR data.  A square form is then one dense
+element kernel (batched matrix products over the quadrature points) and one
+`np.bincount` of the element matrices into that fixed pattern; a vector
+space's blockdiag(K, K) reuses the scalar pattern.  Load vectors are summed
+by `np.bincount` over the element or boundary-edge dofs, which each space
+also precomputes.  The divergence (rectangular) and the boundary mass
+(nonzero on boundary dofs only), each assembled once per run, are summed
+through COO instead.
+
+There are two solvers: a preconditioned conjugate gradient with an
+optional subspace projector and a caller-supplied preconditioner (the
+electric step passes the bordered LU of its bidomain block), and one MINRES
+run on the whole saddle-point block [[A, B^T], [B, -C]].  The saddle solver
+requires the displacement block to be A = blockdiag(K, K), two identical
+scalar copies as every vector-space stiffness and mass here is, and
+preconditions with one sparse LU of the scalar block K, applied to both
+components, and a pressure diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,7 +144,8 @@ class FeSpace:
     P1 scalar dofs are the vertices; P2 adds one dof per undirected edge,
     numbered after the vertices.  Vector spaces stack two scalar copies
     component-major.  Element geometry (Jacobians, physical quadrature
-    points, physical basis gradients) is precomputed once.
+    points, physical basis gradients) is precomputed once; the sparsity
+    pattern and the boundary-edge dofs are built on first use.
     """
 
     def __init__(self, mesh: TriMesh, degree: int = 1, rank: int = 0):
@@ -186,8 +199,11 @@ class FeSpace:
         invJ[:, 1, 1] = J[:, 0, 0]
         invJ /= self.detJ[:, None, None]
         self.invJT = np.transpose(invJ, (0, 2, 1))
-        # physical gradients: (ne, nq, nloc, 2)
-        self.grads = np.einsum("eij,qlj->eqli", self.invJT, ref_grads)
+        # physical gradients: (ne, nq, nloc, 2), stored as (ne, nq, 2, nloc)
+        # so that the stiffness kernel can contract over (q, component)
+        self.grads = np.ascontiguousarray(
+            np.einsum("eij,qlj->eqil", self.invJT, ref_grads)
+        ).transpose(0, 1, 3, 2)
         # physical quadrature points: (ne, nq, 2)
         self.qpoints = np.einsum("qv,evx->eqx", lam, p)
 
@@ -224,6 +240,37 @@ class FeSpace:
     def component(self, coeffs: np.ndarray, c: int) -> np.ndarray:
         return coeffs[c * self.n_scalar : (c + 1) * self.n_scalar]
 
+    # --- assembly structure, built on first use ------------------------
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scalar CSR (indptr, indices) and the int32 slot of each (e, l, m).
+
+        slot[e * nloc**2 + l * nloc + m] is the position in the CSR data of
+        the entry (conn[e, l], conn[e, m]).
+        """
+        n = self.n_scalar
+        rows = np.repeat(self.conn, self.nloc, axis=1).ravel()
+        cols = np.tile(self.conn, (1, self.nloc)).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indices = (keys % n).astype(np.int32)
+        return indptr, indices, slot.astype(np.int32).ravel()
+
+    @cached_property
+    def boundary_dofs(self) -> np.ndarray:
+        """Scalar dofs (i, j[, midside]) of each edge of mesh.boundary_edges."""
+        ij = self.mesh.boundary_edges[:, :2]
+        if self.degree == 1:
+            return ij
+        nv = self.mesh.num_vertices
+        mids = [
+            nv + self.edge_index[(int(min(i, j)), int(max(i, j)))]
+            for i, j in ij
+        ]
+        return np.column_stack([ij, np.array(mids, dtype=ij.dtype)])
+
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -240,10 +287,44 @@ def _accumulate(space_rows, space_cols, rows, cols, data) -> sp.csr_matrix:
 
 
 def _scatter_scalar(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    conn = space.conn
-    rows = np.repeat(conn, space.nloc, axis=1)
-    cols = np.tile(conn, (1, space.nloc))
-    return _accumulate(space.n_scalar, space.n_scalar, rows, cols, local)
+    """Sum element matrices (ne, nloc, nloc) into the space's scalar pattern."""
+    indptr, indices, slot = space.pattern
+    data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
+    n = space.n_scalar
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def _per_component(space: FeSpace, K: sp.csr_matrix) -> sp.csr_matrix:
+    """K for a scalar space, blockdiag(K, K) on K's own pattern for a vector one."""
+    if space.rank == 0:
+        return K
+    n, nnz = K.shape[0], K.nnz
+    return sp.csr_matrix(
+        (
+            np.concatenate([K.data, K.data]),
+            np.concatenate([K.indices, K.indices + n]),
+            np.concatenate([K.indptr, K.indptr[1:] + nnz]),
+        ),
+        shape=(2 * n, 2 * n),
+    )
+
+
+def scatter_load(space: FeSpace, local: np.ndarray, dofs=None) -> np.ndarray:
+    """Sum per-cell vectors into a dof vector of the space.
+
+    `local` is (ncell, nd) for scalar spaces or (ncell, nd, 2) for vector
+    spaces, indexed by the scalar dofs `dofs` (ncell, nd), which default to
+    the element connectivity.
+    """
+    dofs = space.conn if dofs is None else dofs
+    idx = dofs.ravel()
+    n = space.n_scalar
+    if space.rank == 0:
+        return np.bincount(idx, weights=local.ravel(), minlength=n)
+    return np.concatenate(
+        [np.bincount(idx, weights=local[..., c].ravel(), minlength=n)
+         for c in range(2)]
+    )
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
@@ -252,10 +333,7 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     vals = space.basis_vals
     base = np.einsum("q,ql,qm->lm", w, vals, vals)
     local = space.detJ[:, None, None] * base[None]
-    M = _scatter_scalar(space, local)
-    if space.rank == 0:
-        return M
-    return sp.block_diag([M, M], format="csr")
+    return _per_component(space, _scatter_scalar(space, local))
 
 
 def _coeff_array(space: FeSpace, coeff) -> np.ndarray:
@@ -291,6 +369,22 @@ def _check_spd(space: FeSpace, c: np.ndarray):
         )
 
 
+def _stiffness_kernel(space: FeSpace, c: np.ndarray) -> np.ndarray:
+    """Element matrices (ne, nloc, nloc) of grad(u) . C grad(v)."""
+    wdet = space.quad.weights[None, :] * space.detJ[:, None]
+    # G[e, q] is the (2, nloc) gradient matrix of the element basis at q
+    G = space.grads.transpose(0, 1, 3, 2)
+    ne, nq, _, nloc = G.shape
+    if space.degree == 1:
+        # gradients are constant on each element: integrate C first
+        cbar = np.einsum("eq,eqij->eij", wdet, c)
+        G0 = G[:, 0]
+        return np.matmul(G0.transpose(0, 2, 1), np.matmul(cbar, G0))
+    # sum_q G_q^T (w_q detJ C_q) G_q, as one product over the pairs (q, i)
+    CG = np.matmul(c * wdet[:, :, None, None], G).reshape(ne, 2 * nq, nloc)
+    return np.matmul(G.reshape(ne, 2 * nq, nloc).transpose(0, 2, 1), CG)
+
+
 def assemble_stiffness(space: FeSpace, coeff=None) -> sp.csr_matrix:
     """Weighted stiffness matrix for the form grad(u) . C grad(v).
 
@@ -302,32 +396,19 @@ def assemble_stiffness(space: FeSpace, coeff=None) -> sp.csr_matrix:
     """
     c = _coeff_array(space, coeff)
     _check_spd(space, c)
-    w = space.quad.weights
-    cw = c * w[None, :, None, None]
-    local = np.einsum("eqli,eqij,eqmj->elm", space.grads, cw, space.grads)
-    local *= space.detJ[:, None, None]
-    K = _scatter_scalar(space, local)
-    if space.rank == 0:
-        return K
-    return sp.block_diag([K, K], format="csr")
+    local = _stiffness_kernel(space, c)
+    return _per_component(space, _scatter_scalar(space, local))
 
 
 def _edge_basis(space: FeSpace, s: np.ndarray):
     """Trace of the element basis on an edge param by s in [0, 1].
 
-    Returns (local dof slots within the edge, values (nq, n_edge_dofs)).
-    For P1 the edge carries its two endpoints; for P2 also the midside node.
+    Returns values (nq, n_edge_dofs) in the order of `space.boundary_dofs`:
+    the two endpoints, and for P2 also the midside node.
     """
     if space.degree == 1:
         return np.column_stack([1 - s, s])
     return np.column_stack([(1 - s) * (1 - 2 * s), s * (2 * s - 1), 4 * s * (1 - s)])
-
-
-def _edge_dofs(space: FeSpace, i: int, j: int) -> list[int]:
-    if space.degree == 1:
-        return [i, j]
-    key = (min(i, j), max(i, j))
-    return [i, j, space.mesh.num_vertices + space.edge_index[key]]
 
 
 def assemble_boundary_mass(space: FeSpace, alpha: float = 1.0) -> sp.csr_matrix:
@@ -335,29 +416,15 @@ def assemble_boundary_mass(space: FeSpace, alpha: float = 1.0) -> sp.csr_matrix:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     er = edge_rule()
-    s = er.points[:, 0]
-    vals = _edge_basis(space, s)
+    vals = _edge_basis(space, er.points[:, 0])
     base = np.einsum("q,ql,qm->lm", er.weights, vals, vals)
-
-    verts = space.mesh.vertices
-    rows, cols, data = [], [], []
-    for i, j, _owner in space.mesh.boundary_edges:
-        dofs = _edge_dofs(space, int(i), int(j))
-        length = float(np.linalg.norm(verts[j] - verts[i]))
-        loc = alpha * length * base
-        for a, da in enumerate(dofs):
-            for b, db in enumerate(dofs):
-                rows.append(da)
-                cols.append(db)
-                data.append(loc[a, b])
-    B = sp.coo_matrix(
-        (data, (rows, cols)), shape=(space.n_scalar, space.n_scalar)
-    ).tocsr()
-    B.sum_duplicates()
-    B.sort_indices()
-    if space.rank == 0:
-        return B
-    return sp.block_diag([B, B], format="csr")
+    dofs = space.boundary_dofs
+    nd = dofs.shape[1]
+    local = (alpha * space.mesh.boundary_lengths())[:, None, None] * base[None]
+    rows = np.repeat(dofs, nd, axis=1)
+    cols = np.tile(dofs, (1, nd))
+    B = _accumulate(space.n_scalar, space.n_scalar, rows, cols, local)
+    return _per_component(space, B)
 
 
 def assemble_divergence(vel_space: FeSpace, p_space: FeSpace) -> sp.csr_matrix:
@@ -404,17 +471,9 @@ def assemble_load(space: FeSpace, integrand) -> np.ndarray:
         f = np.asarray(integrand, dtype=float)
 
     w = space.quad.weights
-    out = np.zeros(space.ndof)
-    if space.rank == 0:
-        local = np.einsum("q,eq,ql->el", w, f, space.basis_vals)
-        local *= space.detJ[:, None]
-        np.add.at(out, space.conn, local)
-    else:
-        for c in range(2):
-            local = np.einsum("q,eq,ql->el", w, f[:, :, c], space.basis_vals)
-            local *= space.detJ[:, None]
-            np.add.at(out, c * space.n_scalar + space.conn, local)
-    return out
+    local = np.einsum("q,eq...,ql->el...", w, f, space.basis_vals)
+    local *= space.detJ[:, None, None] if space.rank else space.detJ[:, None]
+    return scatter_load(space, local)
 
 
 def assemble_boundary_load(space: FeSpace, values) -> np.ndarray:
@@ -425,25 +484,12 @@ def assemble_boundary_load(space: FeSpace, values) -> np.ndarray:
     mesh.boundary_edges and the edge rule.
     """
     er = edge_rule()
-    s = er.points[:, 0]
-    vals = _edge_basis(space, s)
-    verts = space.mesh.vertices
+    vals = _edge_basis(space, er.points[:, 0])
     g = np.asarray(values, dtype=float)
-    out = np.zeros(space.ndof)
-    for k, (i, j, _owner) in enumerate(space.mesh.boundary_edges):
-        dofs = _edge_dofs(space, int(i), int(j))
-        length = float(np.linalg.norm(verts[j] - verts[i]))
-        if space.rank == 0:
-            loc = length * np.einsum("q,q,ql->l", er.weights, g[k], vals)
-            out[list(dofs)] += loc
-        else:
-            for c in range(2):
-                loc = length * np.einsum(
-                    "q,q,ql->l", er.weights, g[k, :, c], vals
-                )
-                idx = [c * space.n_scalar + d for d in dofs]
-                out[idx] += loc
-    return out
+    local = np.einsum("q,kq...,ql->kl...", er.weights, g, vals)
+    lengths = space.mesh.boundary_lengths()
+    local *= lengths[:, None, None] if space.rank else lengths[:, None]
+    return scatter_load(space, local, space.boundary_dofs)
 
 
 def edge_quad_geometry(mesh: TriMesh):
@@ -489,7 +535,8 @@ def l2_error(space: FeSpace, coeffs: np.ndarray, exact: Callable) -> float:
 def l4_norm(space: FeSpace, coeffs: np.ndarray) -> float:
     w = space.quad.weights
     uh = space.scalar_at_qp(coeffs)
-    return np.einsum("q,eq->", w, uh**4 * space.detJ[:, None]) ** 0.25
+    u2 = uh * uh  # not uh**4: pow is slow on negative bases
+    return np.einsum("q,eq->", w, u2 * u2 * space.detJ[:, None]) ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +565,9 @@ def solve_cg(
 
     With `constraint` (an orthogonal projector P onto a subspace) the method
     solves P A P x = P b with all iterates kept inside the subspace, which
-    removes a known semidefinite kernel.  Non-convergence after `maxit`
-    returns the best iterate with converged=False.
+    removes a known semidefinite kernel.  Non-convergence (after `maxit`
+    iterations, or on a search direction with d.Ad <= 0) returns the iterate
+    with the lowest recursive residual seen, with converged=False.
 
     `precondition`, if given, replaces the Jacobi (`jacobi=True`) or plain
     projector preconditioner.  It must be symmetric positive definite on the
@@ -557,6 +605,7 @@ def solve_cg(
     relres = math.sqrt(float(r @ r)) / bnorm
     if relres <= tol:
         return CgResult(x, True, 0, relres)
+    best_x, best_relres = x.copy(), relres
     z = prec(r)
     d = z.copy()
     rz = float(r @ z)
@@ -565,7 +614,7 @@ def solve_cg(
         dq = float(d @ q)
         if dq <= 0.0:
             # indefinite or fully converged direction; stop with best iterate
-            return CgResult(x, relres <= tol, it - 1, relres)
+            return CgResult(best_x, False, it - 1, best_relres)
         a = rz / dq
         x += a * d
         r -= a * q
@@ -574,11 +623,13 @@ def solve_cg(
         relres = math.sqrt(float(r @ r)) / bnorm
         if relres <= tol:
             return CgResult(x, True, it, relres)
+        if relres < best_relres:
+            best_x, best_relres = x.copy(), relres
         z = prec(r)
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
-    return CgResult(x, False, maxit, relres)
+    return CgResult(best_x, False, maxit, best_relres)
 
 
 class SaddleResult(NamedTuple):

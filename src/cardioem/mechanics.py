@@ -33,6 +33,7 @@ from .fem import (
     assemble_stiffness,
     edge_quad_geometry,
     edge_rule,
+    scatter_load,
     solve_saddle,
 )
 from .mesh import FiberField
@@ -163,11 +164,13 @@ def assemble_mechanics(
     # interior part of the weak body force: -int sigma : grad(v)
     w = u_space.quad.weights
     ne = len(u_space.conn)
-    f = np.zeros(u_space.ndof)
-    for c in range(2):
-        integ = np.einsum("q,eqj,eqlj->el", w, sigma[:, :, c, :], u_space.grads)
-        integ *= u_space.detJ[:, None]
-        np.add.at(f, c * u_space.n_scalar + u_space.conn, -integ)
+    integ = np.stack(
+        [np.einsum("q,eqj,eqlj->el", w, sigma[:, :, c, :], u_space.grads)
+         for c in range(2)],
+        axis=-1,
+    )
+    integ *= u_space.detJ[:, None, None]
+    f = -scatter_load(u_space, integ)
 
     # boundary part: + int_{dO} (sigma n) . v
     sig_b = _sigma_on_boundary(u_space.mesh, gamma, fibers, act)

@@ -131,19 +131,19 @@ def test_assemble_rejects_bad_dt():
 
 
 def test_enforce_zero_mean_constant_vector():
-    space, mass, _ = make_system(3)
-    out = enforce_zero_mean(np.full(space.n_scalar, 3.7), mass)
+    space, _, sys_ = make_system(3)
+    out = enforce_zero_mean(np.full(space.n_scalar, 3.7), sys_.lumped)
     assert np.abs(out).max() < 1e-14
 
 
 def test_enforce_zero_mean_is_constant_shift_and_idempotent():
-    space, mass, _ = make_system(4)
+    space, mass, sys_ = make_system(4)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(space.n_scalar)
-    out = enforce_zero_mean(v, mass)
+    out = enforce_zero_mean(v, sys_.lumped)
     shift = v - out
     assert np.ptp(shift) < 1e-13  # constant difference
-    again = enforce_zero_mean(out, mass)
+    again = enforce_zero_mean(out, sys_.lumped)
     assert np.abs(again - out).max() < 1e-14
     m = np.asarray(mass.sum(axis=1)).ravel()
     assert abs(m @ out) < 1e-12
@@ -350,4 +350,4 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed):
     assert ref.converged
     n_s = space.n_scalar
     assert np.abs(new.v_i - ref.x[:n_s]).max() < 1e-9
-    assert np.abs(new.v_e - enforce_zero_mean(ref.x[n_s:], mass)).max() < 1e-9
+    assert np.abs(new.v_e - enforce_zero_mean(ref.x[n_s:], sys_.lumped)).max() < 1e-9

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 from cardioem.fem import (
     FeSpace,
     NonSpdCoefficientError,
+    assemble_boundary_load,
     assemble_boundary_mass,
     assemble_divergence,
     assemble_load,
@@ -15,11 +16,20 @@ from cardioem.fem import (
     assemble_stiffness,
     edge_rule,
     l2_error,
+    l4_norm,
     solve_cg,
     solve_saddle,
     triangle_rule,
 )
-from cardioem.mesh import TriMesh, structured_unit_square
+from cardioem.electrics import (
+    assemble_bidomain,
+    conductivities_from_gradient,
+    initial_split,
+    initial_stimulus,
+)
+from cardioem.mechanics import sigma_at_quad
+from cardioem.mesh import FiberField, TriMesh, structured_unit_square
+from cardioem.physics import ActivationParams, ConductivityParams, IonicParams, i_ion
 
 
 def reference_triangle():
@@ -171,6 +181,78 @@ def test_csr_invariants():
         assert len(np.unique(cols)) == len(cols)
 
 
+def perturbed_square(n, seed=0):
+    # structured mesh with interior vertices moved by up to 0.25 h per axis
+    m = structured_unit_square(n, n)
+    v = np.array(m.vertices)
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    v[inner] += (0.25 / n) * rng.uniform(-1.0, 1.0, (int(inner.sum()), 2))
+    return TriMesh(v, np.array(m.triangles))
+
+
+def loop_stiffness(space, c):
+    # oracle: element by element, quadrature point by quadrature point
+    n = space.n_scalar
+    K = np.zeros((n, n))
+    w = space.quad.weights
+    for e, dofs in enumerate(space.conn):
+        for q in range(len(w)):
+            g = space.grads[e, q]
+            K[np.ix_(dofs, dofs)] += w[q] * space.detJ[e] * g @ c[e, q] @ g.T
+    return K if space.rank == 0 else np.kron(np.eye(2), K)
+
+
+def anisotropic_coefficient(space, seed=1):
+    ne, nq = len(space.conn), len(space.quad.weights)
+    a = np.random.default_rng(seed).standard_normal((ne, nq, 2, 2))
+    return a @ a.transpose(0, 1, 3, 2) + 0.1 * np.eye(2)
+
+
+def gamma_sigma(space):
+    x, y = space.mesh.vertices.T
+    gamma = 0.6 * np.sin(3 * x) * np.cos(2 * y) - 0.1
+    fibers = FiberField.rotated(space.mesh, 0.4)
+    return sigma_at_quad(space, gamma, fibers, ActivationParams())
+
+
+@pytest.mark.parametrize("coefficient", [anisotropic_coefficient, gamma_sigma])
+@pytest.mark.parametrize("degree,rank", [(1, 0), (2, 1)])
+def test_stiffness_kernel_matches_element_loop(degree, rank, coefficient):
+    s = FeSpace(perturbed_square(5), degree, rank)
+    c = coefficient(s)
+    K = assemble_stiffness(s, c)
+    ref = loop_stiffness(s, c)
+    assert isinstance(K, sp.csr_matrix)
+    assert K.has_canonical_format
+    assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("degree,rank", [(1, 0), (2, 0), (2, 1)])
+def test_boundary_load_matches_edge_loop(degree, rank):
+    m = perturbed_square(5)
+    s = FeSpace(m, degree, rank)
+    er = edge_rule()
+    t = er.points[:, 0]
+    if degree == 1:
+        vals = np.column_stack([1 - t, t])
+    else:
+        vals = np.column_stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)])
+    shape = (len(m.boundary_edges), len(t)) + ((2,) if rank else ())
+    g = np.random.default_rng(3).standard_normal(shape)
+    ref = np.zeros(s.ndof)
+    for k, (i, j, _owner) in enumerate(m.boundary_edges):
+        dofs = [i, j]
+        if degree == 2:
+            dofs.append(m.num_vertices + s.edge_index[(min(i, j), max(i, j))])
+        length = np.linalg.norm(m.vertices[j] - m.vertices[i])
+        for c in range(s.ncomp):
+            gk = g[k, :, c] if rank else g[k]
+            ref[c * s.n_scalar + np.array(dofs)] += length * (er.weights * gk) @ vals
+    F = assemble_boundary_load(s, g)
+    assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # boundary mass
 
@@ -270,6 +352,16 @@ def test_load_pairing_equals_integral():
     assert abs(one @ F - exact) < 1e-5  # quadrature-limited
 
 
+def test_l4_norm_matches_power_on_sign_changing_field():
+    s = FeSpace(perturbed_square(6), 1)
+    x, y = s.mesh.vertices.T
+    v = np.cos(5 * x) * np.sin(4 * y) - 0.3
+    uh = s.scalar_at_qp(v)
+    assert uh.min() < 0 < uh.max()
+    ref = np.einsum("q,eq->", s.quad.weights, uh**4 * s.detJ[:, None]) ** 0.25
+    assert abs(l4_norm(s, v) - ref) <= 1e-14 * ref
+
+
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
@@ -309,6 +401,42 @@ def test_cg_exact_preconditioner_takes_one_iteration():
     assert res.converged
     assert res.iterations == 1
     assert np.linalg.norm(K.dot(res.x) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_cg_stall_returns_best_iterate():
+    # with the exact bordered preconditioner the first iterate is exact to
+    # round-off; a tolerance below round-off forces the iteration on until
+    # it breaks down, and the best iterate must be the one returned
+    s = FeSpace(structured_unit_square(4, 4), 1)
+    M = assemble_mass(s)
+    dt = 0.0125
+    Mi, Me = conductivities_from_gradient(s, None, ConductivityParams())
+    system = assemble_bidomain(s, Mi, Me, dt, M)
+    v0 = s.interpolate(initial_stimulus)
+    v_i, v_e = initial_split(v0, M)
+    base = M.dot(v0 / dt - i_ion(v0, np.zeros_like(v0), IonicParams()))
+    i_app = assemble_load(s, initial_stimulus)
+    b = np.concatenate([base + i_app, -base + i_app])
+    proj = system.projector()
+    pb = proj(b)
+    bnorm = math.sqrt(float(pb @ pb))
+
+    seen = []  # relres of every residual the preconditioner is applied to
+
+    def precondition(r):
+        seen.append(math.sqrt(float(r @ r)) / bnorm)
+        return system.precondition(r)
+
+    res = solve_cg(
+        system.block, b, tol=1e-30, constraint=proj,
+        x0=np.concatenate([v_i, v_e]), precondition=precondition,
+    )
+    assert not res.converged
+    assert res.iterations >= 2
+    assert res.relres == min(seen)
+    assert res.relres < 1e-14
+    true = np.linalg.norm(proj(b - system.block.dot(res.x))) / bnorm
+    assert true < 1e-14
 
 
 def test_cg_poisson_mms_second_order():
