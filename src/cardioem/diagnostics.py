@@ -91,18 +91,30 @@ class EnergyRecord:
         return all(np.all(np.isfinite(v)) for v in self.arrays().values())
 
 
+def mech_energy(mech_state, h1_gram, mass) -> tuple[float, float]:
+    """(u . (M + K) u, p . M p) of one mechanics state.
+
+    `h1_gram` is the P2 vector M + K and `mass` the P1 mass matrix.  The
+    terms change only when the mechanics state does, so a run computes them
+    once per state and passes them to every `append_energy`.
+    """
+    return (
+        float(mech_state.u @ h1_gram.dot(mech_state.u)),
+        float(mech_state.p @ mass.dot(mech_state.p)),
+    )
+
+
 def append_energy(
     record: EnergyRecord,
     state,
     gamma: np.ndarray,
-    mech_state,
+    mech_terms: tuple[float, float],
     mass,
     stiff_unit,
-    h1_gram,
     scalar_space: FeSpace,
     dt: float,
 ):
-    """Append one step's energies; `h1_gram` is the P2 vector M + K."""
+    """Append one step's energies; `mech_terms` comes from `mech_energy`."""
     entry = discrete_energy(state, mass, stiff_unit)
     record.v_l2sq.append(entry.v_l2sq)
     record.w_l2sq.append(entry.w_l2sq)
@@ -113,8 +125,8 @@ def append_energy(
     )
     prev_v4 = record.cum_v4[-1] if record.cum_v4 else 0.0
     record.cum_v4.append(prev_v4 + dt * l4_norm(scalar_space, state.v) ** 4)
-    record.u_h1sq.append(float(mech_state.u @ h1_gram.dot(mech_state.u)))
-    record.p_l2sq.append(float(mech_state.p @ mass.dot(mech_state.p)))
+    record.u_h1sq.append(mech_terms[0])
+    record.p_l2sq.append(mech_terms[1])
 
 
 @dataclass

@@ -6,12 +6,19 @@ Operator ordering per step (fixed):
   2. advance the activation field by explicit Euler using the fresh w,
   3. every `mech_refresh` steps, re-solve the mechanics with the current
      activation and rebuild the conductivity-dependent operators from the
-     new displacement gradient,
-  4. record probes and energies.
+     new displacement gradient; while the activation is nowhere positive
+     (`mechanics.is_passive`) the system is bitwise the initial one, so the
+     initial solution and its bidomain system are reused instead,
+  4. record probes and energies; the mechanics energy terms are computed
+     once per mechanics state.
 
-The initial state sets v from the stimulus profile, splits it into
-(v_i, v_e) with a zero-mean extracellular part, starts w at zero and the
-activation at -0.3 v0 / (2 - v0), and solves the mechanics once.
+Everything before the first step that the seed does not change is a
+`Discretization`, built once from the config: the mesh, spaces and fixed
+operators, the probe locations and the stimulus load, v0 from the
+stimulus profile, the activation gamma0 = -0.3 v0 / (2 - v0), and the
+mechanics solved once at gamma0 (the passive solution).  A run splits v0
+into (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
+An ensemble builds one Discretization and shares it across its paths.
 
 Runs are deterministic given the configuration: noise paths derive from
 (seed, channel, mode, step) and ensemble member k reseeds with (seed, k).
@@ -21,11 +28,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import diagnostics, electrics, mechanics, physics
-from .fem import FeSpace, assemble_load, assemble_mass, assemble_stiffness
+from .fem import (
+    FeSpace,
+    SaddleResult,
+    assemble_load,
+    assemble_mass,
+    assemble_stiffness,
+)
 from .mesh import FiberField, TriMesh, load_mesh, structured_unit_square
 from .noise import NoiseCoeff, NoisePath
 
@@ -184,84 +200,192 @@ def _probe_values(mesh, locs, v):
 
 
 # ---------------------------------------------------------------------------
+# path-independent set-up
+
+
+class PassiveSolution(NamedTuple):
+    """The mechanics solution at gamma <= 0, and the bidomain system of it."""
+
+    mech: mechanics.MechState
+    result: SaddleResult
+    system: electrics.BidomainSystem
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """Everything a run builds before its first step that its seed leaves alone.
+
+    Built once from a config by `build`: the mesh, fibers and spaces, the
+    operators assembled before the first step, the probe locations, the
+    stimulus load, the initial v0 and gamma0, and `passive`, the mechanics
+    solution at gamma0 with the bidomain system built from it.  v0 lies in
+    [0, 1), so gamma0 is nowhere positive, and `passive` is the solution at
+    every activation that `mechanics.is_passive` accepts.  `run_ensemble`
+    shares one across its paths, which differ only in the seed.
+    """
+
+    config: SimConfig
+    mesh: TriMesh
+    fibers: FiberField
+    space: FeSpace
+    u_space: FeSpace
+    p_space: FeSpace
+    mass: sp.csr_matrix
+    lumped: np.ndarray  # row sums of the mass matrix
+    stiff_unit: sp.csr_matrix
+    statics: mechanics.MechStatics
+    probe_locs: list
+    i_app: np.ndarray  # stimulus load while the stimulus is on
+    v0: np.ndarray
+    gamma0: np.ndarray
+    passive: PassiveSolution | None  # None once a single run has dropped it
+
+    @classmethod
+    def build(cls, config: SimConfig, mesh: TriMesh | None = None) -> "Discretization":
+        """The set-up of `config`, on `mesh` or the config's own mesh.
+
+        Raises `SimulationError` at step 0 when the initial mechanics solve
+        fails.
+        """
+        mesh = mesh if mesh is not None else config.build_mesh()
+        space = FeSpace(mesh, degree=1)
+        u_space = FeSpace(mesh, degree=2, rank=1)
+        p_space = FeSpace(mesh, degree=1)
+        mass = assemble_mass(space)
+        statics = mechanics.mech_statics(u_space, p_space, config.mech.alpha)
+        v0 = space.interpolate(electrics.initial_stimulus)
+        # the stimulus profile is constant in time while active
+        stim_profile = electrics.initial_stimulus(
+            space.qpoints[:, :, 0], space.qpoints[:, :, 1]
+        )
+        disc = cls(
+            config=config,
+            mesh=mesh,
+            fibers=FiberField.axis_aligned(mesh),
+            space=space,
+            u_space=u_space,
+            p_space=p_space,
+            mass=mass,
+            lumped=np.asarray(mass.sum(axis=1)).ravel(),
+            stiff_unit=assemble_stiffness(space),
+            statics=statics,
+            probe_locs=[locate_point(mesh, q) for q in config.probes],
+            i_app=assemble_load(space, stim_profile),
+            v0=v0,
+            gamma0=-0.3 * v0 / (2.0 - v0),
+            passive=None,
+        )
+        mech_state, mres = disc.solve_mechanics(disc.gamma0)
+        if not mres.converged:
+            raise SimulationError(
+                "initial mechanics solve failed", 0,
+                checkpoint={
+                    "state": disc.initial_state(), "gamma": disc.gamma0.copy(),
+                },
+            )
+        system = disc.bidomain_system(mech_state.u)
+        return replace(disc, passive=PassiveSolution(mech_state, mres, system))
+
+    @cached_property
+    def h1_gram(self) -> sp.csr_matrix:
+        """The P2 vector M + K of the H1 energy, built on first use.
+
+        So it is built after the initial solve, not before: allocated
+        below the solve's temporaries it fragments the heap, which raised
+        the peak memory of a default run by up to 6%.
+        """
+        return (self.statics.mass_u + assemble_stiffness(self.u_space)).tocsr()
+
+    def initial_state(self) -> electrics.ElectricState:
+        """v = v0 split into (v_i, v_e) with zero-mean v_e, and w = 0."""
+        v_i, v_e = electrics.initial_split(self.v0, self.mass)
+        w = np.zeros_like(self.v0)
+        return electrics.ElectricState(v_i, v_e, self.v0.copy(), w)
+
+    def solve_mechanics(
+        self, gamma: np.ndarray
+    ) -> tuple[mechanics.MechState, SaddleResult]:
+        """Assemble and solve the mechanics system at activation `gamma`."""
+        cfg = self.config
+        mech_sys = mechanics.assemble_mechanics(
+            self.u_space, self.p_space, gamma, self.fibers, cfg.mech,
+            cfg.activation, statics=self.statics,
+        )
+        return mechanics.solve_mechanics(mech_sys, tol=cfg.mech_tol)
+
+    def bidomain_system(self, u: np.ndarray) -> electrics.BidomainSystem:
+        """Bidomain operators with the conductivities pulled back through u."""
+        grad_u = self.u_space.vector_grad_at_qp(u)
+        Mi, Me = electrics.conductivities_from_gradient(
+            self.space, grad_u, self.config.conductivity
+        )
+        return electrics.assemble_bidomain(
+            self.space, Mi, Me, self.config.dt, self.mass
+        )
+
+
+# ---------------------------------------------------------------------------
 # the coupled loop
 
 
-def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
+def run_simulation(
+    config: SimConfig,
+    mesh: TriMesh | None = None,
+    disc: Discretization | None = None,
+) -> SimResult:
+    """One path of `config`, on `mesh` or the config's own mesh.
+
+    A shared `disc` (from `Discretization.build` of a config that differs
+    from `config` at most in the seed) replaces the set-up, and `mesh`.
+    """
     from .io_cli import config_hash  # local import to avoid a cycle
 
-    mesh = mesh if mesh is not None else config.build_mesh()
-    fibers = FiberField.axis_aligned(mesh)
-    space = FeSpace(mesh, degree=1)
-    u_space = FeSpace(mesh, degree=2, rank=1)
-    p_space = FeSpace(mesh, degree=1)
-
-    mass = assemble_mass(space)
-    stiff_unit = assemble_stiffness(space)
+    shared = disc is not None
+    if not shared:
+        disc = Discretization.build(config, mesh)
+    elif mesh is not None or replace(config, seed=disc.config.seed) != disc.config:
+        raise ValueError(
+            "a shared Discretization replaces the mesh and must be built "
+            "from this config, up to its seed"
+        )
+    passive = disc.passive
+    if not shared:
+        # hold the passive solution only while it is the current one, so a
+        # single run keeps no second bordered LU alive beside an active one
+        disc = replace(disc, passive=None)
+    mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
     n_steps = config.n_steps
 
-    # initial electric state
-    v0 = space.interpolate(electrics.initial_stimulus)
-    v_i, v_e = electrics.initial_split(v0, mass)
-    w = np.zeros_like(v0)
-    gamma = -0.3 * v0 / (2.0 - v0)
-    state = electrics.ElectricState(v_i, v_e, v0.copy(), w)
-
-    # initial mechanics solve and conductivity-dependent operators
-    statics = mechanics.mech_statics(u_space, p_space, config.mech.alpha)
-    mech_sys = mechanics.assemble_mechanics(
-        u_space, p_space, gamma, fibers, config.mech, config.activation,
-        statics=statics,
-    )
-    mech_state, mres = mechanics.solve_mechanics(mech_sys, tol=config.mech_tol)
-    if not mres.converged:
-        raise SimulationError(
-            "initial mechanics solve failed", 0,
-            checkpoint={"state": state, "gamma": gamma.copy()},
-        )
+    state = disc.initial_state()
+    gamma = disc.gamma0.copy()
+    mech_state, mres, system = passive
     mech_residuals = [(mres.res_primal, mres.res_constraint)]
-
-    def rebuild_bidomain():
-        grad_u = u_space.vector_grad_at_qp(mech_state.u)
-        Mi, Me = electrics.conductivities_from_gradient(
-            space, grad_u, config.conductivity
-        )
-        return electrics.assemble_bidomain(space, Mi, Me, config.dt, mass)
-
-    system = rebuild_bidomain()
 
     path = NoisePath(config.seed, config.dt, n_steps, config.n_modes)
     incr_v = path.increments("v") if n_steps else np.zeros((0, config.n_modes))
     incr_w = path.increments("w") if n_steps else np.zeros((0, config.n_modes))
 
-    locs = [locate_point(mesh, q) for q in config.probes]
     probes = np.empty((n_steps + 1, len(locs)))
     probes[0] = _probe_values(mesh, locs, state.v)
     times = config.dt * np.arange(n_steps + 1)
 
-    lumped = np.asarray(mass.sum(axis=1)).ravel()
     ve_mean = np.empty(n_steps + 1)
     ve_norm = np.empty(n_steps + 1)
 
     def track_compat(idx):
-        ve_mean[idx] = abs(float(lumped @ state.v_e))
+        ve_mean[idx] = abs(float(disc.lumped @ state.v_e))
         ve_norm[idx] = float(np.linalg.norm(state.v_e))
 
     track_compat(0)
 
-    # the stimulus profile is constant in time while active
-    stim_profile = electrics.initial_stimulus(
-        space.qpoints[:, :, 0], space.qpoints[:, :, 1]
-    )
-    i_app_active = assemble_load(space, stim_profile)
-    i_app_zero = np.zeros_like(i_app_active)
+    i_app_zero = np.zeros_like(disc.i_app)
 
     energy = diagnostics.EnergyRecord.empty()
     if config.track_energy:
-        h1_gram = (statics.mass_u + assemble_stiffness(u_space)).tocsr()
+        mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
         diagnostics.append_energy(
-            energy, state, gamma, mech_state, mass, stiff_unit, h1_gram,
-            space, config.dt,
+            energy, state, gamma, mech_terms, mass, disc.stiff_unit, space,
+            config.dt,
         )
 
     snapshots = {}
@@ -287,7 +411,7 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
 
     for n in range(n_steps):
         t = float(times[n])
-        i_app_vec = i_app_active if t < config.stim_duration else i_app_zero
+        i_app_vec = disc.i_app if t < config.stim_duration else i_app_zero
         want_record = n in record_set
         out = electrics.step_bidomain(
             system,
@@ -311,6 +435,11 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
 
         gamma_old = gamma
         gamma = gamma + config.dt * physics.g_act(gamma, state.w, config.activation)
+        if not np.all(np.isfinite(gamma)):
+            raise SimulationError(
+                "activation is not finite", n,
+                checkpoint={"state": state, "gamma": gamma.copy()},
+            )
         if want_record:
             rec = out[2]
             rec.gamma_before = gamma_old.copy()
@@ -321,27 +450,28 @@ def run_simulation(config: SimConfig, mesh: TriMesh | None = None) -> SimResult:
             step_records.append((n, rec))
 
         if (n + 1) % config.mech_refresh == 0:
-            mech_sys = mechanics.assemble_mechanics(
-                u_space, p_space, gamma, fibers, config.mech, config.activation,
-                statics=statics,
-            )
-            mech_state, mres = mechanics.solve_mechanics(
-                mech_sys, tol=config.mech_tol
-            )
-            if not mres.converged:
-                raise SimulationError(
-                    "mechanics solve failed", n,
-                    checkpoint={"state": state, "gamma": gamma.copy()},
-                )
+            if passive is not None and mechanics.is_passive(gamma):
+                mech_state, mres, system = passive
+            else:
+                mech_state, mres = disc.solve_mechanics(gamma)
+                if not mres.converged:
+                    raise SimulationError(
+                        "mechanics solve failed", n,
+                        checkpoint={"state": state, "gamma": gamma.copy()},
+                    )
+                system = disc.bidomain_system(mech_state.u)
+                if not shared:
+                    passive = None
             mech_residuals.append((mres.res_primal, mres.res_constraint))
-            system = rebuild_bidomain()
+            if config.track_energy:
+                mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
 
         probes[n + 1] = _probe_values(mesh, locs, state.v)
         track_compat(n + 1)
         if config.track_energy:
             diagnostics.append_energy(
-                energy, state, gamma, mech_state, mass, stiff_unit, h1_gram,
-                space, config.dt,
+                energy, state, gamma, mech_terms, mass, disc.stiff_unit, space,
+                config.dt,
             )
         if (n + 1) in config.snapshot_iters:
             take_snapshot(n + 1)
@@ -378,17 +508,22 @@ def run_ensemble(
 ) -> tuple[EnsembleStats, list]:
     """Run n_paths independent paths and aggregate probe statistics.
 
-    Failed paths are reported in stats.failures and skipped with a warning;
-    statistics are over the surviving paths.
+    The paths share one `Discretization`.  Failed paths are reported in
+    stats.failures and skipped with a warning; statistics are over the
+    surviving paths.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    mesh = mesh if mesh is not None else config.build_mesh()
+    try:
+        disc = Discretization.build(config, mesh)
+    except SimulationError as exc:
+        warnings.warn(f"all {n_paths} paths failed in their shared set-up: {exc}")
+        raise SimulationError("all ensemble paths failed", -1) from exc
     results, failures = [], []
     for k in range(n_paths):
         cfg_k = replace(config, seed=path_seed(config.seed, k))
         try:
-            results.append(run_simulation(cfg_k, mesh=mesh))
+            results.append(run_simulation(cfg_k, disc=disc))
         except SimulationError as exc:
             failures.append((k, str(exc)))
             warnings.warn(f"path {k} failed: {exc}")

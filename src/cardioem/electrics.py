@@ -129,14 +129,13 @@ def conductivities_from_gradient(
     """Per-quad-point pulled-back tensors (M_i, M_e) for a P1 space.
 
     grad_u is a (ne, nq, 2, 2) displacement gradient or None for the
-    undeformed configuration.
+    undeformed configuration.  Both tensors share one clamp and one F^-1.
     """
     ne, nq = len(space.conn), len(space.quad.weights)
     if grad_u is None:
         grad_u = np.zeros((ne, nq, 2, 2))
-    Mi = physics.conductivity(grad_u, params.K_i, params)
-    Me = physics.conductivity(grad_u, params.K_e, params)
-    return Mi, Me
+    Finv = physics.inverse_deformation(grad_u, params)
+    return physics.pull_back(Finv, params.K_i), physics.pull_back(Finv, params.K_e)
 
 
 def enforce_zero_mean(v_e: np.ndarray, lumped: np.ndarray) -> np.ndarray:

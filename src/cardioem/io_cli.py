@@ -414,7 +414,10 @@ def _cmd_ensemble(args) -> int:
     config = _load_cli_config(args)
     out = _out_dir(args)
     stats, results = driver.run_ensemble(config, args.paths)
-    for k, res in enumerate(results):
+    # results holds the surviving paths only: name each by its path index
+    failed = {k for k, _ in stats.failures}
+    survivors = [k for k in range(args.paths) if k not in failed]
+    for k, res in zip(survivors, results):
         write_probes(os.path.join(out, f"probes_path{k:03d}.csv"), res)
     base = results[0]
     with open(os.path.join(out, "ensemble_stats.csv"), "w") as fh:

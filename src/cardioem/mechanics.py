@@ -126,6 +126,20 @@ def sigma_at_quad(
     return physics.sigma_tensor(gq, dl, dt_, act)
 
 
+def is_passive(gamma: np.ndarray) -> bool:
+    """True when the activation leaves the mechanics system passive.
+
+    The activation enters sigma only through its positive part (max(gamma,
+    0) in `physics.gamma_kappa`), and every value sigma is evaluated at, at
+    a velocity or a boundary-edge quadrature point, is a convex combination
+    of vertex values of gamma.  So when every vertex value is <= 0, every
+    quadrature value has positive part 0.0, and sigma, A and f are bitwise
+    those of any other such gamma: one solve serves them all.  A NaN fails
+    the test, so a NaN activation is never taken for a passive one.
+    """
+    return bool(np.all(gamma <= 0.0))
+
+
 def _sigma_on_boundary(
     mesh, gamma: np.ndarray, fibers: FiberField, act: physics.ActivationParams
 ):

@@ -198,6 +198,11 @@ def conductivity(grad_u: np.ndarray, K: np.ndarray, p: ConductivityParams) -> np
     Broadcasts over leading axes of grad_u.  The output is symmetrized
     exactly; eigenvalues obey `conductivity_bounds(K, p)` for every input.
     """
+    return pull_back(inverse_deformation(grad_u, p), K)
+
+
+def inverse_deformation(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
+    """F^-1 for F = I + `clamp_gradient(grad_u, p)`, over leading axes."""
     G = clamp_gradient(grad_u, p)
     F = G.copy()
     F[..., 0, 0] += 1.0
@@ -209,6 +214,11 @@ def conductivity(grad_u: np.ndarray, K: np.ndarray, p: ConductivityParams) -> np
     Finv[..., 1, 0] = -F[..., 1, 0]
     Finv[..., 1, 1] = F[..., 0, 0]
     Finv /= det[..., None, None]
+    return Finv
+
+
+def pull_back(Finv: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """F^-1 K F^-T from `inverse_deformation`, symmetrized exactly."""
     K = np.asarray(K, dtype=float)
     M = Finv @ K @ np.swapaxes(Finv, -2, -1)
     return 0.5 * (M + np.swapaxes(M, -2, -1))

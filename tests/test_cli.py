@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cardioem.driver import SimConfig, SimulationError, run_simulation
+from cardioem import driver
+from cardioem.driver import SimConfig, SimulationError, path_seed, run_simulation
 from cardioem.io_cli import config_hash, main, parse_config, read_vtk_points_and_fields
 
 SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
@@ -76,3 +77,30 @@ def test_run_snapshot_round_trips_through_vtk(tmp_path):
     n_s = len(snap.u) // 2
     u = np.column_stack([snap.u[:n_s][:nv], snap.u[n_s:][:nv], np.zeros(nv)])
     np.testing.assert_allclose(vectors["u"], u, rtol=1e-8, atol=1e-300)
+
+
+def test_ensemble_names_probe_files_by_path_index(tmp_path, monkeypatch, capsys):
+    # path 1 fails: the files of the others keep their own path numbers
+    cfg = write_config(tmp_path, SMALL + "run.seed = 5\n")
+    run = driver.run_simulation
+    seeds = [path_seed(5, k) for k in range(3)]
+
+    def flaky(config, *args, **kwargs):
+        if config.seed == seeds[1]:
+            raise SimulationError("forced failure", 0)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_simulation", flaky)
+    out = tmp_path / "out"
+    args = ["ensemble", "--config", cfg, "--out", str(out), "--paths", "3"]
+    with pytest.warns(UserWarning, match="path 1 failed"):
+        assert main(args) == 0
+    assert "1 path(s) failed" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == [
+        "ensemble_stats.csv", "probes_path000.csv", "probes_path002.csv",
+    ]
+    for k in (0, 2):
+        with open(out / f"probes_path{k:03d}.csv") as fh:
+            assert fh.readline().startswith(f"# seed={seeds[k]} ")
+    with open(out / "ensemble_stats.csv") as fh:
+        assert "paths=2" in fh.readline()

@@ -1,8 +1,21 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from cardioem.driver import SimConfig, SimulationError, run_simulation
+from cardioem import driver, mechanics, physics
+from cardioem.driver import (
+    Discretization,
+    SimConfig,
+    SimulationError,
+    path_seed,
+    run_ensemble,
+    run_simulation,
+)
 from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness
-from cardioem.mesh import structured_unit_square
+from cardioem.mesh import FiberField, structured_unit_square
+from cardioem.noise import NoiseCoeff
+from cardioem.physics import ActivationParams
 
 
 def test_initial_mechanics_failure_carries_checkpoint():
@@ -29,3 +42,127 @@ def test_h1_energy_uses_the_runs_own_mesh():
         assert result.energy.u_h1sq[-1] == pytest.approx(
             float(u @ gram.dot(u)), rel=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# ensembles and the shared set-up
+
+ENSEMBLE = SimConfig(
+    mesh_nx=8, mesh_ny=8, T=0.25, mech_refresh=5, seed=7, n_modes=2,
+    noise_v=NoiseCoeff("linear-clipped", 0.1),
+    noise_w=NoiseCoeff("constant", 0.05),
+)
+
+
+def _assert_same_path(a, b):
+    np.testing.assert_array_equal(a.probes, b.probes)
+    np.testing.assert_array_equal(a.final["mech"].u, b.final["mech"].u)
+    np.testing.assert_array_equal(a.final["mech"].p, b.final["mech"].p)
+    np.testing.assert_array_equal(a.final["gamma"], b.final["gamma"])
+    assert a.final["mech_residuals"] == b.final["mech_residuals"]
+    for name, arr in a.energy.arrays().items():
+        np.testing.assert_array_equal(arr, b.energy.arrays()[name])
+
+
+def test_ensemble_paths_equal_single_runs():
+    stats, results = run_ensemble(ENSEMBLE, 3)
+    assert stats.n_paths == 3 and stats.failures == []
+    singles = [
+        run_simulation(replace(ENSEMBLE, seed=path_seed(ENSEMBLE.seed, k)))
+        for k in range(3)
+    ]
+    for res, single in zip(results, singles):
+        assert res.seed == single.seed
+        _assert_same_path(res, single)
+    traces = np.stack([r.probes for r in singles])
+    np.testing.assert_array_equal(stats.mean, traces.mean(axis=0))
+    np.testing.assert_array_equal(stats.variance, traces.var(axis=0))
+    assert stats.energy_suprema == [r.energy.suprema() for r in singles]
+
+
+def test_shared_set_up_must_come_from_the_same_config():
+    disc = Discretization.build(ENSEMBLE)
+    with pytest.raises(ValueError):
+        run_simulation(replace(ENSEMBLE, dt=0.025), disc=disc)
+    with pytest.raises(ValueError):
+        run_simulation(ENSEMBLE, mesh=disc.mesh, disc=disc)
+
+
+def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
+    # without active feedback gamma decays towards 0 from below, so every
+    # refresh sees the passive system
+    config = replace(
+        ENSEMBLE, activation=ActivationParams(beta_act=0.0),
+        noise_v=NoiseCoeff(), noise_w=NoiseCoeff(),
+    )
+    solve = mechanics.solve_mechanics
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mechanics, "solve_mechanics", counted)
+    result = run_simulation(config)
+    gamma = result.final["gamma"]
+    assert mechanics.is_passive(gamma) and np.any(gamma < 0.0)
+    assert len(calls) == 1
+    assert len(result.final["mech_residuals"]) == 1 + config.n_steps // 5
+
+    mesh = config.build_mesh()
+    u_space = FeSpace(mesh, 2, rank=1)
+    p_space = FeSpace(mesh, 1)
+    fresh, _ = solve(
+        mechanics.assemble_mechanics(
+            u_space, p_space, gamma, FiberField.axis_aligned(mesh),
+            config.mech, config.activation,
+        ),
+        tol=config.mech_tol,
+    )
+    np.testing.assert_array_equal(result.final["mech"].u, fresh.u)
+    np.testing.assert_array_equal(result.final["mech"].p, fresh.p)
+
+
+def test_nan_activation_raises(monkeypatch):
+    # a NaN gamma must end the run, never reuse the passive solution
+    monkeypatch.setattr(
+        physics, "g_act", lambda gamma, w, p: np.full_like(gamma, np.nan)
+    )
+    with pytest.raises(SimulationError, match="activation is not finite") as info:
+        run_simulation(ENSEMBLE)
+    assert info.value.step == 0
+    assert np.all(np.isnan(info.value.checkpoint["gamma"]))
+
+
+def fail_path(monkeypatch, config, k_fail):
+    """Make run_simulation raise for ensemble member k_fail."""
+    run = driver.run_simulation
+    bad_seed = path_seed(config.seed, k_fail)
+
+    def flaky(cfg, *args, **kwargs):
+        if cfg.seed == bad_seed:
+            raise SimulationError("forced failure", 3)
+        return run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_simulation", flaky)
+
+
+def test_failed_path_is_reported_and_skipped(monkeypatch):
+    fail_path(monkeypatch, ENSEMBLE, 1)
+    with pytest.warns(UserWarning, match="path 1 failed"):
+        stats, results = run_ensemble(ENSEMBLE, 3)
+    assert stats.n_paths == 2
+    assert stats.failures == [(1, "step 3: forced failure")]
+    assert [r.seed for r in results] == [path_seed(ENSEMBLE.seed, k) for k in (0, 2)]
+    traces = np.stack([r.probes for r in results])
+    np.testing.assert_array_equal(stats.mean, traces.mean(axis=0))
+    np.testing.assert_array_equal(stats.variance, traces.var(axis=0))
+    assert len(stats.energy_suprema) == 2
+
+
+def test_initial_mechanics_failure_fails_the_ensemble():
+    config = replace(ENSEMBLE, mech_tol=1e-30)
+    with pytest.warns(UserWarning, match="initial mechanics solve failed"):
+        with pytest.raises(SimulationError, match="all ensemble paths failed") as info:
+            run_ensemble(config, 2)
+    assert info.value.step == -1

@@ -100,6 +100,16 @@ def test_undeformed_conductivities_match_plain_stiffness():
     assert abs(sys_.A_e - K_e_plain).max() < 1e-15
 
 
+def test_shared_pull_back_matches_one_tensor_at_a_time():
+    # gradients this large and these bounds make both clamps act
+    cond = physics.ConductivityParams(clamp_delta=0.9, clamp_tau=0.5)
+    space = FeSpace(structured_unit_square(4, 4), 1)
+    grad_u = 5.0 * random_grad_u(4)
+    Mi, Me = conductivities_from_gradient(space, grad_u, cond)
+    np.testing.assert_array_equal(Mi, physics.conductivity(grad_u, cond.K_i, cond))
+    np.testing.assert_array_equal(Me, physics.conductivity(grad_u, cond.K_e, cond))
+
+
 def test_block_symmetry():
     _, _, sys_ = make_system(5)
     d = abs(sys_.block - sys_.block.T).max()

@@ -7,6 +7,7 @@ from cardioem.mechanics import (
     MechParams,
     MechState,
     assemble_mechanics,
+    is_passive,
     pressure_integral,
     pressure_offset,
     solve_mechanics,
@@ -47,6 +48,29 @@ def test_constant_sigma_gives_zero_rhs():
 def test_rhs_nonzero_for_bump_activation():
     *_, system = setup(4, gamma_fn=bump)
     assert np.abs(system.f).max() > 1e-6
+
+
+def test_passive_activations_assemble_the_same_system():
+    # sigma sees only max(gamma, 0) at convex combinations of vertex
+    # values, so every nowhere-positive gamma gives the gamma = 0 system
+    mesh, u_space, p_space, zero = setup(6)
+    rng = np.random.default_rng(3)
+    gamma = -rng.uniform(0.0, 0.5, mesh.num_vertices)
+    gamma[::5] = 0.0
+    gamma[1::7] = -0.0
+    assert is_passive(gamma)
+    system = assemble_mechanics(
+        u_space, p_space, gamma, FiberField.axis_aligned(mesh), MechParams(), ACT
+    )
+    np.testing.assert_array_equal(system.A.data, zero.A.data)
+    np.testing.assert_array_equal(system.A.indices, zero.A.indices)
+    np.testing.assert_array_equal(system.f, zero.f)
+
+
+def test_is_passive_rejects_positive_and_nan():
+    assert is_passive(np.array([-1.0, 0.0, -0.0]))
+    assert not is_passive(np.array([-1.0, 1e-300]))
+    assert not is_passive(np.array([-1.0, np.nan]))
 
 
 def test_a_block_spd_dense_oracle():
