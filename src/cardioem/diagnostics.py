@@ -24,7 +24,9 @@ from .fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    component_dot,
     edge_quad_geometry,
+    factor_spd,
     l2_error,
     l4_norm,
     solve_cg,
@@ -94,12 +96,13 @@ class EnergyRecord:
 def mech_energy(mech_state, h1_gram, mass) -> tuple[float, float]:
     """(u . (M + K) u, p . M p) of one mechanics state.
 
-    `h1_gram` is the P2 vector M + K and `mass` the P1 mass matrix.  The
-    terms change only when the mechanics state does, so a run computes them
-    once per state and passes them to every `append_energy`.
+    `h1_gram` is the scalar P2 block M + K, applied to each component of
+    u, and `mass` the P1 mass matrix.  The terms change only when the
+    mechanics state does, so a run computes them once per state and passes
+    them to every `append_energy`.
     """
     return (
-        float(mech_state.u @ h1_gram.dot(mech_state.u)),
+        float(mech_state.u @ component_dot(h1_gram, mech_state.u)),
         float(mech_state.p @ mass.dot(mech_state.p)),
     )
 
@@ -441,10 +444,8 @@ def mms_stokes_study(ns=(4, 8, 16), mu: float = 1.0, alpha: float = 1.0) -> Conv
         mesh = structured_unit_square(n, n)
         u_space = FeSpace(mesh, degree=2, rank=1)
         p_space = FeSpace(mesh, degree=1)
-        A = (
-            assemble_stiffness(u_space, mu * np.eye(2))
-            + assemble_boundary_mass(u_space, alpha)
-        ).tocsr()
+        K = assemble_stiffness(u_space.scalar, mu * np.eye(2))
+        K = K + assemble_boundary_mass(u_space.scalar, alpha)
         B = (-assemble_divergence(u_space, p_space)).tocsr()
         f = assemble_load(u_space, f_ex)
 
@@ -459,8 +460,8 @@ def mms_stokes_study(ns=(4, 8, 16), mu: float = 1.0, alpha: float = 1.0) -> Conv
                 gN[k, q] = tr
         f += assemble_boundary_load(u_space, gN)
 
-        Mp = assemble_mass(p_space)
-        res = solve_saddle(A, B, f, tol=1e-11, prec_diag=Mp.diagonal())
+        schur = factor_spd(assemble_mass(p_space)).solve
+        res = solve_saddle(K, B, f, schur, tol=1e-11)
         errs_u.append(l2_error(u_space, res.u, u_ex))
         errs_p.append(l2_error(p_space, res.p, p_ex))
     study = ConvergenceStudy(list(ns), {"u": errs_u, "p": errs_p}, {})

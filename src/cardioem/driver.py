@@ -288,13 +288,13 @@ class Discretization:
 
     @cached_property
     def h1_gram(self) -> sp.csr_matrix:
-        """The P2 vector M + K of the H1 energy, built on first use.
+        """The scalar P2 block M + K of the H1 energy, built on first use.
 
         So it is built after the initial solve, not before: allocated
         below the solve's temporaries it fragments the heap, which raised
         the peak memory of a default run by up to 6%.
         """
-        return (self.statics.mass_u + assemble_stiffness(self.u_space)).tocsr()
+        return self.statics.mass_u + assemble_stiffness(self.u_space.scalar)
 
     def initial_state(self) -> electrics.ElectricState:
         """v = v0 split into (v_i, v_e) with zero-mean v_e, and w = 0."""

@@ -12,31 +12,31 @@ builds its scalar sparsity pattern once, on first use: the CSR `indptr` and
 (e, l, m) to its position in the CSR data.  A square form is then one dense
 element kernel (batched matrix products over the quadrature points) and one
 `np.bincount` of the element matrices into that fixed pattern; a vector
-space's blockdiag(K, K) reuses the scalar pattern.  Load vectors are summed
-by `np.bincount` over the element or boundary-edge dofs, which each space
-also precomputes.  The divergence (rectangular) and the boundary mass
-(nonzero on boundary dofs only), each assembled once per run, are summed
-through COO instead.
+space's blockdiag(K, K) reuses the scalar pattern (its `scalar` view gives
+K alone).  Load vectors are summed by `np.bincount` over the element or
+boundary-edge dofs, which each space also precomputes.  The divergence
+(rectangular) and the boundary mass (nonzero on boundary dofs only), each
+assembled once per run, are summed through COO instead.
 
 There are two solvers: a preconditioned conjugate gradient with an
 optional subspace projector and a caller-supplied preconditioner (the
 electric step passes the bordered LU of its bidomain block), and one MINRES
 run on the whole saddle-point block [[A, B^T], [B, -C]].  The saddle solver
-requires the displacement block to be A = blockdiag(K, K), two identical
-scalar copies as every vector-space stiffness and mass here is, and
-preconditions with one sparse LU of the scalar block K, applied to both
-components, and a pressure diagonal.
+takes A = blockdiag(K, K) as K, applied to the (2, n) component view of u,
+and is preconditioned by one sparse LU of K on both components and a
+caller-supplied Schur block solve, in practice a factored pressure mass.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, minres, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, minres, splu
 
 from .mesh import TriMesh
 
@@ -243,12 +243,23 @@ class FeSpace:
     # --- assembly structure, built on first use ------------------------
 
     @cached_property
+    def scalar(self) -> "FeSpace":
+        """The space of one component: a rank-0 view sharing dofs and geometry."""
+        if self.rank == 0:
+            return self
+        view = copy.copy(self)
+        view.rank, view.ncomp, view.ndof = 0, 1, self.n_scalar
+        return view
+
+    @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Scalar CSR (indptr, indices) and the int32 slot of each (e, l, m).
 
         slot[e * nloc**2 + l * nloc + m] is the position in the CSR data of
         the entry (conn[e, l], conn[e, m]).
         """
+        if self.rank:
+            return self.scalar.pattern
         n = self.n_scalar
         rows = np.repeat(self.conn, self.nloc, axis=1).ravel()
         cols = np.tile(self.conn, (1, self.nloc)).ravel()
@@ -641,42 +652,38 @@ class SaddleResult(NamedTuple):
     res_constraint: float
 
 
-def _scalar_block(A) -> sp.csc_matrix:
-    """The scalar block K of A = blockdiag(K, K), or ValueError."""
-    A = sp.csr_matrix(A)
-    n = A.shape[0] // 2
-    K = A[:n, :n]
-    if (
-        A.shape != (2 * n, 2 * n)
-        or A[:n, n:].count_nonzero()
-        or A[n:, :n].count_nonzero()
-        or (A[n:, n:] != K).nnz
-    ):
-        raise ValueError("solve_saddle requires A = blockdiag(K, K)")
-    return K.tocsc()
+def factor_spd(A) -> SuperLU:
+    """Sparse LU of a symmetric positive definite matrix, diagonal pivots."""
+    opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    return splu(sp.csc_matrix(A), options=dict(SymmetricMode=True), **opts)
+
+
+def component_dot(K, u: np.ndarray) -> np.ndarray:
+    """blockdiag(K, K) u for a component-major vector u."""
+    return np.concatenate([K.dot(c) for c in u.reshape(2, -1)])
 
 
 def solve_saddle(
-    A,
+    K,
     B,
     f: np.ndarray,
+    schur: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray | None = None,
     tol: float = 1e-10,
     C=None,
-    prec_diag: np.ndarray | None = None,
 ) -> SaddleResult:
     """Solve the block system [[A, B^T], [B, -C]] (u, p) = (f, g).
 
-    Precondition: A = blockdiag(K, K) with K symmetric positive definite,
-    the two identical component blocks of a vector space (ValueError
-    otherwise); C (optional) is symmetric positive semidefinite.  The whole
-    block is applied matrix-free and solved by one preconditioned MINRES
-    run from zero; a warm start from an earlier solution can stall when the
-    new load is at round-off level.  The preconditioner is diag(K^-1, K^-1, D^-1): one sparse
-    LU of the scalar block K, applied to both components, and the diagonal
-    D = prec_diag + diag(C).  `prec_diag` is typically the pressure mass
-    diagonal, to which the Schur complement B A^-1 B^T is spectrally
-    equivalent, so the iteration count does not grow with the mesh.
+    A = blockdiag(K, K) acts on the two components of u, K is symmetric
+    positive definite and C (optional) symmetric positive semidefinite.  The
+    block is applied matrix-free and solved by preconditioned MINRES from
+    zero (a warm start can stall when the new load is at round-off level),
+    with one more run on the true residual if it misses tol.  The
+    preconditioner is blockdiag(K^-1, K^-1, S^-1): one sparse LU of K,
+    applied to both components, and `schur`, which applies S^-1.  For an
+    inf-sup stable pair the pressure mass Mp is spectrally equivalent to
+    the Schur complement B A^-1 B^T (+ C), so a factored Mp, scaled when C
+    is a multiple of it, keeps the iteration count flat under refinement.
 
     `converged` is decided on the true residuals of both block rows,
     relative to |f| and to max(|g|, |u|), each within 10 * tol.
@@ -684,25 +691,17 @@ def solve_saddle(
     np_, nu = B.shape
     if g is None:
         g = np.zeros(np_)
-    lu = splu(
-        _scalar_block(A),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    lu = factor_spd(K)
     BT = B.T.tocsr()
     Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
-    d = np.ones(np_) if prec_diag is None else np.asarray(prec_diag, float)
-    if C is not None:
-        d = d + C.diagonal()
 
     def block(x):
         u, p = x[:nu], x[nu:]
-        return np.concatenate([A.dot(u) + BT.dot(p), B.dot(u) - Cdot(p)])
+        return np.concatenate([component_dot(K, u) + BT.dot(p), B.dot(u) - Cdot(p)])
 
     def precondition(x):
         uu = lu.solve(x[:nu].reshape(2, -1).T).T.ravel()
-        return np.concatenate([uu, x[nu:] / d])
+        return np.concatenate([uu, schur(x[nu:])])
 
     shape = (nu + np_, nu + np_)
     iterations = 0
@@ -711,20 +710,20 @@ def solve_saddle(
         nonlocal iterations
         iterations += 1
 
-    # MINRES stops on its own preconditioned residual estimate; the
-    # convergence decision below is on the true residuals.
-    x, _ = minres(
-        LinearOperator(shape, matvec=block, dtype=float),
-        np.concatenate([f, g]),
-        rtol=0.1 * tol,
-        M=LinearOperator(shape, matvec=precondition, dtype=float),
-        callback=count,
-    )
-    u, p = x[:nu], x[nu:]
+    op = LinearOperator(shape, matvec=block, dtype=float)
+    prec = LinearOperator(shape, matvec=precondition, dtype=float)
+    rhs = np.concatenate([f, g])
     fscale = max(np.linalg.norm(f), 1e-300)
-    res_primal = np.linalg.norm(A.dot(u) + BT.dot(p) - f) / fscale
-    cres = np.linalg.norm(B.dot(u) - Cdot(p) - g)
-    cscale = max(np.linalg.norm(g), np.linalg.norm(u), 1e-300)
-    res_constraint = cres / cscale
-    converged = res_primal <= 10 * tol and res_constraint <= 10 * tol
+    x, r = np.zeros(len(rhs)), rhs
+    # MINRES's preconditioned residual can meet rtol before the true one does
+    for _ in range(2):
+        x += minres(op, r, rtol=0.1 * tol, M=prec, callback=count)[0]
+        r = rhs - block(x)
+        res_primal = np.linalg.norm(r[:nu]) / fscale
+        cscale = max(np.linalg.norm(g), np.linalg.norm(x[:nu]), 1e-300)
+        res_constraint = np.linalg.norm(r[nu:]) / cscale
+        converged = res_primal <= 10 * tol and res_constraint <= 10 * tol
+        if converged:
+            break
+    u, p = x[:nu], x[nu:]
     return SaddleResult(u, p, converged, iterations, res_primal, res_constraint)

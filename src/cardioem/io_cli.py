@@ -212,7 +212,8 @@ def serialize_config(config: driver.SimConfig) -> str:
         if key == "run.probes":
             rendered = _fmt_probes(value)
         elif isinstance(value, float):
-            rendered = repr(value)
+            # float() first: numpy >= 2 reprs np.float64 as "np.float64(x)"
+            rendered = repr(float(value))
         else:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")

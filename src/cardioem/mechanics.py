@@ -11,7 +11,10 @@ fields that are only piecewise smooth.
 Two solution modes: a saddle solve of the incompressible block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
-`fem.solve_saddle`, one preconditioned MINRES run per system.
+`fem.solve_saddle`: one MINRES run per system, which applies the
+displacement block blockdiag(K, K) as its scalar block K on each component
+and takes the pressure mass Mp, factored once in `mech_statics`, as the
+Schur block.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 
 from . import physics
 from .fem import (
@@ -31,8 +35,10 @@ from .fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    component_dot,
     edge_quad_geometry,
     edge_rule,
+    factor_spd,
     scatter_load,
     solve_saddle,
 )
@@ -67,45 +73,35 @@ class MechState:
 
 @dataclass
 class MechStatics:
-    """Activation-independent operators, reusable across refreshes."""
+    """Activation-independent operators; `boundary`, `mass_u` act per component."""
 
     boundary: sp.csr_matrix
     divergence: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
+    mass_p_lu: SuperLU
 
 
 def mech_statics(u_space: FeSpace, p_space: FeSpace, alpha: float) -> MechStatics:
+    mass_p = assemble_mass(p_space)
     return MechStatics(
-        boundary=assemble_boundary_mass(u_space, alpha).tocsr(),
-        divergence=assemble_divergence(u_space, p_space).tocsr(),
-        mass_u=assemble_mass(u_space),
-        mass_p=assemble_mass(p_space),
+        boundary=assemble_boundary_mass(u_space.scalar, alpha),
+        divergence=assemble_divergence(u_space, p_space),
+        mass_u=assemble_mass(u_space.scalar),
+        mass_p=mass_p,
+        mass_p_lu=factor_spd(mass_p),
     )
 
 
 @dataclass
 class MechSystem:
-    """Assembled mechanics block: A u + B^T p = f, B u = 0 (B = -div)."""
+    """Assembled block: A u + B^T p = f, B u = 0, A = blockdiag(K, K), B = -div."""
 
     u_space: FeSpace
-    p_space: FeSpace
-    A: sp.csr_matrix
+    K: sp.csr_matrix
     B: sp.csr_matrix
     f: np.ndarray
-    mass_u: sp.csr_matrix = None
-    mass_p: sp.csr_matrix = None
-
-    def masses(self):
-        if self.mass_u is None:
-            self.mass_u = assemble_mass(self.u_space)
-        if self.mass_p is None:
-            self.mass_p = assemble_mass(self.p_space)
-        return self.mass_u, self.mass_p
-
-    def schur_diag(self) -> np.ndarray:
-        _, Mp = self.masses()
-        return np.asarray(Mp.diagonal(), dtype=float)
+    statics: MechStatics
 
 
 def sigma_at_quad(
@@ -172,8 +168,7 @@ def assemble_mechanics(
     if statics is None:
         statics = mech_statics(u_space, p_space, params.alpha)
     sigma = sigma_at_quad(u_space, gamma, fibers, act)
-    A = assemble_stiffness(u_space, sigma) + statics.boundary
-    B = -statics.divergence
+    K = assemble_stiffness(u_space.scalar, sigma) + statics.boundary
 
     # interior part of the weak body force: -int sigma : grad(v)
     w = u_space.quad.weights
@@ -198,10 +193,7 @@ def assemble_mechanics(
         gfield = np.broadcast_to(g, (ne, nq, 2)).copy()
         f += assemble_load(u_space, gfield)
 
-    return MechSystem(
-        u_space, p_space, A.tocsr(), B.tocsr(), f,
-        mass_u=statics.mass_u, mass_p=statics.mass_p,
-    )
+    return MechSystem(u_space, K, -statics.divergence, f, statics)
 
 
 def solve_mechanics(
@@ -209,7 +201,7 @@ def solve_mechanics(
 ) -> tuple[MechState, SaddleResult]:
     """Solve the assembled block by preconditioned MINRES from zero."""
     res = solve_saddle(
-        system.A, system.B, system.f, tol=tol, prec_diag=system.schur_diag()
+        system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol
     )
     return MechState(res.u, res.p), res
 
@@ -226,20 +218,21 @@ def step_mechanics_regularized(
     Solves [[A + (eps/dt) Mu, B^T], [B, -(eps/dt) Mp]] acting on the new
     state, with right side (f + (eps/dt) Mu u_old, -(eps/dt) Mp p_old).
     The stationary point of repeated stepping with frozen data is the
-    saddle solution.
+    saddle solution.  With C = (eps/dt) Mp the Schur block is
+    (1 + eps/dt) Mp, applied through the same factor of Mp.
     """
     if epsilon <= 0 or dt <= 0:
         raise ValueError("epsilon and dt must be positive")
-    Mu, Mp = system.masses()
+    st = system.statics
     r = epsilon / dt
     res = solve_saddle(
-        (system.A + r * Mu).tocsr(),
+        system.K + r * st.mass_u,
         system.B,
-        system.f + r * Mu.dot(state.u),
-        g=-r * Mp.dot(state.p),
-        C=(r * Mp).tocsr(),
+        system.f + r * component_dot(st.mass_u, state.u),
+        lambda q: st.mass_p_lu.solve(q) / (1.0 + r),
+        g=-r * st.mass_p.dot(state.p),
+        C=r * st.mass_p,
         tol=tol,
-        prec_diag=system.schur_diag(),
     )
     return MechState(res.u, res.p), res
 
@@ -252,10 +245,9 @@ def pressure_offset(state: MechState, system: MechSystem) -> float:
     integral of p whenever (u, p) solve the system.
     """
     vtest = system.u_space.interpolate(lambda x, y: (x, 0.0))
-    return float(vtest @ system.A.dot(state.u) - vtest @ system.f)
+    return float(vtest @ component_dot(system.K, state.u) - vtest @ system.f)
 
 
 def pressure_integral(state: MechState, system: MechSystem) -> float:
-    _, Mp = system.masses()
-    m = np.asarray(Mp.sum(axis=1)).ravel()
+    m = np.asarray(system.statics.mass_p.sum(axis=1)).ravel()
     return float(m @ state.p)

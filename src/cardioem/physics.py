@@ -218,10 +218,17 @@ def inverse_deformation(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray
 
 
 def pull_back(Finv: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """F^-1 K F^-T from `inverse_deformation`, symmetrized exactly."""
+    """F^-1 K F^-T for a symmetric 2x2 K, entry by entry and exactly symmetric."""
     K = np.asarray(K, dtype=float)
-    M = Finv @ K @ np.swapaxes(Finv, -2, -1)
-    return 0.5 * (M + np.swapaxes(M, -2, -1))
+    (a, b), (c, d) = np.moveaxis(Finv, (-2, -1), (0, 1))
+    k00, k01, k11 = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
+    ta0, ta1 = a * k00 + b * k01, a * k01 + b * k11
+    tc0, tc1 = c * k00 + d * k01, c * k01 + d * k11
+    M = np.empty(np.broadcast_shapes(Finv.shape, K.shape))
+    M[..., 0, 0] = ta0 * a + ta1 * b
+    M[..., 1, 1] = tc0 * c + tc1 * d
+    M[..., 0, 1] = M[..., 1, 0] = ta0 * c + ta1 * d
+    return M
 
 
 def conductivity_bounds(K: np.ndarray, p: ConductivityParams) -> tuple[float, float]:

@@ -1,14 +1,22 @@
 """The top layer: run_simulation failure reporting and the command line."""
 
+import dataclasses
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cardioem import driver
+from cardioem import driver, mechanics, physics
 from cardioem.driver import SimConfig, SimulationError, path_seed, run_simulation
-from cardioem.io_cli import config_hash, main, parse_config, read_vtk_points_and_fields
+from cardioem.io_cli import (
+    config_hash,
+    main,
+    parse_config,
+    read_vtk_points_and_fields,
+    serialize_config,
+)
+from cardioem.noise import NoiseCoeff
 
 SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
 STALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.0125\nsolver.tol = 1e-30\n"
@@ -18,6 +26,47 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
+
+
+def assert_same_config(a, b, where="config"):
+    # field by field: the ndarray conductivities break dataclass ==
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            assert_same_config(x, y, f"{where}.{f.name}")
+        elif isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f"{where}.{f.name}")
+        else:
+            assert x == y, f"{where}.{f.name}: {x!r} != {y!r}"
+
+
+PERTURBED = SimConfig(
+    mesh_nx=7, mesh_ny=5, T=0.5, dt=1 / 60,
+    ionic=physics.IonicParams(k=-79.5, a=0.3, d1=0.2, d2=1.1),
+    activation=physics.ActivationParams(eta1=0.1 + 0.2, mu=3.5, Gamma_t=0.15),
+    conductivity=physics.ConductivityParams(
+        K_i=np.array([[0.03, 0.004], [0.004, 1 / 70]]),
+        K_e=np.array([[0.05, -0.003], [-0.003, 0.025]]),
+        clamp_delta=0.7, clamp_tau=0.4,
+    ),
+    mech=mechanics.MechParams(alpha=2.5, g=(0.1, -0.2), epsilon=0.01),
+    noise_v=NoiseCoeff("linear-clipped", 0.1, z_cap=1.5),
+    noise_w=NoiseCoeff("constant", 0.05, z_cap=1.5),
+    n_modes=3, seed=11, mech_refresh=4, probes=((0.25, 0.75), (1 / 3, 0.5)),
+    stim_duration=0.02, solver_tol=1e-11, mech_tol=3e-10,
+)
+
+
+@pytest.mark.parametrize("config", [SimConfig(), PERTURBED], ids=["default", "perturbed"])
+def test_config_round_trips_through_its_serialization(config):
+    assert_same_config(parse_config(serialize_config(config)), config)
+
+
+def test_default_config_hash_is_pinned():
+    # floats render as plain reprs, so the hash is the same under numpy 1.x
+    # and 2.x
+    assert "np.float64" not in serialize_config(SimConfig())
+    assert config_hash(SimConfig()) == "74e7ff54b5163d5a"
 
 
 def test_electric_stall_raises_with_checkpoint():

@@ -14,7 +14,9 @@ from cardioem.fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    component_dot,
     edge_rule,
+    factor_spd,
     l2_error,
     l4_norm,
     solve_cg,
@@ -479,39 +481,65 @@ def test_cg_projected_iterates_stay_mean_zero():
 # saddle solver
 
 
-def test_saddle_zero_data():
-    u_space, p_space = build_th(2)
-    A = (assemble_stiffness(u_space) + assemble_boundary_mass(u_space, 1.0)).tocsr()
+def th_blocks(n, alpha=1.0):
+    """Scalar displacement block K, B = -div and the pressure mass Mp."""
+    u_space, p_space = build_th(n)
+    K = assemble_stiffness(u_space.scalar)
+    K = K + assemble_boundary_mass(u_space.scalar, alpha)
     B = (-assemble_divergence(u_space, p_space)).tocsr()
-    res = solve_saddle(A, B, np.zeros(u_space.ndof))
+    return u_space, p_space, K, B, assemble_mass(p_space)
+
+
+def test_saddle_zero_data():
+    u_space, _, K, B, Mp = th_blocks(2)
+    res = solve_saddle(K, B, np.zeros(u_space.ndof), factor_spd(Mp).solve)
     assert res.converged
     assert np.linalg.norm(res.u) == 0.0
     assert np.linalg.norm(res.p) == 0.0
 
 
 def test_saddle_decoupled_block():
-    A = sp.eye(4, format="csr")
+    K = sp.diags([1.0, 2.0], format="csr")
     B = sp.csr_matrix((2, 4))
     f = np.array([1.0, -2.0, 3.0, 0.5])
-    res = solve_saddle(A, B, f)
-    assert np.allclose(res.u, f, atol=1e-12)
+    res = solve_saddle(K, B, f, lambda q: q)
+    assert np.allclose(res.u, f / np.array([1.0, 2.0, 1.0, 2.0]), atol=1e-12)
     assert np.allclose(res.p, 0.0)
+
+
+def test_scalar_view_assembles_one_component_block():
+    u_space, _ = build_th(3)
+    scalar = u_space.scalar
+    assert (scalar.rank, scalar.ndof) == (0, u_space.n_scalar)
+    assert scalar.scalar is scalar
+    assert u_space.pattern is scalar.pattern
+    for assemble in (assemble_mass, assemble_stiffness, assemble_boundary_mass):
+        K = assemble(scalar)
+        assert (assemble(u_space) != sp.block_diag((K, K))).nnz == 0
+
+
+def test_component_dot_is_the_blockdiag_product():
+    u_space, _, K, _, _ = th_blocks(3)
+    u = np.random.default_rng(2).standard_normal(u_space.ndof)
+    np.testing.assert_array_equal(
+        component_dot(K, u), sp.block_diag((K, K), format="csr").dot(u)
+    )
 
 
 @pytest.mark.parametrize("c_scale", [None, 1.0, 1e6], ids=["None", "Mp", "1e6Mp"])
 def test_saddle_matches_dense_lu_oracle(c_scale):
-    u_space, p_space = build_th(3)
-    A = (assemble_stiffness(u_space) + assemble_boundary_mass(u_space, 1.0)).tocsr()
-    B = (-assemble_divergence(u_space, p_space)).tocsr()
+    u_space, p_space, K, B, Mp = th_blocks(3)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(u_space.ndof)
-    C = None if c_scale is None else (c_scale * assemble_mass(p_space)).tocsr()
-    res = solve_saddle(A, B, f, tol=1e-12, C=C)
+    C = None if c_scale is None else c_scale * Mp
+    lu = factor_spd(Mp)
+    schur = lambda q: lu.solve(q) / (1.0 + (c_scale or 0.0))
+    res = solve_saddle(K, B, f, schur, tol=1e-12, C=C)
     assert res.converged
 
     n, k = u_space.ndof, p_space.n_scalar
     block = np.zeros((n + k, n + k))
-    block[:n, :n] = A.toarray()
+    block[:n, :n] = sp.block_diag((K, K)).toarray()
     block[:n, n:] = B.T.toarray()
     block[n:, :n] = B.toarray()
     if C is not None:
@@ -522,20 +550,9 @@ def test_saddle_matches_dense_lu_oracle(c_scale):
 
 
 def test_saddle_residual_contracts():
-    u_space, p_space = build_th(3)
-    A = (assemble_stiffness(u_space) + assemble_boundary_mass(u_space, 2.0)).tocsr()
-    B = (-assemble_divergence(u_space, p_space)).tocsr()
+    u_space, _, K, B, Mp = th_blocks(3, alpha=2.0)
     f = assemble_load(u_space, lambda x, y: (np.sin(np.pi * x), np.cos(np.pi * y)))
-    res = solve_saddle(A, B, f, tol=1e-10)
+    res = solve_saddle(K, B, f, factor_spd(Mp).solve, tol=1e-10)
     assert res.converged
     assert res.res_primal <= 1e-9
     assert res.res_constraint <= 1e-9
-
-
-def test_saddle_rejects_unequal_component_blocks():
-    B = sp.csr_matrix((2, 4))
-    f = np.ones(4)
-    with pytest.raises(ValueError):
-        solve_saddle(sp.diags([1.0, 2.0, 3.0, 4.0], format="csr"), B, f)
-    with pytest.raises(ValueError):
-        solve_saddle(sp.eye(3, format="csr"), sp.csr_matrix((2, 3)), np.ones(3))

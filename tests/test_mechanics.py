@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cardioem import electrics, physics
 from cardioem.fem import FeSpace, assemble_mass
@@ -36,6 +37,11 @@ def bump(x, y):
     return 0.8 * np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
 
 
+def displacement_block(system):
+    """A = blockdiag(K, K), the displacement block of the whole system."""
+    return sp.block_diag((system.K, system.K), format="csr")
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -62,8 +68,8 @@ def test_passive_activations_assemble_the_same_system():
     system = assemble_mechanics(
         u_space, p_space, gamma, FiberField.axis_aligned(mesh), MechParams(), ACT
     )
-    np.testing.assert_array_equal(system.A.data, zero.A.data)
-    np.testing.assert_array_equal(system.A.indices, zero.A.indices)
+    np.testing.assert_array_equal(system.K.data, zero.K.data)
+    np.testing.assert_array_equal(system.K.indices, zero.K.indices)
     np.testing.assert_array_equal(system.f, zero.f)
 
 
@@ -75,7 +81,7 @@ def test_is_passive_rejects_positive_and_nan():
 
 def test_a_block_spd_dense_oracle():
     *_, system = setup(3)
-    evals = np.linalg.eigvalsh(system.A.toarray())
+    evals = np.linalg.eigvalsh(displacement_block(system).toarray())
     assert evals[0] > 0
 
 
@@ -90,7 +96,7 @@ def test_alpha_scaling_boundary_only():
     from cardioem.fem import assemble_boundary_mass
 
     bm = assemble_boundary_mass(u_space, 1.0)
-    assert abs((s2.A - s1.A) - bm).max() < 1e-12
+    assert abs((displacement_block(s2) - displacement_block(s1)) - bm).max() < 1e-12
 
 
 def test_params_validation():
@@ -127,7 +133,7 @@ def test_bump_matches_dense_lu_oracle():
     assert res.converged
     n, k = u_space.ndof, p_space.n_scalar
     block = np.zeros((n + k, n + k))
-    block[:n, :n] = system.A.toarray()
+    block[:n, :n] = displacement_block(system).toarray()
     block[:n, n:] = system.B.T.toarray()
     block[n:, :n] = system.B.toarray()
     sol = np.linalg.solve(block, np.concatenate([system.f, np.zeros(k)]))
@@ -161,19 +167,20 @@ def test_roundoff_load_converges_from_zero():
     assert np.linalg.norm(state.u) < 1e-12
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 16, 32])
 def test_bump_iterations_do_not_grow_with_mesh(n):
+    # the pressure mass is spectrally equivalent to the Schur complement
     *_, system = setup(n, gamma_fn=bump)
     _, res = solve_mechanics(system, tol=1e-10)
     assert res.converged
-    assert res.iterations <= 60
+    assert res.iterations <= 30
 
 
 def test_robin_uniqueness_dense_nullspace_probe():
     *_, system = setup(2)
-    n, k = system.A.shape[0], system.B.shape[0]
+    k, n = system.B.shape
     block = np.zeros((n + k, n + k))
-    block[:n, :n] = system.A.toarray()
+    block[:n, :n] = displacement_block(system).toarray()
     block[:n, n:] = system.B.T.toarray()
     block[n:, :n] = system.B.toarray()
     smin = np.linalg.svd(block, compute_uv=False)[-1]
@@ -207,8 +214,8 @@ def test_frame_invariance():
     )
     st1, _ = solve_mechanics(sys1, tol=1e-11)
 
-    Mu0, Mp0 = sys0.masses()
-    Mu1, Mp1 = sys1.masses()
+    Mu0, Mp0 = assemble_mass(u_space), sys0.statics.mass_p
+    Mu1, Mp1 = assemble_mass(ur_space), sys1.statics.mass_p
     nu0 = np.sqrt(st0.u @ Mu0.dot(st0.u))
     nu1 = np.sqrt(st1.u @ Mu1.dot(st1.u))
     np0 = np.sqrt(st0.p @ Mp0.dot(st0.p))
@@ -258,9 +265,23 @@ def test_regularized_pseudo_time_converges_to_saddle():
     assert np.linalg.norm(state.p - saddle.p) < 1e-6
 
 
+@pytest.mark.parametrize("ratio", [1e-2, 1e4])
+def test_regularized_scaled_schur_block_keeps_iterations(ratio):
+    # C = (eps/dt) Mp: the Schur block (1 + eps/dt) Mp reuses the Mp factor
+    _, u_space, p_space, system = setup(8, gamma_fn=bump)
+    _, plain = solve_mechanics(system, tol=1e-10)
+    zero = MechState(np.zeros(u_space.ndof), np.zeros(p_space.n_scalar))
+    dt = 0.01
+    _, res = step_mechanics_regularized(
+        zero, system, dt=dt, epsilon=ratio * dt, tol=1e-10
+    )
+    assert res.converged
+    assert res.iterations <= plain.iterations + 5
+
+
 def test_regularized_rejects_bad_args():
     *_, system = setup(2)
-    state = MechState(np.zeros(system.A.shape[0]), np.zeros(system.B.shape[0]))
+    state = MechState(np.zeros(system.B.shape[1]), np.zeros(system.B.shape[0]))
     with pytest.raises(ValueError):
         step_mechanics_regularized(state, system, dt=0.1, epsilon=0.0)
 
@@ -271,7 +292,7 @@ def test_regularized_rejects_bad_args():
 
 def test_pressure_offset_zero_state():
     *_, system = setup(3)
-    state = MechState(np.zeros(system.A.shape[0]), np.zeros(system.B.shape[0]))
+    state = MechState(np.zeros(system.B.shape[1]), np.zeros(system.B.shape[0]))
     assert abs(pressure_offset(state, system)) < 1e-12
 
 

@@ -7,12 +7,15 @@ from cardioem.physics import (
     IonicParams,
     active_tensor_inv,
     check_dissipativity,
+    clamp_gradient,
     conductivity,
     conductivity_bounds,
     gamma_kappa,
     g_act,
     h_kin,
     i_ion,
+    inverse_deformation,
+    pull_back,
     sigma_bounds,
     sigma_tensor,
 )
@@ -209,6 +212,22 @@ def test_conductivity_clamp_keeps_determinant_floor():
     Gc = clamp_gradient(G, p)
     F = np.eye(2) + Gc
     assert np.linalg.det(F) >= p.clamp_tau - 1e-9
+
+
+def test_pull_back_matches_the_matmul_form_with_both_clamps_active():
+    p = ConductivityParams(clamp_delta=0.9, clamp_tau=0.5)
+    grads = 5.0 * np.random.default_rng(11).standard_normal((2000, 2, 2))
+    # the Frobenius clamp acts on every sample, the determinant floor on some
+    detF = np.linalg.det(np.eye(2) + clamp_gradient(grads, p))
+    assert np.all(np.linalg.norm(grads, axis=(-2, -1)) > p.clamp_delta)
+    assert np.any(detF < p.clamp_tau + 1e-9)
+    Finv = inverse_deformation(grads, p)
+    K = np.array([[0.04, 0.005], [0.005, 0.02]])
+    ref = Finv @ K @ np.swapaxes(Finv, -2, -1)
+    ref = 0.5 * (ref + np.swapaxes(ref, -2, -1))
+    M = pull_back(Finv, K)
+    assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+    np.testing.assert_array_equal(M[:, 0, 1], M[:, 1, 0])
 
 
 def test_conductivity_params_validation():
