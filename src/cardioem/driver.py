@@ -94,6 +94,8 @@ class SimConfig:
             raise ValueError("mech_refresh must be at least 1")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
+        if self.noise_v.z_cap != self.noise_w.z_cap:
+            raise ValueError("noise_v and noise_w must share one z_cap")
 
     @property
     def n_steps(self) -> int:
@@ -182,14 +184,6 @@ def locate_point(mesh: TriMesh, point) -> tuple[int, np.ndarray]:
         weights = snap.astype(float)
     weights /= weights.sum()
     return k, weights
-
-
-def probe_trace(result: SimResult, point) -> np.ndarray:
-    """Time series of v at one of the configured probe points."""
-    for i, q in enumerate(result.probe_points):
-        if np.allclose(q, point, atol=1e-12):
-            return result.probes[:, i]
-    raise ValueError(f"point {point} was not among the configured probes")
 
 
 def _probe_values(mesh, locs, v):
@@ -539,9 +533,3 @@ def run_ensemble(
         failures=failures,
     )
     return stats, results
-
-
-def activation_time(result: SimResult, probe_index: int, level: float = 0.5):
-    """First iteration at which a probe trace crosses `level`, or None."""
-    above = np.where(result.probes[:, probe_index] >= level)[0]
-    return int(above[0]) if above.size else None

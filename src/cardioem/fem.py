@@ -165,17 +165,15 @@ class FeSpace:
             self.n_scalar = nv
             self.conn = tris.copy()
         else:
-            edges = mesh.edges()
+            # the sorted vertex pairs of each local edge, numbered in the
+            # lexicographic order of mesh.edges()
+            pairs = np.sort(tris[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
+            edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
             self.edge_index = {
                 (int(i), int(j)): k for k, (i, j) in enumerate(edges)
             }
-            mids = np.empty((len(tris), 3), dtype=np.int64)
-            for k, (a, b, c) in enumerate(tris):
-                for loc, (p, q) in enumerate(_LOCAL_EDGES):
-                    vi, vj = sorted((int(tris[k][p]), int(tris[k][q])))
-                    mids[k, loc] = nv + self.edge_index[(vi, vj)]
             self.n_scalar = nv + len(edges)
-            self.conn = np.hstack([tris, mids])
+            self.conn = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
         self.ndof = self.ncomp * self.n_scalar
         self.nloc = self.conn.shape[1]
 

@@ -1,10 +1,14 @@
 """Configuration files, result serialization, and the command line.
 
 Config files are flat `key = value` text with dotted section keys and `#`
-comments; unknown keys are rejected and unspecified keys take the shipped
-defaults (the standard square-domain experiment).  Every output file embeds
-the seed and a hash of the full configuration, so artifacts can be traced
-back to the exact run that produced them.
+comments.  `CONFIG_KEYS` is the schema: each key names the attribute paths
+into `driver.SimConfig` that it sets.  The scalar fields of the parameter
+sections are keyed `section.field` from their dataclass fields.  A value is
+read as the type of the default it replaces, unspecified keys keep the
+defaults of `SimConfig()` (the standard square-domain experiment), and the
+dataclasses validate the result; unknown keys are rejected.  Every output
+file embeds the seed and a hash of the full configuration, so artifacts can
+be traced back to the exact run that produced them.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
-from . import diagnostics, driver, mechanics, physics
+from . import diagnostics, driver
 from .mesh import boundary_edges, structured_unit_square
 from .noise import NoiseCoeff
 
@@ -26,25 +30,64 @@ class ConfigError(ValueError):
     """Bad configuration input; message carries key and line context."""
 
 
-# every recognised key: name -> (getter from SimConfig, parser from string)
-def _float(s):
-    return float(s)
+def _at(obj, path):
+    for step in path:
+        obj = getattr(obj, step) if isinstance(step, str) else obj[step]
+    return obj
 
 
-def _int(s):
-    return int(s)
+def _section_keys(config) -> dict:
+    """The scalar fields of the parameter sections, keyed by their names."""
+    return {
+        f"{section}.{f.name}": [(section, f.name)]
+        for section in ("ionic", "activation", "conductivity", "mech")
+        for f in fields(getattr(config, section))
+        if isinstance(_at(config, (section, f.name)), (int, float, str))
+    }
 
 
-def _str(s):
-    return s
+# every recognised key -> the attribute paths into SimConfig that it sets; a
+# step is a field name or an index into a tuple or a tensor
+CONFIG_KEYS = {
+    "mesh.nx": [("mesh_nx",)],
+    "mesh.ny": [("mesh_ny",)],
+    "mesh.file": [("mesh_file",)],
+    "time.T": [("T",)],
+    "time.dt": [("dt",)],
+    "conductivity.ki_xx": [("conductivity", "K_i", (0, 0))],
+    "conductivity.ki_xy": [
+        ("conductivity", "K_i", (0, 1)), ("conductivity", "K_i", (1, 0)),
+    ],
+    "conductivity.ki_yy": [("conductivity", "K_i", (1, 1))],
+    "conductivity.ke_xx": [("conductivity", "K_e", (0, 0))],
+    "conductivity.ke_xy": [
+        ("conductivity", "K_e", (0, 1)), ("conductivity", "K_e", (1, 0)),
+    ],
+    "conductivity.ke_yy": [("conductivity", "K_e", (1, 1))],
+    "mech.gx": [("mech", "g", 0)],
+    "mech.gy": [("mech", "g", 1)],
+    "noise.kind_v": [("noise_v", "kind")],
+    "noise.beta0_v": [("noise_v", "beta0")],
+    "noise.kind_w": [("noise_w", "kind")],
+    "noise.beta0_w": [("noise_w", "beta0")],
+    "noise.z_cap": [("noise_v", "z_cap"), ("noise_w", "z_cap")],
+    "noise.modes": [("n_modes",)],
+    "run.seed": [("seed",)],
+    "run.mech_refresh": [("mech_refresh",)],
+    "run.stim_duration": [("stim_duration",)],
+    "run.probes": [("probes",)],
+    "solver.tol": [("solver_tol",)],
+    "solver.mech_tol": [("mech_tol",)],
+    **_section_keys(driver.SimConfig()),
+}
 
 
-def _probes(s):
+def _parse_value(default, text: str):
+    """`text` read as the type of `default`; probe lists as "x,y; x,y"."""
+    if not isinstance(default, tuple):
+        return type(default)(text)
     pts = []
-    for chunk in s.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
         xy = chunk.split(",")
         if len(xy) != 2:
             raise ValueError(f"bad probe point {chunk!r}")
@@ -52,139 +95,39 @@ def _probes(s):
     return tuple(pts)
 
 
-def _fmt_probes(pts):
-    return "; ".join(f"{x!r},{y!r}" for x, y in pts)
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return "; ".join(",".join(map(_render, pt)) for pt in value)
+    if isinstance(value, (float, np.floating)):
+        # float() first: numpy >= 2 reprs np.float64 as "np.float64(x)"
+        return repr(float(value))
+    return str(value)
 
 
-_KEYS = {
-    "mesh.nx": (lambda c: c.mesh_nx, _int),
-    "mesh.ny": (lambda c: c.mesh_ny, _int),
-    "mesh.file": (lambda c: c.mesh_file, _str),
-    "time.T": (lambda c: c.T, _float),
-    "time.dt": (lambda c: c.dt, _float),
-    "ionic.k": (lambda c: c.ionic.k, _float),
-    "ionic.a": (lambda c: c.ionic.a, _float),
-    "ionic.d1": (lambda c: c.ionic.d1, _float),
-    "ionic.d2": (lambda c: c.ionic.d2, _float),
-    "activation.eta1": (lambda c: c.activation.eta1, _float),
-    "activation.eta2": (lambda c: c.activation.eta2, _float),
-    "activation.beta_act": (lambda c: c.activation.beta_act, _float),
-    "activation.Gamma_l": (lambda c: c.activation.Gamma_l, _float),
-    "activation.Gamma_t": (lambda c: c.activation.Gamma_t, _float),
-    "activation.gamma_R": (lambda c: c.activation.gamma_R, _float),
-    "activation.mu": (lambda c: c.activation.mu, _float),
-    "conductivity.ki_xx": (lambda c: c.conductivity.K_i[0, 0], _float),
-    "conductivity.ki_xy": (lambda c: c.conductivity.K_i[0, 1], _float),
-    "conductivity.ki_yy": (lambda c: c.conductivity.K_i[1, 1], _float),
-    "conductivity.ke_xx": (lambda c: c.conductivity.K_e[0, 0], _float),
-    "conductivity.ke_xy": (lambda c: c.conductivity.K_e[0, 1], _float),
-    "conductivity.ke_yy": (lambda c: c.conductivity.K_e[1, 1], _float),
-    "conductivity.clamp_delta": (lambda c: c.conductivity.clamp_delta, _float),
-    "conductivity.clamp_tau": (lambda c: c.conductivity.clamp_tau, _float),
-    "mech.alpha": (lambda c: c.mech.alpha, _float),
-    "mech.gx": (lambda c: c.mech.g[0], _float),
-    "mech.gy": (lambda c: c.mech.g[1], _float),
-    "mech.epsilon": (lambda c: c.mech.epsilon, _float),
-    "noise.kind_v": (lambda c: c.noise_v.kind, _str),
-    "noise.beta0_v": (lambda c: c.noise_v.beta0, _float),
-    "noise.kind_w": (lambda c: c.noise_w.kind, _str),
-    "noise.beta0_w": (lambda c: c.noise_w.beta0, _float),
-    "noise.z_cap": (lambda c: c.noise_v.z_cap, _float),
-    "noise.modes": (lambda c: c.n_modes, _int),
-    "run.seed": (lambda c: c.seed, _int),
-    "run.mech_refresh": (lambda c: c.mech_refresh, _int),
-    "run.stim_duration": (lambda c: c.stim_duration, _float),
-    "run.probes": (lambda c: c.probes, _probes),
-    "solver.tol": (lambda c: c.solver_tol, _float),
-    "solver.mech_tol": (lambda c: c.mech_tol, _float),
-}
+def _write(obj, tree: dict):
+    """obj with the leaves of `tree` ({step: subtree or value}) written in.
 
-
-def default_config() -> driver.SimConfig:
-    """The shipped square-domain experiment profile."""
-    return driver.SimConfig()
-
-
-def _build_config(values: dict) -> driver.SimConfig:
-    base = default_config()
-    get = lambda key, fallback: values.get(key, fallback)
-    try:
-        ionic = physics.IonicParams(
-            k=get("ionic.k", base.ionic.k),
-            a=get("ionic.a", base.ionic.a),
-            d1=get("ionic.d1", base.ionic.d1),
-            d2=get("ionic.d2", base.ionic.d2),
-        )
-        activation = physics.ActivationParams(
-            eta1=get("activation.eta1", base.activation.eta1),
-            eta2=get("activation.eta2", base.activation.eta2),
-            beta_act=get("activation.beta_act", base.activation.beta_act),
-            Gamma_l=get("activation.Gamma_l", base.activation.Gamma_l),
-            Gamma_t=get("activation.Gamma_t", base.activation.Gamma_t),
-            gamma_R=get("activation.gamma_R", base.activation.gamma_R),
-            mu=get("activation.mu", base.activation.mu),
-        )
-        ki_xy = get("conductivity.ki_xy", 0.0)
-        ke_xy = get("conductivity.ke_xy", 0.0)
-        conductivity = physics.ConductivityParams(
-            K_i=np.array(
-                [
-                    [get("conductivity.ki_xx", 0.02), ki_xy],
-                    [ki_xy, get("conductivity.ki_yy", 0.01)],
-                ]
-            ),
-            K_e=np.array(
-                [
-                    [get("conductivity.ke_xx", 0.04), ke_xy],
-                    [ke_xy, get("conductivity.ke_yy", 0.02)],
-                ]
-            ),
-            clamp_delta=get("conductivity.clamp_delta", base.conductivity.clamp_delta),
-            clamp_tau=get("conductivity.clamp_tau", base.conductivity.clamp_tau),
-        )
-        mech = mechanics.MechParams(
-            alpha=get("mech.alpha", base.mech.alpha),
-            g=(get("mech.gx", 0.0), get("mech.gy", 0.0)),
-            epsilon=get("mech.epsilon", base.mech.epsilon),
-        )
-        z_cap = get("noise.z_cap", base.noise_v.z_cap)
-        noise_v = NoiseCoeff(
-            kind=get("noise.kind_v", base.noise_v.kind),
-            beta0=get("noise.beta0_v", base.noise_v.beta0),
-            z_cap=z_cap,
-        )
-        noise_w = NoiseCoeff(
-            kind=get("noise.kind_w", base.noise_w.kind),
-            beta0=get("noise.beta0_w", base.noise_w.beta0),
-            z_cap=z_cap,
-        )
-        return driver.SimConfig(
-            mesh_nx=get("mesh.nx", base.mesh_nx),
-            mesh_ny=get("mesh.ny", base.mesh_ny),
-            mesh_file=get("mesh.file", base.mesh_file),
-            T=get("time.T", base.T),
-            dt=get("time.dt", base.dt),
-            ionic=ionic,
-            activation=activation,
-            conductivity=conductivity,
-            mech=mech,
-            noise_v=noise_v,
-            noise_w=noise_w,
-            n_modes=get("noise.modes", base.n_modes),
-            seed=get("run.seed", base.seed),
-            mech_refresh=get("run.mech_refresh", base.mech_refresh),
-            probes=get("run.probes", base.probes),
-            stim_duration=get("run.stim_duration", base.stim_duration),
-            solver_tol=get("solver.tol", base.solver_tol),
-            mech_tol=get("solver.mech_tol", base.mech_tol),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    Each dataclass on the way is rebuilt by one `replace`, so its
+    `__post_init__` checks the finished values.
+    """
+    new = {
+        step: _write(_at(obj, (step,)), sub) if isinstance(sub, dict) else sub
+        for step, sub in tree.items()
+    }
+    if is_dataclass(obj):
+        return replace(obj, **new)
+    if isinstance(obj, np.ndarray):
+        out = obj.copy()
+        for index, value in new.items():
+            out[index] = value
+        return out
+    return tuple(new.get(i, x) for i, x in enumerate(obj))
 
 
 def parse_config(text: str) -> driver.SimConfig:
     """Parse `key = value` lines into a validated SimConfig."""
-    values = {}
+    base = driver.SimConfig()
+    tree, seen = {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -193,31 +136,33 @@ def parse_config(text: str) -> driver.SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = body.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        paths = CONFIG_KEYS[key]
         try:
-            values[key] = _KEYS[key][1](val)
+            value = _parse_value(_at(base, paths[0]), val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
-    return _build_config(values)
+        for path in paths:
+            node = tree
+            for step in path[:-1]:
+                node = node.setdefault(step, {})
+            node[path[-1]] = value
+    try:
+        return _write(base, tree)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def serialize_config(config: driver.SimConfig) -> str:
     """Complete `key = value` rendering; parse(serialize(c)) == c."""
-    lines = []
-    for key in sorted(_KEYS):
-        value = _KEYS[key][0](config)
-        if key == "run.probes":
-            rendered = _fmt_probes(value)
-        elif isinstance(value, float):
-            # float() first: numpy >= 2 reprs np.float64 as "np.float64(x)"
-            rendered = repr(float(value))
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {_render(_at(config, CONFIG_KEYS[key][0]))}\n"
+        for key in sorted(CONFIG_KEYS)
+    )
 
 
 def config_hash(config: driver.SimConfig) -> str:
@@ -324,7 +269,7 @@ def write_energy(path, result) -> None:
 
 def _load_cli_config(args) -> driver.SimConfig:
     if not args.config or args.config == "default":
-        config = default_config()
+        config = driver.SimConfig()
     else:
         try:
             with open(args.config) as fh:
@@ -398,7 +343,7 @@ def _cmd_run(args) -> int:
     result = driver.run_simulation(config)
     write_probes(os.path.join(out, "probes.csv"), result)
     write_energy(os.path.join(out, "energy.csv"), result)
-    mesh = config.build_mesh()
+    mesh = config.build_mesh() if result.snapshots else None
     for it, snap in sorted(result.snapshots.items()):
         write_vtk(
             os.path.join(out, f"snapshot_{it:05d}.vtk"),

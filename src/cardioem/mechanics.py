@@ -47,17 +47,18 @@ from .mesh import FiberField
 
 @dataclass(frozen=True)
 class MechParams:
-    """Robin coefficient, body force, regularization parameter."""
+    """Robin coefficient alpha > 0 and constant body force g = (gx, gy).
+
+    The pseudo-compressible stepper takes its regularization parameter as
+    an argument (`step_mechanics_regularized`), not from here.
+    """
 
     alpha: float = 1.0
     g: tuple = (0.0, 0.0)
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from cardioem import driver, mechanics, physics
 from cardioem.driver import SimConfig, SimulationError, path_seed, run_simulation
 from cardioem.io_cli import (
+    CONFIG_KEYS,
     config_hash,
     main,
     parse_config,
@@ -49,7 +51,7 @@ PERTURBED = SimConfig(
         K_e=np.array([[0.05, -0.003], [-0.003, 0.025]]),
         clamp_delta=0.7, clamp_tau=0.4,
     ),
-    mech=mechanics.MechParams(alpha=2.5, g=(0.1, -0.2), epsilon=0.01),
+    mech=mechanics.MechParams(alpha=2.5, g=(0.1, -0.2)),
     noise_v=NoiseCoeff("linear-clipped", 0.1, z_cap=1.5),
     noise_w=NoiseCoeff("constant", 0.05, z_cap=1.5),
     n_modes=3, seed=11, mech_refresh=4, probes=((0.25, 0.75), (1 / 3, 0.5)),
@@ -57,8 +59,26 @@ PERTURBED = SimConfig(
 )
 
 
-@pytest.mark.parametrize("config", [SimConfig(), PERTURBED], ids=["default", "perturbed"])
+# numpy scalars, probe coordinates included, render as plain float reprs
+NUMPY_PROBES = SimConfig(probes=((np.float64(0.25), np.float64(0.5)),))
+
+BENCHMARK_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "benchmark" / "configs").glob("*.cfg")
+)
+
+
+@pytest.mark.parametrize(
+    "config", [SimConfig(), PERTURBED, NUMPY_PROBES],
+    ids=["default", "perturbed", "numpy-probes"],
+)
 def test_config_round_trips_through_its_serialization(config):
+    assert "np.float64" not in serialize_config(config)
+    assert_same_config(parse_config(serialize_config(config)), config)
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.stem)
+def test_benchmark_configs_parse_and_round_trip(path):
+    config = parse_config(path.read_text())
     assert_same_config(parse_config(serialize_config(config)), config)
 
 
@@ -66,7 +86,74 @@ def test_default_config_hash_is_pinned():
     # floats render as plain reprs, so the hash is the same under numpy 1.x
     # and 2.x
     assert "np.float64" not in serialize_config(SimConfig())
-    assert config_hash(SimConfig()) == "74e7ff54b5163d5a"
+    assert config_hash(SimConfig()) == "e883f932f7d2da66"
+
+
+def test_every_config_field_is_reached_by_a_key():
+    config = SimConfig()
+    expected = set()
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.name in ("snapshot_iters", "record_steps", "track_energy"):
+            continue
+        if not dataclasses.is_dataclass(value):
+            expected.add((f.name,))
+            continue
+        for g in dataclasses.fields(value):
+            leaf = getattr(value, g.name)
+            if isinstance(leaf, np.ndarray):
+                expected |= {(f.name, g.name, i) for i in np.ndindex(leaf.shape)}
+            elif isinstance(leaf, tuple):
+                expected |= {(f.name, g.name, i) for i in range(len(leaf))}
+            else:
+                expected.add((f.name, g.name))
+    reached = {path for paths in CONFIG_KEYS.values() for path in paths}
+    assert reached == expected
+
+
+NON_DEFAULT_TEXT = {
+    "mesh.file": "square.msh",
+    "noise.kind_v": "linear-clipped",
+    "noise.kind_w": "linear-clipped",
+    "run.probes": "0.25,0.75",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_every_config_key_changes_the_hash(key):
+    default = SimConfig()
+    for step in CONFIG_KEYS[key][0]:
+        default = getattr(default, step) if isinstance(step, str) else default[step]
+    if key in NON_DEFAULT_TEXT:
+        text = NON_DEFAULT_TEXT[key]
+    elif isinstance(default, int):
+        text = str(default + 1)
+    else:
+        text = repr(float(0.9 * default + 0.01))
+    config = parse_config(f"{key} = {text}\n")
+    assert f"{key} = {text}\n" in serialize_config(config)
+    assert config_hash(config) != config_hash(SimConfig())
+
+
+def test_unequal_noise_caps_are_rejected():
+    # the file format has one noise.z_cap: configs that differed only in
+    # noise_w.z_cap would share a hash
+    with pytest.raises(ValueError, match="z_cap"):
+        SimConfig(noise_v=NoiseCoeff(z_cap=1.5), noise_w=NoiseCoeff(z_cap=3.0))
+
+
+def test_removed_mech_epsilon_key_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL + "mech.epsilon = 0.0\n")
+    assert main(["mesh-info", "--config", cfg]) == 1
+    assert "unknown key 'mech.epsilon'" in capsys.readouterr().err
+
+
+def test_mms_prints_the_expected_orders(capsys):
+    assert main(["mms"]) == 0
+    out = capsys.readouterr().out
+    orders = [float(line.split()[-1]) for line in out.splitlines() if "order" in line]
+    # P1 Poisson, then the Taylor-Hood velocity and pressure
+    assert orders == pytest.approx([2.0, 3.0, 2.0], abs=0.3)
 
 
 def test_electric_stall_raises_with_checkpoint():

@@ -102,8 +102,6 @@ def test_alpha_scaling_boundary_only():
 def test_params_validation():
     with pytest.raises(ValueError):
         MechParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        MechParams(epsilon=-1.0)
 
 
 # ---------------------------------------------------------------------------
