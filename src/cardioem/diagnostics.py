@@ -1,10 +1,10 @@
-"""Runtime verification: energies, coercivity, residuals, limit studies.
+"""Runtime verification: energies, structural constants, limit studies.
 
-These routines re-examine finished (or running) simulations: quadratic-form
-energies per step, boundedness across noise ensembles, dense-matrix
-coercivity and inf-sup probes on small meshes, per-step residuals of the
-discrete identities, the pseudo-compressible pressure limit, and
-manufactured-solution convergence studies for the two solver stacks.
+These routines examine a run and its `driver.Discretization`: the
+quadratic-form energies of each step, dense-matrix coercivity and inf-sup
+probes on small meshes, the pseudo-compressible limit of the pressure
+replayed over an activated window of a run, and manufactured-solution
+convergence studies for the two solver stacks.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class EnergyRecord:
             for name, vals in self.arrays().items()
         }
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.arrays().values())
-
 
 def mech_energy(mech_state, h1_gram, mass) -> tuple[float, float]:
     """(u . (M + K) u, p . M p) of one mechanics state.
@@ -130,54 +127,6 @@ def append_energy(
     record.cum_v4.append(prev_v4 + dt * l4_norm(scalar_space, state.v) ** 4)
     record.u_h1sq.append(mech_terms[0])
     record.p_l2sq.append(mech_terms[1])
-
-
-@dataclass
-class BoundednessReport:
-    finite: bool
-    max_ratios: dict
-    within_factor: bool
-    grad_slope_ratio: float
-    factor: float
-
-
-def energy_boundedness_report(
-    path_records: list,
-    deterministic: EnergyRecord,
-    factor: float = 10.0,
-) -> BoundednessReport:
-    """Compare per-path energy suprema against a deterministic baseline.
-
-    Also estimates whether the cumulative gradient integral grows at most
-    linearly late in the run: the fitted slope over the last quarter must
-    not exceed 1.5x the slope over the preceding quarter.
-    """
-    det_sup = deterministic.suprema()
-    ratios = {name: 0.0 for name in EnergyRecord.FIELDS}
-    finite = True
-    slope_ratios = []
-    for rec in path_records:
-        finite &= rec.is_finite()
-        sup = rec.suprema()
-        for name in ratios:
-            base = max(det_sup[name], 1e-12)
-            ratios[name] = max(ratios[name], sup[name] / base)
-        cg = np.asarray(rec.cum_grad)
-        n = len(cg)
-        if n >= 8:
-            q3 = cg[n // 2 : 3 * n // 4]
-            q4 = cg[3 * n // 4 :]
-            s3 = np.polyfit(np.arange(len(q3)), q3, 1)[0]
-            s4 = np.polyfit(np.arange(len(q4)), q4, 1)[0]
-            slope_ratios.append(s4 / max(s3, 1e-300))
-    slope_ratio = max(slope_ratios) if slope_ratios else 0.0
-    return BoundednessReport(
-        finite=finite,
-        max_ratios=ratios,
-        within_factor=finite and all(r <= factor for r in ratios.values()),
-        grad_slope_ratio=float(slope_ratio),
-        factor=factor,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,138 +184,57 @@ def infsup_estimate(mesh: TriMesh, alpha: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# residuals of the discrete identities
-
-
-@dataclass
-class ResidualReport:
-    i_row: float
-    e_row: float
-    w_row: float
-    gamma_row: float
-    compat: float
-
-
-def weak_residual(record, ionic: physics.IonicParams, dt: float) -> ResidualReport:
-    """Re-evaluate one stored step against its discrete identities.
-
-    The e-row residual is measured orthogonally to the constant direction
-    (the component along it is the stimulus imbalance absorbed by the
-    zero-mean test space); `compat` is the defect of that absorbed part
-    against twice the integrated stimulus.
-    """
-    sys_ = record.system
-    M, dt_ = sys_.mass, sys_.dt
-    before, after = record.before, record.after
-    n = sys_.space.n_scalar
-
-    x = np.concatenate([after.v_i, after.v_e])
-    rhs = np.concatenate([record.rhs_i, record.rhs_e])
-    r = sys_.block.dot(x) - rhs
-    r_i, r_e = r[:n], r[n:]
-
-    m = sys_.lumped
-    r_e_perp = r_e - m * (float(m @ r_e) / float(m @ m))
-
-    scale_i = max(np.linalg.norm(record.rhs_i), 1.0)
-    scale_e = max(np.linalg.norm(record.rhs_e), 1.0)
-
-    w_res = after.w - (
-        before.w + dt_ * physics.h_kin(before.v, before.w, ionic) + record.noise_w
-    )
-    if record.gamma_after is not None:
-        g_res = record.gamma_after - (
-            record.gamma_before + dt_ * record.gamma_rate
-        )
-        g_norm = float(np.linalg.norm(g_res))
-    else:
-        g_norm = 0.0
-
-    stim = float(np.sum(record.i_app))
-    compat = abs(float(np.sum(r_i) + np.sum(r_e)) + 2.0 * stim)
-
-    return ResidualReport(
-        i_row=float(np.linalg.norm(r_i)) / scale_i,
-        e_row=float(np.linalg.norm(r_e_perp)) / scale_e,
-        w_row=float(np.linalg.norm(w_res)),
-        gamma_row=g_norm,
-        compat=compat,
-    )
-
-
-def step_energy_identity(record) -> float:
-    """Defect of the per-step energy inequality for the forcing-free step.
-
-    For a step with no reaction, stimulus, or noise the scheme dissipates:
-    |v+|_M^2 - |v|_M^2 + 2 dt (a_i(v_i+, v_i+) + a_e(v_e+, v_e+)) <= 0 up
-    to solver tolerance.  Returns the (signed) left-hand side.
-    """
-    sys_ = record.system
-    M = sys_.mass
-    before, after = record.before, record.after
-    lhs = float(after.v @ M.dot(after.v)) - float(before.v @ M.dot(before.v))
-    lhs += 2.0 * sys_.dt * float(after.v_i @ sys_.A_i.dot(after.v_i))
-    lhs += 2.0 * sys_.dt * float(after.v_e @ sys_.A_e.dot(after.v_e))
-    return lhs
-
-
-# ---------------------------------------------------------------------------
 # pseudo-compressible pressure limit
 
 
-def eps_pressure_study(config, eps_list, mesh: TriMesh | None = None):
-    """Distance of the regularized pressure to the saddle pressure per eps.
+def eps_pressure_study(disc, result, eps_list) -> list:
+    """Distance of the regularized pressure to the saddle pressure, per eps.
 
-    Runs the coupled simulation once with per-step mechanics and snapshots,
-    then replays the stored activation history through the pseudo-
-    compressible stepper for each epsilon, accumulating the L2-in-time
-    discrepancy of the pressures (and displacements).
+    `result` is a run of `disc` with `mech_refresh = 1` and snapshots at
+    consecutive iterations, so every snapshot holds the saddle solution at
+    its activation.  For each eps the pseudo-compressible stepper starts
+    from the first snapshot's solution and steps through the activations of
+    the later ones, assembled on the spaces, fibers and static operators of
+    `disc`.  Returns (eps, gap) rows, where gap is the discrete L2-in-time
+    norm (sum dt |p_eps - p|^2_Mp)^(1/2) over the later snapshots.
     """
-    from dataclasses import replace as _replace
-
-    from .driver import run_simulation
-
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
     if sorted(eps_list, reverse=True) != list(eps_list):
         raise ValueError("eps_list must be decreasing")
-
-    mesh = mesh if mesh is not None else config.build_mesh()
-    n_steps = int(round(config.T / config.dt))
-    cfg = _replace(
-        config,
-        mech_refresh=1,
-        snapshot_iters=tuple(range(n_steps + 1)),
-        track_energy=False,
-    )
-    base = run_simulation(cfg, mesh=mesh)
-
-    u_space = FeSpace(mesh, degree=2, rank=1)
-    p_space = FeSpace(mesh, degree=1)
-    fibers = FiberField.axis_aligned(mesh)
-    systems = []
-    for it in range(1, n_steps + 1):
-        snap = base.snapshots[it]
-        systems.append(
-            mechanics.assemble_mechanics(
-                u_space, p_space, snap.gamma, fibers, cfg.mech, cfg.activation
-            )
+    cfg = disc.config
+    iters = sorted(result.snapshots)
+    consecutive = len(iters) >= 2 and iters[-1] - iters[0] == len(iters) - 1
+    if cfg.mech_refresh != 1 or not consecutive:
+        raise ValueError(
+            "the run needs mech_refresh = 1 and snapshots at two or more "
+            "consecutive iterations"
         )
-    Mp = assemble_mass(p_space)
+    first, *window = (result.snapshots[it] for it in iters)
+    systems = [
+        mechanics.assemble_mechanics(
+            disc.u_space, disc.p_space, snap.gamma, disc.fibers, cfg.mech,
+            cfg.activation, statics=disc.statics,
+        )
+        for snap in window
+    ]
+    Mp = disc.statics.mass_p
 
     rows = []
     for eps in eps_list:
-        state = mechanics.MechState(
-            np.zeros(u_space.ndof), np.zeros(p_space.n_scalar)
-        )
-        disc2 = 0.0
-        for it in range(1, n_steps + 1):
+        state = mechanics.MechState(first.u, first.p)
+        gap2 = 0.0
+        for snap, system in zip(window, systems):
             state, res = mechanics.step_mechanics_regularized(
-                state, systems[it - 1], cfg.dt, eps, tol=cfg.mech_tol
+                state, system, cfg.dt, eps, tol=cfg.mech_tol
             )
-            dp = state.p - base.snapshots[it].p
-            disc2 += cfg.dt * float(dp @ Mp.dot(dp))
-        rows.append((float(eps), float(np.sqrt(disc2))))
+            if not res.converged:
+                raise RuntimeError(
+                    f"regularized mechanics step failed at eps={eps:g}"
+                )
+            dp = state.p - snap.p
+            gap2 += cfg.dt * float(dp @ Mp.dot(dp))
+        rows.append((float(eps), float(np.sqrt(gap2))))
     return rows
 
 

@@ -2,15 +2,21 @@
 
 Operator ordering per step (fixed):
 
-  1. advance (v_i, v_e, v, w) with the semi-implicit electric step,
+  1. advance (v_i, v_e, v, w) with the semi-implicit electric step; a
+     step whose solve does not converge raises `SimulationError`,
   2. advance the activation field by explicit Euler using the fresh w,
   3. every `mech_refresh` steps, re-solve the mechanics with the current
      activation and rebuild the conductivity-dependent operators from the
      new displacement gradient; while the activation is nowhere positive
      (`mechanics.is_passive`) the system is bitwise the initial one, so the
      initial solution and its bidomain system are reused instead,
-  4. record probes and energies; the mechanics energy terms are computed
-     once per mechanics state.
+  4. record the probe values, the drift |integral of v_e| of the zero-mean
+     constraint and the energies, whose mechanics terms are computed once
+     per mechanics state; at the iterations in `snapshot_iters`, keep a
+     `FieldSnapshot` of every unknown.
+
+A `SimResult` holds these records, the final state and the residuals of
+every mechanics solve.
 
 Everything before the first step that the seed does not change is a
 `Discretization`, built once from the config: the mesh, spaces and fixed
@@ -82,8 +88,6 @@ class SimConfig:
     solver_tol: float = 1e-10
     mech_tol: float = 1e-9
     snapshot_iters: tuple = ()
-    record_steps: tuple = ()
-    track_energy: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -131,14 +135,12 @@ class SimResult:
     probe_points: tuple
     energy: "diagnostics.EnergyRecord"
     snapshots: dict
-    step_records: list
     seed: int
     config_hash: str
     n_steps: int
     dt: float
     final: dict
     ve_mean: np.ndarray = None  # |integral of v_e| per recorded state
-    ve_norm: np.ndarray = None
 
 
 @dataclass
@@ -364,23 +366,15 @@ def run_simulation(
     times = config.dt * np.arange(n_steps + 1)
 
     ve_mean = np.empty(n_steps + 1)
-    ve_norm = np.empty(n_steps + 1)
-
-    def track_compat(idx):
-        ve_mean[idx] = abs(float(disc.lumped @ state.v_e))
-        ve_norm[idx] = float(np.linalg.norm(state.v_e))
-
-    track_compat(0)
+    ve_mean[0] = abs(float(disc.lumped @ state.v_e))
 
     i_app_zero = np.zeros_like(disc.i_app)
 
     energy = diagnostics.EnergyRecord.empty()
-    if config.track_energy:
-        mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
-        diagnostics.append_energy(
-            energy, state, gamma, mech_terms, mass, disc.stiff_unit, space,
-            config.dt,
-        )
+    mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
+    diagnostics.append_energy(
+        energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
+    )
 
     snapshots = {}
     chash = config_hash(config)
@@ -400,14 +394,10 @@ def run_simulation(
     if 0 in config.snapshot_iters:
         take_snapshot(0)
 
-    step_records = []
-    record_set = set(config.record_steps)
-
     for n in range(n_steps):
         t = float(times[n])
         i_app_vec = disc.i_app if t < config.stim_duration else i_app_zero
-        want_record = n in record_set
-        out = electrics.step_bidomain(
+        state, info = electrics.step_bidomain(
             system,
             state,
             config.ionic,
@@ -417,9 +407,7 @@ def run_simulation(
             config.noise_v,
             config.noise_w,
             tol=config.solver_tol,
-            record=want_record,
         )
-        state, info = out[0], out[1]
         if not info.converged:
             raise SimulationError(
                 f"electric solve stalled (relres {info.relres:.2e})",
@@ -427,21 +415,12 @@ def run_simulation(
                 checkpoint={"state": state, "gamma": gamma.copy()},
             )
 
-        gamma_old = gamma
         gamma = gamma + config.dt * physics.g_act(gamma, state.w, config.activation)
         if not np.all(np.isfinite(gamma)):
             raise SimulationError(
                 "activation is not finite", n,
                 checkpoint={"state": state, "gamma": gamma.copy()},
             )
-        if want_record:
-            rec = out[2]
-            rec.gamma_before = gamma_old.copy()
-            rec.gamma_after = gamma.copy()
-            rec.gamma_rate = physics.g_act(
-                gamma_old, state.w, config.activation
-            )
-            step_records.append((n, rec))
 
         if (n + 1) % config.mech_refresh == 0:
             if passive is not None and mechanics.is_passive(gamma):
@@ -457,16 +436,13 @@ def run_simulation(
                 if not shared:
                     passive = None
             mech_residuals.append((mres.res_primal, mres.res_constraint))
-            if config.track_energy:
-                mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
+            mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
 
         probes[n + 1] = _probe_values(mesh, locs, state.v)
-        track_compat(n + 1)
-        if config.track_energy:
-            diagnostics.append_energy(
-                energy, state, gamma, mech_terms, mass, disc.stiff_unit, space,
-                config.dt,
-            )
+        ve_mean[n + 1] = abs(float(disc.lumped @ state.v_e))
+        diagnostics.append_energy(
+            energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
+        )
         if (n + 1) in config.snapshot_iters:
             take_snapshot(n + 1)
 
@@ -476,7 +452,6 @@ def run_simulation(
         probe_points=tuple(config.probes),
         energy=energy,
         snapshots=snapshots,
-        step_records=step_records,
         seed=config.seed,
         config_hash=chash,
         n_steps=n_steps,
@@ -488,7 +463,6 @@ def run_simulation(
             "mech_residuals": mech_residuals,
         },
         ve_mean=ve_mean,
-        ve_norm=ve_norm,
     )
 
 

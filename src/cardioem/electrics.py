@@ -56,11 +56,6 @@ class ElectricState:
     v: np.ndarray
     w: np.ndarray
 
-    def copy(self) -> "ElectricState":
-        return ElectricState(
-            self.v_i.copy(), self.v_e.copy(), self.v.copy(), self.w.copy()
-        )
-
 
 @dataclass
 class BidomainSystem:
@@ -155,23 +150,6 @@ class StepInfo:
     relres: float
 
 
-@dataclass
-class StepRecord:
-    """Everything needed to re-evaluate one step's discrete identities."""
-
-    before: ElectricState
-    after: ElectricState
-    rhs_i: np.ndarray
-    rhs_e: np.ndarray
-    i_app: np.ndarray
-    noise_v: np.ndarray
-    noise_w: np.ndarray
-    system: "BidomainSystem" = None
-    gamma_before: np.ndarray | None = None
-    gamma_after: np.ndarray | None = None
-    gamma_rate: np.ndarray | None = None
-
-
 def step_bidomain(
     system: BidomainSystem,
     state: ElectricState,
@@ -183,13 +161,12 @@ def step_bidomain(
     coeff_w: NoiseCoeff,
     tol: float = 1e-10,
     maxit: int | None = None,
-    record: bool = False,
 ):
     """Advance (v_i, v_e, v, w) by one semi-implicit step.
 
     dW_v / dW_w hold one increment per noise mode.  Returns
-    (new_state, StepInfo) and, when record=True, a StepRecord as third item.
-    On solver failure the state is returned unchanged with converged=False.
+    (new_state, StepInfo); on solver failure the state is returned unchanged
+    with converged=False.
     """
     M, dt = system.mass, system.dt
     v, w = state.v, state.w
@@ -203,9 +180,7 @@ def step_bidomain(
         noise_w += eval_coeff(coeff_w, v, mode=m) * dw
 
     base = M.dot(v / dt - ion + noise_v / dt)
-    rhs_i = base + i_app
-    rhs_e = -base + i_app
-    rhs = np.concatenate([rhs_i, rhs_e])
+    rhs = np.concatenate([base + i_app, -base + i_app])
 
     proj = system.projector()
     x0 = np.concatenate([state.v_i, state.v_e])
@@ -220,29 +195,14 @@ def step_bidomain(
     )
     info = StepInfo(res.converged, res.iterations, res.relres)
     if not res.converged:
-        out = (state, info)
-        return out + (None,) if record else out
+        return state, info
 
     n = system.space.n_scalar
     v_i_new = res.x[:n]
     v_e_new = enforce_zero_mean(res.x[n:], system.lumped)
     v_new = v_i_new - v_e_new
     w_new = w + dt * physics.h_kin(v, w, ionic) + noise_w
-    new_state = ElectricState(v_i_new, v_e_new, v_new, w_new)
-
-    if record:
-        rec = StepRecord(
-            before=state.copy(),
-            after=new_state.copy(),
-            rhs_i=rhs_i,
-            rhs_e=rhs_e,
-            i_app=i_app.copy(),
-            noise_v=noise_v,
-            noise_w=noise_w,
-            system=system,
-        )
-        return new_state, info, rec
-    return new_state, info
+    return ElectricState(v_i_new, v_e_new, v_new, w_new), info
 
 
 def initial_split(v0: np.ndarray, mass: sp.csr_matrix):

@@ -19,7 +19,7 @@ Schur block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +67,6 @@ class MechState:
 
     u: np.ndarray
     p: np.ndarray
-
-    def copy(self) -> "MechState":
-        return MechState(self.u.copy(), self.p.copy())
 
 
 @dataclass

@@ -80,7 +80,8 @@ class ConductivityParams:
         Ki = np.array([[0.02, 0.0], [0.0, 0.01]]) if self.K_i is None else np.asarray(self.K_i, float)
         Ke = np.array([[0.04, 0.0], [0.0, 0.02]]) if self.K_e is None else np.asarray(self.K_e, float)
         for name, K in (("K_i", Ki), ("K_e", Ke)):
-            if K.shape != (2, 2) or abs(K[0, 1] - K[1, 0]) > 1e-12:
+            # exactly symmetric: one config key sets both off-diagonals
+            if K.shape != (2, 2) or K[0, 1] != K[1, 0]:
                 raise ValueError(f"{name} must be a symmetric 2x2 tensor")
             if np.trace(K) <= 0 or np.linalg.det(K) <= 0:
                 raise ValueError(f"{name} must be positive definite")

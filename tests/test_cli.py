@@ -94,7 +94,7 @@ def test_every_config_field_is_reached_by_a_key():
     expected = set()
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.name in ("snapshot_iters", "record_steps", "track_energy"):
+        if f.name == "snapshot_iters":
             continue
         if not dataclasses.is_dataclass(value):
             expected.add((f.name,))
@@ -154,6 +154,19 @@ def test_mms_prints_the_expected_orders(capsys):
     orders = [float(line.split()[-1]) for line in out.splitlines() if "order" in line]
     # P1 Poisson, then the Taylor-Hood velocity and pressure
     assert orders == pytest.approx([2.0, 3.0, 2.0], abs=0.3)
+
+
+def test_diagnose_writes_reports_whose_pressure_gaps_shrink(tmp_path):
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", "default", "--out", str(out)]) == 0
+    header = f"seed=0 config={config_hash(SimConfig())}"
+    assert (out / "diagnostics.txt").read_text().splitlines()[0] == header
+    rows = (out / "eps_pressure.csv").read_text().splitlines()
+    assert rows[:2] == [f"# {header}", "eps,pressure_gap"]
+    eps, gaps = zip(*(map(float, row.split(",")) for row in rows[2:]))
+    assert eps == (1e-1, 1e-2, 1e-3)
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[0] >= 1e-5
 
 
 def test_electric_stall_raises_with_checkpoint():

@@ -239,6 +239,15 @@ def test_conductivity_params_validation():
         ConductivityParams(clamp_tau=0.0)
 
 
+def test_conductivity_off_diagonals_must_agree_exactly():
+    # one config key sets both off-diagonals, so a tensor whose off-diagonals
+    # differ even below 1e-12 would serialize, and hash, as a symmetric one
+    with pytest.raises(ValueError, match="symmetric"):
+        ConductivityParams(K_i=np.array([[0.02, 0.0], [5e-13, 0.01]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        ConductivityParams(K_e=np.array([[0.04, 1e-3], [1e-3 + 1e-16, 0.02]]))
+
+
 # ---------------------------------------------------------------------------
 # dissipativity witness
 
