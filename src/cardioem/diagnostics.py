@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from . import mechanics, physics
+from . import mechanics
 from .fem import (
     FeSpace,
     assemble_boundary_load,
@@ -32,7 +33,7 @@ from .fem import (
     solve_cg,
     solve_saddle,
 )
-from .mesh import FiberField, TriMesh, structured_unit_square
+from .mesh import structured_unit_square
 
 
 # ---------------------------------------------------------------------------
@@ -136,48 +137,42 @@ def append_energy(
 _DENSE_LIMIT = 6000
 
 
-def coercivity_estimate(
-    mesh: TriMesh,
-    gamma: np.ndarray,
-    alpha: float,
-    act: physics.ActivationParams | None = None,
-) -> float:
+def coercivity_estimate(disc, gamma: np.ndarray) -> float:
     """Smallest generalized eigenvalue of the elastic form vs the H1 Gram.
 
-    Dense eigensolve; raises on meshes too large for dense work.
+    Both forms are blockdiag of a scalar P2 block, the elastic one of the
+    `K` that `assemble_mechanics` builds at `gamma` on the spaces of `disc`
+    and the Gram one of `disc.h1_gram`, so the dense eigensolve runs on the
+    scalar pencil.  Raises on meshes too large for dense work.
     """
-    act = act or physics.ActivationParams()
-    u_space = FeSpace(mesh, degree=2, rank=1)
-    if u_space.ndof > _DENSE_LIMIT:
+    cfg = disc.config
+    if disc.u_space.ndof > _DENSE_LIMIT:
         raise ValueError(
-            f"mesh too large for dense coercivity probe ({u_space.ndof} dofs)"
+            f"mesh too large for dense coercivity probe ({disc.u_space.ndof} dofs)"
         )
-    fibers = FiberField.axis_aligned(mesh)
-    sigma = mechanics.sigma_at_quad(u_space, gamma, fibers, act)
-    A = assemble_stiffness(u_space, sigma)
-    if alpha > 0:
-        A = A + assemble_boundary_mass(u_space, alpha)
-    G = assemble_mass(u_space) + assemble_stiffness(u_space)
+    K = mechanics.assemble_mechanics(
+        disc.u_space, disc.p_space, gamma, disc.fibers, cfg.mech,
+        cfg.activation, statics=disc.statics,
+    ).K
     vals = scipy.linalg.eigh(
-        A.toarray(), G.toarray(), eigvals_only=True, subset_by_index=[0, 0]
+        K.toarray(), disc.h1_gram.toarray(), eigvals_only=True,
+        subset_by_index=[0, 0],
     )
     return float(vals[0])
 
 
-def infsup_estimate(mesh: TriMesh, alpha: float = 1.0) -> float:
-    """Discrete inf-sup constant of the velocity/pressure pair.
+def infsup_estimate(disc) -> float:
+    """Discrete inf-sup constant of the velocity/pressure pair of `disc`.
 
-    Smallest singular value of Mp^{-1/2} B H^{-1/2}, all dense.
+    Smallest singular value of Mp^{-1/2} B H^{-1/2}, all dense, with H the
+    H1 Gram matrix blockdiag(`disc.h1_gram`, `disc.h1_gram`).
     """
-    u_space = FeSpace(mesh, degree=2, rank=1)
-    p_space = FeSpace(mesh, degree=1)
-    if u_space.ndof > _DENSE_LIMIT:
+    if disc.u_space.ndof > _DENSE_LIMIT:
         raise ValueError("mesh too large for dense inf-sup probe")
-    B = assemble_divergence(u_space, p_space).toarray()
-    H = (assemble_mass(u_space) + assemble_stiffness(u_space)).toarray()
-    Mp = assemble_mass(p_space).toarray()
+    B = disc.statics.divergence.toarray()
+    H = sp.block_diag((disc.h1_gram, disc.h1_gram)).toarray()
     Lh = scipy.linalg.cholesky(H, lower=True)
-    Lp = scipy.linalg.cholesky(Mp, lower=True)
+    Lp = scipy.linalg.cholesky(disc.statics.mass_p.toarray(), lower=True)
     S = scipy.linalg.solve_triangular(Lp, B, lower=True)
     S = scipy.linalg.solve_triangular(Lh, S.T, lower=True).T
     return float(np.linalg.svd(S, compute_uv=False)[-1])

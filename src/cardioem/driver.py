@@ -26,8 +26,9 @@ mechanics solved once at gamma0 (the passive solution).  A run splits v0
 into (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
-Runs are deterministic given the configuration: noise paths derive from
-(seed, channel, mode, step) and ensemble member k reseeds with (seed, k).
+Runs are deterministic given the configuration: each noise stream is drawn
+from a generator seeded by (seed, channel, mode), and ensemble member k
+reseeds with (seed, k).
 """
 
 from __future__ import annotations
@@ -358,8 +359,8 @@ def run_simulation(
     mech_residuals = [(mres.res_primal, mres.res_constraint)]
 
     path = NoisePath(config.seed, config.dt, n_steps, config.n_modes)
-    incr_v = path.increments("v") if n_steps else np.zeros((0, config.n_modes))
-    incr_w = path.increments("w") if n_steps else np.zeros((0, config.n_modes))
+    incr_v = path.increments("v")
+    incr_w = path.increments("w")
 
     probes = np.empty((n_steps + 1, len(locs)))
     probes[0] = _probe_values(mesh, locs, state.v)

@@ -58,13 +58,11 @@ class QuadratureRule:
     degree: int
 
 
-def triangle_rule(degree: int = 4) -> QuadratureRule:
+def triangle_rule() -> QuadratureRule:
     """Symmetric 6-point rule, exact for polynomials up to degree 4.
 
     Weights sum to 1/2, the reference-triangle measure.
     """
-    if degree > 4:
-        raise ValueError("only the degree-4 rule is shipped")
     a1, w1 = 0.445948490915965, 0.223381589678011
     a2, w2 = 0.091576213509771, 0.109951743655322
     pts = np.array(

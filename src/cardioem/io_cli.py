@@ -23,7 +23,6 @@ import numpy as np
 
 from . import diagnostics, driver
 from .mesh import boundary_edges
-from .noise import NoiseCoeff
 
 
 class ConfigError(ValueError):
@@ -278,12 +277,6 @@ def _load_cli_config(args) -> driver.SimConfig:
             raise ConfigError(f"cannot read config: {exc}")
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.beta is not None:
-        config = replace(
-            config,
-            noise_v=NoiseCoeff("constant", args.beta),
-            noise_w=NoiseCoeff("constant", args.beta),
-        )
     if getattr(args, "snapshots", None):
         iters = tuple(int(t) for t in args.snapshots.split(","))
         config = replace(config, snapshot_iters=iters)
@@ -291,7 +284,7 @@ def _load_cli_config(args) -> driver.SimConfig:
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("CARDIOEM_OUT", ".")
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -311,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default="", help="config file or 'default'")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="", help="output directory")
-        p.add_argument(
-            "--beta", type=float, default=None,
-            help="override both noise amplitudes with a constant",
-        )
 
     run = sub.add_parser("run", help="single simulation path")
     common(run)
@@ -420,10 +409,8 @@ def _cmd_diagnose(args) -> int:
     disc = driver.Discretization.build(run_cfg)
     result = driver.run_simulation(run_cfg, disc=disc)
     sup = result.energy.suprema()
-    coer = diagnostics.coercivity_estimate(
-        disc.mesh, result.final["gamma"], config.mech.alpha, config.activation
-    )
-    infsup = diagnostics.infsup_estimate(disc.mesh)
+    coer = diagnostics.coercivity_estimate(disc, result.final["gamma"])
+    infsup = diagnostics.infsup_estimate(disc)
     table = diagnostics.eps_pressure_study(disc, result, [1e-1, 1e-2, 1e-3])
     Mp = disc.statics.mass_p
     window = [result.snapshots[it].p for it in run_cfg.snapshot_iters[1:]]

@@ -1,9 +1,10 @@
 """Reproducible Wiener increments and noise-coefficient evaluation.
 
-Increments are generated counter-style: the tuple (seed, channel, mode,
-step) is hashed into a fresh generator state, so any single increment can be
-regenerated without replaying the path, ensemble members get disjoint
-streams, and restarts are exact.  Each increment is N(0, dt).
+Each (seed, channel, mode) stream is one generator, seeded by hashing that
+tuple, whose first n draws are the n increments of the stream.  So ensemble
+members get disjoint streams, a path of n steps is the first n rows of any
+longer path (restarts are exact), and a mode's stream does not depend on
+how many modes are drawn.  Each increment is N(0, dt).
 """
 
 from __future__ import annotations
@@ -12,38 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHANNEL_V = 0
-CHANNEL_W = 1
-
-_CHANNELS = {"v": CHANNEL_V, "w": CHANNEL_W}
-
-
-def _channel_id(channel) -> int:
-    if isinstance(channel, str):
-        return _CHANNELS[channel]
-    return int(channel)
-
-
-def increment_at(seed: int, step: int, dt: float, channel, mode: int = 0) -> float:
-    """The single N(0, dt) increment for one (seed, step, channel, mode)."""
-    ss = np.random.SeedSequence((int(seed), _channel_id(channel), int(mode), int(step)))
-    z = np.random.Generator(np.random.PCG64(ss)).standard_normal()
-    return float(np.sqrt(dt) * z)
-
-
-def wiener_increments(
-    seed: int, n_steps: int, dt: float, channel, mode: int = 0
-) -> np.ndarray:
-    """All increments of one channel/mode stream, shape (n_steps,)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    cid = _channel_id(channel)
-    out = np.empty(n_steps)
-    root = np.sqrt(dt)
-    for k in range(n_steps):
-        ss = np.random.SeedSequence((int(seed), cid, int(mode), k))
-        out[k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
-    return root * out
+_CHANNELS = {"v": 0, "w": 1}
 
 
 @dataclass(frozen=True)
@@ -60,13 +30,17 @@ class NoisePath:
     n_steps: int
     n_modes: int = 1
 
-    def increments(self, channel) -> np.ndarray:
-        """(n_steps, n_modes) array of N(0, dt) draws."""
-        cols = [
-            wiener_increments(self.seed, self.n_steps, self.dt, channel, mode=m)
-            for m in range(self.n_modes)
-        ]
-        return np.column_stack(cols)
+    def increments(self, channel: str) -> np.ndarray:
+        """(n_steps, n_modes) array of N(0, dt) draws of channel "v" or "w"."""
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        out = np.empty((self.n_steps, self.n_modes))
+        for m in range(self.n_modes):
+            ss = np.random.SeedSequence((int(self.seed), _CHANNELS[channel], m))
+            out[:, m] = np.random.Generator(np.random.PCG64(ss)).standard_normal(
+                self.n_steps
+            )
+        return np.sqrt(self.dt) * out
 
 
 @dataclass(frozen=True)

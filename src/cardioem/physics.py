@@ -92,6 +92,17 @@ class ConductivityParams:
         object.__setattr__(self, "K_i", Ki)
         object.__setattr__(self, "K_e", Ke)
 
+    def __eq__(self, other):
+        # the generated comparison would ask the K arrays for a truth value
+        if not isinstance(other, ConductivityParams):
+            return NotImplemented
+        return (
+            np.array_equal(self.K_i, other.K_i)
+            and np.array_equal(self.K_e, other.K_e)
+            and (self.clamp_delta, self.clamp_tau)
+            == (other.clamp_delta, other.clamp_tau)
+        )
+
 
 # ---------------------------------------------------------------------------
 # kinetics

@@ -148,6 +148,15 @@ def test_removed_mech_epsilon_key_exit_code(tmp_path, capsys):
     assert "unknown key 'mech.epsilon'" in capsys.readouterr().err
 
 
+def test_removed_beta_flag_exit_code(tmp_path, capsys):
+    # the noise amplitudes are set by the noise.* config keys only
+    cfg = write_config(tmp_path, SMALL)
+    argv = ["run", "--config", cfg, "--out", str(tmp_path), "--beta", "0.1"]
+    assert main(argv) == 1
+    assert "--beta" in capsys.readouterr().err
+    assert not (tmp_path / "probes.csv").exists()
+
+
 def test_mms_prints_the_expected_orders(capsys):
     assert main(["mms"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,22 @@
-"""The pseudo-compressible pressure study, replayed over an activated run."""
+"""The pseudo-compressible pressure study, replayed over an activated run,
+and the dense structural probes on a run's Discretization."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from cardioem import diagnostics, mechanics
 from cardioem.driver import Discretization, SimConfig, run_simulation
+from cardioem.fem import (
+    FeSpace,
+    assemble_boundary_mass,
+    assemble_divergence,
+    assemble_mass,
+    assemble_stiffness,
+)
+from cardioem.mesh import FiberField
 
 
 def per_step_run(config, snapshot_iters):
@@ -46,3 +57,45 @@ def test_eps_pressure_study_needs_consecutive_per_step_snapshots(refresh, iters)
     )
     with pytest.raises(ValueError, match="consecutive"):
         diagnostics.eps_pressure_study(disc, result, [1e-1])
+
+
+def test_dense_probes_match_the_full_vector_operators(monkeypatch):
+    # reference: the elastic form, H1 Gram and divergence assembled on a
+    # fresh vector P2 space at an activation that is positive in places
+    config = SimConfig(mesh_nx=4, mesh_ny=4)
+    disc = Discretization.build(config)
+    gamma = np.linspace(-0.1, 0.3, disc.mesh.num_vertices)
+    u_space = FeSpace(disc.mesh, degree=2, rank=1)
+    p_space = FeSpace(disc.mesh, degree=1)
+    sigma = mechanics.sigma_at_quad(
+        u_space, gamma, FiberField.axis_aligned(disc.mesh), config.activation
+    )
+    A = assemble_stiffness(u_space, sigma) + assemble_boundary_mass(
+        u_space, config.mech.alpha
+    )
+    H = (assemble_mass(u_space) + assemble_stiffness(u_space)).toarray()
+    coer_ref = scipy.linalg.eigh(
+        A.toarray(), H, eigvals_only=True, subset_by_index=[0, 0]
+    )[0]
+    Lh = scipy.linalg.cholesky(H, lower=True)
+    Lp = scipy.linalg.cholesky(assemble_mass(p_space).toarray(), lower=True)
+    S = scipy.linalg.solve_triangular(
+        Lp, assemble_divergence(u_space, p_space).toarray(), lower=True
+    )
+    S = scipy.linalg.solve_triangular(Lh, S.T, lower=True).T
+    infsup_ref = np.linalg.svd(S, compute_uv=False)[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probes build on the run's Discretization")
+
+    monkeypatch.setattr(diagnostics, "FeSpace", forbidden)
+    monkeypatch.setattr(mechanics, "mech_statics", forbidden)
+    assert diagnostics.coercivity_estimate(disc, gamma) == pytest.approx(
+        coer_ref, rel=1e-12
+    )
+    assert diagnostics.infsup_estimate(disc) == pytest.approx(infsup_ref, rel=1e-12)
+    monkeypatch.setattr(diagnostics, "_DENSE_LIMIT", u_space.ndof - 1)
+    with pytest.raises(ValueError, match="too large"):
+        diagnostics.coercivity_estimate(disc, gamma)
+    with pytest.raises(ValueError, match="too large"):
+        diagnostics.infsup_estimate(disc)

@@ -88,6 +88,18 @@ def test_shared_set_up_must_come_from_the_same_config():
         run_simulation(ENSEMBLE, mesh=disc.mesh, disc=disc)
 
 
+def test_shared_set_up_accepts_an_equal_config_built_apart():
+    # configs compare by value, K_i and K_e arrays included
+    assert SimConfig() == SimConfig()
+    other_ki = physics.ConductivityParams(K_i=[[0.02, 0.0], [0.0, 0.011]])
+    assert SimConfig(conductivity=other_ki) != SimConfig()
+    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, seed=3)
+    disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, T=0.025))
+    _assert_same_path(run_simulation(config, disc=disc), run_simulation(config))
+    with pytest.raises(ValueError):
+        run_simulation(replace(config, conductivity=other_ki), disc=disc)
+
+
 def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     # without active feedback gamma decays towards 0 from below, so every
     # refresh sees the passive system

@@ -1,58 +1,67 @@
 import numpy as np
 import pytest
 
-from cardioem.noise import (
-    NoiseCoeff,
-    NoisePath,
-    eval_coeff,
-    increment_at,
-    wiener_increments,
-)
+from cardioem.noise import NoiseCoeff, NoisePath, eval_coeff
 
 
 def test_same_seed_identical_sequences():
-    a = wiener_increments(42, 200, 0.0125, "v")
-    b = wiener_increments(42, 200, 0.0125, "v")
+    a = NoisePath(42, 0.0125, 200).increments("v")
+    b = NoisePath(42, 0.0125, 200).increments("v")
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    a = wiener_increments(1, 50, 0.0125, "v")
-    b = wiener_increments(2, 50, 0.0125, "v")
+    a = NoisePath(1, 0.0125, 50).increments("v")
+    b = NoisePath(2, 0.0125, 50).increments("v")
     assert not np.array_equal(a, b)
 
 
-def test_increment_regenerable_from_index():
-    seq = wiener_increments(7, 100, 0.05, "w")
-    for k in (0, 17, 99):
-        assert increment_at(7, k, 0.05, "w") == seq[k]
+def test_shorter_path_is_a_prefix_of_a_longer_one():
+    # a restart that draws fewer steps sees exactly the same increments
+    long = NoisePath(7, 0.05, 100, n_modes=2).increments("w")
+    for n in (1, 17, 99):
+        assert np.array_equal(NoisePath(7, 0.05, n, n_modes=2).increments("w"),
+                              long[:n])
+
+
+def test_mode_streams_do_not_depend_on_the_number_of_modes():
+    one = NoisePath(7, 0.05, 100, n_modes=1).increments("v")
+    three = NoisePath(7, 0.05, 100, n_modes=3).increments("v")
+    five = NoisePath(7, 0.05, 100, n_modes=5).increments("v")
+    assert np.array_equal(three[:, :1], one)
+    assert np.array_equal(five[:, :3], three)
+
+
+def test_zero_steps_give_an_empty_column_per_mode():
+    inc = NoisePath(3, 0.0125, 0, n_modes=4).increments("v")
+    assert inc.shape == (0, 4)
 
 
 def test_statistics_mean_and_variance():
     n, dt = 100_000, 0.0125
-    seq = wiener_increments(123, n, dt, "v")
+    seq = NoisePath(123, dt, n).increments("v")[:, 0]
     assert abs(seq.mean()) < 4 * np.sqrt(dt / n)
     assert abs(seq.var() - dt) < 0.05 * dt
 
 
 def test_channels_decorrelated():
     n, dt = 100_000, 0.0125
-    a = wiener_increments(9, n, dt, "v")
-    b = wiener_increments(9, n, dt, "w")
+    a = NoisePath(9, dt, n).increments("v")[:, 0]
+    b = NoisePath(9, dt, n).increments("w")[:, 0]
     rho = np.corrcoef(a, b)[0, 1]
     assert abs(rho) < 0.02
 
 
 def test_modes_decorrelated():
     n, dt = 50_000, 0.0125
-    a = wiener_increments(9, n, dt, "v", mode=0)
-    b = wiener_increments(9, n, dt, "v", mode=1)
-    assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
+    inc = NoisePath(9, dt, n, n_modes=2).increments("v")
+    assert abs(np.corrcoef(inc[:, 0], inc[:, 1])[0, 1]) < 0.03
 
 
 def test_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        wiener_increments(0, 10, 0.0, "v")
+    for dt in (0.0, -0.0125):
+        with pytest.raises(ValueError):
+            NoisePath(0, dt, 10).increments("v")
 
 
 def test_noise_path_shape_and_determinism():

@@ -1,11 +1,17 @@
 """Golden probe traces of two short coupled runs.
 
-The traces under tests/data/ were recorded with the Jacobi-preconditioned
-electric CG, before the bordered-LU preconditioner; a solver change must
-reproduce them to within solver tolerance.  Regenerate them only for an
-intended change of results:
+The quiet trace under tests/data/ was recorded with the
+Jacobi-preconditioned electric CG, before the bordered-LU preconditioner;
+a solver change must reproduce it to within solver tolerance.  The noisy
+trace was re-recorded when each noise stream became the draws of one
+generator seeded by (seed, channel, mode), which changed every seeded
+increment.  Regenerate them only for an intended change of results:
 
     PYTHONPATH=src python tests/test_regression.py
+
+The script rewrites both files; keep only the one whose results were meant
+to change, since the quiet trace differs from the current solver in the
+last digits.
 """
 
 import os
