@@ -146,12 +146,13 @@ def coercivity_estimate(disc, gamma: np.ndarray) -> float:
     scalar pencil.  Raises on meshes too large for dense work.
     """
     cfg = disc.config
-    if disc.u_space.ndof > _DENSE_LIMIT:
+    ndof = 2 * disc.u_space.n_scalar
+    if ndof > _DENSE_LIMIT:
         raise ValueError(
-            f"mesh too large for dense coercivity probe ({disc.u_space.ndof} dofs)"
+            f"mesh too large for dense coercivity probe ({ndof} dofs)"
         )
     K = mechanics.assemble_mechanics(
-        disc.u_space, disc.p_space, gamma, disc.fibers, cfg.mech,
+        disc.u_space, disc.space, gamma, disc.fibers, cfg.mech,
         cfg.activation, statics=disc.statics,
     ).K
     vals = scipy.linalg.eigh(
@@ -167,7 +168,7 @@ def infsup_estimate(disc) -> float:
     Smallest singular value of Mp^{-1/2} B H^{-1/2}, all dense, with H the
     H1 Gram matrix blockdiag(`disc.h1_gram`, `disc.h1_gram`).
     """
-    if disc.u_space.ndof > _DENSE_LIMIT:
+    if 2 * disc.u_space.n_scalar > _DENSE_LIMIT:
         raise ValueError("mesh too large for dense inf-sup probe")
     B = disc.statics.divergence.toarray()
     H = sp.block_diag((disc.h1_gram, disc.h1_gram)).toarray()
@@ -208,7 +209,7 @@ def eps_pressure_study(disc, result, eps_list) -> list:
     first, *window = (result.snapshots[it] for it in iters)
     systems = [
         mechanics.assemble_mechanics(
-            disc.u_space, disc.p_space, snap.gamma, disc.fibers, cfg.mech,
+            disc.u_space, disc.space, snap.gamma, disc.fibers, cfg.mech,
             cfg.activation, statics=disc.statics,
         )
         for snap in window
@@ -305,10 +306,10 @@ def mms_stokes_study(ns=(4, 8, 16), mu: float = 1.0, alpha: float = 1.0) -> Conv
     errs_u, errs_p = [], []
     for n in ns:
         mesh = structured_unit_square(n, n)
-        u_space = FeSpace(mesh, degree=2, rank=1)
+        u_space = FeSpace(mesh, degree=2)
         p_space = FeSpace(mesh, degree=1)
-        K = assemble_stiffness(u_space.scalar, mu * np.eye(2))
-        K = K + assemble_boundary_mass(u_space.scalar, alpha)
+        K = assemble_stiffness(u_space, mu * np.eye(2))
+        K = K + assemble_boundary_mass(u_space, alpha)
         B = (-assemble_divergence(u_space, p_space)).tocsr()
         f = assemble_load(u_space, f_ex)
 

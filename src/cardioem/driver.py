@@ -224,9 +224,8 @@ class Discretization:
     config: SimConfig
     mesh: TriMesh
     fibers: FiberField
-    space: FeSpace
-    u_space: FeSpace
-    p_space: FeSpace
+    space: FeSpace  # P1: the potentials, the activation and the pressure
+    u_space: FeSpace  # scalar P2; u is a component-major vector over it
     mass: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix
     stiff_unit: sp.csr_matrix
@@ -246,10 +245,9 @@ class Discretization:
         """
         mesh = mesh if mesh is not None else config.build_mesh()
         space = FeSpace(mesh, degree=1)
-        u_space = FeSpace(mesh, degree=2, rank=1)
-        p_space = FeSpace(mesh, degree=1)
+        u_space = FeSpace(mesh, degree=2)
         mass = assemble_mass(space)
-        statics = mechanics.mech_statics(u_space, p_space, config.mech.alpha)
+        statics = mechanics.mech_statics(u_space, space, config.mech.alpha)
         v0 = space.interpolate(electrics.initial_stimulus)
         # the stimulus profile is constant in time while active
         stim_profile = electrics.initial_stimulus(
@@ -261,7 +259,6 @@ class Discretization:
             fibers=FiberField.axis_aligned(mesh),
             space=space,
             u_space=u_space,
-            p_space=p_space,
             mass=mass,
             lumped=np.asarray(mass.sum(axis=1)).ravel(),
             stiff_unit=assemble_stiffness(space),
@@ -291,7 +288,7 @@ class Discretization:
         below the solve's temporaries it fragments the heap, which raised
         the peak memory of a default run by up to 6%.
         """
-        return self.statics.mass_u + assemble_stiffness(self.u_space.scalar)
+        return self.statics.mass_u + assemble_stiffness(self.u_space)
 
     def initial_state(self) -> electrics.ElectricState:
         """v = v0 split into (v_i, v_e) with zero-mean v_e, and w = 0."""
@@ -305,7 +302,7 @@ class Discretization:
         """Assemble and solve the mechanics system at activation `gamma`."""
         cfg = self.config
         mech_sys = mechanics.assemble_mechanics(
-            self.u_space, self.p_space, gamma, self.fibers, cfg.mech,
+            self.u_space, self.space, gamma, self.fibers, cfg.mech,
             cfg.activation, statics=self.statics,
         )
         return mechanics.solve_mechanics(mech_sys, tol=cfg.mech_tol)

@@ -38,15 +38,6 @@ def initial_stimulus(x, y):
     return 1.0 - 1.0 / (1.0 + np.exp(-50.0 * (r - 0.18)))
 
 
-def applied_current(t, x, y, duration: float = 0.01):
-    """Stimulus current: the initial profile for 0 <= t < duration, else 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t < duration:
-        return initial_stimulus(x, y)
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 @dataclass
 class ElectricState:
     """Nodal P1 coefficient vectors of the electric unknowns."""

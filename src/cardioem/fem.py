@@ -1,20 +1,21 @@
 """Reference elements, quadrature, operator assembly, and Krylov solvers.
 
-Scalar and 2-vector Lagrange spaces of degree 1 and 2 over a TriMesh.
-Vector spaces use a component-major dof layout: dof(c, s) = c * n_scalar + s.
+Scalar Lagrange spaces of degree 1 and 2 over a TriMesh.  A 2-vector field
+is a component-major array of length 2 * n_scalar over a scalar space,
+dof(c, s) = c * n_scalar + s; the field routines read the component count
+from the shape of the array or of the function's value.
 All bilinear forms are assembled with the same degree-4 symmetric triangle
 rule (exact for every product appearing in the P2/P1 pair with affine
 coefficients); boundary terms use a 3-point Gauss rule on edges.
 
 Matrices are scipy CSR with sorted, duplicate-free structure.  Each space
-builds its scalar sparsity pattern once, on first use: the CSR `indptr` and
+builds its sparsity pattern once, on first use: the CSR `indptr` and
 `indices` of its dof graph and a slot map from every local element entry
 (e, l, m) to its position in the CSR data.  A square form is then one dense
 element kernel (batched matrix products over the quadrature points) and one
-`np.bincount` of the element matrices into that fixed pattern; a vector
-space's blockdiag(K, K) reuses the scalar pattern (its `scalar` view gives
-K alone).  Load vectors are summed by `np.bincount` over the element or
-boundary-edge dofs, which each space also precomputes.  The divergence
+`np.bincount` of the element matrices into that fixed pattern.  Load
+vectors are summed by `np.bincount` over the element or boundary-edge dofs,
+which each space also precomputes, one component at a time.  The divergence
 (rectangular) and the boundary mass (nonzero on boundary dofs only), each
 assembled once per run, are summed through COO instead.
 
@@ -29,7 +30,6 @@ caller-supplied Schur block solve, in practice a factored pressure mass.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -137,24 +137,21 @@ _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 class FeSpace:
-    """Lagrange space of degree 1 or 2, scalar or 2-vector valued.
+    """Scalar Lagrange space of degree 1 or 2.
 
-    P1 scalar dofs are the vertices; P2 adds one dof per undirected edge,
-    numbered after the vertices.  Vector spaces stack two scalar copies
-    component-major.  Element geometry (Jacobians, physical quadrature
-    points, physical basis gradients) is precomputed once; the sparsity
-    pattern and the boundary-edge dofs are built on first use.
+    P1 dofs are the vertices; P2 adds one dof per undirected edge, numbered
+    after the vertices.  A 2-vector field over the space is a
+    component-major array of length 2 * n_scalar.  Element geometry
+    (Jacobians, physical quadrature points, physical basis gradients) is
+    precomputed once; the sparsity pattern and the boundary-edge dofs are
+    built on first use.
     """
 
-    def __init__(self, mesh: TriMesh, degree: int = 1, rank: int = 0):
+    def __init__(self, mesh: TriMesh, degree: int = 1):
         if degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
-        if rank not in (0, 1):
-            raise ValueError("rank 0 (scalar) or 1 (2-vector)")
         self.mesh = mesh
         self.degree = degree
-        self.rank = rank
-        self.ncomp = 1 if rank == 0 else 2
         self.quad = triangle_rule()
 
         tris = mesh.triangles
@@ -172,7 +169,6 @@ class FeSpace:
             }
             self.n_scalar = nv + len(edges)
             self.conn = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
-        self.ndof = self.ncomp * self.n_scalar
         self.nloc = self.conn.shape[1]
 
         lam = self.quad.points
@@ -213,49 +209,28 @@ class FeSpace:
         return np.einsum("eqli,el->eqi", self.grads, coeffs[self.conn])
 
     def vector_grad_at_qp(self, coeffs: np.ndarray) -> np.ndarray:
-        """Displacement gradient (du_a/dx_b) at quad points, (ne, nq, 2, 2)."""
-        assert self.rank == 1
-        out = np.empty((len(self.conn), len(self.quad.weights), 2, 2))
-        for c in range(2):
-            comp = coeffs[c * self.n_scalar : (c + 1) * self.n_scalar]
-            out[:, :, c, :] = self.scalar_grad_at_qp(comp)
-        return out
+        """Gradient du_a/dx_b of a 2-vector field at quad points, (ne, nq, 2, 2)."""
+        comps = coeffs.reshape(2, self.n_scalar)
+        return np.stack([self.scalar_grad_at_qp(c) for c in comps], axis=2)
 
     def interpolate(self, fn: Callable) -> np.ndarray:
-        """Nodal interpolant of fn(x, y) (scalar or length-2 for vectors)."""
+        """Nodal interpolant of fn(x, y), component-major if fn is vector-valued."""
         pts = self.mesh.vertices
         if self.degree == 2:
             edges = self.mesh.edges()
             mids = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
             pts = np.vstack([pts, mids])
-        vals = np.array([fn(x, y) for x, y in pts])
-        if self.rank == 0:
-            return vals.astype(float)
-        return np.concatenate([vals[:, 0], vals[:, 1]]).astype(float)
-
-    def component(self, coeffs: np.ndarray, c: int) -> np.ndarray:
-        return coeffs[c * self.n_scalar : (c + 1) * self.n_scalar]
+        return np.array([fn(x, y) for x, y in pts], dtype=float).T.ravel()
 
     # --- assembly structure, built on first use ------------------------
 
     @cached_property
-    def scalar(self) -> "FeSpace":
-        """The space of one component: a rank-0 view sharing dofs and geometry."""
-        if self.rank == 0:
-            return self
-        view = copy.copy(self)
-        view.rank, view.ncomp, view.ndof = 0, 1, self.n_scalar
-        return view
-
-    @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scalar CSR (indptr, indices) and the int32 slot of each (e, l, m).
+        """CSR (indptr, indices) and the int32 slot of each (e, l, m).
 
         slot[e * nloc**2 + l * nloc + m] is the position in the CSR data of
         the entry (conn[e, l], conn[e, m]).
         """
-        if self.rank:
-            return self.scalar.pattern
         n = self.n_scalar
         rows = np.repeat(self.conn, self.nloc, axis=1).ravel()
         cols = np.tile(self.conn, (1, self.nloc)).ravel()
@@ -267,7 +242,7 @@ class FeSpace:
 
     @cached_property
     def boundary_dofs(self) -> np.ndarray:
-        """Scalar dofs (i, j[, midside]) of each edge of mesh.boundary_edges."""
+        """Dofs (i, j[, midside]) of each edge of mesh.boundary_edges."""
         ij = self.mesh.boundary_edges[:, :2]
         if self.degree == 1:
             return ij
@@ -293,44 +268,26 @@ def _accumulate(space_rows, space_cols, rows, cols, data) -> sp.csr_matrix:
     return mat
 
 
-def _scatter_scalar(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Sum element matrices (ne, nloc, nloc) into the space's scalar pattern."""
+def _scatter(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
+    """Sum element matrices (ne, nloc, nloc) into the space's pattern."""
     indptr, indices, slot = space.pattern
     data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
     n = space.n_scalar
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
-def _per_component(space: FeSpace, K: sp.csr_matrix) -> sp.csr_matrix:
-    """K for a scalar space, blockdiag(K, K) on K's own pattern for a vector one."""
-    if space.rank == 0:
-        return K
-    n, nnz = K.shape[0], K.nnz
-    return sp.csr_matrix(
-        (
-            np.concatenate([K.data, K.data]),
-            np.concatenate([K.indices, K.indices + n]),
-            np.concatenate([K.indptr, K.indptr[1:] + nnz]),
-        ),
-        shape=(2 * n, 2 * n),
-    )
-
-
 def scatter_load(space: FeSpace, local: np.ndarray, dofs=None) -> np.ndarray:
-    """Sum per-cell vectors into a dof vector of the space.
+    """Sum per-cell vectors into a dof vector over the space.
 
-    `local` is (ncell, nd) for scalar spaces or (ncell, nd, 2) for vector
-    spaces, indexed by the scalar dofs `dofs` (ncell, nd), which default to
-    the element connectivity.
+    `local` is (ncell, nd) for a scalar field or (ncell, nd, 2) for a
+    2-vector one, indexed by the dofs `dofs` (ncell, nd), which default to
+    the element connectivity.  A vector result is component-major.
     """
     dofs = space.conn if dofs is None else dofs
     idx = dofs.ravel()
-    n = space.n_scalar
-    if space.rank == 0:
-        return np.bincount(idx, weights=local.ravel(), minlength=n)
+    comps = local.reshape(len(idx), -1).T
     return np.concatenate(
-        [np.bincount(idx, weights=local[..., c].ravel(), minlength=n)
-         for c in range(2)]
+        [np.bincount(idx, weights=c, minlength=space.n_scalar) for c in comps]
     )
 
 
@@ -340,26 +297,16 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     vals = space.basis_vals
     base = np.einsum("q,ql,qm->lm", w, vals, vals)
     local = space.detJ[:, None, None] * base[None]
-    return _per_component(space, _scatter_scalar(space, local))
+    return _scatter(space, local)
 
 
 def _coeff_array(space: FeSpace, coeff) -> np.ndarray:
     ne, nq = len(space.conn), len(space.quad.weights)
-    if coeff is None:
-        c = np.broadcast_to(np.eye(2), (ne, nq, 2, 2)).copy()
-    elif callable(coeff):
-        c = np.empty((ne, nq, 2, 2))
-        for e in range(ne):
-            for q in range(nq):
-                c[e, q] = coeff(*space.qpoints[e, q])
-    else:
-        c = np.asarray(coeff, dtype=float)
-        if c.shape == (2, 2):
-            c = np.broadcast_to(c, (ne, nq, 2, 2)).copy()
-        elif c.shape == (ne, 2, 2):
-            c = np.broadcast_to(c[:, None], (ne, nq, 2, 2)).copy()
-        elif c.shape != (ne, nq, 2, 2):
-            raise ValueError(f"bad coefficient shape {c.shape}")
+    c = np.eye(2) if coeff is None else np.asarray(coeff, dtype=float)
+    if c.shape == (2, 2):
+        return np.broadcast_to(c, (ne, nq, 2, 2)).copy()
+    if c.shape != (ne, nq, 2, 2):
+        raise ValueError(f"bad coefficient shape {c.shape}")
     return c
 
 
@@ -393,18 +340,17 @@ def _stiffness_kernel(space: FeSpace, c: np.ndarray) -> np.ndarray:
 
 
 def assemble_stiffness(space: FeSpace, coeff=None) -> sp.csr_matrix:
-    """Weighted stiffness matrix for the form grad(u) . C grad(v).
+    """Weighted stiffness matrix K for the form grad(u) . C grad(v).
 
-    `coeff` may be None (identity), a single 2x2 tensor, a per-element
-    (ne, 2, 2) array, or a per-quad-point (ne, nq, 2, 2) array; it must be
-    symmetric positive definite wherever evaluated.  For vector spaces this
-    realizes the form (grad u) C : (grad v), which decouples per component
-    into two copies of the scalar operator.
+    `coeff` may be None (identity), a single 2x2 tensor, or a per-quad-point
+    (ne, nq, 2, 2) array; it must be symmetric positive definite at every
+    quadrature point.  The form (grad u) C : (grad v) of a 2-vector field
+    decouples per component into blockdiag(K, K).
     """
     c = _coeff_array(space, coeff)
     _check_spd(space, c)
     local = _stiffness_kernel(space, c)
-    return _per_component(space, _scatter_scalar(space, local))
+    return _scatter(space, local)
 
 
 def _edge_basis(space: FeSpace, s: np.ndarray):
@@ -419,7 +365,7 @@ def _edge_basis(space: FeSpace, s: np.ndarray):
 
 
 def assemble_boundary_mass(space: FeSpace, alpha: float = 1.0) -> sp.csr_matrix:
-    """Robin boundary form alpha * int_{dO} u v dS (per component)."""
+    """Robin boundary form alpha * int_{dO} u v dS."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     er = edge_rule()
@@ -430,64 +376,59 @@ def assemble_boundary_mass(space: FeSpace, alpha: float = 1.0) -> sp.csr_matrix:
     local = (alpha * space.mesh.boundary_lengths())[:, None, None] * base[None]
     rows = np.repeat(dofs, nd, axis=1)
     cols = np.tile(dofs, (1, nd))
-    B = _accumulate(space.n_scalar, space.n_scalar, rows, cols, local)
-    return _per_component(space, B)
+    return _accumulate(space.n_scalar, space.n_scalar, rows, cols, local)
 
 
 def assemble_divergence(vel_space: FeSpace, p_space: FeSpace) -> sp.csr_matrix:
-    """Matrix D with (D u)_r = int psi_r (div u) dx.
+    """Matrix D with (D u)_r = int psi_r (div u) dx for a 2-vector u.
 
-    Rows are pressure dofs, columns velocity dofs in component-major layout.
+    Rows are pressure dofs, columns the component-major dofs of u over
+    `vel_space`.
     """
     if vel_space.mesh is not p_space.mesh:
         raise ValueError("spaces must share a mesh")
-    if vel_space.rank != 1 or p_space.rank != 0:
-        raise ValueError("need a vector velocity space and scalar pressure")
     w = vel_space.quad.weights
     pvals = p_space.basis_vals
     # (e, r, l, c) = detJ * sum_q w_q psi_r(q) dphi_l/dx_c (q)
     local = np.einsum("q,qr,eqlc->erlc", w, pvals, vel_space.grads)
     local *= vel_space.detJ[:, None, None, None]
 
-    ne = len(vel_space.conn)
+    ne, n = len(vel_space.conn), vel_space.n_scalar
     nr, nl = p_space.nloc, vel_space.nloc
     rows = np.broadcast_to(
         p_space.conn[:, :, None, None], (ne, nr, nl, 2)
     )
     cols = np.empty((ne, nr, nl, 2), dtype=np.int64)
     for c in range(2):
-        cols[:, :, :, c] = c * vel_space.n_scalar + vel_space.conn[:, None, :]
-    return _accumulate(p_space.n_scalar, vel_space.ndof, rows, cols, local)
+        cols[:, :, :, c] = c * n + vel_space.conn[:, None, :]
+    return _accumulate(p_space.n_scalar, 2 * n, rows, cols, local)
 
 
 def assemble_load(space: FeSpace, integrand) -> np.ndarray:
     """Load vector F_i = int f phi_i dx.
 
-    `integrand` is a callable f(x, y) or a per-quad-point array of shape
-    (ne, nq) for scalar spaces / (ne, nq, 2) for vector spaces.
+    `integrand` is a callable f(x, y) or a per-quad-point array, (ne, nq)
+    for a scalar f or (ne, nq, 2) for a 2-vector one, whose load is
+    component-major.
     """
-    ne, nq = len(space.conn), len(space.quad.weights)
     if callable(integrand):
         pts = space.qpoints.reshape(-1, 2)
-        vals = np.array([integrand(x, y) for x, y in pts])
-        if space.rank == 0:
-            f = vals.reshape(ne, nq)
-        else:
-            f = vals.reshape(ne, nq, 2)
+        f = np.array([integrand(x, y) for x, y in pts], dtype=float)
+        f = f.reshape(space.qpoints.shape[:2] + f.shape[1:])
     else:
         f = np.asarray(integrand, dtype=float)
 
     w = space.quad.weights
     local = np.einsum("q,eq...,ql->el...", w, f, space.basis_vals)
-    local *= space.detJ[:, None, None] if space.rank else space.detJ[:, None]
+    local *= space.detJ.reshape((-1,) + (1,) * (local.ndim - 1))
     return scatter_load(space, local)
 
 
 def assemble_boundary_load(space: FeSpace, values) -> np.ndarray:
     """Boundary load int_{dO} g . v dS for per-edge-quad-point values.
 
-    `values` is (n_boundary_edges, nq_edge) for scalar spaces or
-    (n_boundary_edges, nq_edge, 2) for vector spaces, ordered like
+    `values` is (n_boundary_edges, nq_edge) for a scalar g or
+    (n_boundary_edges, nq_edge, 2) for a 2-vector one, ordered like
     mesh.boundary_edges and the edge rule.
     """
     er = edge_rule()
@@ -495,7 +436,7 @@ def assemble_boundary_load(space: FeSpace, values) -> np.ndarray:
     g = np.asarray(values, dtype=float)
     local = np.einsum("q,kq...,ql->kl...", er.weights, g, vals)
     lengths = space.mesh.boundary_lengths()
-    local *= lengths[:, None, None] if space.rank else lengths[:, None]
+    local *= lengths.reshape((-1,) + (1,) * (local.ndim - 1))
     return scatter_load(space, local, space.boundary_dofs)
 
 
@@ -518,24 +459,20 @@ def edge_quad_geometry(mesh: TriMesh):
 
 
 def l2_error(space: FeSpace, coeffs: np.ndarray, exact: Callable) -> float:
-    """Quadrature L2 distance between a discrete field and exact(x, y)."""
+    """Quadrature L2 distance between a discrete field and exact(x, y).
+
+    A vector-valued `exact` is compared with the component-major `coeffs`.
+    """
     w = space.quad.weights
-    if space.rank == 0:
-        uh = space.scalar_at_qp(coeffs)
-        ue = np.array(
-            [exact(x, y) for x, y in space.qpoints.reshape(-1, 2)]
-        ).reshape(uh.shape)
-        err2 = np.einsum("q,eq->", w, (uh - ue) ** 2 * space.detJ[:, None])
-    else:
-        err2 = 0.0
-        ex = np.array(
-            [exact(x, y) for x, y in space.qpoints.reshape(-1, 2)]
-        ).reshape(len(space.conn), len(w), 2)
-        for c in range(2):
-            uh = space.scalar_at_qp(space.component(coeffs, c))
-            err2 += np.einsum(
-                "q,eq->", w, (uh - ex[:, :, c]) ** 2 * space.detJ[:, None]
-            )
+    ex = np.array(
+        [exact(x, y) for x, y in space.qpoints.reshape(-1, 2)], dtype=float
+    ).reshape(len(space.conn), len(w), -1)
+    err2 = 0.0
+    for c, comp in enumerate(coeffs.reshape(ex.shape[2], -1)):
+        uh = space.scalar_at_qp(comp)
+        err2 += np.einsum(
+            "q,eq->", w, (uh - ex[:, :, c]) ** 2 * space.detJ[:, None]
+        )
     return np.sqrt(err2)
 
 

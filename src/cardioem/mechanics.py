@@ -8,13 +8,15 @@ differentiated: it is assembled by parts as
 -int sigma : grad(v) + int_{dO} (sigma n).v + int g.v, valid for coefficient
 fields that are only piecewise smooth.
 
-Two solution modes: a saddle solve of the incompressible block, and a
+Two solution modes: a saddle solve of the divergence-free block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
 `fem.solve_saddle`: one MINRES run per system, which applies the
 displacement block blockdiag(K, K) as its scalar block K on each component
 and takes the pressure mass Mp, factored once in `mech_statics`, as the
-Schur block.
+Schur block.  The displacement is a component-major 2-vector field over
+the scalar P2 space, and each of its operators is assembled as the scalar
+block.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class MechParams:
 
 @dataclass
 class MechState:
-    """P2 vector displacement and P1 pressure coefficients."""
+    """Component-major P2 displacement and P1 pressure coefficients."""
 
     u: np.ndarray
     p: np.ndarray
@@ -71,7 +73,7 @@ class MechState:
 
 @dataclass
 class MechStatics:
-    """Activation-independent operators; `boundary`, `mass_u` act per component."""
+    """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks."""
 
     boundary: sp.csr_matrix
     divergence: sp.csr_matrix
@@ -83,9 +85,9 @@ class MechStatics:
 def mech_statics(u_space: FeSpace, p_space: FeSpace, alpha: float) -> MechStatics:
     mass_p = assemble_mass(p_space)
     return MechStatics(
-        boundary=assemble_boundary_mass(u_space.scalar, alpha),
+        boundary=assemble_boundary_mass(u_space, alpha),
         divergence=assemble_divergence(u_space, p_space),
-        mass_u=assemble_mass(u_space.scalar),
+        mass_u=assemble_mass(u_space),
         mass_p=mass_p,
         mass_p_lu=factor_spd(mass_p),
     )
@@ -166,7 +168,7 @@ def assemble_mechanics(
     if statics is None:
         statics = mech_statics(u_space, p_space, params.alpha)
     sigma = sigma_at_quad(u_space, gamma, fibers, act)
-    K = assemble_stiffness(u_space.scalar, sigma) + statics.boundary
+    K = assemble_stiffness(u_space, sigma) + statics.boundary
 
     # interior part of the weak body force: -int sigma : grad(v)
     w = u_space.quad.weights

@@ -103,6 +103,11 @@ class ConductivityParams:
             == (other.clamp_delta, other.clamp_tau)
         )
 
+    def __hash__(self):
+        # agrees with __eq__: the entries hash as floats, -0.0 like 0.0
+        K = (*self.K_i.ravel(), *self.K_e.ravel())
+        return hash((K, self.clamp_delta, self.clamp_tau))
+
 
 # ---------------------------------------------------------------------------
 # kinetics

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from cardioem import diagnostics, mechanics
 from cardioem.driver import Discretization, SimConfig, run_simulation
@@ -60,20 +61,23 @@ def test_eps_pressure_study_needs_consecutive_per_step_snapshots(refresh, iters)
 
 
 def test_dense_probes_match_the_full_vector_operators(monkeypatch):
-    # reference: the elastic form, H1 Gram and divergence assembled on a
-    # fresh vector P2 space at an activation that is positive in places
+    # reference: the full vector elastic form and H1 Gram, blockdiag of
+    # scalar blocks assembled on fresh spaces, and the divergence, at an
+    # activation that is positive in places
     config = SimConfig(mesh_nx=4, mesh_ny=4)
     disc = Discretization.build(config)
     gamma = np.linspace(-0.1, 0.3, disc.mesh.num_vertices)
-    u_space = FeSpace(disc.mesh, degree=2, rank=1)
+    u_space = FeSpace(disc.mesh, degree=2)
     p_space = FeSpace(disc.mesh, degree=1)
     sigma = mechanics.sigma_at_quad(
         u_space, gamma, FiberField.axis_aligned(disc.mesh), config.activation
     )
-    A = assemble_stiffness(u_space, sigma) + assemble_boundary_mass(
+    K = assemble_stiffness(u_space, sigma) + assemble_boundary_mass(
         u_space, config.mech.alpha
     )
-    H = (assemble_mass(u_space) + assemble_stiffness(u_space)).toarray()
+    G = assemble_mass(u_space) + assemble_stiffness(u_space)
+    A = sp.block_diag((K, K))
+    H = sp.block_diag((G, G)).toarray()
     coer_ref = scipy.linalg.eigh(
         A.toarray(), H, eigvals_only=True, subset_by_index=[0, 0]
     )[0]
@@ -94,7 +98,8 @@ def test_dense_probes_match_the_full_vector_operators(monkeypatch):
         coer_ref, rel=1e-12
     )
     assert diagnostics.infsup_estimate(disc) == pytest.approx(infsup_ref, rel=1e-12)
-    monkeypatch.setattr(diagnostics, "_DENSE_LIMIT", u_space.ndof - 1)
+    # the guards count the dofs of the vector field, not of one component
+    monkeypatch.setattr(diagnostics, "_DENSE_LIMIT", 2 * u_space.n_scalar - 1)
     with pytest.raises(ValueError, match="too large"):
         diagnostics.coercivity_estimate(disc, gamma)
     with pytest.raises(ValueError, match="too large"):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cardioem import driver, mechanics, physics
 from cardioem.driver import (
@@ -35,8 +36,9 @@ def test_h1_energy_uses_the_runs_own_mesh():
         mesh = structured_unit_square(n, n)
         config = SimConfig(mesh_nx=n, mesh_ny=n, T=0.025, mech_refresh=1)
         result = run_simulation(config, mesh=mesh)
-        u_space = FeSpace(mesh, 2, rank=1)
-        gram = assemble_mass(u_space) + assemble_stiffness(u_space)
+        u_space = FeSpace(mesh, 2)
+        block = assemble_mass(u_space) + assemble_stiffness(u_space)
+        gram = sp.block_diag((block, block), format="csr")
         u = result.final["mech"].u
         assert result.energy.u_h1sq[-1] > 0.0
         assert result.energy.u_h1sq[-1] == pytest.approx(
@@ -100,6 +102,15 @@ def test_shared_set_up_accepts_an_equal_config_built_apart():
         run_simulation(replace(config, conductivity=other_ki), disc=disc)
 
 
+def test_equal_configs_built_apart_hash_equal():
+    # K_i given as a list, with -0.0 off-diagonals: equal, so hashed alike
+    signed_zero = physics.ConductivityParams(K_i=[[0.02, -0.0], [-0.0, 0.01]])
+    configs = [SimConfig(), SimConfig(conductivity=signed_zero)]
+    assert configs[0] == configs[1]
+    assert hash(configs[0]) == hash(configs[1])
+    assert len(set(configs)) == 1
+
+
 def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     # without active feedback gamma decays towards 0 from below, so every
     # refresh sees the passive system
@@ -122,7 +133,7 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     assert len(result.final["mech_residuals"]) == 1 + config.n_steps // 5
 
     mesh = config.build_mesh()
-    u_space = FeSpace(mesh, 2, rank=1)
+    u_space = FeSpace(mesh, 2)
     p_space = FeSpace(mesh, 1)
     fresh, _ = solve(
         mechanics.assemble_mechanics(

@@ -7,7 +7,6 @@ from cardioem import physics
 from cardioem.electrics import (
     BidomainSystem,
     ElectricState,
-    applied_current,
     assemble_bidomain,
     conductivities_from_gradient,
     enforce_zero_mean,
@@ -76,16 +75,6 @@ def test_stimulus_bounded_in_unit_interval():
     assert np.all(vals >= 0) and np.all(vals < 1)
     near = initial_stimulus(np.array([0.0, 0.1, 0.3]), np.array([0.5, 0.5, 0.5]))
     assert np.all(near > 0)
-
-
-def test_applied_current_window():
-    assert applied_current(0.005, 0.0, 0.5) == pytest.approx(
-        initial_stimulus(0.0, 0.5)
-    )
-    assert applied_current(0.01, 0.0, 0.5) == 0.0
-    assert applied_current(100.0, 0.3, 0.4) == 0.0
-    with pytest.raises(ValueError):
-        applied_current(-1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ def test_dof_counts():
     ne = len(m.edges())
     assert FeSpace(m, 1).n_scalar == m.num_vertices
     assert FeSpace(m, 2).n_scalar == m.num_vertices + ne
-    assert FeSpace(m, 2, rank=1).ndof == 2 * (m.num_vertices + ne)
+    vector = FeSpace(m, 2).interpolate(lambda x, y: (x, y))
+    assert vector.shape == (2 * (m.num_vertices + ne),)
 
 
 def test_p2_interpolates_quadratics_exactly():
@@ -87,6 +88,17 @@ def test_p2_interpolates_quadratics_exactly():
     f = lambda x, y: 1.0 + 2 * x - y + x * y + 3 * x**2 - 0.5 * y**2
     coeffs = s.interpolate(f)
     assert l2_error(s, coeffs, f) < 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_vector_grad_of_interpolated_linear_field(degree):
+    s = FeSpace(perturbed_square(4), degree)
+    a, b, c, d = 0.7, -1.3, 2.1, 0.4
+    u = s.interpolate(lambda x, y: (a * x + b * y, c * x + d * y))
+    grad = s.vector_grad_at_qp(u)
+    assert grad.shape == (len(s.conn), len(s.quad.weights), 2, 2)
+    expect = np.broadcast_to([[a, b], [c, d]], grad.shape)
+    np.testing.assert_allclose(grad, expect, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +205,24 @@ def perturbed_square(n, seed=0):
     return TriMesh(v, np.array(m.triangles))
 
 
-def loop_stiffness(space, c):
-    # oracle: element by element, quadrature point by quadrature point
+def loop_stiffness(space, c, field_rank):
+    # oracle: element by element, quadrature point by quadrature point, the
+    # form (grad u) C : (grad v) on the basis functions phi_l e_a of a field
+    # with 1 (field_rank 0) or 2 (field_rank 1) components, whose gradient
+    # matrices are e_a (x) grad(phi_l), in the component-major dof layout
+    ncomp = 2 if field_rank else 1
     n = space.n_scalar
-    K = np.zeros((n, n))
+    K = np.zeros((ncomp * n, ncomp * n))
     w = space.quad.weights
+    eye = np.eye(ncomp)
     for e, dofs in enumerate(space.conn):
+        idx = (n * np.arange(ncomp)[:, None] + dofs).ravel()
         for q in range(len(w)):
             g = space.grads[e, q]
-            K[np.ix_(dofs, dofs)] += w[q] * space.detJ[e] * g @ c[e, q] @ g.T
-    return K if space.rank == 0 else np.kron(np.eye(2), K)
+            G = np.einsum("ab,li->albi", eye, g).reshape(len(idx), ncomp, 2)
+            local = np.einsum("xbi,ij,ybj->xy", G, c[e, q], G)
+            K[np.ix_(idx, idx)] += w[q] * space.detJ[e] * local
+    return K
 
 
 def anisotropic_coefficient(space, seed=1):
@@ -219,37 +239,41 @@ def gamma_sigma(space):
 
 
 @pytest.mark.parametrize("coefficient", [anisotropic_coefficient, gamma_sigma])
-@pytest.mark.parametrize("degree,rank", [(1, 0), (2, 1)])
-def test_stiffness_kernel_matches_element_loop(degree, rank, coefficient):
-    s = FeSpace(perturbed_square(5), degree, rank)
+@pytest.mark.parametrize("degree,field_rank", [(1, 0), (2, 0), (2, 1)])
+def test_stiffness_kernel_matches_element_loop(degree, field_rank, coefficient):
+    # field_rank 1: the vector form is blockdiag(K, K) of the scalar K
+    s = FeSpace(perturbed_square(5), degree)
     c = coefficient(s)
     K = assemble_stiffness(s, c)
-    ref = loop_stiffness(s, c)
+    ref = loop_stiffness(s, c, field_rank)
     assert isinstance(K, sp.csr_matrix)
     assert K.has_canonical_format
-    assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    A = sp.block_diag((K, K)) if field_rank else K
+    assert np.abs(A.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("degree,rank", [(1, 0), (2, 0), (2, 1)])
-def test_boundary_load_matches_edge_loop(degree, rank):
+@pytest.mark.parametrize("degree,load_rank", [(1, 0), (2, 0), (2, 1)])
+def test_boundary_load_matches_edge_loop(degree, load_rank):
+    # load_rank 1: a 2-vector load, summed component-major
     m = perturbed_square(5)
-    s = FeSpace(m, degree, rank)
+    s = FeSpace(m, degree)
+    ncomp = 2 if load_rank else 1
     er = edge_rule()
     t = er.points[:, 0]
     if degree == 1:
         vals = np.column_stack([1 - t, t])
     else:
         vals = np.column_stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)])
-    shape = (len(m.boundary_edges), len(t)) + ((2,) if rank else ())
+    shape = (len(m.boundary_edges), len(t)) + ((2,) if load_rank else ())
     g = np.random.default_rng(3).standard_normal(shape)
-    ref = np.zeros(s.ndof)
+    ref = np.zeros(ncomp * s.n_scalar)
     for k, (i, j, _owner) in enumerate(m.boundary_edges):
         dofs = [i, j]
         if degree == 2:
             dofs.append(m.num_vertices + s.edge_index[(min(i, j), max(i, j))])
         length = np.linalg.norm(m.vertices[j] - m.vertices[i])
-        for c in range(s.ncomp):
-            gk = g[k, :, c] if rank else g[k]
+        for c in range(ncomp):
+            gk = g[k, :, c] if load_rank else g[k]
             ref[c * s.n_scalar + np.array(dofs)] += length * (er.weights * gk) @ vals
     F = assemble_boundary_load(s, g)
     assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -293,7 +317,7 @@ def test_boundary_mass_rows_only_on_boundary():
 
 def build_th(n):
     m = structured_unit_square(n, n)
-    return FeSpace(m, 2, rank=1), FeSpace(m, 1)
+    return FeSpace(m, 2), FeSpace(m, 1)
 
 
 def test_divergence_constant_field():
@@ -484,15 +508,15 @@ def test_cg_projected_iterates_stay_mean_zero():
 def th_blocks(n, alpha=1.0):
     """Scalar displacement block K, B = -div and the pressure mass Mp."""
     u_space, p_space = build_th(n)
-    K = assemble_stiffness(u_space.scalar)
-    K = K + assemble_boundary_mass(u_space.scalar, alpha)
+    K = assemble_stiffness(u_space)
+    K = K + assemble_boundary_mass(u_space, alpha)
     B = (-assemble_divergence(u_space, p_space)).tocsr()
     return u_space, p_space, K, B, assemble_mass(p_space)
 
 
 def test_saddle_zero_data():
     u_space, _, K, B, Mp = th_blocks(2)
-    res = solve_saddle(K, B, np.zeros(u_space.ndof), factor_spd(Mp).solve)
+    res = solve_saddle(K, B, np.zeros(2 * u_space.n_scalar), factor_spd(Mp).solve)
     assert res.converged
     assert np.linalg.norm(res.u) == 0.0
     assert np.linalg.norm(res.p) == 0.0
@@ -507,20 +531,9 @@ def test_saddle_decoupled_block():
     assert np.allclose(res.p, 0.0)
 
 
-def test_scalar_view_assembles_one_component_block():
-    u_space, _ = build_th(3)
-    scalar = u_space.scalar
-    assert (scalar.rank, scalar.ndof) == (0, u_space.n_scalar)
-    assert scalar.scalar is scalar
-    assert u_space.pattern is scalar.pattern
-    for assemble in (assemble_mass, assemble_stiffness, assemble_boundary_mass):
-        K = assemble(scalar)
-        assert (assemble(u_space) != sp.block_diag((K, K))).nnz == 0
-
-
 def test_component_dot_is_the_blockdiag_product():
     u_space, _, K, _, _ = th_blocks(3)
-    u = np.random.default_rng(2).standard_normal(u_space.ndof)
+    u = np.random.default_rng(2).standard_normal(2 * u_space.n_scalar)
     np.testing.assert_array_equal(
         component_dot(K, u), sp.block_diag((K, K), format="csr").dot(u)
     )
@@ -530,14 +543,14 @@ def test_component_dot_is_the_blockdiag_product():
 def test_saddle_matches_dense_lu_oracle(c_scale):
     u_space, p_space, K, B, Mp = th_blocks(3)
     rng = np.random.default_rng(3)
-    f = rng.standard_normal(u_space.ndof)
+    f = rng.standard_normal(2 * u_space.n_scalar)
     C = None if c_scale is None else c_scale * Mp
     lu = factor_spd(Mp)
     schur = lambda q: lu.solve(q) / (1.0 + (c_scale or 0.0))
     res = solve_saddle(K, B, f, schur, tol=1e-12, C=C)
     assert res.converged
 
-    n, k = u_space.ndof, p_space.n_scalar
+    n, k = 2 * u_space.n_scalar, p_space.n_scalar
     block = np.zeros((n + k, n + k))
     block[:n, :n] = sp.block_diag((K, K)).toarray()
     block[:n, n:] = B.T.toarray()

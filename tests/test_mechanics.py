@@ -21,7 +21,7 @@ ACT = physics.ActivationParams(mu=4.0)
 
 def setup(n=4, alpha=1.0, gamma_fn=None):
     mesh = structured_unit_square(n, n)
-    u_space = FeSpace(mesh, 2, rank=1)
+    u_space = FeSpace(mesh, 2)
     p_space = FeSpace(mesh, 1)
     fibers = FiberField.axis_aligned(mesh)
     if gamma_fn is None:
@@ -87,7 +87,7 @@ def test_a_block_spd_dense_oracle():
 
 def test_alpha_scaling_boundary_only():
     mesh = structured_unit_square(3, 3)
-    u_space = FeSpace(mesh, 2, rank=1)
+    u_space = FeSpace(mesh, 2)
     p_space = FeSpace(mesh, 1)
     fibers = FiberField.axis_aligned(mesh)
     gamma = np.zeros(mesh.num_vertices)
@@ -95,7 +95,8 @@ def test_alpha_scaling_boundary_only():
     s2 = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(alpha=2.0), ACT)
     from cardioem.fem import assemble_boundary_mass
 
-    bm = assemble_boundary_mass(u_space, 1.0)
+    b = assemble_boundary_mass(u_space, 1.0)
+    bm = sp.block_diag((b, b))
     assert abs((displacement_block(s2) - displacement_block(s1)) - bm).max() < 1e-12
 
 
@@ -129,7 +130,7 @@ def test_bump_matches_dense_lu_oracle():
     _, u_space, p_space, system = setup(3, gamma_fn=bump)
     state, res = solve_mechanics(system, tol=1e-12)
     assert res.converged
-    n, k = u_space.ndof, p_space.n_scalar
+    n, k = 2 * u_space.n_scalar, p_space.n_scalar
     block = np.zeros((n + k, n + k))
     block[:n, :n] = displacement_block(system).toarray()
     block[:n, n:] = system.B.T.toarray()
@@ -151,7 +152,7 @@ def test_roundoff_load_converges_from_zero():
     # the driver's initial activation is <= 0 and clips to an inert sigma,
     # so the assembled load is round-off
     mesh = structured_unit_square(8, 8)
-    u_space = FeSpace(mesh, 2, rank=1)
+    u_space = FeSpace(mesh, 2)
     p_space = FeSpace(mesh, 1)
     v0 = p_space.interpolate(electrics.initial_stimulus)
     gamma = -0.3 * v0 / (2.0 - v0)
@@ -194,7 +195,7 @@ def test_frame_invariance():
     mesh = structured_unit_square(4, 4)
     gamma = np.array([bump(x, y) for x, y in mesh.vertices])
 
-    u_space = FeSpace(mesh, 2, rank=1)
+    u_space = FeSpace(mesh, 2)
     p_space = FeSpace(mesh, 1)
     sys0 = assemble_mechanics(
         u_space, p_space, gamma, FiberField.axis_aligned(mesh),
@@ -203,7 +204,7 @@ def test_frame_invariance():
     st0, _ = solve_mechanics(sys0, tol=1e-11)
 
     mesh_r = TriMesh(mesh.vertices @ R.T, mesh.triangles)
-    ur_space = FeSpace(mesh_r, 2, rank=1)
+    ur_space = FeSpace(mesh_r, 2)
     pr_space = FeSpace(mesh_r, 1)
     nt = mesh.num_triangles
     fib_r = FiberField(np.tile(R[:, 0], (nt, 1)), np.tile(R[:, 1], (nt, 1)))
@@ -212,8 +213,9 @@ def test_frame_invariance():
     )
     st1, _ = solve_mechanics(sys1, tol=1e-11)
 
-    Mu0, Mp0 = assemble_mass(u_space), sys0.statics.mass_p
-    Mu1, Mp1 = assemble_mass(ur_space), sys1.statics.mass_p
+    Mu0 = sp.block_diag((assemble_mass(u_space),) * 2, format="csr")
+    Mu1 = sp.block_diag((assemble_mass(ur_space),) * 2, format="csr")
+    Mp0, Mp1 = sys0.statics.mass_p, sys1.statics.mass_p
     nu0 = np.sqrt(st0.u @ Mu0.dot(st0.u))
     nu1 = np.sqrt(st1.u @ Mu1.dot(st1.u))
     np0 = np.sqrt(st0.p @ Mp0.dot(st0.p))
@@ -238,7 +240,7 @@ def test_regularized_stationary_at_saddle():
 def test_regularized_stiff_limit_stays_near_start():
     _, u_space, p_space, system = setup(3, gamma_fn=bump)
     saddle, _ = solve_mechanics(system, tol=1e-12)
-    zero = MechState(np.zeros(u_space.ndof), np.zeros(p_space.n_scalar))
+    zero = MechState(np.zeros(2 * u_space.n_scalar), np.zeros(p_space.n_scalar))
     dt = 0.01
     s4, r4 = step_mechanics_regularized(zero, system, dt=dt, epsilon=1e4, tol=1e-13)
     s5, r5 = step_mechanics_regularized(zero, system, dt=dt, epsilon=1e5, tol=1e-13)
@@ -253,7 +255,7 @@ def test_regularized_stiff_limit_stays_near_start():
 def test_regularized_pseudo_time_converges_to_saddle():
     _, u_space, p_space, system = setup(3, gamma_fn=bump)
     saddle, _ = solve_mechanics(system, tol=1e-12)
-    state = MechState(np.zeros(u_space.ndof), np.zeros(p_space.n_scalar))
+    state = MechState(np.zeros(2 * u_space.n_scalar), np.zeros(p_space.n_scalar))
     for _ in range(200):
         state, res = step_mechanics_regularized(
             state, system, dt=0.05, epsilon=0.01, tol=1e-12
@@ -268,7 +270,7 @@ def test_regularized_scaled_schur_block_keeps_iterations(ratio):
     # C = (eps/dt) Mp: the Schur block (1 + eps/dt) Mp reuses the Mp factor
     _, u_space, p_space, system = setup(8, gamma_fn=bump)
     _, plain = solve_mechanics(system, tol=1e-10)
-    zero = MechState(np.zeros(u_space.ndof), np.zeros(p_space.n_scalar))
+    zero = MechState(np.zeros(2 * u_space.n_scalar), np.zeros(p_space.n_scalar))
     dt = 0.01
     _, res = step_mechanics_regularized(
         zero, system, dt=dt, epsilon=ratio * dt, tol=1e-10
