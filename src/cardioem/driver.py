@@ -22,8 +22,10 @@ Everything before the first step that the seed does not change is a
 `Discretization`, built once from the config: the mesh, spaces and fixed
 operators, the probe locations and the stimulus load, v0 from the
 stimulus profile, the activation gamma0 = -0.3 v0 / (2 - v0), and the
-mechanics solved once at gamma0 (the passive solution).  A run splits v0
-into (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
+mechanics solved once at gamma0 (the passive solution; with no body force
+its load is exactly zero, and so is the solution, found without a
+factorization).  A run splits v0 into (v_i, v_e) with a zero-mean
+extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
 Runs are deterministic given the configuration: each noise stream is drawn
@@ -247,7 +249,7 @@ class Discretization:
         space = FeSpace(mesh, degree=1)
         u_space = FeSpace(mesh, degree=2)
         mass = assemble_mass(space)
-        statics = mechanics.mech_statics(u_space, space, config.mech.alpha)
+        statics = mechanics.mech_statics(u_space, space, config.mech.alpha, mass)
         v0 = space.interpolate(electrics.initial_stimulus)
         # the stimulus profile is constant in time while active
         stim_profile = electrics.initial_stimulus(
@@ -345,7 +347,7 @@ def run_simulation(
     passive = disc.passive
     if not shared:
         # hold the passive solution only while it is the current one, so a
-        # single run keeps no second bordered LU alive beside an active one
+        # single run keeps no second grounded LU alive beside an active one
         disc = replace(disc, passive=None)
     mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
     n_steps = config.n_steps

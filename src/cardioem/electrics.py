@@ -11,11 +11,14 @@ the orthogonally projected operator, which is the algebraic counterpart of
 testing the extracellular row against zero-mean functions only.  Diffusion
 is implicit; reaction, stimulus, and noise are explicit.
 
-The CG is preconditioned by one sparse LU of the bordered matrix
-[[block, e], [e^T, 0]] with e = (0, lumped), which is the exact inverse of
-the projected operator on the zero-mean subspace, so a step takes one
-iteration.  The LU is factored on first use, once per BidomainSystem; the
-driver assembles a new system only at a mechanics refresh.
+The CG is preconditioned by an exact solve with the projected operator on
+the zero-mean subspace, so a step takes one iteration.  With its last v_e
+dof removed (grounded) the block is symmetric positive definite and has one
+sparse LU (`fem.factor_spd`), factored on first use, once per
+BidomainSystem; the driver assembles a new system only at a mechanics
+refresh.  A preconditioner solve takes off the part of the residual along
+(0, lumped), which the block cannot reach, solves the grounded block, and
+shifts v_i and v_e by one constant so that v_e has zero lumped mean.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import physics
-from .fem import FeSpace, assemble_stiffness, solve_cg
+from .fem import FeSpace, assemble_stiffness, factor_spd, solve_cg
 from .noise import NoiseCoeff, eval_coeff
 
 
@@ -75,18 +77,23 @@ class BidomainSystem:
         return proj
 
     @cached_property
-    def _bordered_lu(self):
-        # [[block, e], [e^T, 0]] has a zero diagonal entry: keep the default
-        # partial pivoting, a symmetric-mode LU of it is inaccurate
-        e = sp.csr_matrix(
-            np.concatenate([np.zeros(self.space.n_scalar), self.lumped])
-        )
-        bordered = sp.bmat([[self.block, e.T], [e, None]], format="csc")
-        return splu(bordered, permc_spec="MMD_AT_PLUS_A")
+    def _grounded_lu(self):
+        # without its last dof the block is SPD: the constant pair (c, c)
+        # that spans its kernel is not grounded
+        return factor_spd(self.block[:-1, :-1])
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The z with lumped . z_e = 0 and P block z = r, for zero-mean r."""
-        return self._bordered_lu.solve(np.append(r, 0.0))[:-1]
+        n = self.space.n_scalar
+        m = self.lumped
+        total = float(m.sum())
+        # the range of the block is the sum-zero vectors: take off
+        # lam (0, lumped), the part that P maps to zero
+        rhs = r[:-1].copy()
+        rhs[n:] -= (float(r.sum()) / total) * m[:-1]
+        z = np.append(self._grounded_lu.solve(rhs), 0.0)
+        z -= float(m @ z[n:]) / total
+        return z
 
 
 def assemble_bidomain(

@@ -19,13 +19,14 @@ which each space also precomputes, one component at a time.  The divergence
 (rectangular) and the boundary mass (nonzero on boundary dofs only), each
 assembled once per run, are summed through COO instead.
 
-There are two solvers: a preconditioned conjugate gradient with an
-optional subspace projector and a caller-supplied preconditioner (the
-electric step passes the bordered LU of its bidomain block), and one MINRES
-run on the whole saddle-point block [[A, B^T], [B, -C]].  The saddle solver
-takes A = blockdiag(K, K) as K, applied to the (2, n) component view of u,
-and is preconditioned by one sparse LU of K on both components and a
-caller-supplied Schur block solve, in practice a factored pressure mass.
+There are two solvers.  `solve_cg` is a preconditioned conjugate gradient
+with an optional subspace projector and a caller-supplied preconditioner
+(the electric step passes a grounded LU of its bidomain block).
+`solve_saddle` solves the block [[A, B^T], [B, -C]] through its pressure
+Schur complement S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a
+caller-supplied approximation of S^-1 (in practice a factored pressure
+mass), with A = blockdiag(K, K) inverted by one sparse LU of K applied to
+both components of u at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, SuperLU, minres, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, cg, splu
 
 from .mesh import TriMesh
 
@@ -164,9 +165,9 @@ class FeSpace:
             # lexicographic order of mesh.edges()
             pairs = np.sort(tris[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
             edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
-            self.edge_index = {
-                (int(i), int(j)): k for k, (i, j) in enumerate(edges)
-            }
+            # i * nv + j of each edge, ascending, so np.searchsorted
+            # finds an edge's number
+            self.edge_keys = edges[:, 0] * nv + edges[:, 1]
             self.n_scalar = nv + len(edges)
             self.conn = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
         self.nloc = self.conn.shape[1]
@@ -193,8 +194,10 @@ class FeSpace:
         self.invJT = np.transpose(invJ, (0, 2, 1))
         # physical gradients: (ne, nq, nloc, 2), stored as (ne, nq, 2, nloc)
         # so that the stiffness kernel can contract over (q, component)
-        self.grads = np.ascontiguousarray(
-            np.einsum("eij,qlj->eqil", self.invJT, ref_grads)
+        iJ = self.invJT[:, None, :, None, :]
+        rg = ref_grads[None, :, None, :, :]
+        self.grads = (
+            iJ[..., 0] * rg[..., 0] + iJ[..., 1] * rg[..., 1]
         ).transpose(0, 1, 3, 2)
         # physical quadrature points: (ne, nq, 2)
         self.qpoints = np.einsum("qv,evx->eqx", lam, p)
@@ -247,11 +250,9 @@ class FeSpace:
         if self.degree == 1:
             return ij
         nv = self.mesh.num_vertices
-        mids = [
-            nv + self.edge_index[(int(min(i, j)), int(max(i, j)))]
-            for i, j in ij
-        ]
-        return np.column_stack([ij, np.array(mids, dtype=ij.dtype)])
+        keys = ij.min(axis=1) * nv + ij.max(axis=1)
+        mids = nv + np.searchsorted(self.edge_keys, keys)
+        return np.column_stack([ij, mids])
 
 
 # ---------------------------------------------------------------------------
@@ -608,55 +609,63 @@ def solve_saddle(
     """Solve the block system [[A, B^T], [B, -C]] (u, p) = (f, g).
 
     A = blockdiag(K, K) acts on the two components of u, K is symmetric
-    positive definite and C (optional) symmetric positive semidefinite.  The
-    block is applied matrix-free and solved by preconditioned MINRES from
-    zero (a warm start can stall when the new load is at round-off level),
-    with one more run on the true residual if it misses tol.  The
-    preconditioner is blockdiag(K^-1, K^-1, S^-1): one sparse LU of K,
-    applied to both components, and `schur`, which applies S^-1.  For an
-    inf-sup stable pair the pressure mass Mp is spectrally equivalent to
-    the Schur complement B A^-1 B^T (+ C), so a factored Mp, scaled when C
-    is a multiple of it, keeps the iteration count flat under refinement.
+    positive definite and C (optional) symmetric positive semidefinite.
+    Eliminating u leaves the pressure Schur complement system
+
+        S p = B A^-1 f - g,    S = B A^-1 B^T + C,
+
+    which is symmetric positive definite for an inf-sup stable pair; it is
+    solved by preconditioned CG from zero, and then u = A^-1 (f - B^T p).
+    A^-1 is one sparse LU of K, applied to both components at once.
+    `schur` applies the preconditioner, an approximation of S^-1: the
+    pressure mass Mp is spectrally equivalent to B A^-1 B^T, so a factored
+    Mp, scaled when C is a multiple of it, keeps the iteration count flat
+    under refinement.  CG stops at a relative residual 0.1 * tol; if the
+    true residuals then miss, one more pass solves for the correction.
+    When f and g are exactly zero the solution is zero, returned without
+    factoring K.
 
     `converged` is decided on the true residuals of both block rows,
-    relative to |f| and to max(|g|, |u|), each within 10 * tol.
+    relative to |f| and to max(|g|, |u|), each within 10 * tol;
+    `iterations` counts the CG iterations of every pass.
     """
     np_, nu = B.shape
     if g is None:
         g = np.zeros(np_)
+    if not (np.any(f) or np.any(g)):
+        return SaddleResult(np.zeros(nu), np.zeros(np_), True, 0, 0.0, 0.0)
     lu = factor_spd(K)
     BT = B.T.tocsr()
     Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
 
-    def block(x):
-        u, p = x[:nu], x[nu:]
-        return np.concatenate([component_dot(K, u) + BT.dot(p), B.dot(u) - Cdot(p)])
+    def solve_a(v):
+        return lu.solve(v.reshape(2, -1).T).T.ravel()
 
-    def precondition(x):
-        uu = lu.solve(x[:nu].reshape(2, -1).T).T.ravel()
-        return np.concatenate([uu, schur(x[nu:])])
-
-    shape = (nu + np_, nu + np_)
+    S = LinearOperator(
+        (np_, np_), matvec=lambda q: B.dot(solve_a(BT.dot(q))) + Cdot(q),
+        dtype=float,
+    )
+    M = LinearOperator((np_, np_), matvec=schur, dtype=float)
     iterations = 0
 
     def count(_x):
         nonlocal iterations
         iterations += 1
 
-    op = LinearOperator(shape, matvec=block, dtype=float)
-    prec = LinearOperator(shape, matvec=precondition, dtype=float)
-    rhs = np.concatenate([f, g])
     fscale = max(np.linalg.norm(f), 1e-300)
-    x, r = np.zeros(len(rhs)), rhs
-    # MINRES's preconditioned residual can meet rtol before the true one does
+    u, p = np.zeros(nu), np.zeros(np_)
+    r_u, r_p = f, g
     for _ in range(2):
-        x += minres(op, r, rtol=0.1 * tol, M=prec, callback=count)[0]
-        r = rhs - block(x)
-        res_primal = np.linalg.norm(r[:nu]) / fscale
-        cscale = max(np.linalg.norm(g), np.linalg.norm(x[:nu]), 1e-300)
-        res_constraint = np.linalg.norm(r[nu:]) / cscale
+        rhs = B.dot(solve_a(r_u)) - r_p
+        dp = cg(S, rhs, rtol=0.1 * tol, M=M, callback=count)[0]
+        u += solve_a(r_u - BT.dot(dp))
+        p += dp
+        r_u = f - component_dot(K, u) - BT.dot(p)
+        r_p = g - B.dot(u) + Cdot(p)
+        res_primal = np.linalg.norm(r_u) / fscale
+        cscale = max(np.linalg.norm(g), np.linalg.norm(u), 1e-300)
+        res_constraint = np.linalg.norm(r_p) / cscale
         converged = res_primal <= 10 * tol and res_constraint <= 10 * tol
         if converged:
             break
-    u, p = x[:nu], x[nu:]
     return SaddleResult(u, p, converged, iterations, res_primal, res_constraint)

@@ -5,18 +5,22 @@ alpha int_{dO} u.v dS, which is coercive on the full H1 vector space; no
 pressure gauge is imposed because constants are not in the adjoint kernel of
 the divergence under Robin data.  The body force f = div(sigma) + g is never
 differentiated: it is assembled by parts as
--int sigma : grad(v) + int_{dO} (sigma n).v + int g.v, valid for coefficient
-fields that are only piecewise smooth.
+-int sigma_a : grad(v) + int_{dO} (sigma_a n).v + int g.v, valid for
+coefficient fields that are only piecewise smooth.  Only the active part
+sigma_a = sigma - mu I enters (`physics.sigma_active`), because the
+constant mu I has no divergence; so a passive activation (gamma <= 0
+everywhere) gives a load of exact zeros and the zero solution, not a
+round-off load and a round-off solution.
 
 Two solution modes: a saddle solve of the divergence-free block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
-`fem.solve_saddle`: one MINRES run per system, which applies the
-displacement block blockdiag(K, K) as its scalar block K on each component
-and takes the pressure mass Mp, factored once in `mech_statics`, as the
-Schur block.  The displacement is a component-major 2-vector field over
-the scalar P2 space, and each of its operators is assembled as the scalar
-block.
+`fem.solve_saddle`, which recovers the pressure from its Schur complement
+B A^-1 B^T (+ C) by CG, with one sparse LU of the scalar block K serving
+both displacement components, and the pressure mass Mp, factored once in
+`mech_statics`, as the preconditioner.  The displacement is a
+component-major 2-vector field over the scalar P2 space, and each of its
+operators is assembled as the scalar block.
 """
 
 from __future__ import annotations
@@ -82,8 +86,10 @@ class MechStatics:
     mass_p_lu: SuperLU
 
 
-def mech_statics(u_space: FeSpace, p_space: FeSpace, alpha: float) -> MechStatics:
-    mass_p = assemble_mass(p_space)
+def mech_statics(
+    u_space: FeSpace, p_space: FeSpace, alpha: float, mass_p: sp.csr_matrix
+) -> MechStatics:
+    """The operators of `MechStatics`, given the P1 mass of `p_space`."""
     return MechStatics(
         boundary=assemble_boundary_mass(u_space, alpha),
         divergence=assemble_divergence(u_space, p_space),
@@ -104,22 +110,25 @@ class MechSystem:
     statics: MechStatics
 
 
-def sigma_at_quad(
-    u_space: FeSpace,
-    gamma: np.ndarray,
-    fibers: FiberField,
-    act: physics.ActivationParams,
-) -> np.ndarray:
-    """Elastic coefficient tensor at the velocity quadrature points.
+def _at_quad(u_space: FeSpace, gamma: np.ndarray, fibers: FiberField):
+    """gamma and the fiber frame at the velocity quadrature points.
 
     gamma holds P1 vertex values; it is interpolated barycentrically at the
     quadrature points of the (possibly higher-order) velocity space.
     """
     lam = u_space.quad.points
     gq = np.einsum("qv,ev->eq", lam, gamma[u_space.mesh.triangles])
-    dl = fibers.d_l[:, None, :]
-    dt_ = fibers.d_t[:, None, :]
-    return physics.sigma_tensor(gq, dl, dt_, act)
+    return gq, fibers.d_l[:, None, :], fibers.d_t[:, None, :]
+
+
+def sigma_at_quad(
+    u_space: FeSpace,
+    gamma: np.ndarray,
+    fibers: FiberField,
+    act: physics.ActivationParams,
+) -> np.ndarray:
+    """Elastic coefficient tensor at the velocity quadrature points."""
+    return physics.sigma_tensor(*_at_quad(u_space, gamma, fibers), act)
 
 
 def is_passive(gamma: np.ndarray) -> bool:
@@ -129,17 +138,18 @@ def is_passive(gamma: np.ndarray) -> bool:
     0) in `physics.gamma_kappa`), and every value sigma is evaluated at, at
     a velocity or a boundary-edge quadrature point, is a convex combination
     of vertex values of gamma.  So when every vertex value is <= 0, every
-    quadrature value has positive part 0.0, and sigma, A and f are bitwise
-    those of any other such gamma: one solve serves them all.  A NaN fails
-    the test, so a NaN activation is never taken for a passive one.
+    quadrature value has positive part 0.0: sigma and A are bitwise those
+    of any other such gamma, and the load, built from the active part of
+    sigma, is exactly zero, so the solution is zero.  A NaN fails the test,
+    so a NaN activation is never taken for a passive one.
     """
     return bool(np.all(gamma <= 0.0))
 
 
-def _sigma_on_boundary(
+def _active_on_boundary(
     mesh, gamma: np.ndarray, fibers: FiberField, act: physics.ActivationParams
 ):
-    """sigma evaluated at edge quadrature points of the boundary edges."""
+    """Active part of sigma at the edge quadrature points of boundary edges."""
     er = edge_rule()
     s = er.points[:, 0]
     be = mesh.boundary_edges
@@ -148,7 +158,7 @@ def _sigma_on_boundary(
     gq = gi[:, None] * (1 - s)[None, :] + gj[:, None] * s[None, :]
     dl = fibers.d_l[be[:, 2]][:, None, :]
     dt_ = fibers.d_t[be[:, 2]][:, None, :]
-    return physics.sigma_tensor(gq, dl, dt_, act)
+    return physics.sigma_active(gq, dl, dt_, act)
 
 
 def assemble_mechanics(
@@ -166,23 +176,23 @@ def assemble_mechanics(
     field; only the activation-dependent parts are rebuilt then.
     """
     if statics is None:
-        statics = mech_statics(u_space, p_space, params.alpha)
+        statics = mech_statics(
+            u_space, p_space, params.alpha, assemble_mass(p_space)
+        )
     sigma = sigma_at_quad(u_space, gamma, fibers, act)
     K = assemble_stiffness(u_space, sigma) + statics.boundary
 
-    # interior part of the weak body force: -int sigma : grad(v)
+    # the constant part mu I of sigma loads nothing (its divergence is
+    # zero), so the weak body force is built from the active part alone:
+    # interior -int sigma_a : grad(v), boundary + int_{dO} (sigma_a n) . v
     w = u_space.quad.weights
     ne = len(u_space.conn)
-    integ = np.stack(
-        [np.einsum("q,eqj,eqlj->el", w, sigma[:, :, c, :], u_space.grads)
-         for c in range(2)],
-        axis=-1,
-    )
+    sig_a = physics.sigma_active(*_at_quad(u_space, gamma, fibers), act)
+    integ = np.einsum("q,eqcj,eqlj->elc", w, sig_a, u_space.grads, optimize=True)
     integ *= u_space.detJ[:, None, None]
     f = -scatter_load(u_space, integ)
 
-    # boundary part: + int_{dO} (sigma n) . v
-    sig_b = _sigma_on_boundary(u_space.mesh, gamma, fibers, act)
+    sig_b = _active_on_boundary(u_space.mesh, gamma, fibers, act)
     _, normals, _ = edge_quad_geometry(u_space.mesh)
     traction = np.einsum("ekij,ej->eki", sig_b, normals)
     f += assemble_boundary_load(u_space, traction)
@@ -199,7 +209,7 @@ def assemble_mechanics(
 def solve_mechanics(
     system: MechSystem, tol: float = 1e-10
 ) -> tuple[MechState, SaddleResult]:
-    """Solve the assembled block by preconditioned MINRES from zero."""
+    """Solve the assembled block by CG on its pressure Schur complement."""
     res = solve_saddle(
         system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol
     )

@@ -95,25 +95,30 @@ def _extract_boundary(tris: np.ndarray) -> np.ndarray:
     """Directed edges whose reverse never occurs, tagged with the owner.
 
     Also verifies that every undirected edge is shared by at most two
-    triangles and that interior edges are consistently oriented.
+    triangles and that interior edges are consistently oriented: a directed
+    edge that occurs twice raises, naming the first repeat in triangle
+    order.  Rows are sorted by (i, j).
     """
-    nt = len(tris)
-    directed = {}
-    for k in range(nt):
-        a, b, c = tris[k]
-        for i, j in ((a, b), (b, c), (c, a)):
-            if (i, j) in directed:
-                raise MeshTopologyError(
-                    f"edge ({i},{j}) traversed twice in the same direction "
-                    f"(triangles {directed[(i, j)]} and {k})"
-                )
-            directed[(i, j)] = k
-    boundary = []
-    for (i, j), owner in directed.items():
-        if (j, i) not in directed:
-            boundary.append((i, j, owner))
-    out = np.array(sorted(boundary), dtype=np.int64).reshape(-1, 3)
-    return out
+    n = int(tris.max()) + 1 if tris.size else 1
+    # the directed edges (a, b), (b, c), (c, a) of each triangle, in order
+    i = tris.ravel()
+    j = tris[:, [1, 2, 0]].ravel()
+    keys = i * n + j
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeat = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if repeat.size:
+        # the stable sort keeps each key's occurrences in triangle order
+        s = repeat[np.argmin(order[repeat + 1])]
+        first, second = order[s], order[s + 1]
+        raise MeshTopologyError(
+            f"edge ({i[second]},{j[second]}) traversed twice in the same "
+            f"direction (triangles {first // 3} and {second // 3})"
+        )
+    reverse = j[order] * n + i[order]
+    pos = np.minimum(np.searchsorted(sorted_keys, reverse), len(keys) - 1)
+    b = order[sorted_keys[pos] != reverse]
+    return np.column_stack([i[b], j[b], b // 3])
 
 
 def boundary_edges(mesh: TriMesh) -> np.ndarray:

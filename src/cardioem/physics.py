@@ -142,21 +142,33 @@ def gamma_kappa(gamma, Gamma_k: float, gamma_R: float):
 # active strain tensors
 
 
+def _fiber_stretches(gamma, p: ActivationParams):
+    """(c_l, c_t) = ((1+g_t)/(1+g_l), (1+g_l)/(1+g_t)).
+
+    Both are exactly 1.0 where gamma <= 0: gamma_kappa is then -0.0.
+    """
+    gl = 1.0 + gamma_kappa(gamma, p.Gamma_l, p.gamma_R)
+    gt = 1.0 + gamma_kappa(gamma, p.Gamma_t, p.gamma_R)
+    return gt / gl, gl / gt
+
+
+def _in_fiber_frame(cl, ct, d_l, d_t) -> np.ndarray:
+    """cl d_l (x) d_l + ct d_t (x) d_t, broadcast over leading axes."""
+    dl = np.asarray(d_l, dtype=float)
+    dt = np.asarray(d_t, dtype=float)
+    out = cl[..., None, None] * dl[..., :, None] * dl[..., None, :]
+    out += ct[..., None, None] * dt[..., :, None] * dt[..., None, :]
+    return out
+
+
 def active_tensor_inv(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
     """det(Fa) Fa^-1 Fa^-T for Fa = I + g_l d_l(x)d_l + g_t d_t(x)d_t.
 
     Broadcasts over leading axes: gamma (...,), d_l/d_t (..., 2).
     In the fiber frame the result is diag((1+g_t)/(1+g_l), (1+g_l)/(1+g_t)).
     """
-    gl = 1.0 + gamma_kappa(gamma, p.Gamma_l, p.gamma_R)
-    gt = 1.0 + gamma_kappa(gamma, p.Gamma_t, p.gamma_R)
-    cl = gt / gl
-    ct = gl / gt
-    dl = np.asarray(d_l, dtype=float)
-    dt = np.asarray(d_t, dtype=float)
-    out = cl[..., None, None] * dl[..., :, None] * dl[..., None, :]
-    out += ct[..., None, None] * dt[..., :, None] * dt[..., None, :]
-    return out
+    cl, ct = _fiber_stretches(gamma, p)
+    return _in_fiber_frame(cl, ct, d_l, d_t)
 
 
 def sigma_tensor(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
@@ -166,6 +178,17 @@ def sigma_tensor(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
     G = max(Gamma_l, Gamma_t).
     """
     return p.mu * active_tensor_inv(gamma, d_l, d_t, p)
+
+
+def sigma_active(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
+    """Active part sigma - mu I of the elastic coefficient.
+
+    Formed in the fiber frame as mu ((c_l - 1) d_l(x)d_l + (c_t - 1)
+    d_t(x)d_t), not by subtracting mu I, so it is exactly 0.0 wherever
+    gamma <= 0, for any orthonormal frame.
+    """
+    cl, ct = _fiber_stretches(gamma, p)
+    return p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t)
 
 
 def sigma_bounds(p: ActivationParams) -> tuple[float, float]:

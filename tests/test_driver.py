@@ -19,8 +19,15 @@ from cardioem.noise import NoiseCoeff
 from cardioem.physics import ActivationParams
 
 
+# the passive load is exactly zero and solves without iterating, so a body
+# force makes the failing initial solve a real one
+DOWNWARD = mechanics.MechParams(g=(0.0, -1.0))
+
+
 def test_initial_mechanics_failure_carries_checkpoint():
-    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, mech_tol=1e-30)
+    config = SimConfig(
+        mesh_nx=4, mesh_ny=4, T=0.025, mech_tol=1e-30, mech=DOWNWARD
+    )
     with pytest.raises(SimulationError) as info:
         run_simulation(config)
     assert info.value.step == 0
@@ -184,7 +191,7 @@ def test_failed_path_is_reported_and_skipped(monkeypatch):
 
 
 def test_initial_mechanics_failure_fails_the_ensemble():
-    config = replace(ENSEMBLE, mech_tol=1e-30)
+    config = replace(ENSEMBLE, mech_tol=1e-30, mech=DOWNWARD)
     with pytest.warns(UserWarning, match="initial mechanics solve failed"):
         with pytest.raises(SimulationError, match="all ensemble paths failed") as info:
             run_ensemble(config, 2)

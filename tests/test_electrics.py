@@ -318,7 +318,7 @@ def test_elliptic_compatibility_residual():
 
 
 # ---------------------------------------------------------------------------
-# bordered-LU preconditioner
+# grounded-LU preconditioner
 
 
 @pytest.mark.parametrize("deformed", [False, True])

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from cardioem import fem
 from cardioem.fem import (
     FeSpace,
     NonSpdCoefficientError,
@@ -267,10 +268,12 @@ def test_boundary_load_matches_edge_loop(degree, load_rank):
     shape = (len(m.boundary_edges), len(t)) + ((2,) if load_rank else ())
     g = np.random.default_rng(3).standard_normal(shape)
     ref = np.zeros(ncomp * s.n_scalar)
+    # P2 numbers the midside dofs in the lexicographic order of mesh.edges()
+    edge_number = {(int(i), int(j)): k for k, (i, j) in enumerate(m.edges())}
     for k, (i, j, _owner) in enumerate(m.boundary_edges):
         dofs = [i, j]
         if degree == 2:
-            dofs.append(m.num_vertices + s.edge_index[(min(i, j), max(i, j))])
+            dofs.append(m.num_vertices + edge_number[(min(i, j), max(i, j))])
         length = np.linalg.norm(m.vertices[j] - m.vertices[i])
         for c in range(ncomp):
             gk = g[k, :, c] if load_rank else g[k]
@@ -430,7 +433,7 @@ def test_cg_exact_preconditioner_takes_one_iteration():
 
 
 def test_cg_stall_returns_best_iterate():
-    # with the exact bordered preconditioner the first iterate is exact to
+    # with the exact grounded preconditioner the first iterate is exact to
     # round-off; a tolerance below round-off forces the iteration on until
     # it breaks down, and the best iterate must be the one returned
     s = FeSpace(structured_unit_square(4, 4), 1)
@@ -520,6 +523,23 @@ def test_saddle_zero_data():
     assert res.converged
     assert np.linalg.norm(res.u) == 0.0
     assert np.linalg.norm(res.p) == 0.0
+
+
+def test_saddle_zero_load_returns_zeros_without_factoring(monkeypatch):
+    # -0.0 entries count as zero: the passive mechanics load is built so
+    u_space, p_space, K, B, Mp = th_blocks(2)
+    schur = factor_spd(Mp).solve
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a zero load must not factor K")
+
+    monkeypatch.setattr(fem, "factor_spd", forbidden)
+    f = np.full(2 * u_space.n_scalar, -0.0)
+    res = solve_saddle(K, B, f, schur, g=np.zeros(p_space.n_scalar))
+    assert res.converged and res.iterations == 0
+    assert not np.any(res.u) and not np.any(res.p)
+    assert res.u.shape == f.shape and res.p.shape == (p_space.n_scalar,)
+    assert res.res_primal == 0.0 and res.res_constraint == 0.0
 
 
 def test_saddle_decoupled_block():

@@ -158,3 +158,70 @@ def test_fiber_validation():
 def test_area_matches_bounding_polygon():
     m = structured_unit_square(6, 4)
     assert abs(m.areas().sum() - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# boundary extraction against the per-triangle dict walk
+
+
+def dict_boundary(tris):
+    """Reference: walk the directed edges of each triangle through a dict."""
+    directed = {}
+    for k, (a, b, c) in enumerate(tris):
+        for i, j in ((a, b), (b, c), (c, a)):
+            if (i, j) in directed:
+                raise MeshTopologyError(
+                    f"edge ({i},{j}) traversed twice in the same direction "
+                    f"(triangles {directed[(i, j)]} and {k})"
+                )
+            directed[(i, j)] = k
+    rows = [(i, j, k) for (i, j), k in directed.items() if (j, i) not in directed]
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, 3)
+
+
+def perturbed_shuffled_square(n=7, seed=4):
+    """Jittered interior vertices; triangles and their corners reordered."""
+    rng = np.random.default_rng(seed)
+    m = structured_unit_square(n, n)
+    v = m.vertices.copy()
+    inner = ((v > 1e-9) & (v < 1 - 1e-9)).all(axis=1)
+    v[inner] += 0.3 / n * rng.uniform(-1, 1, (inner.sum(), 2))
+    tris = m.triangles[rng.permutation(m.num_triangles)]
+    shift = rng.integers(0, 3, len(tris))
+    tris = np.array([np.roll(t, s) for t, s in zip(tris, shift)])
+    return TriMesh(v, tris)
+
+
+def holed_square_from_text():
+    """A 4x4 square with its middle 2x2 cells cut out, read from text."""
+    m = structured_unit_square(4, 4)
+    centroids = m.vertices[m.triangles].mean(axis=1)
+    keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
+    text = serialize_mesh(TriMesh(m.vertices, m.triangles[keep]))
+    return load_mesh(text)
+
+
+@pytest.mark.parametrize(
+    "make,n_boundary",
+    [(perturbed_shuffled_square, 28), (holed_square_from_text, 16 + 8)],
+    ids=["perturbed", "file"],
+)
+def test_boundary_extraction_matches_dict_walk(make, n_boundary):
+    mesh = make()
+    ref = dict_boundary(mesh.triangles)
+    assert len(ref) == n_boundary
+    np.testing.assert_array_equal(mesh.boundary_edges, ref)
+    assert mesh.boundary_edges.dtype == ref.dtype
+
+
+def test_repeated_directed_edge_names_the_first_repeat():
+    mesh = perturbed_shuffled_square()
+    rng = np.random.default_rng(9)
+    # re-append rotated copies of a few triangles: each repeats three edges
+    picked = mesh.triangles[rng.choice(mesh.num_triangles, 3, replace=False)]
+    tris = np.vstack([mesh.triangles, np.roll(picked, 1, axis=1)])
+    with pytest.raises(MeshTopologyError) as ref:
+        dict_boundary(tris)
+    with pytest.raises(MeshTopologyError) as got:
+        TriMesh(mesh.vertices, tris)
+    assert str(got.value) == str(ref.value)

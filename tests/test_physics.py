@@ -16,6 +16,7 @@ from cardioem.physics import (
     i_ion,
     inverse_deformation,
     pull_back,
+    sigma_active,
     sigma_bounds,
     sigma_tensor,
 )
@@ -153,6 +154,22 @@ def test_sigma_eigenvalue_bounds_randomized():
         assert np.allclose(s, s.T, atol=1e-14)
         ev = np.linalg.eigvalsh(s)
         assert ev[0] >= lo - 1e-12 and ev[-1] <= hi + 1e-12
+
+
+def test_sigma_active_is_sigma_less_mu_and_exactly_zero_when_passive():
+    p = ActivationParams(mu=4.0, Gamma_l=0.3, Gamma_t=0.2)
+    theta = np.random.default_rng(5).uniform(0, 2 * np.pi, 50)
+    dl = np.column_stack([np.cos(theta), np.sin(theta)])
+    dt = np.column_stack([-np.sin(theta), np.cos(theta)])
+    gamma = np.linspace(-1.0, 2.0, 50)
+    gamma[::4] = -0.0
+    active = sigma_active(gamma, dl, dt, p)
+    full = sigma_tensor(gamma, dl, dt, p)
+    assert np.abs(active + 4.0 * np.eye(2) - full).max() <= 1e-14
+    # in a rotated frame mu (d_l d_l + d_t d_t) is mu I only to round-off,
+    # so the zeros must come from the frame coefficients
+    assert not np.any(active[gamma <= 0.0])
+    assert np.all(np.abs(active[gamma > 0.0]).max(axis=(1, 2)) > 0.0)
 
 
 def test_activation_params_validation():
