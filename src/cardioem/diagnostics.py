@@ -91,18 +91,19 @@ class EnergyRecord:
         }
 
 
-def mech_energy(mech_state, h1_gram, mass) -> tuple[float, float]:
-    """(u . (M + K) u, p . M p) of one mechanics state.
+def mech_energy(mech_state, disc) -> tuple[float, float]:
+    """(u . (M + K) u, p . M p) of one mechanics state of `disc`.
 
-    `h1_gram` is the scalar P2 block M + K, applied to each component of
-    u, and `mass` the P1 mass matrix.  The terms change only when the
-    mechanics state does, so a run computes them once per state and passes
-    them to every `append_energy`.
+    M + K is `disc.h1_gram`, the scalar P2 block applied to each component
+    of u, and M the P1 `disc.mass`.  An all-zero u has energy 0.0 and
+    reads no Gram matrix, so a run that never loads the mechanics never
+    builds one.  The terms change only when the mechanics state does, so
+    a run computes them once per state and passes them to every
+    `append_energy`.
     """
-    return (
-        float(mech_state.u @ component_dot(h1_gram, mech_state.u)),
-        float(mech_state.p @ mass.dot(mech_state.p)),
-    )
+    u, p = mech_state.u, mech_state.p
+    u_h1sq = float(u @ component_dot(disc.h1_gram, u)) if np.any(u) else 0.0
+    return u_h1sq, float(p @ disc.mass.dot(p))
 
 
 def append_energy(

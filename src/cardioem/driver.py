@@ -22,10 +22,14 @@ Everything before the first step that the seed does not change is a
 `Discretization`, built once from the config: the mesh, spaces and fixed
 operators, the probe locations and the stimulus load, v0 from the
 stimulus profile, the activation gamma0 = -0.3 v0 / (2 - v0), and the
-mechanics solved once at gamma0 (the passive solution; with no body force
-its load is exactly zero, and so is the solution, found without a
-factorization).  A run splits v0 into (v_i, v_e) with a zero-mean
-extracellular part and starts w at zero.
+mechanics solution at gamma0 (the passive solution).  gamma0 is nowhere
+positive, so with no body force the load is exactly zero and the passive
+solution is the zero pair, taken without assembling or solving anything;
+only a body force makes it an assembled solve.  The mechanics operators
+that do not depend on the activation (`mechanics.MechStatics`) and the H1
+Gram matrix are built on first use, at the first solve with a load, so a
+run that never activates builds none of them.  A run splits v0 into
+(v_i, v_e) with a zero-mean extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
 Runs are deterministic given the configuration: each noise stream is drawn
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -219,8 +222,12 @@ class Discretization:
     stimulus load, the initial v0 and gamma0, and `passive`, the mechanics
     solution at gamma0 with the bidomain system built from it.  v0 lies in
     [0, 1), so gamma0 is nowhere positive, and `passive` is the solution at
-    every activation that `mechanics.is_passive` accepts.  `run_ensemble`
-    shares one across its paths, which differ only in the seed.
+    every activation that `mechanics.is_passive` accepts; with no body
+    force it is the zero pair, reached without assembly.  `statics` and
+    `h1_gram` are built on first use, at most once: the copies that
+    `dataclasses.replace` makes share them through `built`.
+    `run_ensemble` shares one across its paths, which differ only in the
+    seed.
     """
 
     config: SimConfig
@@ -231,12 +238,14 @@ class Discretization:
     mass: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix
     stiff_unit: sp.csr_matrix
-    statics: mechanics.MechStatics
     probe_locs: list
     i_app: np.ndarray  # stimulus load while the stimulus is on
     v0: np.ndarray
     gamma0: np.ndarray
     passive: PassiveSolution | None  # None once a single run has dropped it
+    # the operators built on first use, by name; `replace` passes the
+    # same dict on, so every copy shares them
+    built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, config: SimConfig, mesh: TriMesh | None = None) -> "Discretization":
@@ -249,7 +258,6 @@ class Discretization:
         space = FeSpace(mesh, degree=1)
         u_space = FeSpace(mesh, degree=2)
         mass = assemble_mass(space)
-        statics = mechanics.mech_statics(u_space, space, config.mech.alpha, mass)
         v0 = space.interpolate(electrics.initial_stimulus)
         # the stimulus profile is constant in time while active
         stim_profile = electrics.initial_stimulus(
@@ -264,7 +272,6 @@ class Discretization:
             mass=mass,
             lumped=np.asarray(mass.sum(axis=1)).ravel(),
             stiff_unit=assemble_stiffness(space),
-            statics=statics,
             probe_locs=[locate_point(mesh, q) for q in config.probes],
             i_app=assemble_load(space, stim_profile),
             v0=v0,
@@ -282,15 +289,28 @@ class Discretization:
         system = disc.bidomain_system(mech_state.u)
         return replace(disc, passive=PassiveSolution(mech_state, mres, system))
 
-    @cached_property
+    @property
+    def statics(self) -> mechanics.MechStatics:
+        """The activation-independent mechanics operators, built on first use."""
+        if "statics" not in self.built:
+            self.built["statics"] = mechanics.mech_statics(
+                self.u_space, self.space, self.config.mech.alpha, self.mass
+            )
+        return self.built["statics"]
+
+    @property
     def h1_gram(self) -> sp.csr_matrix:
         """The scalar P2 block M + K of the H1 energy, built on first use.
 
-        So it is built after the initial solve, not before: allocated
-        below the solve's temporaries it fragments the heap, which raised
-        the peak memory of a default run by up to 6%.
+        So it is built after the first solve with a load, not before:
+        allocated below the solve's temporaries it fragments the heap,
+        which raised the peak memory of a default run by up to 6%.
         """
-        return self.statics.mass_u + assemble_stiffness(self.u_space)
+        if "h1_gram" not in self.built:
+            self.built["h1_gram"] = self.statics.mass_u + assemble_stiffness(
+                self.u_space
+            )
+        return self.built["h1_gram"]
 
     def initial_state(self) -> electrics.ElectricState:
         """v = v0 split into (v_i, v_e) with zero-mean v_e, and w = 0."""
@@ -301,8 +321,18 @@ class Discretization:
     def solve_mechanics(
         self, gamma: np.ndarray
     ) -> tuple[mechanics.MechState, SaddleResult]:
-        """Assemble and solve the mechanics system at activation `gamma`."""
+        """Assemble and solve the mechanics system at activation `gamma`.
+
+        A passive `gamma` with no body force loads nothing, so the solution
+        is the zero pair, returned with 0 iterations and nothing assembled.
+        """
         cfg = self.config
+        if mechanics.is_passive(gamma) and not np.any(cfg.mech.g):
+            res = SaddleResult(
+                np.zeros(2 * self.u_space.n_scalar), np.zeros(self.space.n_scalar),
+                True, 0, 0.0, 0.0,
+            )
+            return mechanics.MechState(res.u, res.p), res
         mech_sys = mechanics.assemble_mechanics(
             self.u_space, self.space, gamma, self.fibers, cfg.mech,
             cfg.activation, statics=self.statics,
@@ -371,7 +401,7 @@ def run_simulation(
     i_app_zero = np.zeros_like(disc.i_app)
 
     energy = diagnostics.EnergyRecord.empty()
-    mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
+    mech_terms = diagnostics.mech_energy(mech_state, disc)
     diagnostics.append_energy(
         energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
     )
@@ -436,7 +466,7 @@ def run_simulation(
                 if not shared:
                     passive = None
             mech_residuals.append((mres.res_primal, mres.res_constraint))
-            mech_terms = diagnostics.mech_energy(mech_state, disc.h1_gram, mass)
+            mech_terms = diagnostics.mech_energy(mech_state, disc)
 
         probes[n + 1] = _probe_values(mesh, locs, state.v)
         ve_mean[n + 1] = abs(float(disc.lumped @ state.v_e))

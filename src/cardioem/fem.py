@@ -161,14 +161,14 @@ class FeSpace:
             self.n_scalar = nv
             self.conn = tris.copy()
         else:
-            # the sorted vertex pairs of each local edge, numbered in the
-            # lexicographic order of mesh.edges()
-            pairs = np.sort(tris[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
-            edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
-            # i * nv + j of each edge, ascending, so np.searchsorted
-            # finds an edge's number
-            self.edge_keys = edges[:, 0] * nv + edges[:, 1]
-            self.n_scalar = nv + len(edges)
+            # the key i * nv + j of each local edge's sorted vertex pair;
+            # the edges are numbered in ascending key order, which is the
+            # lexicographic order of mesh.edges(), so np.searchsorted on
+            # the sorted `edge_keys` finds an edge's number
+            pairs = tris[:, _LOCAL_EDGES]
+            keys = (pairs.min(axis=2) * nv + pairs.max(axis=2)).ravel()
+            self.edge_keys, edge_of = np.unique(keys, return_inverse=True)
+            self.n_scalar = nv + len(self.edge_keys)
             self.conn = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
         self.nloc = self.conn.shape[1]
 
@@ -217,13 +217,24 @@ class FeSpace:
         return np.stack([self.scalar_grad_at_qp(c) for c in comps], axis=2)
 
     def interpolate(self, fn: Callable) -> np.ndarray:
-        """Nodal interpolant of fn(x, y), component-major if fn is vector-valued."""
+        """Nodal interpolant of fn(x, y), component-major if fn is vector-valued.
+
+        fn is called once, on the arrays of all node coordinates, and must
+        act elementwise.  A vector-valued fn returns a tuple or list of
+        components, or an array with one row per component; a constant
+        component is broadcast over the nodes.
+        """
         pts = self.mesh.vertices
         if self.degree == 2:
-            edges = self.mesh.edges()
-            mids = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
-            pts = np.vstack([pts, mids])
-        return np.array([fn(x, y) for x, y in pts], dtype=float).T.ravel()
+            i, j = np.divmod(self.edge_keys, self.mesh.num_vertices)
+            pts = np.vstack([pts, 0.5 * (pts[i] + pts[j])])
+        x, y = pts[:, 0], pts[:, 1]
+        vals = fn(x, y)
+        if not (isinstance(vals, (tuple, list)) or np.ndim(vals) == 2):
+            vals = [vals]
+        return np.concatenate(
+            [np.broadcast_to(np.asarray(c, dtype=float), x.shape) for c in vals]
+        )
 
     # --- assembly structure, built on first use ------------------------
 

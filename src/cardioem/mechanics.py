@@ -17,15 +17,17 @@ pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
 `fem.solve_saddle`, which recovers the pressure from its Schur complement
 B A^-1 B^T (+ C) by CG, with one sparse LU of the scalar block K serving
-both displacement components, and the pressure mass Mp, factored once in
-`mech_statics`, as the preconditioner.  The displacement is a
-component-major 2-vector field over the scalar P2 space, and each of its
-operators is assembled as the scalar block.
+both displacement components, and the pressure mass Mp as the
+preconditioner.  Mp is factored on first use (`MechStatics.mass_p_lu`),
+not in `mech_statics`, so statics that no solve uses cost no LU.  The
+displacement is a component-major 2-vector field over the scalar P2
+space, and each of its operators is assembled as the scalar block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,7 +85,11 @@ class MechStatics:
     divergence: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
-    mass_p_lu: SuperLU
+
+    @cached_property
+    def mass_p_lu(self) -> SuperLU:
+        """The factored pressure mass, the Schur preconditioner; built on first use."""
+        return factor_spd(self.mass_p)
 
 
 def mech_statics(
@@ -95,7 +101,6 @@ def mech_statics(
         divergence=assemble_divergence(u_space, p_space),
         mass_u=assemble_mass(u_space),
         mass_p=mass_p,
-        mass_p_lu=factor_spd(mass_p),
     )
 
 
@@ -179,7 +184,7 @@ def assemble_mechanics(
         statics = mech_statics(
             u_space, p_space, params.alpha, assemble_mass(p_space)
         )
-    sigma = sigma_at_quad(u_space, gamma, fibers, act)
+    sigma, sig_a = physics.sigma_and_active(*_at_quad(u_space, gamma, fibers), act)
     K = assemble_stiffness(u_space, sigma) + statics.boundary
 
     # the constant part mu I of sigma loads nothing (its divergence is
@@ -187,7 +192,6 @@ def assemble_mechanics(
     # interior -int sigma_a : grad(v), boundary + int_{dO} (sigma_a n) . v
     w = u_space.quad.weights
     ne = len(u_space.conn)
-    sig_a = physics.sigma_active(*_at_quad(u_space, gamma, fibers), act)
     integ = np.einsum("q,eqcj,eqlj->elc", w, sig_a, u_space.grads, optimize=True)
     integ *= u_space.detJ[:, None, None]
     f = -scatter_load(u_space, integ)

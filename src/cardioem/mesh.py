@@ -76,8 +76,12 @@ class TriMesh:
     def edges(self) -> np.ndarray:
         """All undirected edges as sorted (i, j) pairs, shape (ne, 2)."""
         t = self.triangles
-        pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.unique(np.sort(pairs, axis=1), axis=0)
+        nv = self.num_vertices
+        i = t.ravel()
+        j = t[:, [1, 2, 0]].ravel()
+        # ascending keys min * nv + max are the lexicographic order of pairs
+        keys = np.unique(np.minimum(i, j) * nv + np.maximum(i, j))
+        return np.column_stack(np.divmod(keys, nv))
 
     def boundary_lengths(self) -> np.ndarray:
         i, j = self.boundary_edges[:, 0], self.boundary_edges[:, 1]
@@ -184,17 +188,16 @@ def structured_unit_square(nx: int, ny: int) -> TriMesh:
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    # the lower-left vertex of each cell, row by row
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    v00 = j * (nx + 1) + i
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    tris = np.stack(
+        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])],
+        axis=1,
+    ).reshape(-1, 3)
+    return TriMesh(verts, tris)
 
 
 def serialize_mesh(mesh: TriMesh) -> str:

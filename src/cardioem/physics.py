@@ -191,6 +191,18 @@ def sigma_active(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
     return p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t)
 
 
+def sigma_and_active(gamma, d_l, d_t, p: ActivationParams):
+    """(`sigma_tensor`, `sigma_active`) from one evaluation of the stretches.
+
+    Each is bitwise what its own function returns.
+    """
+    cl, ct = _fiber_stretches(gamma, p)
+    return (
+        p.mu * _in_fiber_frame(cl, ct, d_l, d_t),
+        p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t),
+    )
+
+
 def sigma_bounds(p: ActivationParams) -> tuple[float, float]:
     G = max(p.Gamma_l, p.Gamma_t)
     return p.mu * (1.0 - G), p.mu / (1.0 - G)

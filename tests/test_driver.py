@@ -118,13 +118,16 @@ def test_equal_configs_built_apart_hash_equal():
     assert len(set(configs)) == 1
 
 
+# without active feedback gamma decays towards 0 from below, so every
+# refresh sees the passive system
+PASSIVE = replace(
+    ENSEMBLE, activation=ActivationParams(beta_act=0.0),
+    noise_v=NoiseCoeff(), noise_w=NoiseCoeff(),
+)
+
+
 def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
-    # without active feedback gamma decays towards 0 from below, so every
-    # refresh sees the passive system
-    config = replace(
-        ENSEMBLE, activation=ActivationParams(beta_act=0.0),
-        noise_v=NoiseCoeff(), noise_w=NoiseCoeff(),
-    )
+    config = PASSIVE
     solve = mechanics.solve_mechanics
     calls = []
 
@@ -136,7 +139,9 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     result = run_simulation(config)
     gamma = result.final["gamma"]
     assert mechanics.is_passive(gamma) and np.any(gamma < 0.0)
-    assert len(calls) == 1
+    # with no body force the passive solution is the zero pair, taken
+    # without a solve, and every refresh reuses it
+    assert len(calls) == 0
     assert len(result.final["mech_residuals"]) == 1 + config.n_steps // 5
 
     mesh = config.build_mesh()
@@ -151,6 +156,50 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     )
     np.testing.assert_array_equal(result.final["mech"].u, fresh.u)
     np.testing.assert_array_equal(result.final["mech"].p, fresh.p)
+
+
+def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passive run with no body force builds no mechanics")
+
+    stiffness = driver.assemble_stiffness
+
+    def p1_stiffness(space, *args, **kwargs):
+        # the P2 stiffness is assembled only for the H1 Gram matrix
+        if space.degree != 1:
+            forbidden()
+        return stiffness(space, *args, **kwargs)
+
+    monkeypatch.setattr(mechanics, "assemble_mechanics", forbidden)
+    monkeypatch.setattr(mechanics, "mech_statics", forbidden)
+    monkeypatch.setattr(driver, "assemble_stiffness", p1_stiffness)
+    result = run_simulation(PASSIVE)
+    assert mechanics.is_passive(result.final["gamma"])
+    assert result.times[-1] == pytest.approx(PASSIVE.T)
+    assert np.all(np.isfinite(result.probes))
+    assert not np.any(result.final["mech"].u) and not np.any(result.final["mech"].p)
+    assert result.energy.u_h1sq == [0.0] * (PASSIVE.n_steps + 1)
+
+
+def test_loaded_run_builds_the_statics_once(monkeypatch):
+    # a body force makes the passive solve a real one, at set-up; the copy
+    # that run_simulation makes of its Discretization, the H1 Gram matrix
+    # and an ensemble's later paths all reuse the statics built there
+    statics = mechanics.mech_statics
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return statics(*args, **kwargs)
+
+    monkeypatch.setattr(mechanics, "mech_statics", counted)
+    config = replace(PASSIVE, mech=DOWNWARD, mech_refresh=1)
+    result = run_simulation(config)
+    assert len(calls) == 1
+    assert result.energy.u_h1sq[-1] > 0.0
+    calls.clear()
+    run_ensemble(config, 2)
+    assert len(calls) == 1
 
 
 def test_nan_activation_raises(monkeypatch):

@@ -91,6 +91,39 @@ def test_p2_interpolates_quadratics_exactly():
     assert l2_error(s, coeffs, f) < 1e-13
 
 
+def loop_interpolate(space, fn):
+    """Reference: fn at each node, the vertices then the edge midpoints."""
+    pts = space.mesh.vertices
+    if space.degree == 2:
+        edges = space.mesh.edges()
+        pts = np.vstack([pts, 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])])
+    return np.array([fn(x, y) for x, y in pts], dtype=float).T.ravel()
+
+
+# ufuncs give one result per element, on arrays and on the np.float64 nodes
+# that the loop passes; the fns multiply instead of using `**`, because
+# np.float64 ** 2 calls libm pow, which can round differently from x * x
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        initial_stimulus,
+        lambda x, y: np.sin(3 * x) * np.exp(-y),
+        lambda x, y: (x * y - 0.5, np.cos(x + 2 * y)),
+        lambda x, y: np.array([x * x, -y]),
+        lambda x, y: (x, 0.0),
+        lambda x, y: 2.5,
+    ],
+    ids=["stimulus", "scalar", "vector", "array", "constant-component", "constant"],
+)
+def test_interpolate_matches_the_node_loop(degree, fn):
+    s = FeSpace(perturbed_square(5), degree)
+    got = s.interpolate(fn)
+    ref = loop_interpolate(s, fn)
+    np.testing.assert_array_equal(got, ref)
+    assert got.dtype == ref.dtype
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_vector_grad_of_interpolated_linear_field(degree):
     s = FeSpace(perturbed_square(4), degree)

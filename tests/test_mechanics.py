@@ -75,6 +75,33 @@ def test_passive_activations_assemble_the_same_system():
     np.testing.assert_array_equal(system.f, zero.f)
 
 
+@pytest.mark.parametrize(
+    "make_fibers",
+    [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.25)],
+    ids=["axis-aligned", "rotated"],
+)
+def test_one_stretch_evaluation_assembles_the_two_pass_system(
+    monkeypatch, make_fibers
+):
+    # reference: sigma for K and its active part for the load, each from
+    # its own evaluation of the fiber stretches
+    mesh = structured_unit_square(8, 8)
+    u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    fibers = make_fibers(mesh)
+    gamma = bump(*mesh.vertices.T) - 0.1
+    assert np.any(gamma > 0.0) and np.any(gamma < 0.0)
+    got = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
+    monkeypatch.setattr(
+        physics, "sigma_and_active",
+        lambda *args: (physics.sigma_tensor(*args), physics.sigma_active(*args)),
+    )
+    ref = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got.K, name), getattr(ref.K, name))
+    np.testing.assert_array_equal(got.f, ref.f)
+    assert np.abs(ref.f).max() > 1e-6
+
+
 def test_is_passive_rejects_positive_and_nan():
     assert is_passive(np.array([-1.0, 0.0, -0.0]))
     assert not is_passive(np.array([-1.0, 1e-300]))

@@ -42,6 +42,36 @@ def test_euler_relation(nx, ny):
     assert V - E + F == 1
 
 
+def loop_unit_square_triangles(nx, ny):
+    """Reference: the cells row by row, each split along its diagonal."""
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = j * (nx + 1) + i, j * (nx + 1) + i + 1
+            v01, v11 = v00 + nx + 1, v10 + nx + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (22, 22)])
+def test_structured_triangles_match_the_cell_loop(nx, ny):
+    m = structured_unit_square(nx, ny)
+    ref = loop_unit_square_triangles(nx, ny)
+    np.testing.assert_array_equal(m.triangles, ref)
+    assert m.triangles.dtype == ref.dtype
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 4)])
+def test_edges_are_the_unique_sorted_pairs(nx, ny):
+    for m in (structured_unit_square(nx, ny), perturbed_shuffled_square(nx)):
+        t = m.triangles
+        pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        ref = np.unique(np.sort(pairs, axis=1), axis=0)
+        np.testing.assert_array_equal(m.edges(), ref)
+        assert m.edges().dtype == ref.dtype
+
+
 def test_all_triangles_positive_area():
     m = structured_unit_square(4, 3)
     assert np.all(m.areas() > 0)
