@@ -314,16 +314,16 @@ def mms_stokes_study(ns=(4, 8, 16), mu: float = 1.0, alpha: float = 1.0) -> Conv
         B = (-assemble_divergence(u_space, p_space)).tocsr()
         f = assemble_load(u_space, f_ex)
 
+        # the Robin traction mu grad(u) n - p n + alpha u at every edge
+        # quadrature point, one component per row: (2, n_edges, nq)
         pts, normals, _ = edge_quad_geometry(mesh)
-        gN = np.empty_like(pts)
-        for k in range(pts.shape[0]):
-            for q in range(pts.shape[1]):
-                x, y = pts[k, q]
-                tr = mu * grad_u(x, y) @ normals[k]
-                tr -= p_ex(x, y) * normals[k]
-                tr += alpha * np.asarray(u_ex(x, y))
-                gN[k, q] = tr
-        f += assemble_boundary_load(u_space, gN)
+        x, y = pts[..., 0], pts[..., 1]
+        nrm = normals.T[:, :, None]
+        G = mu * grad_u(x, y)
+        tr = G[:, 0] * nrm[0] + G[:, 1] * nrm[1]
+        tr -= p_ex(x, y) * nrm
+        tr += alpha * np.asarray(u_ex(x, y))
+        f += assemble_boundary_load(u_space, np.moveaxis(tr, 0, -1))
 
         schur = factor_spd(assemble_mass(p_space)).solve
         res = solve_saddle(K, B, f, schur, tol=1e-11)

@@ -25,10 +25,13 @@ stimulus profile, the activation gamma0 = -0.3 v0 / (2 - v0), and the
 mechanics solution at gamma0 (the passive solution).  gamma0 is nowhere
 positive, so with no body force the load is exactly zero and the passive
 solution is the zero pair, taken without assembling or solving anything;
-only a body force makes it an assembled solve.  The mechanics operators
-that do not depend on the activation (`mechanics.MechStatics`) and the H1
-Gram matrix are built on first use, at the first solve with a load, so a
-run that never activates builds none of them.  A run splits v0 into
+only a body force makes it an assembled solve.  A zero displacement leaves
+F = I, so the passive bidomain system's conductivities are the constant
+tensors K_i and K_e, assembled without a displacement gradient.  The P2
+space of u, the mechanics operators that do not depend on the activation
+(`mechanics.MechStatics`) and the H1 Gram matrix are built on first use,
+at the first solve with a load, so a run that never activates builds one
+`FeSpace`, the P1 one, and none of the mechanics.  A run splits v0 into
 (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
@@ -223,7 +226,9 @@ class Discretization:
     solution at gamma0 with the bidomain system built from it.  v0 lies in
     [0, 1), so gamma0 is nowhere positive, and `passive` is the solution at
     every activation that `mechanics.is_passive` accepts; with no body
-    force it is the zero pair, reached without assembly.  `statics` and
+    force it is the zero pair, reached without assembly, sized from the
+    mesh's vertex and edge counts, and its bidomain system has the constant
+    conductivities K_i and K_e.  `u_space` (the P2 space), `statics` and
     `h1_gram` are built on first use, at most once: the copies that
     `dataclasses.replace` makes share them through `built`.
     `run_ensemble` shares one across its paths, which differ only in the
@@ -234,7 +239,6 @@ class Discretization:
     mesh: TriMesh
     fibers: FiberField
     space: FeSpace  # P1: the potentials, the activation and the pressure
-    u_space: FeSpace  # scalar P2; u is a component-major vector over it
     mass: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix
     stiff_unit: sp.csr_matrix
@@ -256,7 +260,6 @@ class Discretization:
         """
         mesh = mesh if mesh is not None else config.build_mesh()
         space = FeSpace(mesh, degree=1)
-        u_space = FeSpace(mesh, degree=2)
         mass = assemble_mass(space)
         v0 = space.interpolate(electrics.initial_stimulus)
         # the stimulus profile is constant in time while active
@@ -268,7 +271,6 @@ class Discretization:
             mesh=mesh,
             fibers=FiberField.axis_aligned(mesh),
             space=space,
-            u_space=u_space,
             mass=mass,
             lumped=np.asarray(mass.sum(axis=1)).ravel(),
             stiff_unit=assemble_stiffness(space),
@@ -288,6 +290,14 @@ class Discretization:
             )
         system = disc.bidomain_system(mech_state.u)
         return replace(disc, passive=PassiveSolution(mech_state, mres, system))
+
+    @property
+    def u_space(self) -> FeSpace:
+        """The scalar P2 space, built on first use; u is a component-major
+        vector over it."""
+        if "u_space" not in self.built:
+            self.built["u_space"] = FeSpace(self.mesh, degree=2)
+        return self.built["u_space"]
 
     @property
     def statics(self) -> mechanics.MechStatics:
@@ -314,7 +324,7 @@ class Discretization:
 
     def initial_state(self) -> electrics.ElectricState:
         """v = v0 split into (v_i, v_e) with zero-mean v_e, and w = 0."""
-        v_i, v_e = electrics.initial_split(self.v0, self.mass)
+        v_i, v_e = electrics.initial_split(self.v0, self.lumped)
         w = np.zeros_like(self.v0)
         return electrics.ElectricState(v_i, v_e, self.v0.copy(), w)
 
@@ -325,11 +335,14 @@ class Discretization:
 
         A passive `gamma` with no body force loads nothing, so the solution
         is the zero pair, returned with 0 iterations and nothing assembled.
+        Its u has the P2 length 2 (n_vertices + n_edges), counted from the
+        mesh without building the P2 space.
         """
         cfg = self.config
         if mechanics.is_passive(gamma) and not np.any(cfg.mech.g):
+            n_u = self.mesh.num_vertices + self.mesh.num_edges
             res = SaddleResult(
-                np.zeros(2 * self.u_space.n_scalar), np.zeros(self.space.n_scalar),
+                np.zeros(2 * n_u), np.zeros(self.space.n_scalar),
                 True, 0, 0.0, 0.0,
             )
             return mechanics.MechState(res.u, res.p), res
@@ -340,13 +353,17 @@ class Discretization:
         return mechanics.solve_mechanics(mech_sys, tol=cfg.mech_tol)
 
     def bidomain_system(self, u: np.ndarray) -> electrics.BidomainSystem:
-        """Bidomain operators with the conductivities pulled back through u."""
-        grad_u = self.u_space.vector_grad_at_qp(u)
+        """Bidomain operators with the conductivities pulled back through u.
+
+        An all-zero u passes no gradient: F = I, and the conductivities
+        are the constant tensors K_i and K_e.
+        """
+        grad_u = self.u_space.vector_grad_at_qp(u) if np.any(u) else None
         Mi, Me = electrics.conductivities_from_gradient(
             self.space, grad_u, self.config.conductivity
         )
         return electrics.assemble_bidomain(
-            self.space, Mi, Me, self.config.dt, self.mass
+            self.space, Mi, Me, self.config.dt, self.mass, self.lumped
         )
 
 

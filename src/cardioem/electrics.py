@@ -5,11 +5,15 @@ Each step solves the symmetric 2x2 block system
     [[M/dt + A_i, -M/dt  ], [v_i]   [rhs_i]
      [-M/dt,      M/dt+A_e]] [v_e] = [rhs_e]
 
-whose kernel is the constant pair (c, c).  The kernel is removed by keeping
-v_e inside the zero-integral subspace: the conjugate-gradient solve runs on
-the orthogonally projected operator, which is the algebraic counterpart of
-testing the extracellular row against zero-mean functions only.  Diffusion
-is implicit; reaction, stimulus, and noise are explicit.
+where A_i and A_e are the stiffness matrices of the pulled-back
+conductivities (`conductivities_from_gradient`), held only inside the
+block; in the undeformed configuration those are the constant tensors K_i
+and K_e.  The block's kernel is the constant pair (c, c).  The kernel is
+removed by keeping v_e inside the zero-integral subspace: the
+conjugate-gradient solve runs on the orthogonally projected operator,
+which is the algebraic counterpart of testing the extracellular row
+against zero-mean functions only.  Diffusion is implicit; reaction,
+stimulus, and noise are explicit.
 
 The CG is preconditioned by an exact solve with the projected operator on
 the zero-mean subspace, so a step takes one iteration.  With its last v_e
@@ -56,8 +60,6 @@ class BidomainSystem:
 
     space: FeSpace
     mass: sp.csr_matrix
-    A_i: sp.csr_matrix
-    A_e: sp.csr_matrix
     dt: float
     block: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix (integrals of phi_j)
@@ -102,31 +104,41 @@ def assemble_bidomain(
     cond_e,
     dt: float,
     mass: sp.csr_matrix,
+    lumped: np.ndarray,
 ) -> BidomainSystem:
-    """Build the block operator from per-quad-point conductivity tensors."""
+    """Build the block operator from the conductivity tensors.
+
+    `cond_i` and `cond_e` are per-quad-point tensors or constant 2x2 ones,
+    as `assemble_stiffness` takes them; `lumped` holds the row sums of
+    `mass`.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A_i = assemble_stiffness(space, cond_i)
-    A_e = assemble_stiffness(space, cond_e)
     Mdt = (mass / dt).tocsr()
     block = sp.bmat(
-        [[Mdt + A_i, -Mdt], [-Mdt, Mdt + A_e]], format="csr"
+        [
+            [Mdt + assemble_stiffness(space, cond_i), -Mdt],
+            [-Mdt, Mdt + assemble_stiffness(space, cond_e)],
+        ],
+        format="csr",
     )
-    lumped = np.asarray(mass.sum(axis=1)).ravel()
-    return BidomainSystem(space, mass, A_i, A_e, dt, block, lumped)
+    return BidomainSystem(space, mass, dt, block, lumped)
 
 
 def conductivities_from_gradient(
     space: FeSpace, grad_u: np.ndarray | None, params: physics.ConductivityParams
 ):
-    """Per-quad-point pulled-back tensors (M_i, M_e) for a P1 space.
+    """Pulled-back tensors (M_i, M_e) = F^-1 (K_i, K_e) F^-T for a P1 space.
 
-    grad_u is a (ne, nq, 2, 2) displacement gradient or None for the
-    undeformed configuration.  Both tensors share one clamp and one F^-1.
+    grad_u is a (ne, nq, 2, 2) displacement gradient, which gives
+    per-quad-point tensors, or None for the undeformed configuration.
+    There F = I, and the result is the constant 2x2 pair (K_i, K_e),
+    pulled back through the one identity F^-1 so that its bits are those
+    of every point of a zero gradient.  Both tensors share one clamp and
+    one F^-1.
     """
-    ne, nq = len(space.conn), len(space.quad.weights)
     if grad_u is None:
-        grad_u = np.zeros((ne, nq, 2, 2))
+        grad_u = np.zeros((2, 2))
     Finv = physics.inverse_deformation(grad_u, params)
     return physics.pull_back(Finv, params.K_i), physics.pull_back(Finv, params.K_e)
 
@@ -203,8 +215,11 @@ def step_bidomain(
     return ElectricState(v_i_new, v_e_new, v_new, w_new), info
 
 
-def initial_split(v0: np.ndarray, mass: sp.csr_matrix):
-    """Split v0 into (v_i, v_e) with v_i - v_e = v0 and zero-mean v_e."""
-    v_e = enforce_zero_mean(-0.5 * v0, np.asarray(mass.sum(axis=1)).ravel())
+def initial_split(v0: np.ndarray, lumped: np.ndarray):
+    """Split v0 into (v_i, v_e) with v_i - v_e = v0 and zero-mean v_e.
+
+    `lumped` holds the row sums of the mass matrix.
+    """
+    v_e = enforce_zero_mean(-0.5 * v0, lumped)
     v_i = v0 + v_e
     return v_i, v_e

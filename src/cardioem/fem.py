@@ -89,6 +89,27 @@ def edge_rule() -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
+# functions of (x, y)
+
+
+def evaluate_at(fn: Callable, pts: np.ndarray) -> np.ndarray:
+    """Values of fn(x, y) at an (..., 2) array of points, (ncomp, ...).
+
+    fn is called once, on the arrays of all x and all y, and must act
+    elementwise.  A vector-valued fn returns a tuple or list of
+    components, or an array with one row per component; a constant
+    component is broadcast over the points.  A scalar fn gives ncomp = 1.
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    vals = fn(x, y)
+    if not (isinstance(vals, (tuple, list)) or np.ndim(vals) == x.ndim + 1):
+        vals = [vals]
+    return np.stack(
+        [np.broadcast_to(np.asarray(c, dtype=float), x.shape) for c in vals]
+    )
+
+
+# ---------------------------------------------------------------------------
 # reference bases
 
 
@@ -145,7 +166,10 @@ class FeSpace:
     component-major array of length 2 * n_scalar.  Element geometry
     (Jacobians, physical quadrature points, physical basis gradients) is
     precomputed once; the sparsity pattern and the boundary-edge dofs are
-    built on first use.
+    built on first use.  `grads` has the shape (ne, nq, nloc, 2) on both
+    degrees, but P1 gradients are constant on each triangle, so a P1 space
+    holds them once per element and `grads` is a read-only view that
+    broadcasts them over the quadrature points (stride 0 on that axis).
     """
 
     def __init__(self, mesh: TriMesh, degree: int = 1):
@@ -175,9 +199,7 @@ class FeSpace:
         lam = self.quad.points
         if degree == 1:
             self.basis_vals = _p1_values(lam)
-            ref_grads = np.broadcast_to(
-                _P1_REF_GRADS, (len(lam), 3, 2)
-            ).copy()
+            ref_grads = _P1_REF_GRADS[None]
         else:
             self.basis_vals = _p2_values(lam)
             ref_grads = _p2_ref_grads(lam)
@@ -193,12 +215,15 @@ class FeSpace:
         invJ /= self.detJ[:, None, None]
         self.invJT = np.transpose(invJ, (0, 2, 1))
         # physical gradients: (ne, nq, nloc, 2), stored as (ne, nq, 2, nloc)
-        # so that the stiffness kernel can contract over (q, component)
+        # so that the stiffness kernel can contract over (q, component);
+        # P1 gradients are constant on each element, so P1 stores
+        # (ne, 1, 2, nloc) and broadcasts it over the quadrature points
         iJ = self.invJT[:, None, :, None, :]
         rg = ref_grads[None, :, None, :, :]
-        self.grads = (
-            iJ[..., 0] * rg[..., 0] + iJ[..., 1] * rg[..., 1]
-        ).transpose(0, 1, 3, 2)
+        self.grads = np.broadcast_to(
+            (iJ[..., 0] * rg[..., 0] + iJ[..., 1] * rg[..., 1]).transpose(0, 1, 3, 2),
+            (len(tris), len(lam), self.nloc, 2),
+        )
         # physical quadrature points: (ne, nq, 2)
         self.qpoints = np.einsum("qv,evx->eqx", lam, p)
 
@@ -219,22 +244,14 @@ class FeSpace:
     def interpolate(self, fn: Callable) -> np.ndarray:
         """Nodal interpolant of fn(x, y), component-major if fn is vector-valued.
 
-        fn is called once, on the arrays of all node coordinates, and must
-        act elementwise.  A vector-valued fn returns a tuple or list of
-        components, or an array with one row per component; a constant
-        component is broadcast over the nodes.
+        fn is called once, on the arrays of all node coordinates, as
+        `evaluate_at` describes.
         """
         pts = self.mesh.vertices
         if self.degree == 2:
             i, j = np.divmod(self.edge_keys, self.mesh.num_vertices)
             pts = np.vstack([pts, 0.5 * (pts[i] + pts[j])])
-        x, y = pts[:, 0], pts[:, 1]
-        vals = fn(x, y)
-        if not (isinstance(vals, (tuple, list)) or np.ndim(vals) == 2):
-            vals = [vals]
-        return np.concatenate(
-            [np.broadcast_to(np.asarray(c, dtype=float), x.shape) for c in vals]
-        )
+        return evaluate_at(fn, pts).ravel()
 
     # --- assembly structure, built on first use ------------------------
 
@@ -316,7 +333,8 @@ def _coeff_array(space: FeSpace, coeff) -> np.ndarray:
     ne, nq = len(space.conn), len(space.quad.weights)
     c = np.eye(2) if coeff is None else np.asarray(coeff, dtype=float)
     if c.shape == (2, 2):
-        return np.broadcast_to(c, (ne, nq, 2, 2)).copy()
+        # a constant tensor stays one 2x2, viewed at every quadrature point
+        return np.broadcast_to(c, (ne, nq, 2, 2))
     if c.shape != (ne, nq, 2, 2):
         raise ValueError(f"bad coefficient shape {c.shape}")
     return c
@@ -342,8 +360,12 @@ def _stiffness_kernel(space: FeSpace, c: np.ndarray) -> np.ndarray:
     G = space.grads.transpose(0, 1, 3, 2)
     ne, nq, _, nloc = G.shape
     if space.degree == 1:
-        # gradients are constant on each element: integrate C first
-        cbar = np.einsum("eq,eqij->eij", wdet, c)
+        # gradients are constant on each element: integrate C first, one
+        # point at a time, so that a constant C broadcast over the points
+        # sums in the same order as a per-point array
+        cbar = np.zeros((ne, 2, 2))
+        for q in range(nq):
+            cbar += wdet[:, q, None, None] * c[:, q]
         G0 = G[:, 0]
         return np.matmul(G0.transpose(0, 2, 1), np.matmul(cbar, G0))
     # sum_q G_q^T (w_q detJ C_q) G_q, as one product over the pairs (q, i)
@@ -419,14 +441,14 @@ def assemble_divergence(vel_space: FeSpace, p_space: FeSpace) -> sp.csr_matrix:
 def assemble_load(space: FeSpace, integrand) -> np.ndarray:
     """Load vector F_i = int f phi_i dx.
 
-    `integrand` is a callable f(x, y) or a per-quad-point array, (ne, nq)
+    `integrand` is a callable f(x, y), called once on the arrays of all
+    quadrature points (`evaluate_at`), or a per-quad-point array, (ne, nq)
     for a scalar f or (ne, nq, 2) for a 2-vector one, whose load is
     component-major.
     """
     if callable(integrand):
-        pts = space.qpoints.reshape(-1, 2)
-        f = np.array([integrand(x, y) for x, y in pts], dtype=float)
-        f = f.reshape(space.qpoints.shape[:2] + f.shape[1:])
+        vals = evaluate_at(integrand, space.qpoints)
+        f = vals[0] if len(vals) == 1 else np.stack(vals, axis=-1)
     else:
         f = np.asarray(integrand, dtype=float)
 
@@ -473,18 +495,16 @@ def edge_quad_geometry(mesh: TriMesh):
 def l2_error(space: FeSpace, coeffs: np.ndarray, exact: Callable) -> float:
     """Quadrature L2 distance between a discrete field and exact(x, y).
 
-    A vector-valued `exact` is compared with the component-major `coeffs`.
+    `exact` is called once on the arrays of all quadrature points
+    (`evaluate_at`); a vector-valued one is compared with the
+    component-major `coeffs`.
     """
     w = space.quad.weights
-    ex = np.array(
-        [exact(x, y) for x, y in space.qpoints.reshape(-1, 2)], dtype=float
-    ).reshape(len(space.conn), len(w), -1)
+    ex = evaluate_at(exact, space.qpoints)
     err2 = 0.0
-    for c, comp in enumerate(coeffs.reshape(ex.shape[2], -1)):
+    for comp, ex_c in zip(coeffs.reshape(len(ex), -1), ex):
         uh = space.scalar_at_qp(comp)
-        err2 += np.einsum(
-            "q,eq->", w, (uh - ex[:, :, c]) ** 2 * space.detJ[:, None]
-        )
+        err2 += np.einsum("q,eq->", w, (uh - ex_c) ** 2 * space.detJ[:, None])
     return np.sqrt(err2)
 
 

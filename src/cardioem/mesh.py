@@ -70,6 +70,15 @@ class TriMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges, counted without building them.
+
+        Each interior edge lies in two triangles and each boundary edge in
+        one (`_extract_boundary` checks it), so 3 nt = 2 E - nb.
+        """
+        return (3 * self.num_triangles + len(self.boundary_edges)) // 2
+
     def areas(self) -> np.ndarray:
         return signed_areas(self.vertices, self.triangles)
 

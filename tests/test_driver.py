@@ -14,7 +14,13 @@ from cardioem.driver import (
     run_simulation,
 )
 from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness
-from cardioem.mesh import FiberField, structured_unit_square
+from cardioem.mesh import (
+    FiberField,
+    TriMesh,
+    load_mesh,
+    serialize_mesh,
+    structured_unit_square,
+)
 from cardioem.noise import NoiseCoeff
 from cardioem.physics import ActivationParams
 
@@ -170,9 +176,18 @@ def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
             forbidden()
         return stiffness(space, *args, **kwargs)
 
+    fe_space = driver.FeSpace
+
+    def p1_space(mesh, degree=1):
+        # the P2 space serves only the mechanics
+        if degree != 1:
+            forbidden()
+        return fe_space(mesh, degree)
+
     monkeypatch.setattr(mechanics, "assemble_mechanics", forbidden)
     monkeypatch.setattr(mechanics, "mech_statics", forbidden)
     monkeypatch.setattr(driver, "assemble_stiffness", p1_stiffness)
+    monkeypatch.setattr(driver, "FeSpace", p1_space)
     result = run_simulation(PASSIVE)
     assert mechanics.is_passive(result.final["gamma"])
     assert result.times[-1] == pytest.approx(PASSIVE.T)
@@ -184,22 +199,61 @@ def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
 def test_loaded_run_builds_the_statics_once(monkeypatch):
     # a body force makes the passive solve a real one, at set-up; the copy
     # that run_simulation makes of its Discretization, the H1 Gram matrix
-    # and an ensemble's later paths all reuse the statics built there
+    # and an ensemble's later paths all reuse the statics and the P2 space
+    # built there
     statics = mechanics.mech_statics
-    calls = []
+    fe_space = driver.FeSpace
+    calls, p2_spaces = [], []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return statics(*args, **kwargs)
 
+    def counted_space(mesh, degree=1):
+        if degree == 2:
+            p2_spaces.append(1)
+        return fe_space(mesh, degree)
+
     monkeypatch.setattr(mechanics, "mech_statics", counted)
+    monkeypatch.setattr(driver, "FeSpace", counted_space)
     config = replace(PASSIVE, mech=DOWNWARD, mech_refresh=1)
     result = run_simulation(config)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(p2_spaces) == 1
     assert result.energy.u_h1sq[-1] > 0.0
     calls.clear()
+    p2_spaces.clear()
     run_ensemble(config, 2)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(p2_spaces) == 1
+
+
+def perturbed_mesh(nx=6, ny=5, seed=2):
+    m = structured_unit_square(nx, ny)
+    v = np.array(m.vertices)
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    v[inner] += 0.2 / max(nx, ny) * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (int(inner.sum()), 2)
+    )
+    return TriMesh(v, np.array(m.triangles))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: structured_unit_square(1, 1),
+        lambda: structured_unit_square(3, 2),
+        lambda: structured_unit_square(22, 22),
+        perturbed_mesh,
+        lambda: load_mesh(serialize_mesh(perturbed_mesh(5, 7, seed=4))),
+    ],
+    ids=["1x1", "3x2", "22x22", "perturbed", "from-text"],
+)
+def test_zero_passive_u_has_the_p2_length_without_the_p2_space(make):
+    mesh = make()
+    disc = Discretization.build(PASSIVE, mesh)
+    assert "u_space" not in disc.built
+    u = disc.passive.mech.u
+    assert len(u) == 2 * FeSpace(mesh, 2).n_scalar
+    assert not np.any(u)
 
 
 def test_nan_activation_raises(monkeypatch):

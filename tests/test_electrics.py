@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cardioem import physics
 from cardioem.electrics import (
@@ -28,12 +29,16 @@ PAPER_IONIC = physics.IonicParams(k=-80.0, a=0.25, d1=0.17, d2=1.0)
 COND = physics.ConductivityParams()
 
 
-def make_system(n=4, dt=0.0125, grad_u=None):
+def row_sums(mass):
+    return np.asarray(mass.sum(axis=1)).ravel()
+
+
+def make_system(n=4, dt=0.0125, grad_u=None, cond=COND):
     mesh = structured_unit_square(n, n)
     space = FeSpace(mesh, 1)
     mass = assemble_mass(space)
-    Mi, Me = conductivities_from_gradient(space, grad_u, COND)
-    return space, mass, assemble_bidomain(space, Mi, Me, dt, mass)
+    Mi, Me = conductivities_from_gradient(space, grad_u, cond)
+    return space, mass, assemble_bidomain(space, Mi, Me, dt, mass, row_sums(mass))
 
 
 def random_grad_u(n):
@@ -82,11 +87,43 @@ def test_stimulus_bounded_in_unit_interval():
 
 
 def test_undeformed_conductivities_match_plain_stiffness():
-    space, mass, sys_ = make_system(4)
+    dt = 0.0125
+    space, mass, sys_ = make_system(4, dt=dt)
     K_i_plain = assemble_stiffness(space, COND.K_i)
     K_e_plain = assemble_stiffness(space, COND.K_e)
-    assert abs(sys_.A_i - K_i_plain).max() < 1e-15
-    assert abs(sys_.A_e - K_e_plain).max() < 1e-15
+    Mdt = mass / dt
+    plain = sp.bmat([[Mdt + K_i_plain, -Mdt], [-Mdt, Mdt + K_e_plain]], format="csr")
+    assert abs(sys_.block - plain).max() == 0.0
+
+
+def rotated_anisotropic(angle=0.4):
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    K_i = R @ np.diag([0.03, 0.004]) @ R.T
+    K_e = R @ np.diag([0.02, 0.008]) @ R.T
+    return physics.ConductivityParams(
+        K_i=0.5 * (K_i + K_i.T), K_e=0.5 * (K_e + K_e.T)
+    )
+
+
+@pytest.mark.parametrize(
+    "cond", [COND, rotated_anisotropic()], ids=["default", "rotated"]
+)
+def test_undeformed_block_equals_the_zero_gradient_block(cond):
+    # no gradient gives the constant tensors; they and the block built from
+    # them are bitwise those of an explicit zero gradient at every point
+    n = 5
+    zero = np.zeros((2 * n * n, 6, 2, 2))
+    space = FeSpace(structured_unit_square(n, n), 1)
+    Mi, Me = conductivities_from_gradient(space, None, cond)
+    assert Mi.shape == Me.shape == (2, 2)
+    np.testing.assert_array_equal(Mi, cond.K_i)
+    np.testing.assert_array_equal(Me, cond.K_e)
+    _, _, constant = make_system(n, cond=cond)
+    _, _, pointwise = make_system(n, grad_u=zero, cond=cond)
+    assert np.array_equal(constant.block.indptr, pointwise.block.indptr)
+    assert np.array_equal(constant.block.indices, pointwise.block.indices)
+    assert np.array_equal(constant.block.data, pointwise.block.data)
 
 
 def test_shared_pull_back_matches_one_tensor_at_a_time():
@@ -122,7 +159,7 @@ def test_assemble_rejects_bad_dt():
     space, mass, _ = make_system(2)
     Mi, Me = conductivities_from_gradient(space, None, COND)
     with pytest.raises(ValueError):
-        assemble_bidomain(space, Mi, Me, 0.0, mass)
+        assemble_bidomain(space, Mi, Me, 0.0, mass, row_sums(mass))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +188,7 @@ def test_enforce_zero_mean_is_constant_shift_and_idempotent():
 def test_initial_split_properties():
     space, mass, _ = make_system(5)
     v0 = space.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     assert np.abs(v_i - v_e - v0).max() < 1e-14
     m = np.asarray(mass.sum(axis=1)).ravel()
     assert abs(m @ v_e) < 1e-12
@@ -218,7 +255,7 @@ def test_uniform_state_stays_uniform_many_steps():
 def test_state_identity_v_equals_vi_minus_ve():
     space, mass, sys_ = make_system(5)
     v0 = space.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
     new, info = step_bidomain(
@@ -236,7 +273,7 @@ def test_noise_free_path_matches_deterministic_bitwise():
     # influence, so two different draws give bit-identical states
     space, mass, sys_ = make_system(4)
     v0 = space.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     ionic = physics.IonicParams(k=80.0)
     rng = np.random.default_rng(8)
     s1 = ElectricState(v_i.copy(), v_e.copy(), v0.copy(), np.zeros_like(v0))
@@ -276,7 +313,7 @@ def test_linear_step_unconditionally_stable():
     ionic = physics.IonicParams(k=1e-300)
     rng = np.random.default_rng(4)
     v0 = rng.standard_normal(space.n_scalar)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     for _ in range(3):
         new, info = step_no_noise(sys_, state, ionic, tol=1e-13)
@@ -304,7 +341,7 @@ def test_elliptic_compatibility_residual():
     # -2 * integral of the stimulus, independent of the iterate
     space, mass, sys_ = make_system(4)
     v0 = space.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)
@@ -338,7 +375,7 @@ def test_precondition_inverts_projected_block(n, deformed):
 def test_preconditioned_step_matches_jacobi_reference(n, deformed):
     space, mass, sys_ = make_system(n, grad_u=random_grad_u(n) if deformed else None)
     v0 = space.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, mass)
+    v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)

@@ -386,6 +386,31 @@ def test_divergence_applied_to_interpolated_divfree_polynomial():
 
 
 # ---------------------------------------------------------------------------
+# P1 gradients held once per element
+
+
+def per_point_p1_grads(space):
+    """Reference: the physical P1 gradients computed at every quadrature
+    point, (ne, nq, 3, 2), from the reference gradients repeated per point."""
+    nq = len(space.quad.weights)
+    ref = np.broadcast_to([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], (nq, 3, 2))
+    iJ = space.invJT[:, None, :, None, :]
+    rg = ref[None, :, None, :, :]
+    return (iJ[..., 0] * rg[..., 0] + iJ[..., 1] * rg[..., 1]).transpose(0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+def test_p1_grads_are_held_once_per_element(mesh):
+    m = structured_unit_square(4, 3) if mesh == "structured" else perturbed_square(5)
+    s = FeSpace(m, 1)
+    ref = per_point_p1_grads(s)
+    assert s.grads.shape == ref.shape == (m.num_triangles, 6, 3, 2)
+    np.testing.assert_array_equal(s.grads, ref)
+    assert s.grads.strides[1] == 0
+    assert not s.grads.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # load
 
 
@@ -412,6 +437,55 @@ def test_load_pairing_equals_integral():
     one = np.ones(s.n_scalar)
     exact = (np.e - 1.0) * 0.5
     assert abs(one @ F - exact) < 1e-5  # quadrature-limited
+
+
+def loop_load(space, fn):
+    """Reference: fn at each quadrature point, then the per-point load."""
+    pts = space.qpoints.reshape(-1, 2)
+    f = np.array([fn(x, y) for x, y in pts], dtype=float)
+    return assemble_load(space, f.reshape(space.qpoints.shape[:2] + f.shape[1:]))
+
+
+def loop_l2_error(space, coeffs, exact):
+    """Reference: exact at each quadrature point, then the L2 distance."""
+    w = space.quad.weights
+    ex = np.array(
+        [exact(x, y) for x, y in space.qpoints.reshape(-1, 2)], dtype=float
+    ).reshape(len(space.conn), len(w), -1)
+    err2 = 0.0
+    for c, comp in enumerate(coeffs.reshape(ex.shape[2], -1)):
+        uh = space.scalar_at_qp(comp)
+        err2 += np.einsum("q,eq->", w, (uh - ex[:, :, c]) ** 2 * space.detJ[:, None])
+    return np.sqrt(err2)
+
+
+# the mms fns, with `**`, and fns with constant components
+FIELD_FNS = {
+    "scalar": lambda x, y: 2.0 * np.pi**2 * np.cos(np.pi * x) * np.cos(np.pi * y),
+    "scalar-pow": lambda x, y: np.exp(x) * y**2 - x**3,
+    "constant": lambda x, y: 1.5,
+    "vector": lambda x, y: (
+        np.sin(np.pi * x) * np.cos(np.pi * y), -np.cos(np.pi * x) * np.sin(np.pi * y)
+    ),
+    "array": lambda x, y: np.array([x * y**2, np.exp(-x) - y]),
+    "constant-component": lambda x, y: (0.25, x**2 - y),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", list(FIELD_FNS))
+def test_load_and_l2_error_match_the_point_loop(degree, name):
+    fn = FIELD_FNS[name]
+    s = FeSpace(perturbed_square(5), degree)
+    got, ref = assemble_load(s, fn), loop_load(s, fn)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # a discrete field near fn, so the error is small against the values
+    coeffs = s.interpolate(fn)
+    coeffs = coeffs + 1e-3 * np.random.default_rng(3).standard_normal(coeffs.shape)
+    err, ref_err = l2_error(s, coeffs, fn), loop_l2_error(s, coeffs, fn)
+    assert ref_err > 0.0
+    assert abs(err - ref_err) <= 1e-14 * ref_err
 
 
 def test_l4_norm_matches_power_on_sign_changing_field():
@@ -473,9 +547,10 @@ def test_cg_stall_returns_best_iterate():
     M = assemble_mass(s)
     dt = 0.0125
     Mi, Me = conductivities_from_gradient(s, None, ConductivityParams())
-    system = assemble_bidomain(s, Mi, Me, dt, M)
+    lumped = np.asarray(M.sum(axis=1)).ravel()
+    system = assemble_bidomain(s, Mi, Me, dt, M, lumped)
     v0 = s.interpolate(initial_stimulus)
-    v_i, v_e = initial_split(v0, M)
+    v_i, v_e = initial_split(v0, lumped)
     base = M.dot(v0 / dt - i_ion(v0, np.zeros_like(v0), IonicParams()))
     i_app = assemble_load(s, initial_stimulus)
     b = np.concatenate([base + i_app, -base + i_app])

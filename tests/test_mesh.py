@@ -244,6 +244,21 @@ def test_boundary_extraction_matches_dict_walk(make, n_boundary):
     assert mesh.boundary_edges.dtype == ref.dtype
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: structured_unit_square(1, 1),
+        lambda: structured_unit_square(3, 2),
+        perturbed_shuffled_square,
+        holed_square_from_text,
+    ],
+    ids=["1x1", "3x2", "perturbed", "file"],
+)
+def test_edge_count_matches_the_built_edges(make):
+    mesh = make()
+    assert mesh.num_edges == len(mesh.edges())
+
+
 def test_repeated_directed_edge_names_the_first_repeat():
     mesh = perturbed_shuffled_square()
     rng = np.random.default_rng(9)
