@@ -16,7 +16,9 @@ against zero-mean functions only.  Diffusion is implicit; reaction,
 stimulus, and noise are explicit.
 
 The CG is preconditioned by an exact solve with the projected operator on
-the zero-mean subspace, so a step takes one iteration.  With its last v_e
+the zero-mean subspace, so a step takes one iteration, and that iteration
+from zero is already the solution: the CG starts from zero, because a warm
+start from the previous step would save nothing.  With its last v_e
 dof removed (grounded) the block is symmetric positive definite and has one
 sparse LU (`fem.factor_spd`), factored on first use, once per
 BidomainSystem; the driver assembles a new system only at a mechanics
@@ -192,15 +194,12 @@ def step_bidomain(
     base = M.dot(v / dt - ion + noise_v / dt)
     rhs = np.concatenate([base + i_app, -base + i_app])
 
-    proj = system.projector()
-    x0 = np.concatenate([state.v_i, state.v_e])
     res = solve_cg(
         system.block,
         rhs,
         tol=tol,
         maxit=maxit,
-        constraint=proj,
-        x0=x0,
+        constraint=system.projector(),
         precondition=system.precondition,
     )
     info = StepInfo(res.converged, res.iterations, res.relres)

@@ -121,8 +121,7 @@ def _at_quad(u_space: FeSpace, gamma: np.ndarray, fibers: FiberField):
     gamma holds P1 vertex values; it is interpolated barycentrically at the
     quadrature points of the (possibly higher-order) velocity space.
     """
-    lam = u_space.quad.points
-    gq = np.einsum("qv,ev->eq", lam, gamma[u_space.mesh.triangles])
+    gq = gamma[u_space.mesh.triangles] @ np.ascontiguousarray(u_space.quad.points.T)
     return gq, fibers.d_l[:, None, :], fibers.d_t[:, None, :]
 
 

@@ -22,6 +22,7 @@ from cardioem.fem import (
     assemble_stiffness,
     solve_cg,
 )
+from cardioem.driver import Discretization, SimConfig
 from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff, eval_coeff
 
@@ -395,3 +396,35 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed):
     n_s = space.n_scalar
     assert np.abs(new.v_i - ref.x[:n_s]).max() < 1e-9
     assert np.abs(new.v_e - enforce_zero_mean(ref.x[n_s:], sys_.lumped)).max() < 1e-9
+
+
+@pytest.mark.parametrize("system", ["fresh", "after-loaded-refresh"])
+def test_step_from_zero_matches_the_warm_started_step(system):
+    cfg = SimConfig(mesh_nx=8, mesh_ny=8)
+    disc = Discretization.build(cfg)
+    if system == "fresh":
+        sys_ = disc.passive.system
+    else:
+        # positive where stimulated, so the mechanics loads and u != 0
+        mech, mres = disc.solve_mechanics(0.3 * disc.v0)
+        assert mres.converged and np.any(mech.u)
+        sys_ = disc.bidomain_system(mech.u)
+    state = disc.initial_state()
+    dW_v, dW_w = np.array([0.1]), np.array([0.05])
+    coeff_v = NoiseCoeff("constant", 0.3)
+    new, info = step_bidomain(
+        sys_, state, cfg.ionic, disc.i_app, dW_v, dW_w, coeff_v, ZERO,
+        tol=cfg.solver_tol,
+    )
+    assert info.converged and info.iterations == 1
+
+    # reference: the CG warm-started from the previous (v_i, v_e)
+    ref = solve_cg(
+        sys_.block, reference_rhs(sys_, state, cfg.ionic, disc.i_app, dW_v, coeff_v),
+        tol=cfg.solver_tol, constraint=sys_.projector(),
+        x0=np.concatenate([state.v_i, state.v_e]), precondition=sys_.precondition,
+    )
+    assert ref.converged and ref.iterations == 1
+    n = disc.space.n_scalar
+    assert np.abs(new.v_i - ref.x[:n]).max() <= 1e-13
+    assert np.abs(new.v_e - enforce_zero_mean(ref.x[n:], sys_.lumped)).max() <= 1e-13

@@ -124,6 +124,22 @@ def test_interpolate_matches_the_node_loop(degree, fn):
     assert got.dtype == ref.dtype
 
 
+def einsum_at_qp(space, coeffs):
+    """Reference: the quadrature values as one einsum over the element dofs."""
+    return np.einsum("ql,el->eq", space.basis_vals, coeffs[space.conn])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+def test_scalar_at_qp_matches_the_einsum(degree, mesh):
+    m = structured_unit_square(5, 4) if mesh == "structured" else perturbed_square(5)
+    s = FeSpace(m, degree)
+    coeffs = s.interpolate(lambda x, y: np.cos(5 * x) * np.sin(4 * y) - 0.3)
+    got, ref = s.scalar_at_qp(coeffs), einsum_at_qp(s, coeffs)
+    assert got.shape == ref.shape == (m.num_triangles, 6)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_vector_grad_of_interpolated_linear_field(degree):
     s = FeSpace(perturbed_square(4), degree)
@@ -200,6 +216,17 @@ def test_stiffness_rejects_non_spd_with_element_id():
     coeff = np.broadcast_to(np.eye(2), (ne, nq, 2, 2)).copy()
     coeff[3] = -np.eye(2)
     with pytest.raises(NonSpdCoefficientError, match="element 3"):
+        assemble_stiffness(s, coeff)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -0.5]], -np.eye(2)],
+    ids=["non-symmetric", "indefinite", "negative-trace"],
+)
+def test_stiffness_rejects_a_constant_non_spd_tensor_on_element_0(coeff):
+    s = FeSpace(structured_unit_square(2, 2), 1)
+    with pytest.raises(NonSpdCoefficientError, match="element 0"):
         assemble_stiffness(s, coeff)
 
 
@@ -454,7 +481,7 @@ def loop_l2_error(space, coeffs, exact):
     ).reshape(len(space.conn), len(w), -1)
     err2 = 0.0
     for c, comp in enumerate(coeffs.reshape(ex.shape[2], -1)):
-        uh = space.scalar_at_qp(comp)
+        uh = einsum_at_qp(space, comp)
         err2 += np.einsum("q,eq->", w, (uh - ex[:, :, c]) ** 2 * space.detJ[:, None])
     return np.sqrt(err2)
 
@@ -485,14 +512,18 @@ def test_load_and_l2_error_match_the_point_loop(degree, name):
     coeffs = coeffs + 1e-3 * np.random.default_rng(3).standard_normal(coeffs.shape)
     err, ref_err = l2_error(s, coeffs, fn), loop_l2_error(s, coeffs, fn)
     assert ref_err > 0.0
-    assert abs(err - ref_err) <= 1e-14 * ref_err
+    # the two kernels' quadrature values differ by at most 1e-15 of the
+    # largest (test_scalar_at_qp_matches_the_einsum), which bounds the
+    # change of the distance on the unit square however small it is
+    umax = max(np.abs(einsum_at_qp(s, c)).max() for c in coeffs.reshape(-1, s.n_scalar))
+    assert abs(err - ref_err) <= 1e-14 * ref_err + 1e-15 * umax
 
 
 def test_l4_norm_matches_power_on_sign_changing_field():
     s = FeSpace(perturbed_square(6), 1)
     x, y = s.mesh.vertices.T
     v = np.cos(5 * x) * np.sin(4 * y) - 0.3
-    uh = s.scalar_at_qp(v)
+    uh = einsum_at_qp(s, v)
     assert uh.min() < 0 < uh.max()
     ref = np.einsum("q,eq->", s.quad.weights, uh**4 * s.detJ[:, None]) ** 0.25
     assert abs(l4_norm(s, v) - ref) <= 1e-14 * ref
@@ -515,6 +546,26 @@ def test_cg_diagonal():
     A = sp.diags([2.0, 1.0]).tocsr()
     res = solve_cg(A, np.array([2.0, 1.0]))
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+
+
+def test_cg_from_zero_takes_the_first_residual_without_a_product():
+    products = []
+
+    def A(v):
+        products.append(1)
+        return 2.0 * v
+
+    b = np.arange(1.0, 6.0)
+    res = solve_cg(A, b, tol=1e-12)
+    assert res.converged and res.iterations == 1
+    assert len(products) == 1
+    np.testing.assert_allclose(res.x, 0.5 * b, rtol=1e-15)
+
+    products.clear()
+    res = solve_cg(A, b, tol=1e-12, x0=np.ones(5))
+    assert res.converged and res.iterations == 1
+    assert len(products) == 2
+    np.testing.assert_allclose(res.x, 0.5 * b, rtol=1e-15)
 
 
 def test_cg_nonconvergence_flag():
