@@ -10,10 +10,9 @@ Operator ordering per step (fixed):
      new displacement gradient; while the activation is nowhere positive
      (`mechanics.is_passive`) the system is bitwise the initial one, so the
      initial solution and its bidomain system are reused instead,
-  4. record the probe values, the drift |integral of v_e| of the zero-mean
-     constraint and the energies, whose mechanics terms are computed once
-     per mechanics state; at the iterations in `snapshot_iters`, keep a
-     `FieldSnapshot` of every unknown.
+  4. record the probe values and the energies, whose mechanics terms are
+     computed once per mechanics state; at the iterations in
+     `snapshot_iters`, keep a `FieldSnapshot` of every unknown.
 
 A `SimResult` holds these records, the final state and the residuals of
 every mechanics solve.
@@ -149,7 +148,6 @@ class SimResult:
     n_steps: int
     dt: float
     final: dict
-    ve_mean: np.ndarray = None  # |integral of v_e| per recorded state
 
 
 @dataclass
@@ -412,12 +410,9 @@ def run_simulation(
     probes[0] = _probe_values(mesh, locs, state.v)
     times = config.dt * np.arange(n_steps + 1)
 
-    ve_mean = np.empty(n_steps + 1)
-    ve_mean[0] = abs(float(disc.lumped @ state.v_e))
-
     i_app_zero = np.zeros_like(disc.i_app)
 
-    energy = diagnostics.EnergyRecord.empty()
+    energy = diagnostics.EnergyRecord()
     mech_terms = diagnostics.mech_energy(mech_state, disc)
     diagnostics.append_energy(
         energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
@@ -486,7 +481,6 @@ def run_simulation(
             mech_terms = diagnostics.mech_energy(mech_state, disc)
 
         probes[n + 1] = _probe_values(mesh, locs, state.v)
-        ve_mean[n + 1] = abs(float(disc.lumped @ state.v_e))
         diagnostics.append_energy(
             energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
         )
@@ -509,7 +503,6 @@ def run_simulation(
             "mech": mech_state,
             "mech_residuals": mech_residuals,
         },
-        ve_mean=ve_mean,
     )
 
 

@@ -13,18 +13,19 @@ removed by keeping v_e inside the zero-integral subspace: the
 conjugate-gradient solve runs on the orthogonally projected operator,
 which is the algebraic counterpart of testing the extracellular row
 against zero-mean functions only.  Diffusion is implicit; reaction,
-stimulus, and noise are explicit.
+stimulus, and noise are explicit, and each noise channel is one
+evaluation of its coefficient times the step's mode-weighted increment.
 
 The CG is preconditioned by an exact solve with the projected operator on
 the zero-mean subspace, so a step takes one iteration, and that iteration
-from zero is already the solution: the CG starts from zero, because a warm
-start from the previous step would save nothing.  With its last v_e
-dof removed (grounded) the block is symmetric positive definite and has one
-sparse LU (`fem.factor_spd`), factored on first use, once per
-BidomainSystem; the driver assembles a new system only at a mechanics
-refresh.  A preconditioner solve takes off the part of the residual along
-(0, lumped), which the block cannot reach, solves the grounded block, and
-shifts v_i and v_e by one constant so that v_e has zero lumped mean.
+from zero (where `fem.solve_cg` always starts) is already the solution.
+With its last v_e dof removed (grounded) the block is symmetric positive
+definite and has one sparse LU (`fem.factor_spd`), factored on first use,
+once per BidomainSystem; the driver assembles a new system only at a
+mechanics refresh.  A preconditioner solve takes off the part of the
+residual along (0, lumped), which the block cannot reach, solves the
+grounded block, and shifts v_i and v_e by one constant so that v_e has
+zero lumped mean.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ class StepInfo:
     relres: float
 
 
+def _mode_sum(dW) -> float:
+    """sum_k dW_k / (k+1) over the modes k of one step's increments."""
+    dW = np.atleast_1d(dW)
+    return float(dW @ (1.0 / np.arange(1, len(dW) + 1)))
+
+
 def step_bidomain(
     system: BidomainSystem,
     state: ElectricState,
@@ -176,20 +183,18 @@ def step_bidomain(
 ):
     """Advance (v_i, v_e, v, w) by one semi-implicit step.
 
-    dW_v / dW_w hold one increment per noise mode.  Returns
-    (new_state, StepInfo); on solver failure the state is returned unchanged
-    with converged=False.
+    dW_v / dW_w hold one increment per noise mode; mode k's increment is
+    scaled by 1/(k+1), so the noise term of a channel is one evaluation of
+    its coefficient times sum_k dW_k / (k+1).  Returns (new_state,
+    StepInfo); on solver failure the state is returned unchanged with
+    converged=False.
     """
     M, dt = system.mass, system.dt
     v, w = state.v, state.w
 
     ion = physics.i_ion(v, w, ionic)
-    noise_v = np.zeros_like(v)
-    for m, dw in enumerate(np.atleast_1d(dW_v)):
-        noise_v += eval_coeff(coeff_v, v, mode=m) * dw
-    noise_w = np.zeros_like(w)
-    for m, dw in enumerate(np.atleast_1d(dW_w)):
-        noise_w += eval_coeff(coeff_w, v, mode=m) * dw
+    noise_v = eval_coeff(coeff_v, v) * _mode_sum(dW_v)
+    noise_w = eval_coeff(coeff_w, v) * _mode_sum(dW_w)
 
     base = M.dot(v / dt - ion + noise_v / dt)
     rhs = np.concatenate([base + i_app, -base + i_app])

@@ -19,18 +19,20 @@ which each space also precomputes, one component at a time.  The divergence
 (rectangular) and the boundary mass (nonzero on boundary dofs only), each
 assembled once per run, are summed through COO instead.
 
-There are two solvers.  `solve_cg` is a preconditioned conjugate gradient
-with an optional subspace projector and a caller-supplied preconditioner
-(the electric step passes a grounded LU of its bidomain block).
-`solve_saddle` solves the block [[A, B^T], [B, -C]] through its pressure
-Schur complement S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a
-caller-supplied approximation of S^-1 (in practice a factored pressure
-mass), with A = blockdiag(K, K) inverted by one sparse LU of K applied to
-both components of u at once.
+There are two solvers.  `solve_cg` is a conjugate gradient on a
+subspace, started from zero, with a caller-supplied projector and
+preconditioner (the electric step passes the zero-mean projector and a
+grounded LU of its bidomain block).  `solve_saddle` solves the block
+[[A, B^T], [B, -C]] through its pressure Schur complement
+S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a caller-supplied
+approximation of S^-1 (in practice a factored pressure mass), with
+A = blockdiag(K, K) inverted by one sparse LU of K applied to both
+components of u at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -543,71 +545,38 @@ class CgResult(NamedTuple):
 def solve_cg(
     A,
     b: np.ndarray,
+    constraint: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
     maxit: int | None = None,
-    constraint: Callable[[np.ndarray], np.ndarray] | None = None,
-    x0: np.ndarray | None = None,
-    jacobi: bool = False,
-    callback: Callable[[np.ndarray], None] | None = None,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CgResult:
-    """Conjugate gradients for SPD (or projected semidefinite) systems.
+    """Projected, preconditioned conjugate gradients, started from zero.
 
-    With `constraint` (an orthogonal projector P onto a subspace) the method
-    solves P A P x = P b with all iterates kept inside the subspace, which
-    removes a known semidefinite kernel.  Non-convergence (after `maxit`
-    iterations, or on a search direction with d.Ad <= 0) returns the iterate
-    with the lowest recursive residual seen, with converged=False.
-
-    The iteration starts from `x0`, projected, or else from zero, when the
-    first residual is P b, taken without a product with A.
-
-    `precondition`, if given, replaces the Jacobi (`jacobi=True`) or plain
-    projector preconditioner.  It must be symmetric positive definite on the
-    subspace and map into it, i.e. P(precondition(r)) == precondition(r) for
-    every residual r = P r, since its output becomes a search direction.
+    `constraint` is an orthogonal projector P onto a subspace that returns
+    a new array; the method solves P A P x = P b with every iterate kept
+    inside the subspace, which removes a known semidefinite kernel of A.
+    From zero the first residual is P b, taken without a product with A.
+    `precondition` must be symmetric positive definite on the subspace and
+    map into it, i.e. P(precondition(r)) == precondition(r) for every
+    residual r = P r, since its output becomes a search direction.
+    Non-convergence (after `maxit` iterations, default 10 n, or on a search
+    direction with d.Ad <= 0) returns the iterate with the lowest recursive
+    residual seen, with converged=False.
     """
-    import math
-
     n = len(b)
     if maxit is None:
         maxit = 10 * n
-    identity = constraint is None
-    P = (lambda v: v) if identity else constraint
     matvec = A.dot if hasattr(A, "dot") else A
 
-    if precondition is not None:
-        prec = precondition
-    elif jacobi:
-        diag = np.asarray(A.diagonal(), dtype=float)
-        diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
-        if identity:
-            prec = lambda v: v / diag
-        else:
-            prec = lambda v: P(v / diag)
-    else:
-        prec = P
-
-    pb = P(np.asarray(b, dtype=float))
-    bnorm = math.sqrt(float(pb @ pb))
+    x, r = np.zeros(n), constraint(np.asarray(b, dtype=float))
+    bnorm = math.sqrt(float(r @ r))
     if bnorm == 0.0:
-        return CgResult(np.zeros(n), True, 0, 0.0)
-
-    if x0 is None:
-        # a copy: without a projector pb is the caller's b
-        x, r = np.zeros(n), pb.copy()
-    else:
-        x = P(x0.copy())
-        r = P(pb - matvec(x))
-    relres = math.sqrt(float(r @ r)) / bnorm
-    if relres <= tol:
-        return CgResult(x, True, 0, relres)
-    best_x, best_relres = x.copy(), relres
-    z = prec(r)
-    d = z.copy()
+        return CgResult(x, True, 0, 0.0)
+    best_x, best_relres = x.copy(), 1.0
+    d = z = precondition(r)
     rz = float(r @ z)
     for it in range(1, maxit + 1):
-        q = P(matvec(d))
+        q = constraint(matvec(d))
         dq = float(d @ q)
         if dq <= 0.0:
             # indefinite or fully converged direction; stop with best iterate
@@ -615,14 +584,12 @@ def solve_cg(
         a = rz / dq
         x += a * d
         r -= a * q
-        if callback is not None:
-            callback(x)
         relres = math.sqrt(float(r @ r)) / bnorm
         if relres <= tol:
             return CgResult(x, True, it, relres)
         if relres < best_relres:
             best_x, best_relres = x.copy(), relres
-        z = prec(r)
+        z = precondition(r)
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new

@@ -210,36 +210,6 @@ def write_vtk(path, mesh, snapshot, seed: int, chash: str):
             fh.write(f"{fmt(a)} {fmt(b)} 0\n")
 
 
-def read_vtk_points_and_fields(path):
-    """Minimal reader for files produced by write_vtk (used by tests)."""
-    points, fields, vectors = [], {}, {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    nv = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("POINTS"):
-            nv = int(line.split()[1])
-            for k in range(nv):
-                points.append([float(t) for t in lines[i + 1 + k].split()])
-            i += nv
-        elif line.startswith("SCALARS"):
-            name = line.split()[1]
-            vals = [float(lines[i + 2 + k]) for k in range(nv)]
-            fields[name] = np.array(vals)
-            i += nv + 1
-        elif line.startswith("VECTORS"):
-            name = line.split()[1]
-            vals = [
-                [float(t) for t in lines[i + 1 + k].split()] for k in range(nv)
-            ]
-            vectors[name] = np.array(vals)
-            i += nv
-        i += 1
-    return np.array(points), fields, vectors
-
-
 def write_probes(path, result) -> None:
     """CSV trace file: comment header, then t and one column per probe."""
     with open(path, "w") as fh:

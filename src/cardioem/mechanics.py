@@ -7,7 +7,7 @@ the divergence under Robin data.  The body force f = div(sigma) + g is never
 differentiated: it is assembled by parts as
 -int sigma_a : grad(v) + int_{dO} (sigma_a n).v + int g.v, valid for
 coefficient fields that are only piecewise smooth.  Only the active part
-sigma_a = sigma - mu I enters (`physics.sigma_active`), because the
+sigma_a = sigma - mu I enters (`physics.sigma_and_active`), because the
 constant mu I has no divergence; so a passive activation (gamma <= 0
 everywhere) gives a load of exact zeros and the zero solution, not a
 round-off load and a round-off solution.
@@ -125,16 +125,6 @@ def _at_quad(u_space: FeSpace, gamma: np.ndarray, fibers: FiberField):
     return gq, fibers.d_l[:, None, :], fibers.d_t[:, None, :]
 
 
-def sigma_at_quad(
-    u_space: FeSpace,
-    gamma: np.ndarray,
-    fibers: FiberField,
-    act: physics.ActivationParams,
-) -> np.ndarray:
-    """Elastic coefficient tensor at the velocity quadrature points."""
-    return physics.sigma_tensor(*_at_quad(u_space, gamma, fibers), act)
-
-
 def is_passive(gamma: np.ndarray) -> bool:
     """True when the activation leaves the mechanics system passive.
 
@@ -153,7 +143,11 @@ def is_passive(gamma: np.ndarray) -> bool:
 def _active_on_boundary(
     mesh, gamma: np.ndarray, fibers: FiberField, act: physics.ActivationParams
 ):
-    """Active part of sigma at the edge quadrature points of boundary edges."""
+    """Active part of sigma at the edge quadrature points of boundary edges.
+
+    Element [1] of `physics.sigma_and_active`, bitwise the active part that
+    the interior load takes.
+    """
     er = edge_rule()
     s = er.points[:, 0]
     be = mesh.boundary_edges
@@ -162,7 +156,7 @@ def _active_on_boundary(
     gq = gi[:, None] * (1 - s)[None, :] + gj[:, None] * s[None, :]
     dl = fibers.d_l[be[:, 2]][:, None, :]
     dt_ = fibers.d_t[be[:, 2]][:, None, :]
-    return physics.sigma_active(gq, dl, dt_, act)
+    return physics.sigma_and_active(gq, dl, dt_, act)[1]
 
 
 def assemble_mechanics(

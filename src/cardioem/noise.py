@@ -20,9 +20,10 @@ _CHANNELS = {"v": 0, "w": 1}
 class NoisePath:
     """Seeded increment streams for the potential and gating channels.
 
-    With n_modes > 1 the stream carries one increment per mode and step;
-    mode k's contribution is scaled by 1/(k+1) at evaluation time so the
-    summed amplitudes remain square-summable.
+    With n_modes > 1 the stream carries one increment per mode and step.
+    The increments are unscaled: `electrics.step_bidomain` weights mode k's
+    increment by 1/(k+1), so the summed amplitudes remain square-summable,
+    and multiplies their sum by one evaluation of the coefficient.
     """
 
     seed: int
@@ -64,17 +65,11 @@ class NoiseCoeff:
         if self.z_cap <= 0:
             raise ValueError("z_cap must be positive")
 
-    @property
-    def growth_cap(self) -> float:
-        return self.beta0**2 * max(1.0, self.z_cap**2)
 
-
-def eval_coeff(c: NoiseCoeff, z, mode: int = 0):
-    """Amplitude at field value(s) z for one mode (mode k scaled by 1/(k+1))."""
+def eval_coeff(c: NoiseCoeff, z):
+    """Amplitude beta(z) at field value(s) z."""
     z = np.asarray(z, dtype=float)
     if c.kind == "constant":
-        base = np.full_like(z, c.beta0)
-    else:
-        cap = abs(c.beta0) * c.z_cap
-        base = np.clip(c.beta0 * z, -cap, cap)
-    return base / (mode + 1)
+        return np.full_like(z, c.beta0)
+    cap = abs(c.beta0) * c.z_cap
+    return np.clip(c.beta0 * z, -cap, cap)

@@ -1,10 +1,12 @@
 """Pointwise constitutive laws and parameter validators.
 
 Covers the cubic ionic current and linear gating kinetics, the activation
-ODE right-hand side, the arctan contraction map, the active tensor entering
-the elastic coefficient, and the deformation-dependent conductivity pullback
-with its safety clamps.  Everything here is a pure function of its arguments
-and vectorizes over numpy arrays.
+ODE right-hand side, the arctan contraction map, the active-strain elastic
+coefficient sigma with its active part (`sigma_and_active`), and the
+deformation-dependent conductivity pullback F^-1 K F^-T
+(`pull_back(inverse_deformation(grad_u, p), K)`) with its safety clamps.
+Everything here is a pure function of its arguments and vectorizes over
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ class ConductivityParams:
     """Base conductivity tensors and the pullback clamps.
 
     clamp_delta bounds the Frobenius norm of the displacement gradient that
-    enters F = I + grad(u); clamp_tau floors det(F).  Together they induce
-    uniform two-sided eigenvalue bounds on the pulled-back tensors.
+    enters F = I + grad(u); clamp_tau floors det(F).  Together they bound
+    the eigenvalues of every pulled-back tensor F^-1 K F^-T to
+    [lambda_min(K) / (1 + clamp_delta)^2,
+    lambda_max(K) ((1 + clamp_delta) / clamp_tau)^2].
     """
 
     K_i: np.ndarray = None
@@ -161,51 +165,23 @@ def _in_fiber_frame(cl, ct, d_l, d_t) -> np.ndarray:
     return out
 
 
-def active_tensor_inv(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
-    """det(Fa) Fa^-1 Fa^-T for Fa = I + g_l d_l(x)d_l + g_t d_t(x)d_t.
-
-    Broadcasts over leading axes: gamma (...,), d_l/d_t (..., 2).
-    In the fiber frame the result is diag((1+g_t)/(1+g_l), (1+g_l)/(1+g_t)).
-    """
-    cl, ct = _fiber_stretches(gamma, p)
-    return _in_fiber_frame(cl, ct, d_l, d_t)
-
-
-def sigma_tensor(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
-    """Elastic coefficient mu * active_tensor_inv; SPD with ratio bounds.
-
-    Eigenvalues lie in [mu (1 - G), mu / (1 - G)] for
-    G = max(Gamma_l, Gamma_t).
-    """
-    return p.mu * active_tensor_inv(gamma, d_l, d_t, p)
-
-
-def sigma_active(gamma, d_l, d_t, p: ActivationParams) -> np.ndarray:
-    """Active part sigma - mu I of the elastic coefficient.
-
-    Formed in the fiber frame as mu ((c_l - 1) d_l(x)d_l + (c_t - 1)
-    d_t(x)d_t), not by subtracting mu I, so it is exactly 0.0 wherever
-    gamma <= 0, for any orthonormal frame.
-    """
-    cl, ct = _fiber_stretches(gamma, p)
-    return p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t)
-
-
 def sigma_and_active(gamma, d_l, d_t, p: ActivationParams):
-    """(`sigma_tensor`, `sigma_active`) from one evaluation of the stretches.
+    """The elastic coefficient sigma and its active part sigma - mu I.
 
-    Each is bitwise what its own function returns.
+    sigma = mu det(Fa) Fa^-1 Fa^-T for Fa = I + g_l d_l(x)d_l + g_t d_t(x)d_t,
+    which in the fiber frame is mu diag(c_l, c_t) with the stretches of
+    `_fiber_stretches`; it is SPD with eigenvalues in [mu (1 - G),
+    mu / (1 - G)] for G = max(Gamma_l, Gamma_t).  The active part is formed
+    in the fiber frame as mu ((c_l - 1) d_l(x)d_l + (c_t - 1) d_t(x)d_t),
+    not by subtracting mu I, so it is exactly 0.0 wherever gamma <= 0, for
+    any orthonormal frame.  Both come from one evaluation of the stretches
+    and broadcast over leading axes: gamma (...,), d_l/d_t (..., 2).
     """
     cl, ct = _fiber_stretches(gamma, p)
     return (
         p.mu * _in_fiber_frame(cl, ct, d_l, d_t),
         p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t),
     )
-
-
-def sigma_bounds(p: ActivationParams) -> tuple[float, float]:
-    G = max(p.Gamma_l, p.Gamma_t)
-    return p.mu * (1.0 - G), p.mu / (1.0 - G)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +220,6 @@ def clamp_gradient(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
     return G
 
 
-def conductivity(grad_u: np.ndarray, K: np.ndarray, p: ConductivityParams) -> np.ndarray:
-    """Pulled-back conductivity F^-1 K F^-T with F = I + clamped gradient.
-
-    Broadcasts over leading axes of grad_u.  The output is symmetrized
-    exactly; eigenvalues obey `conductivity_bounds(K, p)` for every input.
-    """
-    return pull_back(inverse_deformation(grad_u, p), K)
-
-
 def inverse_deformation(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
     """F^-1 for F = I + `clamp_gradient(grad_u, p)`, over leading axes."""
     G = clamp_gradient(grad_u, p)
@@ -281,67 +248,3 @@ def pull_back(Finv: np.ndarray, K: np.ndarray) -> np.ndarray:
     M[..., 1, 1] = tc0 * c + tc1 * d
     M[..., 0, 1] = M[..., 1, 0] = ta0 * c + ta1 * d
     return M
-
-
-def conductivity_bounds(K: np.ndarray, p: ConductivityParams) -> tuple[float, float]:
-    """Uniform eigenvalue bounds induced by the clamps."""
-    evals = np.linalg.eigvalsh(np.asarray(K, dtype=float))
-    smax = 1.0 + p.clamp_delta
-    lo = evals[0] / smax**2
-    hi = evals[-1] * (smax / p.clamp_tau) ** 2
-    return float(lo), float(hi)
-
-
-# ---------------------------------------------------------------------------
-# kinetics dissipativity witness
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    holds: bool
-    worst_margin: float
-    worst_sample: tuple
-    n_samples: int
-
-
-def check_dissipativity(
-    p: IonicParams,
-    mu_test: float,
-    C_test: float,
-    sample_box: tuple = (-2.0, 2.0),
-    n_samples: int = 9,
-    rng: np.random.Generator | None = None,
-) -> DissipativityReport:
-    """Sampled one-sided Lipschitz check on the reaction pair.
-
-    Evaluates, over quadruples (v1, w1, v2, w2) from a uniform grid on
-    sample_box^4 (plus optional random samples when rng is given),
-
-        mu (I(v2,w2) - I(v1,w1)) (v2 - v1) - (H(v2,w2) - H(v1,w1)) (w2 - w1)
-            + C min(1, 1/mu) (mu |dv|^2 + |dw|^2)
-
-    and reports whether the expression stays nonnegative and its minimum.
-    """
-    lo, hi = sample_box
-    axis = np.linspace(lo, hi, n_samples)
-    V1, W1, V2, W2 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    v1, w1, v2, w2 = (z.ravel() for z in (V1, W1, V2, W2))
-    if rng is not None:
-        extra = rng.uniform(lo, hi, size=(4, len(v1)))
-        v1 = np.concatenate([v1, extra[0]])
-        w1 = np.concatenate([w1, extra[1]])
-        v2 = np.concatenate([v2, extra[2]])
-        w2 = np.concatenate([w2, extra[3]])
-
-    dv = v2 - v1
-    dw = w2 - w1
-    lhs = mu_test * (i_ion(v2, w2, p) - i_ion(v1, w1, p)) * dv
-    lhs -= (h_kin(v2, w2, p) - h_kin(v1, w1, p)) * dw
-    margin = lhs + C_test * min(1.0, 1.0 / mu_test) * (mu_test * dv**2 + dw**2)
-    worst = int(np.argmin(margin))
-    return DissipativityReport(
-        holds=bool(margin[worst] >= -1e-9),
-        worst_margin=float(margin[worst]),
-        worst_sample=(v1[worst], w1[worst], v2[worst], w2[worst]),
-        n_samples=len(margin),
-    )

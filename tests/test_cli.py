@@ -15,7 +15,6 @@ from cardioem.io_cli import (
     config_hash,
     main,
     parse_config,
-    read_vtk_points_and_fields,
     serialize_config,
 )
 from cardioem.noise import NoiseCoeff
@@ -207,6 +206,36 @@ def test_mesh_info_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vertices:  25" in out
     assert "triangles: 32" in out
+
+
+def read_vtk_points_and_fields(path):
+    """Points, scalar and vector fields of a file written by `write_vtk`."""
+    points, fields, vectors = [], {}, {}
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    i = 0
+    nv = 0
+    while i < len(lines):
+        line = lines[i]
+        if line.startswith("POINTS"):
+            nv = int(line.split()[1])
+            for k in range(nv):
+                points.append([float(t) for t in lines[i + 1 + k].split()])
+            i += nv
+        elif line.startswith("SCALARS"):
+            name = line.split()[1]
+            vals = [float(lines[i + 2 + k]) for k in range(nv)]
+            fields[name] = np.array(vals)
+            i += nv + 1
+        elif line.startswith("VECTORS"):
+            name = line.split()[1]
+            vals = [
+                [float(t) for t in lines[i + 1 + k].split()] for k in range(nv)
+            ]
+            vectors[name] = np.array(vals)
+            i += nv
+        i += 1
+    return np.array(points), fields, vectors
 
 
 def test_run_snapshot_round_trips_through_vtk(tmp_path):

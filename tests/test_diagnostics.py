@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from cardioem import diagnostics, mechanics
+from cardioem import diagnostics, mechanics, physics
 from cardioem.driver import Discretization, SimConfig, run_simulation
 from cardioem.fem import (
     FeSpace,
@@ -69,9 +69,11 @@ def test_dense_probes_match_the_full_vector_operators(monkeypatch):
     gamma = np.linspace(-0.1, 0.3, disc.mesh.num_vertices)
     u_space = FeSpace(disc.mesh, degree=2)
     p_space = FeSpace(disc.mesh, degree=1)
-    sigma = mechanics.sigma_at_quad(
-        u_space, gamma, FiberField.axis_aligned(disc.mesh), config.activation
-    )
+    fibers = FiberField.axis_aligned(disc.mesh)
+    sigma = physics.sigma_and_active(
+        gamma[disc.mesh.triangles] @ u_space.quad.points.T,
+        fibers.d_l[:, None], fibers.d_t[:, None], config.activation,
+    )[0]
     K = assemble_stiffness(u_space, sigma) + assemble_boundary_mass(
         u_space, config.mech.alpha
     )

@@ -133,8 +133,9 @@ def test_shared_pull_back_matches_one_tensor_at_a_time():
     space = FeSpace(structured_unit_square(4, 4), 1)
     grad_u = 5.0 * random_grad_u(4)
     Mi, Me = conductivities_from_gradient(space, grad_u, cond)
-    np.testing.assert_array_equal(Mi, physics.conductivity(grad_u, cond.K_i, cond))
-    np.testing.assert_array_equal(Me, physics.conductivity(grad_u, cond.K_e, cond))
+    for M, K in ((Mi, cond.K_i), (Me, cond.K_e)):
+        Finv = physics.inverse_deformation(grad_u, cond)
+        np.testing.assert_array_equal(M, physics.pull_back(Finv, K))
 
 
 def test_block_symmetry():
@@ -204,9 +205,10 @@ ZERO = NoiseCoeff("constant", 0.0)
 
 def reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v):
     """The step's right-hand side, rebuilt from the scheme: with
-    b = M (v/dt - I_ion(v, w) + noise_v/dt), the rows are (b + i_app, -b + i_app)."""
+    b = M (v/dt - I_ion(v, w) + noise_v/dt), the rows are (b + i_app, -b + i_app),
+    and noise_v sums beta(v) dW_k / (k+1) over the modes k."""
     v, dt = state.v, sys_.dt
-    noise_v = sum(eval_coeff(coeff_v, v, mode=m) * dw for m, dw in enumerate(dW_v))
+    noise_v = sum(eval_coeff(coeff_v, v) * dw / (k + 1) for k, dw in enumerate(dW_v))
     base = sys_.mass.dot(v / dt - physics.i_ion(v, state.w, ionic) + noise_v / dt)
     return np.concatenate([base + i_app, -base + i_app])
 
@@ -371,6 +373,20 @@ def test_precondition_inverts_projected_block(n, deformed):
     assert abs(sys_.lumped @ z_e) <= 1e-12 * np.linalg.norm(sys_.lumped) * np.linalg.norm(z_e)
 
 
+def bordered_solve(sys_, rhs):
+    """Dense reference step: (v_i, v_e) from the bordered system
+
+        [[block, c], [c^T, 0]] (x, lam) = (rhs, 0),    c = (0, lumped),
+
+    whose solution has zero-mean v_e and solves the block up to the part
+    of rhs along c, which the block cannot reach."""
+    n = sys_.space.n_scalar
+    c = np.concatenate([np.zeros(n), sys_.lumped])
+    A = np.block([[sys_.block.toarray(), c[:, None]], [c[None, :], np.zeros((1, 1))]])
+    x = np.linalg.solve(A, np.append(rhs, 0.0))
+    return x[:n], x[n:2 * n]
+
+
 @pytest.mark.parametrize("deformed", [False, True])
 @pytest.mark.parametrize("n", [8, 16])
 def test_preconditioned_step_matches_jacobi_reference(n, deformed):
@@ -387,11 +403,13 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed):
     assert info.converged
     assert info.iterations <= 2
 
-    ref = solve_cg(
-        sys_.block, reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v), tol=1e-12,
-        constraint=sys_.projector(), x0=np.concatenate([state.v_i, state.v_e]),
-        jacobi=True,
-    )
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    ref_i, ref_e = bordered_solve(sys_, rhs)
+    assert np.abs(new.v_i - ref_i).max() < 1e-9
+    assert np.abs(new.v_e - ref_e).max() < 1e-9
+    # and the CG with the projected Jacobi scaling in place of the grounded LU
+    proj, diag = sys_.projector(), sys_.block.diagonal()
+    ref = solve_cg(sys_.block, rhs, proj, lambda r: proj(r / diag), tol=1e-12)
     assert ref.converged
     n_s = space.n_scalar
     assert np.abs(new.v_i - ref.x[:n_s]).max() < 1e-9
@@ -418,13 +436,18 @@ def test_step_from_zero_matches_the_warm_started_step(system):
     )
     assert info.converged and info.iterations == 1
 
-    # reference: the CG warm-started from the previous (v_i, v_e)
+    rhs = reference_rhs(sys_, state, cfg.ionic, disc.i_app, dW_v, coeff_v)
+    ref_i, ref_e = bordered_solve(sys_, rhs)
+    assert np.abs(new.v_i - ref_i).max() <= 1e-13
+    assert np.abs(new.v_e - ref_e).max() <= 1e-13
+    # warm-started from the previous (v_i, v_e): the same CG, solving for
+    # the correction to it
+    x0 = np.concatenate([state.v_i, state.v_e])
     ref = solve_cg(
-        sys_.block, reference_rhs(sys_, state, cfg.ionic, disc.i_app, dW_v, coeff_v),
-        tol=cfg.solver_tol, constraint=sys_.projector(),
-        x0=np.concatenate([state.v_i, state.v_e]), precondition=sys_.precondition,
+        sys_.block, rhs - sys_.block.dot(x0), sys_.projector(), sys_.precondition,
+        tol=cfg.solver_tol,
     )
     assert ref.converged and ref.iterations == 1
-    n = disc.space.n_scalar
-    assert np.abs(new.v_i - ref.x[:n]).max() <= 1e-13
-    assert np.abs(new.v_e - enforce_zero_mean(ref.x[n:], sys_.lumped)).max() <= 1e-13
+    warm, n = x0 + ref.x, disc.space.n_scalar
+    assert np.abs(new.v_i - warm[:n]).max() <= 1e-13
+    assert np.abs(new.v_e - enforce_zero_mean(warm[n:], sys_.lumped)).max() <= 1e-13

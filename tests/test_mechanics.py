@@ -84,17 +84,22 @@ def test_one_stretch_evaluation_assembles_the_two_pass_system(
     monkeypatch, make_fibers
 ):
     # reference: sigma for K and its active part for the load, each from
-    # its own evaluation of the fiber stretches
+    # its own evaluation of the fiber stretches, the active part formed in
+    # the fiber frame
     mesh = structured_unit_square(8, 8)
     u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     fibers = make_fibers(mesh)
     gamma = bump(*mesh.vertices.T) - 0.1
     assert np.any(gamma > 0.0) and np.any(gamma < 0.0)
     got = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
-    monkeypatch.setattr(
-        physics, "sigma_and_active",
-        lambda *args: (physics.sigma_tensor(*args), physics.sigma_active(*args)),
-    )
+
+    def two_pass(gamma, d_l, d_t, p):
+        cl, ct = physics._fiber_stretches(gamma, p)
+        sigma = p.mu * physics._in_fiber_frame(cl, ct, d_l, d_t)
+        cl, ct = physics._fiber_stretches(gamma, p)
+        return sigma, p.mu * physics._in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t)
+
+    monkeypatch.setattr(physics, "sigma_and_active", two_pass)
     ref = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(got.K, name), getattr(ref.K, name))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from cardioem.electrics import ElectricState, assemble_bidomain, step_bidomain
+from cardioem.fem import FeSpace, assemble_mass
+from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff, NoisePath, eval_coeff
+from cardioem.physics import ConductivityParams, IonicParams
 
 
 def test_same_seed_identical_sequences():
@@ -94,10 +98,33 @@ def test_linear_clipped():
     assert eval_coeff(c, 0.5) == 0.5
 
 
+def gating_noise(coeff_w):
+    """`w_after(dW)`: w after one electric step from rest (v = w = 0) with
+    the gating increments dW, which is the gating noise alone."""
+    space = FeSpace(structured_unit_square(1, 1), 1)
+    mass = assemble_mass(space)
+    cond = ConductivityParams()
+    lumped = np.asarray(mass.sum(axis=1)).ravel()
+    system = assemble_bidomain(space, cond.K_i, cond.K_e, 0.0125, mass, lumped)
+    zero = np.zeros(space.n_scalar)
+    rest = ElectricState(zero, zero, zero, zero)
+
+    def w_after(dW):
+        new, info = step_bidomain(
+            system, rest, IonicParams(), zero, np.zeros(len(dW)), dW,
+            NoiseCoeff(), coeff_w,
+        )
+        assert info.converged
+        return new.w
+
+    return w_after
+
+
 def test_mode_scaling():
-    c = NoiseCoeff("constant", 0.6)
-    assert eval_coeff(c, 0.0, mode=0) == pytest.approx(0.6)
-    assert eval_coeff(c, 0.0, mode=2) == pytest.approx(0.2)
+    # the step scales mode k's increment by 1/(k+1)
+    w_after = gating_noise(NoiseCoeff("constant", 0.6))
+    assert w_after(np.array([1.0])) == pytest.approx(0.6)
+    assert w_after(np.array([0.0, 0.0, 1.0])) == pytest.approx(0.2)
 
 
 def test_unknown_kind_rejected():
@@ -108,7 +135,7 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize("kind,beta0", [("constant", 0.5), ("linear-clipped", 1.0)])
 def test_growth_and_lipschitz_conditions(kind, beta0):
     c = NoiseCoeff(kind, beta0, z_cap=2.0)
-    Cb = c.growth_cap
+    Cb = beta0**2 * max(1.0, c.z_cap**2)
     rng = np.random.default_rng(2)
     z = rng.uniform(-10, 10, size=2000)
     vals = eval_coeff(c, z)
@@ -120,7 +147,7 @@ def test_growth_and_lipschitz_conditions(kind, beta0):
 
 
 def test_mode_amplitudes_square_summable():
-    c = NoiseCoeff("constant", 1.0)
-    amps = np.array([eval_coeff(c, 0.0, mode=m) for m in range(200)])
+    w_after = gating_noise(NoiseCoeff("constant", 1.0))
+    amps = np.array([w_after(e)[0] for e in np.eye(200)])
     partial = np.cumsum(amps**2)
     assert partial[-1] < np.pi**2 / 6 + 1e-6

@@ -5,20 +5,14 @@ from cardioem.physics import (
     ActivationParams,
     ConductivityParams,
     IonicParams,
-    active_tensor_inv,
-    check_dissipativity,
     clamp_gradient,
-    conductivity,
-    conductivity_bounds,
     gamma_kappa,
     g_act,
     h_kin,
     i_ion,
     inverse_deformation,
     pull_back,
-    sigma_active,
-    sigma_bounds,
-    sigma_tensor,
+    sigma_and_active,
 )
 
 PAPER_IONIC = IonicParams(k=-80.0, a=0.25, d1=0.17, d2=1.0)
@@ -103,6 +97,15 @@ def test_gamma_kappa_monotone_bounded_lipschitz():
 # active tensor
 
 
+def sigma_tensor(gamma, d_l, d_t, p):
+    return sigma_and_active(gamma, d_l, d_t, p)[0]
+
+
+def active_tensor_inv(gamma, d_l, d_t, p):
+    """det(Fa) Fa^-1 Fa^-T, which is sigma / mu."""
+    return sigma_tensor(gamma, d_l, d_t, p) / p.mu
+
+
 def test_active_tensor_identity_for_nonpositive_gamma():
     p = ActivationParams()
     dl, dt = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -144,7 +147,8 @@ def test_sigma_linear_in_mu():
 
 def test_sigma_eigenvalue_bounds_randomized():
     p = ActivationParams(mu=4.0, Gamma_l=0.3, Gamma_t=0.2)
-    lo, hi = sigma_bounds(p)
+    G = max(p.Gamma_l, p.Gamma_t)
+    lo, hi = p.mu * (1.0 - G), p.mu / (1.0 - G)
     rng = np.random.default_rng(11)
     for _ in range(300):
         theta = rng.uniform(0, 2 * np.pi)
@@ -163,8 +167,7 @@ def test_sigma_active_is_sigma_less_mu_and_exactly_zero_when_passive():
     dt = np.column_stack([-np.sin(theta), np.cos(theta)])
     gamma = np.linspace(-1.0, 2.0, 50)
     gamma[::4] = -0.0
-    active = sigma_active(gamma, dl, dt, p)
-    full = sigma_tensor(gamma, dl, dt, p)
+    full, active = sigma_and_active(gamma, dl, dt, p)
     assert np.abs(active + 4.0 * np.eye(2) - full).max() <= 1e-14
     # in a rotated frame mu (d_l d_l + d_t d_t) is mu I only to round-off,
     # so the zeros must come from the frame coefficients
@@ -185,6 +188,11 @@ def test_activation_params_validation():
 
 # ---------------------------------------------------------------------------
 # conductivity pullback
+
+
+def conductivity(grad_u, K, p):
+    """F^-1 K F^-T with F = I + the clamped gradient."""
+    return pull_back(inverse_deformation(grad_u, p), K)
 
 
 def test_conductivity_identity_gradient():
@@ -212,7 +220,11 @@ def test_conductivity_symmetric_for_random_gradients():
 def test_conductivity_eigenvalues_within_declared_bounds():
     p = ConductivityParams()
     K = np.diag([0.02, 0.01])
-    lo, hi = conductivity_bounds(K, p)
+    # |F| <= 1 + delta and det F >= tau, so the singular values of F lie in
+    # [tau / (1 + delta), 1 + delta]
+    evals = np.linalg.eigvalsh(K)
+    lo = evals[0] / (1.0 + p.clamp_delta) ** 2
+    hi = evals[-1] * ((1.0 + p.clamp_delta) / p.clamp_tau) ** 2
     rng = np.random.default_rng(17)
     grads = rng.uniform(-3, 3, size=(5000, 2, 2))
     ev = np.linalg.eigvalsh(conductivity(grads, K, p))
@@ -263,41 +275,3 @@ def test_conductivity_off_diagonals_must_agree_exactly():
         ConductivityParams(K_i=np.array([[0.02, 0.0], [5e-13, 0.01]]))
     with pytest.raises(ValueError, match="symmetric"):
         ConductivityParams(K_e=np.array([[0.04, 1e-3], [1e-3 + 1e-16, 0.02]]))
-
-
-# ---------------------------------------------------------------------------
-# dissipativity witness
-
-
-def test_dissipativity_identical_points():
-    rep = check_dissipativity(PAPER_IONIC, 1.0, 0.0, n_samples=3)
-    # diagonal quadruples contribute zero; the margin cannot exceed zero there
-    v = np.linspace(-2, 2, 3)
-    for vi in v:
-        lhs = 1.0 * (i_ion(vi, 0.0, PAPER_IONIC) - i_ion(vi, 0.0, PAPER_IONIC)) * 0.0
-        assert lhs == 0.0
-    assert rep.n_samples == 3**4
-
-
-def test_dissipativity_paper_parameters_generous_constant():
-    rep = check_dissipativity(PAPER_IONIC, 1.0, 1e4, sample_box=(-2, 2), n_samples=9)
-    assert rep.holds
-    assert rep.worst_margin >= -1e-9
-
-
-def test_dissipativity_linear_kinetics_operator_norm():
-    # with k = 0 the reaction is linear; the quadratic form
-    # -(d1 dv - d2 dw) dw >= -C (dv^2 + dw^2) holds with C the spectral
-    # norm of the symmetrized coefficient matrix (linear-algebra oracle)
-    p = IonicParams(k=1e-300, a=0.25, d1=0.17, d2=1.0)  # k=0 up to roundoff
-    Q = np.array([[0.0, -p.d1 / 2], [-p.d1 / 2, p.d2]])
-    C = float(np.abs(np.linalg.eigvalsh(Q)).max())
-    rep = check_dissipativity(p, 1.0, C + 1e-12, sample_box=(-2, 2), n_samples=9)
-    assert rep.holds
-
-
-def test_dissipativity_detects_violation():
-    # C = 0 cannot absorb the negative part of the cubic on a box
-    rep = check_dissipativity(PAPER_IONIC, 1.0, 0.0, sample_box=(-2, 2), n_samples=9)
-    assert not rep.holds
-    assert rep.worst_margin < 0
