@@ -10,7 +10,6 @@ convergence studies for the two solver stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -37,23 +36,6 @@ from .mesh import structured_unit_square
 
 # ---------------------------------------------------------------------------
 # energies
-
-
-class EnergyEntry(NamedTuple):
-    v_l2sq: float
-    w_l2sq: float
-    grad_vi_sq: float
-    grad_ve_sq: float
-
-
-def discrete_energy(state, mass, stiffness) -> EnergyEntry:
-    """Instantaneous quadratic forms of the electric unknowns."""
-    return EnergyEntry(
-        v_l2sq=float(state.v @ mass.dot(state.v)),
-        w_l2sq=float(state.w @ mass.dot(state.w)),
-        grad_vi_sq=float(state.v_i @ stiffness.dot(state.v_i)),
-        grad_ve_sq=float(state.v_e @ stiffness.dot(state.v_e)),
-    )
 
 
 @dataclass
@@ -111,15 +93,17 @@ def append_energy(
     scalar_space: FeSpace,
     dt: float,
 ):
-    """Append one step's energies; `mech_terms` comes from `mech_energy`."""
-    entry = discrete_energy(state, mass, stiff_unit)
-    record.v_l2sq.append(entry.v_l2sq)
-    record.w_l2sq.append(entry.w_l2sq)
+    """Append one step's energies of the electric `state` and `gamma`.
+
+    `mech_terms` comes from `mech_energy`.
+    """
+    record.v_l2sq.append(float(state.v @ mass.dot(state.v)))
+    record.w_l2sq.append(float(state.w @ mass.dot(state.w)))
     record.gamma_l2sq.append(float(gamma @ mass.dot(gamma)))
+    grad_vi_sq = float(state.v_i @ stiff_unit.dot(state.v_i))
+    grad_ve_sq = float(state.v_e @ stiff_unit.dot(state.v_e))
     prev_grad = record.cum_grad[-1] if record.cum_grad else 0.0
-    record.cum_grad.append(
-        prev_grad + dt * (entry.grad_vi_sq + entry.grad_ve_sq)
-    )
+    record.cum_grad.append(prev_grad + dt * (grad_vi_sq + grad_ve_sq))
     prev_v4 = record.cum_v4[-1] if record.cum_v4 else 0.0
     record.cum_v4.append(prev_v4 + dt * l4_norm(scalar_space, state.v) ** 4)
     record.u_h1sq.append(mech_terms[0])
@@ -214,7 +198,7 @@ def eps_pressure_study(disc, result, eps_list) -> list:
 
     rows = []
     for eps in eps_list:
-        state = mechanics.MechState(first.u, first.p)
+        state = first.mech
         gap2 = 0.0
         for snap, system in zip(window, systems):
             state, res = mechanics.step_mechanics_regularized(
@@ -224,7 +208,7 @@ def eps_pressure_study(disc, result, eps_list) -> list:
                 raise RuntimeError(
                     f"regularized mechanics step failed at eps={eps:g}"
                 )
-            dp = state.p - snap.p
+            dp = state.p - snap.mech.p
             gap2 += cfg.dt * float(dp @ Mp.dot(dp))
         rows.append((float(eps), float(np.sqrt(gap2))))
     return rows

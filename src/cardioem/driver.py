@@ -12,22 +12,30 @@ Operator ordering per step (fixed):
      initial solution and its bidomain system are reused instead,
   4. record the probe values and the energies, whose mechanics terms are
      computed once per mechanics state; at the iterations in
-     `snapshot_iters`, keep a `FieldSnapshot` of every unknown.
+     `snapshot_iters`, keep a copy of the path's state.
 
-A `SimResult` holds these records, the final state and the residuals of
-every mechanics solve.
+The state of a path after iteration n is one `PathState`: (v_i, v_e, v,
+w), gamma and the current mechanics solution, at t = n dt.  A `SimResult`
+holds the records, the copies taken at `snapshot_iters` (keyed by n), the
+final `PathState` and the residuals of every mechanics solve.  A failing
+run raises `SimulationError`, whose checkpoint is the `PathState` the
+failing step started from: after a failure in step n (from t_n to
+t_{n+1}) it equals, bitwise, the final state of the same config run for n
+steps.  A failed set-up has the initial state as its checkpoint, with the
+unconverged mechanics solution.
 
 Everything before the first step that the seed does not change is a
-`Discretization`, built once from the config: the mesh, spaces and fixed
-operators, the probe locations and the stimulus load, v0 from the
-stimulus profile, the activation gamma0 = -0.3 v0 / (2 - v0), and the
-mechanics solution at gamma0 (the passive solution).  gamma0 is nowhere
-positive, so with no body force the load is exactly zero and the passive
-solution is the zero pair, taken without assembling or solving anything;
-only a body force makes it an assembled solve.  A zero displacement leaves
-F = I, so the passive bidomain system's conductivities are the constant
-tensors K_i and K_e, assembled without a displacement gradient.  The P2
-space of u, the mechanics operators that do not depend on the activation
+`Discretization`, built once from the config: the mesh (`mesh_file`, or
+the `mesh_nx` x `mesh_ny` unit square), spaces and fixed operators, the
+probe locations and the stimulus load, v0 from the stimulus profile, the
+activation gamma0 = -0.3 v0 / (2 - v0), and the mechanics solution at
+gamma0 (the passive solution).  gamma0 is nowhere positive, so with no
+body force the load is exactly zero and the passive solution is the zero
+pair, taken without assembling or solving anything; only a body force
+makes it an assembled solve.  A zero displacement leaves F = I, so the
+passive bidomain system's conductivities are the constant tensors K_i and
+K_e, assembled without a displacement gradient.  The P2 space of u, the
+mechanics operators that do not depend on the activation
 (`mechanics.MechStatics`) and the H1 Gram matrix are built on first use,
 at the first solve with a load, so a run that never activates builds one
 `FeSpace`, the P1 one, and none of the mechanics.  A run splits v0 into
@@ -41,6 +49,7 @@ reseeds with (seed, k).
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -61,7 +70,11 @@ from .noise import NoiseCoeff, NoisePath
 
 
 class SimulationError(RuntimeError):
-    """Aborted run; carries the failing step and a state checkpoint."""
+    """Aborted run: the failing step and a checkpoint.
+
+    The checkpoint is the `PathState` that the failing step started from,
+    so its `n` equals `step`; it is None where no single path failed.
+    """
 
     def __init__(self, message, step, checkpoint=None):
         super().__init__(f"step {step}: {message}")
@@ -120,34 +133,30 @@ class SimConfig:
         return structured_unit_square(self.mesh_nx, self.mesh_ny)
 
 
-@dataclass
-class FieldSnapshot:
-    """Named dof arrays of every unknown at one labelled iteration."""
+@dataclass(frozen=True)
+class PathState:
+    """The state of one path after iteration n, at time t = n dt."""
 
-    iteration: int
+    n: int
     t: float
-    v: np.ndarray
-    v_e: np.ndarray
-    w: np.ndarray
+    electric: electrics.ElectricState
     gamma: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
+    mech: mechanics.MechState
 
 
 @dataclass
 class SimResult:
-    """Probe traces, optional snapshots, energies, and reproduction data."""
+    """Probe traces, energies, path states, and reproduction data."""
 
     times: np.ndarray
     probes: np.ndarray  # (n_steps + 1, n_probes)
-    probe_points: tuple
     energy: "diagnostics.EnergyRecord"
-    snapshots: dict
+    snapshots: dict  # iteration -> a copy of the PathState there
     seed: int
     config_hash: str
     n_steps: int
-    dt: float
-    final: dict
+    final: PathState
+    mech_residuals: list  # (primal, constraint) of every mechanics solve
 
 
 @dataclass
@@ -250,13 +259,13 @@ class Discretization:
     built: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def build(cls, config: SimConfig, mesh: TriMesh | None = None) -> "Discretization":
-        """The set-up of `config`, on `mesh` or the config's own mesh.
+    def build(cls, config: SimConfig) -> "Discretization":
+        """The set-up of `config`, on the config's own mesh.
 
         Raises `SimulationError` at step 0 when the initial mechanics solve
         fails.
         """
-        mesh = mesh if mesh is not None else config.build_mesh()
+        mesh = config.build_mesh()
         space = FeSpace(mesh, degree=1)
         mass = assemble_mass(space)
         v0 = space.interpolate(electrics.initial_stimulus)
@@ -282,9 +291,9 @@ class Discretization:
         if not mres.converged:
             raise SimulationError(
                 "initial mechanics solve failed", 0,
-                checkpoint={
-                    "state": disc.initial_state(), "gamma": disc.gamma0.copy(),
-                },
+                checkpoint=PathState(
+                    0, 0.0, disc.initial_state(), disc.gamma0.copy(), mech_state
+                ),
             )
         system = disc.bidomain_system(mech_state.u)
         return replace(disc, passive=PassiveSolution(mech_state, mres, system))
@@ -370,24 +379,22 @@ class Discretization:
 
 
 def run_simulation(
-    config: SimConfig,
-    mesh: TriMesh | None = None,
-    disc: Discretization | None = None,
+    config: SimConfig, disc: Discretization | None = None
 ) -> SimResult:
-    """One path of `config`, on `mesh` or the config's own mesh.
+    """One path of `config`.
 
     A shared `disc` (from `Discretization.build` of a config that differs
-    from `config` at most in the seed) replaces the set-up, and `mesh`.
+    from `config` at most in the seed) replaces the set-up.
     """
     from .io_cli import config_hash  # local import to avoid a cycle
 
     shared = disc is not None
     if not shared:
-        disc = Discretization.build(config, mesh)
-    elif mesh is not None or replace(config, seed=disc.config.seed) != disc.config:
+        disc = Discretization.build(config)
+    elif replace(config, seed=disc.config.seed) != disc.config:
         raise ValueError(
-            "a shared Discretization replaces the mesh and must be built "
-            "from this config, up to its seed"
+            "a shared Discretization must be built from this config, up to "
+            "its seed"
         )
     passive = disc.passive
     if not shared:
@@ -397,51 +404,37 @@ def run_simulation(
     mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
     n_steps = config.n_steps
 
-    state = disc.initial_state()
-    gamma = disc.gamma0.copy()
-    mech_state, mres, system = passive
+    mech, mres, system = passive
+    path = PathState(0, 0.0, disc.initial_state(), disc.gamma0.copy(), mech)
     mech_residuals = [(mres.res_primal, mres.res_constraint)]
 
-    path = NoisePath(config.seed, config.dt, n_steps, config.n_modes)
-    incr_v = path.increments("v")
-    incr_w = path.increments("w")
+    noise = NoisePath(config.seed, config.dt, n_steps, config.n_modes)
+    incr_v = noise.increments("v")
+    incr_w = noise.increments("w")
 
     probes = np.empty((n_steps + 1, len(locs)))
-    probes[0] = _probe_values(mesh, locs, state.v)
+    probes[0] = _probe_values(mesh, locs, path.electric.v)
     times = config.dt * np.arange(n_steps + 1)
 
     i_app_zero = np.zeros_like(disc.i_app)
 
     energy = diagnostics.EnergyRecord()
-    mech_terms = diagnostics.mech_energy(mech_state, disc)
+    mech_terms = diagnostics.mech_energy(mech, disc)
     diagnostics.append_energy(
-        energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
+        energy, path.electric, path.gamma, mech_terms, mass, disc.stiff_unit,
+        space, config.dt,
     )
 
     snapshots = {}
     chash = config_hash(config)
-
-    def take_snapshot(it):
-        snapshots[it] = FieldSnapshot(
-            iteration=it,
-            t=float(times[it]),
-            v=state.v.copy(),
-            v_e=state.v_e.copy(),
-            w=state.w.copy(),
-            gamma=gamma.copy(),
-            u=mech_state.u.copy(),
-            p=mech_state.p.copy(),
-        )
-
     if 0 in config.snapshot_iters:
-        take_snapshot(0)
+        snapshots[0] = copy.deepcopy(path)
 
     for n in range(n_steps):
-        t = float(times[n])
-        i_app_vec = disc.i_app if t < config.stim_duration else i_app_zero
-        state, info = electrics.step_bidomain(
+        i_app_vec = disc.i_app if path.t < config.stim_duration else i_app_zero
+        electric, info = electrics.step_bidomain(
             system,
-            state,
+            path.electric,
             config.ionic,
             i_app_vec,
             incr_v[n],
@@ -452,57 +445,51 @@ def run_simulation(
         )
         if not info.converged:
             raise SimulationError(
-                f"electric solve stalled (relres {info.relres:.2e})",
-                n,
-                checkpoint={"state": state, "gamma": gamma.copy()},
+                f"electric solve stalled (relres {info.relres:.2e})", n,
+                checkpoint=path,
             )
 
-        gamma = gamma + config.dt * physics.g_act(gamma, state.w, config.activation)
+        gamma = path.gamma + config.dt * physics.g_act(
+            path.gamma, electric.w, config.activation
+        )
         if not np.all(np.isfinite(gamma)):
-            raise SimulationError(
-                "activation is not finite", n,
-                checkpoint={"state": state, "gamma": gamma.copy()},
-            )
+            raise SimulationError("activation is not finite", n, checkpoint=path)
 
+        mech = path.mech
         if (n + 1) % config.mech_refresh == 0:
             if passive is not None and mechanics.is_passive(gamma):
-                mech_state, mres, system = passive
+                mech, mres, system = passive
             else:
-                mech_state, mres = disc.solve_mechanics(gamma)
+                mech, mres = disc.solve_mechanics(gamma)
                 if not mres.converged:
                     raise SimulationError(
-                        "mechanics solve failed", n,
-                        checkpoint={"state": state, "gamma": gamma.copy()},
+                        "mechanics solve failed", n, checkpoint=path
                     )
-                system = disc.bidomain_system(mech_state.u)
+                system = disc.bidomain_system(mech.u)
                 if not shared:
                     passive = None
             mech_residuals.append((mres.res_primal, mres.res_constraint))
-            mech_terms = diagnostics.mech_energy(mech_state, disc)
+            mech_terms = diagnostics.mech_energy(mech, disc)
 
-        probes[n + 1] = _probe_values(mesh, locs, state.v)
+        path = PathState(n + 1, float(times[n + 1]), electric, gamma, mech)
+        probes[n + 1] = _probe_values(mesh, locs, electric.v)
         diagnostics.append_energy(
-            energy, state, gamma, mech_terms, mass, disc.stiff_unit, space, config.dt
+            energy, electric, gamma, mech_terms, mass, disc.stiff_unit, space,
+            config.dt,
         )
-        if (n + 1) in config.snapshot_iters:
-            take_snapshot(n + 1)
+        if path.n in config.snapshot_iters:
+            snapshots[path.n] = copy.deepcopy(path)
 
     return SimResult(
         times=times,
         probes=probes,
-        probe_points=tuple(config.probes),
         energy=energy,
         snapshots=snapshots,
         seed=config.seed,
         config_hash=chash,
         n_steps=n_steps,
-        dt=config.dt,
-        final={
-            "state": state,
-            "gamma": gamma,
-            "mech": mech_state,
-            "mech_residuals": mech_residuals,
-        },
+        final=path,
+        mech_residuals=mech_residuals,
     )
 
 
@@ -511,9 +498,7 @@ def path_seed(base_seed: int, k: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(k))).generate_state(1)[0])
 
 
-def run_ensemble(
-    config: SimConfig, n_paths: int, mesh: TriMesh | None = None
-) -> tuple[EnsembleStats, list]:
+def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     """Run n_paths independent paths and aggregate probe statistics.
 
     The paths share one `Discretization`.  Failed paths are reported in
@@ -523,7 +508,7 @@ def run_ensemble(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     try:
-        disc = Discretization.build(config, mesh)
+        disc = Discretization.build(config)
     except SimulationError as exc:
         warnings.warn(f"all {n_paths} paths failed in their shared set-up: {exc}")
         raise SimulationError("all ensemble paths failed", -1) from exc

@@ -173,7 +173,7 @@ def config_hash(config: driver.SimConfig) -> str:
 
 
 def write_vtk(path, mesh, snapshot, seed: int, chash: str):
-    """Legacy-ASCII VTK unstructured grid with nodal fields.
+    """Legacy-ASCII VTK unstructured grid of one `driver.PathState`.
 
     Scalars are written on the vertices; the displacement becomes a
     3-component VECTORS array with zero z.  Values carry 9 significant
@@ -185,7 +185,7 @@ def write_vtk(path, mesh, snapshot, seed: int, chash: str):
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(
-            f"iteration={snapshot.iteration} t={snapshot.t:.9g} "
+            f"iteration={snapshot.n} t={snapshot.t:.9g} "
             f"seed={seed} config={chash}\n"
         )
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
@@ -198,13 +198,17 @@ def write_vtk(path, mesh, snapshot, seed: int, chash: str):
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {nv}\n")
-        for name in ("v", "v_e", "w", "gamma", "p"):
-            arr = getattr(snapshot, name)
+        electric, u = snapshot.electric, snapshot.mech.u
+        scalars = {
+            "v": electric.v, "v_e": electric.v_e, "w": electric.w,
+            "gamma": snapshot.gamma, "p": snapshot.mech.p,
+        }
+        for name, arr in scalars.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for value in arr[:nv]:
                 fh.write(fmt(value) + "\n")
-        n_s = len(snapshot.u) // 2
-        ux, uy = snapshot.u[:n_s][:nv], snapshot.u[n_s:][:nv]
+        n_s = len(u) // 2
+        ux, uy = u[:n_s][:nv], u[n_s:][:nv]
         fh.write("VECTORS u double\n")
         for a, b in zip(ux, uy):
             fh.write(f"{fmt(a)} {fmt(b)} 0\n")
@@ -379,11 +383,11 @@ def _cmd_diagnose(args) -> int:
     disc = driver.Discretization.build(run_cfg)
     result = driver.run_simulation(run_cfg, disc=disc)
     sup = result.energy.suprema()
-    coer = diagnostics.coercivity_estimate(disc, result.final["gamma"])
+    coer = diagnostics.coercivity_estimate(disc, result.final.gamma)
     infsup = diagnostics.infsup_estimate(disc)
     table = diagnostics.eps_pressure_study(disc, result, [1e-1, 1e-2, 1e-3])
     Mp = disc.statics.mass_p
-    window = [result.snapshots[it].p for it in run_cfg.snapshot_iters[1:]]
+    window = [result.snapshots[it].mech.p for it in run_cfg.snapshot_iters[1:]]
     p_norm = np.sqrt(sum(config.dt * float(p @ Mp.dot(p)) for p in window))
 
     t_end = result.times[-1]

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from cardioem import driver, mechanics, physics
-from cardioem.driver import SimConfig, SimulationError, path_seed, run_simulation
+from cardioem.driver import (
+    Discretization,
+    SimConfig,
+    SimulationError,
+    path_seed,
+    run_simulation,
+)
 from cardioem.io_cli import (
     CONFIG_KEYS,
     config_hash,
@@ -183,9 +189,13 @@ def test_electric_stall_raises_with_checkpoint():
         run_simulation(config)
     assert "electric solve stalled" in str(info.value)
     assert info.value.step == 0
+    # the state the stalled step started from: the initial one
     checkpoint = info.value.checkpoint
-    assert set(checkpoint) == {"state", "gamma"}
-    assert len(checkpoint["gamma"]) == 25
+    assert (checkpoint.n, checkpoint.t) == (0, 0.0)
+    assert len(checkpoint.gamma) == 25
+    disc = Discretization.build(config)
+    np.testing.assert_array_equal(checkpoint.electric.v, disc.v0)
+    np.testing.assert_array_equal(checkpoint.gamma, disc.gamma0)
 
 
 def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
@@ -254,15 +264,22 @@ def test_run_snapshot_round_trips_through_vtk(tmp_path):
     mesh = config.build_mesh()
     points, fields, vectors = read_vtk_points_and_fields(out / "snapshot_00002.vtk")
     snap = result.snapshots[2]
+    assert (snap.n, snap.t) == (2, result.times[2])
     nv = mesh.num_vertices
     np.testing.assert_allclose(points[:, :2], mesh.vertices, rtol=1e-8, atol=0)
-    assert sorted(fields) == ["gamma", "p", "v", "v_e", "w"]
+    expected = {
+        "v": snap.electric.v, "v_e": snap.electric.v_e, "w": snap.electric.w,
+        "gamma": snap.gamma, "p": snap.mech.p,
+    }
+    assert sorted(fields) == sorted(expected)
     for name, arr in fields.items():
         np.testing.assert_allclose(
-            arr, getattr(snap, name)[:nv], rtol=1e-8, atol=1e-300
+            arr, expected[name][:nv], rtol=1e-8, atol=1e-300
         )
-    n_s = len(snap.u) // 2
-    u = np.column_stack([snap.u[:n_s][:nv], snap.u[n_s:][:nv], np.zeros(nv)])
+    n_s = len(snap.mech.u) // 2
+    u = np.column_stack(
+        [snap.mech.u[:n_s][:nv], snap.mech.u[n_s:][:nv], np.zeros(nv)]
+    )
     np.testing.assert_allclose(vectors["u"], u, rtol=1e-8, atol=1e-300)
 
 

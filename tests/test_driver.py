@@ -17,7 +17,6 @@ from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness
 from cardioem.mesh import (
     FiberField,
     TriMesh,
-    load_mesh,
     serialize_mesh,
     structured_unit_square,
 )
@@ -37,22 +36,26 @@ def test_initial_mechanics_failure_carries_checkpoint():
     with pytest.raises(SimulationError) as info:
         run_simulation(config)
     assert info.value.step == 0
+    # the initial state, with the unconverged mechanics solution
     checkpoint = info.value.checkpoint
-    assert set(checkpoint) == {"state", "gamma"}
-    assert len(checkpoint["gamma"]) == 25
+    disc = Discretization.build(replace(config, mech_tol=1e-9))
+    assert (checkpoint.n, checkpoint.t) == (0, 0.0)
+    np.testing.assert_array_equal(checkpoint.electric.v, disc.v0)
+    np.testing.assert_array_equal(checkpoint.gamma, disc.gamma0)
+    assert len(checkpoint.mech.u) == len(disc.passive.mech.u)
+    assert np.any(checkpoint.mech.u)
 
 
 def test_h1_energy_uses_the_runs_own_mesh():
     # two meshes in one process: each run's u_h1sq must come from its own
     # P2 Gram matrix M + K
     for n in (4, 6):
-        mesh = structured_unit_square(n, n)
         config = SimConfig(mesh_nx=n, mesh_ny=n, T=0.025, mech_refresh=1)
-        result = run_simulation(config, mesh=mesh)
-        u_space = FeSpace(mesh, 2)
+        result = run_simulation(config)
+        u_space = FeSpace(config.build_mesh(), 2)
         block = assemble_mass(u_space) + assemble_stiffness(u_space)
         gram = sp.block_diag((block, block), format="csr")
-        u = result.final["mech"].u
+        u = result.final.mech.u
         assert result.energy.u_h1sq[-1] > 0.0
         assert result.energy.u_h1sq[-1] == pytest.approx(
             float(u @ gram.dot(u)), rel=1e-12
@@ -69,12 +72,22 @@ ENSEMBLE = SimConfig(
 )
 
 
+def _assert_same_state(a, b):
+    """Two `PathState`s equal bitwise."""
+    assert (a.n, a.t) == (b.n, b.t)
+    for name in ("v_i", "v_e", "v", "w"):
+        np.testing.assert_array_equal(
+            getattr(a.electric, name), getattr(b.electric, name)
+        )
+    np.testing.assert_array_equal(a.gamma, b.gamma)
+    np.testing.assert_array_equal(a.mech.u, b.mech.u)
+    np.testing.assert_array_equal(a.mech.p, b.mech.p)
+
+
 def _assert_same_path(a, b):
     np.testing.assert_array_equal(a.probes, b.probes)
-    np.testing.assert_array_equal(a.final["mech"].u, b.final["mech"].u)
-    np.testing.assert_array_equal(a.final["mech"].p, b.final["mech"].p)
-    np.testing.assert_array_equal(a.final["gamma"], b.final["gamma"])
-    assert a.final["mech_residuals"] == b.final["mech_residuals"]
+    _assert_same_state(a.final, b.final)
+    assert a.mech_residuals == b.mech_residuals
     for name, arr in a.energy.arrays().items():
         np.testing.assert_array_equal(arr, b.energy.arrays()[name])
 
@@ -100,7 +113,7 @@ def test_shared_set_up_must_come_from_the_same_config():
     with pytest.raises(ValueError):
         run_simulation(replace(ENSEMBLE, dt=0.025), disc=disc)
     with pytest.raises(ValueError):
-        run_simulation(ENSEMBLE, mesh=disc.mesh, disc=disc)
+        run_simulation(replace(ENSEMBLE, mesh_nx=4), disc=disc)
 
 
 def test_shared_set_up_accepts_an_equal_config_built_apart():
@@ -143,12 +156,12 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
 
     monkeypatch.setattr(mechanics, "solve_mechanics", counted)
     result = run_simulation(config)
-    gamma = result.final["gamma"]
+    gamma = result.final.gamma
     assert mechanics.is_passive(gamma) and np.any(gamma < 0.0)
     # with no body force the passive solution is the zero pair, taken
     # without a solve, and every refresh reuses it
     assert len(calls) == 0
-    assert len(result.final["mech_residuals"]) == 1 + config.n_steps // 5
+    assert len(result.mech_residuals) == 1 + config.n_steps // 5
 
     mesh = config.build_mesh()
     u_space = FeSpace(mesh, 2)
@@ -160,8 +173,8 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
         ),
         tol=config.mech_tol,
     )
-    np.testing.assert_array_equal(result.final["mech"].u, fresh.u)
-    np.testing.assert_array_equal(result.final["mech"].p, fresh.p)
+    np.testing.assert_array_equal(result.final.mech.u, fresh.u)
+    np.testing.assert_array_equal(result.final.mech.p, fresh.p)
 
 
 def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
@@ -189,10 +202,10 @@ def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
     monkeypatch.setattr(driver, "assemble_stiffness", p1_stiffness)
     monkeypatch.setattr(driver, "FeSpace", p1_space)
     result = run_simulation(PASSIVE)
-    assert mechanics.is_passive(result.final["gamma"])
+    assert mechanics.is_passive(result.final.gamma)
     assert result.times[-1] == pytest.approx(PASSIVE.T)
     assert np.all(np.isfinite(result.probes))
-    assert not np.any(result.final["mech"].u) and not np.any(result.final["mech"].p)
+    assert not np.any(result.final.mech.u) and not np.any(result.final.mech.p)
     assert result.energy.u_h1sq == [0.0] * (PASSIVE.n_steps + 1)
 
 
@@ -236,35 +249,72 @@ def perturbed_mesh(nx=6, ny=5, seed=2):
     return TriMesh(v, np.array(m.triangles))
 
 
+def mesh_file_config(tmp_path, mesh):
+    """PASSIVE on `mesh`, written to a mesh file."""
+    path = tmp_path / "mesh.txt"
+    path.write_text(serialize_mesh(mesh))
+    return replace(PASSIVE, mesh_file=str(path))
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: structured_unit_square(1, 1),
-        lambda: structured_unit_square(3, 2),
-        lambda: structured_unit_square(22, 22),
-        perturbed_mesh,
-        lambda: load_mesh(serialize_mesh(perturbed_mesh(5, 7, seed=4))),
+        lambda tmp: replace(PASSIVE, mesh_nx=1, mesh_ny=1),
+        lambda tmp: replace(PASSIVE, mesh_nx=3, mesh_ny=2),
+        lambda tmp: replace(PASSIVE, mesh_nx=22, mesh_ny=22),
+        lambda tmp: mesh_file_config(tmp, perturbed_mesh()),
+        lambda tmp: mesh_file_config(tmp, perturbed_mesh(5, 7, seed=4)),
     ],
     ids=["1x1", "3x2", "22x22", "perturbed", "from-text"],
 )
-def test_zero_passive_u_has_the_p2_length_without_the_p2_space(make):
-    mesh = make()
-    disc = Discretization.build(PASSIVE, mesh)
+def test_zero_passive_u_has_the_p2_length_without_the_p2_space(make, tmp_path):
+    config = make(tmp_path)
+    disc = Discretization.build(config)
     assert "u_space" not in disc.built
+    mesh = config.build_mesh()
     u = disc.passive.mech.u
     assert len(u) == 2 * FeSpace(mesh, 2).n_scalar
     assert not np.any(u)
 
 
 def test_nan_activation_raises(monkeypatch):
-    # a NaN gamma must end the run, never reuse the passive solution
+    # a NaN gamma must end the run, never reuse the passive solution; the
+    # checkpoint holds the finite gamma the step started from
     monkeypatch.setattr(
         physics, "g_act", lambda gamma, w, p: np.full_like(gamma, np.nan)
     )
     with pytest.raises(SimulationError, match="activation is not finite") as info:
         run_simulation(ENSEMBLE)
     assert info.value.step == 0
-    assert np.all(np.isnan(info.value.checkpoint["gamma"]))
+    np.testing.assert_array_equal(
+        info.value.checkpoint.gamma, Discretization.build(ENSEMBLE).gamma0
+    )
+
+
+def test_checkpoint_is_the_state_the_failing_step_started_from(monkeypatch):
+    # step k's activation update gives NaN: the checkpoint equals, bitwise,
+    # the final state of the same config run for k steps, noise and a
+    # refresh of the loaded mechanics included
+    config = replace(ENSEMBLE, mech=DOWNWARD)
+    k = 7
+    short = run_simulation(replace(config, T=k * config.dt))
+    assert short.n_steps == k
+    g_act = physics.g_act
+    calls = []
+
+    def nan_from_step_k(gamma, w, p):
+        calls.append(1)
+        out = g_act(gamma, w, p)
+        return np.full_like(out, np.nan) if len(calls) > k else out
+
+    monkeypatch.setattr(physics, "g_act", nan_from_step_k)
+    with pytest.raises(SimulationError, match="activation is not finite") as info:
+        run_simulation(config)
+    assert info.value.step == k
+    checkpoint = info.value.checkpoint
+    assert checkpoint.n == k
+    assert np.any(checkpoint.mech.u)
+    _assert_same_state(checkpoint, short.final)
 
 
 def fail_path(monkeypatch, config, k_fail):

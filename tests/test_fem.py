@@ -631,6 +631,40 @@ def test_cg_stall_returns_best_iterate():
     assert true < 1e-14
 
 
+def test_cg_indefinite_direction_stops_with_best_iterate():
+    # A = diag(1, 4, -1) is indefinite: the first iterate lowers the
+    # residual, the second raises it, and the third search direction has
+    # d.Ad < 0, so the solve stops there, long before maxit, and returns the
+    # first iterate (returning the last one instead fails this test)
+    A = np.diag([1.0, 4.0, -1.0])
+    b = np.array([1.0, 1.0, 0.5])
+    products = []
+
+    def matvec(d):
+        products.append(d.copy())
+        return A @ d
+
+    seen = []  # relres of every residual the preconditioner is applied to
+
+    def precondition(r):
+        seen.append(math.sqrt(float(r @ r)) / np.linalg.norm(b))
+        return r.copy()
+
+    res = solve_cg(matvec, b, np.copy, precondition, tol=1e-12)
+    assert not res.converged
+    assert res.iterations == 2 and len(products) == 3
+    assert products[-1] @ A @ products[-1] <= 0.0
+    # seen[0] is the initial residual, seen[1] and seen[2] those of the
+    # iterates: the first is the best
+    assert seen[1] < 1.0 < seen[2]
+    assert res.relres == seen[1]
+    first = float(b @ b) / float(b @ A @ b) * b
+    np.testing.assert_allclose(res.x, first, rtol=1e-14)
+    assert np.linalg.norm(b - A @ res.x) / np.linalg.norm(b) == pytest.approx(
+        seen[1], rel=1e-12
+    )
+
+
 def test_cg_poisson_mms_second_order():
     # oracle: u = cos(pi x) cos(pi y), f = 2 pi^2 u, pure Neumann; the
     # caller preconditions by the projected Jacobi scaling
