@@ -42,6 +42,15 @@ at the first solve with a load, so a run that never activates builds one
 (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
+An ensemble splits its paths over W = min(paths, usable CPUs) processes,
+path k to share k mod W.  Shares 1..W-1 run in processes forked after the
+set-up, which inherit the Discretization (a stepped one holds a SuperLU,
+which does not pickle) and send their results back over a pipe; the
+calling process runs share 0, so a tracer in it sees that share's layers.
+A config with no steps, or a platform with no `fork`, runs serially: a
+zero-step path costs less than a fork.  What is built on first use is
+built once per process.
+
 Runs are deterministic given the configuration: each noise stream is drawn
 from a generator seeded by (seed, channel, mode), and ensemble member k
 reseeds with (seed, k).
@@ -50,6 +59,8 @@ reseeds with (seed, k).
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -78,8 +89,13 @@ class SimulationError(RuntimeError):
 
     def __init__(self, message, step, checkpoint=None):
         super().__init__(f"step {step}: {message}")
+        self.message = message
         self.step = step
         self.checkpoint = checkpoint
+
+    def __reduce__(self):
+        # an ensemble worker sends its failed paths' errors to the parent
+        return type(self), (self.message, self.step, self.checkpoint)
 
 
 @dataclass(frozen=True)
@@ -108,7 +124,7 @@ class SimConfig:
     stim_duration: float = 0.01
     solver_tol: float = 1e-10
     mech_tol: float = 1e-9
-    snapshot_iters: tuple = ()
+    snapshot_iters: tuple = ()  # iterations in 0..n_steps
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -121,6 +137,12 @@ class SimConfig:
             raise ValueError("n_modes must be at least 1")
         if self.noise_v.z_cap != self.noise_w.z_cap:
             raise ValueError("noise_v and noise_w must share one z_cap")
+        outside = [it for it in self.snapshot_iters if not 0 <= it <= self.n_steps]
+        if outside:
+            raise ValueError(
+                f"snapshot iterations {outside} lie outside 0..{self.n_steps}, "
+                "the run's iterations"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -498,12 +520,54 @@ def path_seed(base_seed: int, k: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(k))).generate_state(1)[0])
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(config: SimConfig, disc: Discretization, paths, conn=None):
+    """[(k, SimResult or SimulationError)] of the ensemble paths k in `paths`.
+
+    A worker process passes the sending end of its pipe as `conn`, and the
+    list goes over it instead of being returned.
+    """
+    out = []
+    for k in paths:
+        cfg_k = replace(config, seed=path_seed(config.seed, k))
+        try:
+            out.append((k, run_simulation(cfg_k, disc=disc)))
+        except SimulationError as exc:
+            out.append((k, exc))
+    if conn is None:
+        return out
+    conn.send(out)
+    conn.close()
+
+
 def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     """Run n_paths independent paths and aggregate probe statistics.
 
-    The paths share one `Discretization`.  Failed paths are reported in
-    stats.failures and skipped with a warning; statistics are over the
-    surviving paths.
+    The paths share one `Discretization`, built here.  They are split over
+    W = min(n_paths, usable CPUs) processes: path k goes to share k mod W.
+    Shares 1..W-1 each run in a process forked after the set-up, which so
+    inherits the Discretization instead of receiving a pickled copy (a
+    stepped one holds a SuperLU, which cannot be pickled), and which sends
+    its results back over a pipe.  The calling process runs share 0 itself,
+    so it does a share of the work and a tracer in it sees the layers of
+    its own paths.  W is 1, and nothing is forked, where the platform has
+    no `fork` or the config has no steps: a zero-step path only copies the
+    initial state, which costs less than a fork.  The operators built on
+    first use (the P2 space, the mechanics statics, the grounded LU) are
+    built once per process.
+
+    A path's results do not depend on the process that ran it.  Failed
+    paths are reported in stats.failures and skipped with a warning, in
+    path order; statistics are over the surviving paths.  A worker that
+    dies (a signal, an exit without its results) raises `SimulationError`
+    naming its paths and exit code; the workers are always reaped, and
+    terminated first when the calling process fails.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -512,14 +576,53 @@ def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     except SimulationError as exc:
         warnings.warn(f"all {n_paths} paths failed in their shared set-up: {exc}")
         raise SimulationError("all ensemble paths failed", -1) from exc
+    n_workers = 1
+    if config.n_steps > 0 and "fork" in multiprocessing.get_all_start_methods():
+        n_workers = min(n_paths, _usable_cpus())
+    shares = [range(i, n_paths, n_workers) for i in range(n_workers)]
+    outcomes = {}
+    workers = []  # (process, receiving end of its pipe, its paths)
+    try:
+        if n_workers > 1:
+            ctx = multiprocessing.get_context("fork")
+            for paths in shares[1:]:
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_run_share, args=(config, disc, paths, sender)
+                )
+                proc.start()
+                workers.append((proc, receiver, paths))
+                # the worker holds the only sending end, so its death is EOF
+                sender.close()
+        outcomes.update(_run_share(config, disc, shares[0]))
+        for proc, receiver, paths in workers:
+            # receive before joining: a worker blocks on a full pipe
+            try:
+                outcomes.update(receiver.recv())
+                received = True
+            except EOFError:
+                received = False
+            proc.join()
+            if not received or proc.exitcode != 0:
+                raise SimulationError(
+                    f"the worker of ensemble paths {list(paths)} exited with "
+                    f"code {proc.exitcode}", -1,
+                )
+    finally:
+        for proc, receiver, _ in workers:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            receiver.close()
+
     results, failures = [], []
     for k in range(n_paths):
-        cfg_k = replace(config, seed=path_seed(config.seed, k))
-        try:
-            results.append(run_simulation(cfg_k, disc=disc))
-        except SimulationError as exc:
-            failures.append((k, str(exc)))
-            warnings.warn(f"path {k} failed: {exc}")
+        outcome = outcomes[k]
+        if isinstance(outcome, SimulationError):
+            failures.append((k, str(outcome)))
+            warnings.warn(f"path {k} failed: {outcome}")
+        else:
+            results.append(outcome)
     if not results:
         raise SimulationError("all ensemble paths failed", -1)
 

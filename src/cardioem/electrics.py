@@ -96,7 +96,9 @@ class BidomainSystem:
         # lam (0, lumped), the part that P maps to zero
         rhs = r[:-1].copy()
         rhs[n:] -= (float(r.sum()) / total) * m[:-1]
-        z = np.append(self._grounded_lu.solve(rhs), 0.0)
+        z = np.empty(len(r))
+        z[:-1] = self._grounded_lu.solve(rhs)
+        z[-1] = 0.0
         z -= float(m @ z[n:]) / total
         return z
 

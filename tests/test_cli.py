@@ -248,6 +248,16 @@ def read_vtk_points_and_fields(path):
     return np.array(points), fields, vectors
 
 
+def test_snapshot_iterations_outside_the_run_exit_code(tmp_path, capsys):
+    # SMALL has 2 steps: iterations 0..2 exist, 999 and -1 do not
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    args = ["run", "--config", cfg, "--out", str(out), "--snapshots", "0,999,-1"]
+    assert main(args) == 1
+    assert "snapshot iterations [999, -1] lie outside 0..2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_snapshot_round_trips_through_vtk(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "out"

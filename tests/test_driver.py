@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import pickle
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +335,7 @@ def fail_path(monkeypatch, config, k_fail):
 
 
 def test_failed_path_is_reported_and_skipped(monkeypatch):
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 1)
     fail_path(monkeypatch, ENSEMBLE, 1)
     with pytest.warns(UserWarning, match="path 1 failed"):
         stats, results = run_ensemble(ENSEMBLE, 3)
@@ -343,9 +348,167 @@ def test_failed_path_is_reported_and_skipped(monkeypatch):
     assert len(stats.energy_suprema) == 2
 
 
+def test_failed_path_in_a_worker_is_reported_and_skipped(monkeypatch):
+    # two processes: path 1 fails in the forked worker, which sends its
+    # error, checkpoint included, over the pipe
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
+    short = run_simulation(replace(ENSEMBLE, T=3 * ENSEMBLE.dt))
+    run = driver.run_simulation
+    bad_seed = path_seed(ENSEMBLE.seed, 1)
+
+    def flaky(cfg, *args, **kwargs):
+        if cfg.seed == bad_seed:
+            assert os.getpid() != parent
+            raise SimulationError("forced failure", 3, checkpoint=short.final)
+        return run(cfg, *args, **kwargs)
+
+    parent = os.getpid()
+    monkeypatch.setattr(driver, "run_simulation", flaky)
+    with pytest.warns(UserWarning, match="path 1 failed: step 3: forced failure"):
+        stats, results = run_ensemble(ENSEMBLE, 3)
+    assert multiprocessing.active_children() == []
+    assert stats.n_paths == 2
+    assert stats.failures == [(1, "step 3: forced failure")]
+    assert [r.seed for r in results] == [path_seed(ENSEMBLE.seed, k) for k in (0, 2)]
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    worker = ctx.Process(
+        target=driver._run_share,
+        args=(ENSEMBLE, Discretization.build(ENSEMBLE), range(1, 2), sender),
+    )
+    worker.start()
+    sender.close()
+    assert receiver.poll(60)
+    [(k, error)] = receiver.recv()
+    worker.join(60)
+    receiver.close()
+    assert not worker.is_alive()
+    assert (k, worker.exitcode, error.step) == (1, 0, 3)
+    _assert_same_state(error.checkpoint, short.final)
+
+
 def test_initial_mechanics_failure_fails_the_ensemble():
     config = replace(ENSEMBLE, mech_tol=1e-30, mech=DOWNWARD)
     with pytest.warns(UserWarning, match="initial mechanics solve failed"):
         with pytest.raises(SimulationError, match="all ensemble paths failed") as info:
             run_ensemble(config, 2)
     assert info.value.step == -1
+
+
+def test_simulation_error_pickles_with_its_checkpoint():
+    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.0125, solver_tol=1e-30)
+    with pytest.raises(SimulationError) as info:
+        run_simulation(config)
+    error = info.value
+    crossed = pickle.loads(pickle.dumps(error))
+    assert type(crossed) is SimulationError
+    assert (str(crossed), crossed.step) == (str(error), error.step)
+    _assert_same_state(crossed.checkpoint, error.checkpoint)
+
+
+def test_snapshot_iterations_outside_the_run_are_rejected():
+    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, snapshot_iters=(0, 2))
+    assert config.n_steps == 2
+    with pytest.raises(ValueError, match=r"\[3, -1\] lie outside 0\.\.2"):
+        replace(config, snapshot_iters=(0, 3, 2, -1))
+    # a shorter run loses the iterations past its end
+    with pytest.raises(ValueError, match=r"\[2\] lie outside 0\.\.1"):
+        replace(config, T=0.0125)
+
+
+# ---------------------------------------------------------------------------
+# ensembles split over forked processes
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the ensemble forks only where the platform has fork",
+)
+
+
+@needs_fork
+def test_forked_ensemble_equals_the_serial_one(monkeypatch, tmp_path):
+    # 5 paths over 3 processes: shares {0, 3}, {1, 4} and {2}; each path
+    # records the process it ran in
+    run = driver.run_simulation
+
+    def recorded(cfg, *args, **kwargs):
+        (tmp_path / str(cfg.seed)).write_text(str(os.getpid()))
+        return run(cfg, *args, **kwargs)
+
+    def pids():
+        return [
+            int((tmp_path / str(path_seed(ENSEMBLE.seed, k))).read_text())
+            for k in range(5)
+        ]
+
+    monkeypatch.setattr(driver, "run_simulation", recorded)
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 1)
+    serial_stats, serial = run_ensemble(ENSEMBLE, 5)
+    assert pids() == [os.getpid()] * 5
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 3)
+    stats, forked = run_ensemble(ENSEMBLE, 5)
+    assert multiprocessing.active_children() == []
+    where = pids()
+    assert where[0] == where[3] == os.getpid()
+    assert where[1] == where[4] and len(set(where)) == 3
+
+    assert stats.n_paths == 5 and stats.failures == []
+    for res, single in zip(forked, serial):
+        assert res.seed == single.seed
+        _assert_same_path(res, single)
+    np.testing.assert_array_equal(stats.mean, serial_stats.mean)
+    np.testing.assert_array_equal(stats.variance, serial_stats.variance)
+    assert stats.energy_suprema == serial_stats.energy_suprema
+
+
+@needs_fork
+def test_dead_worker_raises_naming_its_paths_and_code(monkeypatch):
+    # 4 paths over 2 processes: the worker runs paths 1 and 3 and dies
+    parent = os.getpid()
+    run = driver.run_simulation
+
+    def dying(cfg, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_simulation", dying)
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
+    with pytest.raises(SimulationError, match=r"paths \[1, 3\] exited with code 3"):
+        run_ensemble(ENSEMBLE, 4)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_failing_calling_process_terminates_its_workers(monkeypatch):
+    # the calling process's own share raises while its worker still runs:
+    # the worker is terminated, not waited for
+    parent = os.getpid()
+
+    def stuck_or_broken(cfg, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("broken path")
+
+    monkeypatch.setattr(driver, "run_simulation", stuck_or_broken)
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="broken path"):
+        run_ensemble(ENSEMBLE, 2)
+    assert time.perf_counter() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_zero_step_ensemble_starts_no_process(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a zero-step ensemble must not fork")
+
+    fork_context = type(multiprocessing.get_context("fork"))
+    monkeypatch.setattr(fork_context, "Process", forbidden)
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 3)
+    stats, results = run_ensemble(replace(ENSEMBLE, T=0.0), 3)
+    assert stats.n_paths == 3 and stats.failures == []
+    assert [r.n_steps for r in results] == [0, 0, 0]
+    assert multiprocessing.active_children() == []
