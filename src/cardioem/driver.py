@@ -135,6 +135,12 @@ class SimConfig:
             raise ValueError("mech_refresh must be at least 1")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
+        # a tolerance <= 0 (or NaN) can never be met: reject it here, not
+        # as a stalled solve at run time
+        if not self.solver_tol > 0:
+            raise ValueError("solver_tol must be positive")
+        if not self.mech_tol > 0:
+            raise ValueError("mech_tol must be positive")
         if self.noise_v.z_cap != self.noise_w.z_cap:
             raise ValueError("noise_v and noise_w must share one z_cap")
         outside = [it for it in self.snapshot_iters if not 0 <= it <= self.n_steps]
@@ -387,12 +393,12 @@ class Discretization:
         An all-zero u passes no gradient: F = I, and the conductivities
         are the constant tensors K_i and K_e.
         """
+        cond = self.config.conductivity
         grad_u = self.u_space.vector_grad_at_qp(u) if np.any(u) else None
-        Mi, Me = electrics.conductivities_from_gradient(
-            self.space, grad_u, self.config.conductivity
-        )
+        Mi, Me = electrics.conductivities_from_gradient(self.space, grad_u, cond)
         return electrics.assemble_bidomain(
-            self.space, Mi, Me, self.config.dt, self.mass, self.lumped
+            self.space, Mi, Me, self.config.dt, self.mass, self.lumped,
+            ratio=cond.ratio,
         )
 
 

@@ -19,13 +19,29 @@ evaluation of its coefficient times the step's mode-weighted increment.
 The CG is preconditioned by an exact solve with the projected operator on
 the zero-mean subspace, so a step takes one iteration, and that iteration
 from zero (where `fem.solve_cg` always starts) is already the solution.
-With its last v_e dof removed (grounded) the block is symmetric positive
-definite and has one sparse LU (`fem.factor_spd`), factored on first use,
-once per BidomainSystem; the driver assembles a new system only at a
-mechanics refresh.  A preconditioner solve takes off the part of the
-residual along (0, lumped), which the block cannot reach, solves the
-grounded block, and shifts v_i and v_e by one constant so that v_e has
-zero lumped mean.
+A preconditioner solve takes off the part of the residual along
+(0, lumped), which the block cannot reach, solves the block with the last
+v_e dof grounded, and shifts v_i and v_e by one constant so that v_e has
+zero lumped mean.  Its sparse LUs (`fem.factor_spd`) are factored on first
+use, once per BidomainSystem; the driver assembles a new system only at a
+mechanics refresh.  The grounded solve takes one of two forms:
+
+* in general, one LU of the grounded 2n block, which is symmetric
+  positive definite: the constant pair that spans the kernel is not
+  grounded;
+* when K_e = lambda K_i (`physics.ConductivityParams.ratio`), both tensors
+  are pulled back through the same F, so A_e = lambda A_i and the block
+  splits exactly into two scalar systems.  With D = M/dt, s = b_i + b_e
+  and v = v_i - v_e, the sum of the two rows is A_i v + (1 + lambda) A_i
+  v_e = s, and the first row then reads
+  (D + lambda/(1 + lambda) A_i) v = b_i - s/(1 + lambda).  So v comes from
+  an SPD scalar solve.  The row sum is (1 + lambda) A_i y = s for
+  y = v_e + v/(1 + lambda), a pure-Neumann solve with its last dof
+  grounded (s sums to zero); then v_e = y - v/(1 + lambda) and
+  v_i = v + v_e, up to the constant that the final shift fixes.  The two
+  solves are independent, and no product with A_i is needed.  This is the
+  same solution, not an approximation; each scalar LU has about a quarter
+  of the block's fill.
 """
 
 from __future__ import annotations
@@ -59,13 +75,19 @@ class ElectricState:
 
 @dataclass
 class BidomainSystem:
-    """Assembled operators for one conductivity configuration."""
+    """Assembled operators for one conductivity configuration.
+
+    `ratio` is lambda when A_e = lambda A_i, and `stiff_i` then holds A_i;
+    both are None otherwise.
+    """
 
     space: FeSpace
     mass: sp.csr_matrix
     dt: float
     block: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix (integrals of phi_j)
+    stiff_i: sp.csr_matrix | None = None
+    ratio: float | None = None
 
     def projector(self):
         """Orthogonal projector removing the weighted-mean of the e-half."""
@@ -87,18 +109,44 @@ class BidomainSystem:
         # that spans its kernel is not grounded
         return factor_spd(self.block[:-1, :-1])
 
+    @cached_property
+    def _split_lus(self):
+        # D + lam/(1+lam) A_i is SPD, and so is (1+lam) A_i without its
+        # last dof, the constants that span its kernel not being grounded
+        lam, A = self.ratio, self.stiff_i
+        return (
+            factor_spd(self.mass / self.dt + (lam / (1.0 + lam)) * A),
+            factor_spd(((1.0 + lam) * A)[:-1, :-1]),
+        )
+
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The z with lumped . z_e = 0 and P block z = r, for zero-mean r."""
+        """The z with lumped . z_e = 0 and P block z = r, for zero-mean r.
+
+        Two scalar solves when `ratio` is set, else the grounded-block
+        solve (module docstring).
+        """
         n = self.space.n_scalar
         m = self.lumped
         total = float(m.sum())
         # the range of the block is the sum-zero vectors: take off
-        # lam (0, lumped), the part that P maps to zero
-        rhs = r[:-1].copy()
-        rhs[n:] -= (float(r.sum()) / total) * m[:-1]
+        # mu (0, lumped), the part that P maps to zero
+        mu = float(r.sum()) / total
         z = np.empty(len(r))
-        z[:-1] = self._grounded_lu.solve(rhs)
         z[-1] = 0.0
+        if self.ratio is None:
+            rhs = r[:-1].copy()
+            rhs[n:] -= mu * m[:-1]
+            z[:-1] = self._grounded_lu.solve(rhs)
+        else:
+            # the two scalar solves of the module docstring
+            lam = self.ratio
+            lu_v, lu_e = self._split_lus
+            s = r[:n] + r[n:]
+            s -= mu * m
+            v = lu_v.solve(r[:n] - s / (1.0 + lam))
+            z[n:-1] = lu_e.solve(s[:-1])
+            z[n:] -= v / (1.0 + lam)
+            z[:n] = v + z[n:]
         z -= float(m @ z[n:]) / total
         return z
 
@@ -110,24 +158,25 @@ def assemble_bidomain(
     dt: float,
     mass: sp.csr_matrix,
     lumped: np.ndarray,
+    ratio: float | None = None,
 ) -> BidomainSystem:
     """Build the block operator from the conductivity tensors.
 
     `cond_i` and `cond_e` are per-quad-point tensors or constant 2x2 ones,
     as `assemble_stiffness` takes them; `lumped` holds the row sums of
-    `mass`.
+    `mass`.  A `ratio` lambda says that `cond_e` is lambda `cond_i`, as
+    `conductivities_from_gradient` returns them for proportional tensors:
+    then one stiffness matrix A_i is assembled, A_e = lambda A_i, and the
+    system solves its block as two scalar systems.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     Mdt = (mass / dt).tocsr()
-    block = sp.bmat(
-        [
-            [Mdt + assemble_stiffness(space, cond_i), -Mdt],
-            [-Mdt, Mdt + assemble_stiffness(space, cond_e)],
-        ],
-        format="csr",
-    )
-    return BidomainSystem(space, mass, dt, block, lumped)
+    A_i = assemble_stiffness(space, cond_i)
+    A_e = assemble_stiffness(space, cond_e) if ratio is None else ratio * A_i
+    block = sp.bmat([[Mdt + A_i, -Mdt], [-Mdt, Mdt + A_e]], format="csr")
+    stiff_i = None if ratio is None else A_i
+    return BidomainSystem(space, mass, dt, block, lumped, stiff_i, ratio)
 
 
 def conductivities_from_gradient(
@@ -140,12 +189,16 @@ def conductivities_from_gradient(
     There F = I, and the result is the constant 2x2 pair (K_i, K_e),
     pulled back through the one identity F^-1 so that its bits are those
     of every point of a zero gradient.  Both tensors share one clamp and
-    one F^-1.
+    one F^-1.  When K_e = lambda K_i (`params.ratio`), M_e is lambda M_i.
     """
     if grad_u is None:
         grad_u = np.zeros((2, 2))
     Finv = physics.inverse_deformation(grad_u, params)
-    return physics.pull_back(Finv, params.K_i), physics.pull_back(Finv, params.K_e)
+    M_i = physics.pull_back(Finv, params.K_i)
+    lam = params.ratio
+    if lam is not None:
+        return M_i, lam * M_i
+    return M_i, physics.pull_back(Finv, params.K_e)
 
 
 def enforce_zero_mean(v_e: np.ndarray, lumped: np.ndarray) -> np.ndarray:

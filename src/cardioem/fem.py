@@ -21,9 +21,9 @@ assembled once per run, are summed through COO instead.
 
 There are two solvers.  `solve_cg` is a conjugate gradient on a
 subspace, started from zero, with a caller-supplied projector and
-preconditioner (the electric step passes the zero-mean projector and a
-grounded LU of its bidomain block).  `solve_saddle` solves the block
-[[A, B^T], [B, -C]] through its pressure Schur complement
+preconditioner (the electric step passes the zero-mean projector and an
+exact solve of its bidomain block by sparse LUs).  `solve_saddle` solves
+the block [[A, B^T], [B, -C]] through its pressure Schur complement
 S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a caller-supplied
 approximation of S^-1 (in practice a factored pressure mass), with
 A = blockdiag(K, K) inverted by one sparse LU of K applied to both
@@ -624,6 +624,7 @@ def solve_saddle(
     g: np.ndarray | None = None,
     tol: float = 1e-10,
     C=None,
+    BT=None,
 ) -> SaddleResult:
     """Solve the block system [[A, B^T], [B, -C]] (u, p) = (f, g).
 
@@ -641,6 +642,7 @@ def solve_saddle(
     Mp, scaled when C is a multiple of it, keeps the iteration count flat
     under refinement.  CG stops at a relative residual 0.1 * tol; if the
     true residuals then miss, one more pass solves for the correction.
+    `BT` is B^T as CSR, for a caller that holds it; else it is formed here.
     When f and g are exactly zero the solution is zero, returned without
     factoring K.
 
@@ -654,7 +656,8 @@ def solve_saddle(
     if not (np.any(f) or np.any(g)):
         return SaddleResult(np.zeros(nu), np.zeros(np_), True, 0, 0.0, 0.0)
     lu = factor_spd(K)
-    BT = B.T.tocsr()
+    if BT is None:
+        BT = B.T.tocsr()
     Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
 
     def solve_a(v):

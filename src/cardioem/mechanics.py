@@ -18,7 +18,8 @@ implicit Euler whose fixed point is the saddle solution.  Both go through
 `fem.solve_saddle`, which recovers the pressure from its Schur complement
 B A^-1 B^T (+ C) by CG, with one sparse LU of the scalar block K serving
 both displacement components, and the pressure mass Mp as the
-preconditioner.  Mp is factored on first use (`MechStatics.mass_p_lu`),
+preconditioner.  The constraint B = -div and its transpose are held once,
+in `MechStatics`.  Mp is factored on first use (`MechStatics.mass_p_lu`),
 not in `mech_statics`, so statics that no solve uses cost no LU.  The
 displacement is a component-major 2-vector field over the scalar P2
 space, and each of its operators is assembled as the scalar block.
@@ -79,10 +80,14 @@ class MechState:
 
 @dataclass
 class MechStatics:
-    """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks."""
+    """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
+
+    `B` is the constraint -div of every system, `BT` its transpose as CSR.
+    """
 
     boundary: sp.csr_matrix
-    divergence: sp.csr_matrix
+    B: sp.csr_matrix
+    BT: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
 
@@ -96,9 +101,11 @@ def mech_statics(
     u_space: FeSpace, p_space: FeSpace, alpha: float, mass_p: sp.csr_matrix
 ) -> MechStatics:
     """The operators of `MechStatics`, given the P1 mass of `p_space`."""
+    B = (-assemble_divergence(u_space, p_space)).tocsr()
     return MechStatics(
         boundary=assemble_boundary_mass(u_space, alpha),
-        divergence=assemble_divergence(u_space, p_space),
+        B=B,
+        BT=B.T.tocsr(),
         mass_u=assemble_mass(u_space),
         mass_p=mass_p,
     )
@@ -200,7 +207,7 @@ def assemble_mechanics(
         gfield = np.broadcast_to(g, (ne, nq, 2)).copy()
         f += assemble_load(u_space, gfield)
 
-    return MechSystem(u_space, K, -statics.divergence, f, statics)
+    return MechSystem(u_space, K, statics.B, f, statics)
 
 
 def solve_mechanics(
@@ -208,7 +215,8 @@ def solve_mechanics(
 ) -> tuple[MechState, SaddleResult]:
     """Solve the assembled block by CG on its pressure Schur complement."""
     res = solve_saddle(
-        system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol
+        system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol,
+        BT=system.statics.BT,
     )
     return MechState(res.u, res.p), res
 
@@ -240,6 +248,7 @@ def step_mechanics_regularized(
         g=-r * st.mass_p.dot(state.p),
         C=r * st.mass_p,
         tol=tol,
+        BT=st.BT,
     )
     return MechState(res.u, res.p), res
 

@@ -73,6 +73,12 @@ class ConductivityParams:
     the eigenvalues of every pulled-back tensor F^-1 K F^-T to
     [lambda_min(K) / (1 + clamp_delta)^2,
     lambda_max(K) ((1 + clamp_delta) / clamp_tau)^2].
+
+    When K_e = lambda K_i exactly (`ratio`, an equal anisotropy ratio in
+    both media; the defaults have lambda = 2), every pulled-back pair
+    goes through the same F, so M_e = lambda M_i and A_e = lambda A_i:
+    the electric step then splits into two scalar solves
+    (`electrics.BidomainSystem.precondition`).
     """
 
     K_i: np.ndarray = None
@@ -95,6 +101,12 @@ class ConductivityParams:
             raise ValueError("clamp_tau must lie in (0, 1)")
         object.__setattr__(self, "K_i", Ki)
         object.__setattr__(self, "K_e", Ke)
+
+    @property
+    def ratio(self) -> float | None:
+        """lambda = K_e[0,0] / K_i[0,0] if lambda K_i == K_e exactly, else None."""
+        lam = float(self.K_e[0, 0] / self.K_i[0, 0])
+        return lam if np.array_equal(lam * self.K_i, self.K_e) else None
 
     def __eq__(self, other):
         # the generated comparison would ask the K arrays for a truth value

@@ -258,6 +258,23 @@ def test_snapshot_iterations_outside_the_run_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("solver.tol = -1", "solver_tol"),
+        ("solver.tol = nan", "solver_tol"),
+        ("solver.mech_tol = 0", "mech_tol"),
+    ],
+)
+def test_tolerance_that_cannot_be_met_exit_code(tmp_path, capsys, line, field):
+    # rejected with the config, before a solve could stall on it
+    cfg = write_config(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{field} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_snapshot_round_trips_through_vtk(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "out"

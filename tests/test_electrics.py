@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cardioem import physics
+from cardioem import electrics, physics
 from cardioem.electrics import (
     BidomainSystem,
     ElectricState,
@@ -22,7 +22,8 @@ from cardioem.fem import (
     assemble_stiffness,
     solve_cg,
 )
-from cardioem.driver import Discretization, SimConfig
+from cardioem.driver import Discretization, SimConfig, run_simulation
+from cardioem.mechanics import MechParams
 from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff, eval_coeff
 
@@ -39,7 +40,9 @@ def make_system(n=4, dt=0.0125, grad_u=None, cond=COND):
     space = FeSpace(mesh, 1)
     mass = assemble_mass(space)
     Mi, Me = conductivities_from_gradient(space, grad_u, cond)
-    return space, mass, assemble_bidomain(space, Mi, Me, dt, mass, row_sums(mass))
+    return space, mass, assemble_bidomain(
+        space, Mi, Me, dt, mass, row_sums(mass), ratio=cond.ratio
+    )
 
 
 def random_grad_u(n):
@@ -358,13 +361,110 @@ def test_elliptic_compatibility_residual():
 
 
 # ---------------------------------------------------------------------------
-# grounded-LU preconditioner
+# the preconditioner: two scalar LUs for proportional tensors, else the
+# grounded-block LU
+
+# the default pair (lambda = 2) keeps the bare ids; 3 K_i has a lambda that
+# is not a power of two; the rotated pair is not proportional
+TENSOR_PAIRS = [
+    ("", COND, 2.0),
+    ("-ke3", physics.ConductivityParams(K_e=3.0 * COND.K_i), 3.0),
+    ("-rotated", rotated_anisotropic(), None),
+]
+SOLVE_CASES = [
+    pytest.param(n, deformed, cond, id=f"{n}-{deformed}{suffix}")
+    for suffix, cond, _ in TENSOR_PAIRS
+    for n in (8, 16)
+    for deformed in (False, True)
+]
+
+
+def recorded_factor_sizes(monkeypatch):
+    """The orders of the matrices that `electrics` factors from now on."""
+    sizes = []
+    factor = electrics.factor_spd
+
+    def recording(A):
+        sizes.append(A.shape[0])
+        return factor(A)
+
+    monkeypatch.setattr(electrics, "factor_spd", recording)
+    return sizes
 
 
 @pytest.mark.parametrize("deformed", [False, True])
-@pytest.mark.parametrize("n", [8, 16])
-def test_precondition_inverts_projected_block(n, deformed):
-    space, _, sys_ = make_system(n, grad_u=random_grad_u(n) if deformed else None)
+@pytest.mark.parametrize(
+    "cond, lam", [(cond, lam) for _, cond, lam in TENSOR_PAIRS],
+    ids=["default", "ke3", "rotated"],
+)
+def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deformed):
+    # two scalar LUs, of orders n and n - 1, for proportional tensors; the
+    # grounded block, of order 2n - 1, otherwise; both on first use, once
+    assert cond.ratio == lam
+    sizes = recorded_factor_sizes(monkeypatch)
+    grad_u = random_grad_u(8) if deformed else None
+    space, _, sys_ = make_system(8, grad_u=grad_u, cond=cond)
+    n = space.n_scalar
+    assert sys_.ratio == lam and (sys_.stiff_i is None) == (lam is None)
+    assert sizes == []
+    r = sys_.projector()(np.random.default_rng(1).standard_normal(2 * n))
+    sys_.precondition(r)
+    sys_.precondition(r)
+    assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)], ids=["xx", "xy", "yy"])
+def test_one_ulp_from_proportional_takes_the_general_path(monkeypatch, entry):
+    K_e = 2.0 * COND.K_i
+    i, j = entry
+    K_e[i, j] = K_e[j, i] = np.nextafter(K_e[i, j], 1.0)
+    cond = physics.ConductivityParams(K_e=K_e)
+    assert cond.ratio is None
+    sizes = recorded_factor_sizes(monkeypatch)
+    disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, conductivity=cond))
+    sys_ = disc.passive.system
+    assert sys_.ratio is None and sys_.stiff_i is None
+    n = disc.space.n_scalar
+    sys_.precondition(sys_.projector()(np.ones(2 * n)))
+    assert sizes == [2 * n - 1]
+
+
+def test_split_solve_run_agrees_with_the_grounded_block_run(monkeypatch):
+    # K_e = 2 K_i: the run that solves each step as two scalar systems and
+    # the run that solves the grounded 2n block (ratio patched to None)
+    # agree to round-off, through noise and refreshes of loaded mechanics;
+    # the activation turns positive near t = 0.7, so the last refreshes
+    # build new systems
+    config = SimConfig(
+        mesh_nx=8, mesh_ny=8, T=1.0, mech_refresh=5, seed=7, n_modes=2,
+        noise_v=NoiseCoeff("linear-clipped", 0.1),
+        noise_w=NoiseCoeff("constant", 0.05),
+        mech=MechParams(g=(0.0, -1.0)),
+    )
+    n = 81
+    sizes = recorded_factor_sizes(monkeypatch)
+    split = run_simulation(config)
+    # the initial system and the active refreshes' ones, each factored once
+    assert sizes == [n, n - 1] * 5
+    sizes.clear()
+    monkeypatch.setattr(
+        physics.ConductivityParams, "ratio", property(lambda self: None)
+    )
+    block = run_simulation(config)
+    assert sizes == [2 * n - 1] * 5
+    assert np.any(block.final.mech.u)
+    np.testing.assert_allclose(split.probes, block.probes, rtol=0, atol=1e-12)
+    for name, arr in split.energy.arrays().items():
+        np.testing.assert_allclose(
+            arr, block.energy.arrays()[name], rtol=1e-12, atol=0, err_msg=name
+        )
+
+
+@pytest.mark.parametrize("n, deformed, cond", SOLVE_CASES)
+def test_precondition_inverts_projected_block(n, deformed, cond):
+    space, _, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
     proj = sys_.projector()
     r = proj(np.random.default_rng(n).standard_normal(2 * space.n_scalar))
     z = sys_.precondition(r)
@@ -387,10 +487,11 @@ def bordered_solve(sys_, rhs):
     return x[:n], x[n:2 * n]
 
 
-@pytest.mark.parametrize("deformed", [False, True])
-@pytest.mark.parametrize("n", [8, 16])
-def test_preconditioned_step_matches_jacobi_reference(n, deformed):
-    space, mass, sys_ = make_system(n, grad_u=random_grad_u(n) if deformed else None)
+@pytest.mark.parametrize("n, deformed, cond", SOLVE_CASES)
+def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
+    space, mass, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
     v0 = space.interpolate(initial_stimulus)
     v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
