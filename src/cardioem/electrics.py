@@ -23,8 +23,9 @@ A preconditioner solve takes off the part of the residual along
 (0, lumped), which the block cannot reach, solves the block with the last
 v_e dof grounded, and shifts v_i and v_e by one constant so that v_e has
 zero lumped mean.  Its sparse LUs (`fem.factor_spd`) are factored on first
-use, once per BidomainSystem; the driver assembles a new system only at a
-mechanics refresh.  The grounded solve takes one of two forms:
+use, at most once per BidomainSystem; `run_simulation` assembles a new
+system only at a mechanics refresh.  The grounded solve takes one of two
+forms:
 
 * in general, one LU of the grounded 2n block, which is symmetric
   positive definite: the constant pair that spans the kernel is not
@@ -42,12 +43,24 @@ mechanics refresh.  The grounded solve takes one of two forms:
   solves are independent, and no product with A_i is needed.  This is the
   same solution, not an approximation; each scalar LU has about a quarter
   of the block's fill.
+
+  The step's right-hand side is (b + i_app, -b + i_app), the reaction and
+  the noise entering both rows with opposite signs, so its row sum is
+  2 i_app.  On a step without applied current the projected residual
+  P(b, -b) has s = 0 (up to round-off), y is a constant (the kernel of
+  A_i on a connected mesh, which `mesh.TriMesh` requires), and
+  z_e = -v/(1 + lambda) before the shift: v_i + lambda v_e stays constant,
+  the classical monodomain reduction for equal anisotropy ratios.  Such a
+  step (`precondition(r, source=False)`) makes only the solve for v, and
+  the grounded LU of (1 + lambda) A_i is factored only when a step with
+  applied current first uses the system: in a run whose stimulus ends
+  before the first refresh, once, for the initial system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,20 +123,26 @@ class BidomainSystem:
         return factor_spd(self.block[:-1, :-1])
 
     @cached_property
-    def _split_lus(self):
-        # D + lam/(1+lam) A_i is SPD, and so is (1+lam) A_i without its
-        # last dof, the constants that span its kernel not being grounded
+    def _lu_v(self):
+        # D + lam/(1+lam) A_i is SPD
         lam, A = self.ratio, self.stiff_i
-        return (
-            factor_spd(self.mass / self.dt + (lam / (1.0 + lam)) * A),
-            factor_spd(((1.0 + lam) * A)[:-1, :-1]),
-        )
+        return factor_spd(self.mass / self.dt + (lam / (1.0 + lam)) * A)
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _lu_e(self):
+        # (1+lam) A_i without its last dof is SPD, the constants that span
+        # its kernel not being grounded
+        return factor_spd(((1.0 + self.ratio) * self.stiff_i)[:-1, :-1])
+
+    def precondition(self, r: np.ndarray, source: bool = True) -> np.ndarray:
         """The z with lumped . z_e = 0 and P block z = r, for zero-mean r.
 
         Two scalar solves when `ratio` is set, else the grounded-block
-        solve (module docstring).
+        solve (module docstring).  `source=False` says that r is P(b, -b)
+        for some b, so that its two halves sum to a multiple of `lumped`:
+        with `ratio` set the row-sum solve then has the constants as its
+        solution, and only the solve for v is made.  The block path
+        ignores `source`.
         """
         n = self.space.n_scalar
         m = self.lumped
@@ -140,12 +159,14 @@ class BidomainSystem:
         else:
             # the two scalar solves of the module docstring
             lam = self.ratio
-            lu_v, lu_e = self._split_lus
             s = r[:n] + r[n:]
             s -= mu * m
-            v = lu_v.solve(r[:n] - s / (1.0 + lam))
-            z[n:-1] = lu_e.solve(s[:-1])
-            z[n:] -= v / (1.0 + lam)
+            v = self._lu_v.solve(r[:n] - s / (1.0 + lam))
+            if source:
+                z[n:-1] = self._lu_e.solve(s[:-1])
+                z[n:] -= v / (1.0 + lam)
+            else:
+                z[n:] = -v / (1.0 + lam)
             z[:n] = v + z[n:]
         z -= float(m @ z[n:]) / total
         return z
@@ -240,9 +261,12 @@ def step_bidomain(
 
     dW_v / dW_w hold one increment per noise mode; mode k's increment is
     scaled by 1/(k+1), so the noise term of a channel is one evaluation of
-    its coefficient times sum_k dW_k / (k+1).  Returns (new_state,
-    StepInfo); on solver failure the state is returned unchanged with
-    converged=False.
+    its coefficient times sum_k dW_k / (k+1).  The two rows of the
+    right-hand side sum to 2 i_app, the noise and the reaction cancelling;
+    so a step whose `i_app` is all zero tells the preconditioner so
+    (`source=False`), and with proportional tensors it then skips the
+    row-sum solve.  Returns (new_state, StepInfo); on solver failure the
+    state is returned unchanged with converged=False.
     """
     M, dt = system.mass, system.dt
     v, w = state.v, state.w
@@ -260,7 +284,8 @@ def step_bidomain(
         tol=tol,
         maxit=maxit,
         constraint=system.projector(),
-        precondition=system.precondition,
+        # without applied current every residual is P(b, -b)
+        precondition=partial(system.precondition, source=bool(np.any(i_app))),
     )
     info = StepInfo(res.converged, res.iterations, res.relres)
     if not res.converged:

@@ -3,8 +3,11 @@
 A mesh is a flat container of vertex coordinates and counterclockwise
 triangles.  Boundary edges are extracted once at construction, oriented as
 they appear in their owning triangle, so outward normals can be recovered
-without sign guessing.  Meshes are immutable after construction and safe to
-share between threads.
+without sign guessing.  Every vertex belongs to a triangle and the
+triangles' edges connect all of them, so that the kernel of a P1 stiffness
+matrix is the constants, the one kernel the grounded bidomain solves
+remove.  Meshes are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -57,6 +60,17 @@ class TriMesh:
                 f"triangle {bad[0]} has non-positive area {areas[bad[0]]:.3e}"
             )
 
+        # the grounded solves of the bidomain step remove one constant:
+        # the stiffness matrix must have no kernel beyond the constants
+        unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=len(verts)) == 0)
+        if unused.size:
+            raise MeshTopologyError(f"vertex {unused[0]} belongs to no triangle")
+        ncomp = _count_components(tris, len(verts))
+        if ncomp > 1:
+            raise MeshTopologyError(
+                f"mesh has {ncomp} connected components; it must be connected"
+            )
+
         object.__setattr__(self, "boundary_edges", _extract_boundary(tris))
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
@@ -102,6 +116,29 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _count_components(tris: np.ndarray, nv: int) -> int:
+    """Connected components of the graph of the triangles' edges.
+
+    Labels start as the vertex numbers.  Each round hooks the root label
+    at one end of an edge to the smaller root at the other, then jumps
+    every label to its root, until each edge joins equal labels.  Every
+    round that does not stop merges at least two roots, and a root only
+    ever points to a smaller one, so the loop ends; on triangulations it
+    takes a few rounds.
+    """
+    i = tris.ravel()
+    j = tris[:, [1, 2, 0]].ravel()
+    label = np.arange(nv)
+    while True:
+        li, lj = label[i], label[j]
+        if np.array_equal(li, lj):
+            return len(np.unique(label))
+        np.minimum.at(label, li, lj)
+        np.minimum.at(label, lj, li)
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
 
 def _extract_boundary(tris: np.ndarray) -> np.ndarray:

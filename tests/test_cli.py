@@ -23,6 +23,7 @@ from cardioem.io_cli import (
     parse_config,
     serialize_config,
 )
+from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff
 
 SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
@@ -273,6 +274,37 @@ def test_tolerance_that_cannot_be_met_exit_code(tmp_path, capsys, line, field):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert f"{field} must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+SQUARE = structured_unit_square(4, 4)
+
+
+@pytest.mark.parametrize(
+    "more_vertices, more_triangles, message",
+    [
+        ([[0.5, 2.0]], np.empty((0, 3), int), "vertex 25 belongs to no triangle"),
+        (SQUARE.vertices + [2.0, 0.0], SQUARE.triangles + 25,
+         "mesh has 2 connected components"),
+    ],
+    ids=["unused-vertex", "two-components"],
+)
+def test_mesh_the_grounded_solve_cannot_handle_exit_code(
+    tmp_path, capsys, more_vertices, more_triangles, message
+):
+    # before, the unused vertex stopped the run at a singular factor (exit
+    # 2), and the run on two components wrote wrong probes (exit 0)
+    vertices = np.vstack([SQUARE.vertices, more_vertices])
+    triangles = np.vstack([SQUARE.triangles, more_triangles])
+    lines = [f"{len(vertices)} {len(triangles)}"]
+    lines += [f"{x!r} {y!r}" for x, y in vertices.tolist()]
+    lines += [f"{i} {j} {k}" for i, j, k in triangles.tolist()]
+    mesh_file = tmp_path / "bad.msh"
+    mesh_file.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, f"mesh.file = {mesh_file}\ntime.T = 0.025\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "probes.csv").exists()
 
 
 def test_run_snapshot_round_trips_through_vtk(tmp_path):

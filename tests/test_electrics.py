@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,17 @@ def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deform
     sys_.precondition(r)
     sys_.precondition(r)
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
+    # a system whose first solves are sourceless factors only the LU for v,
+    # and the row-sum LU on its first sourced solve
+    sizes.clear()
+    _, _, fresh = make_system(8, grad_u=grad_u, cond=cond)
+    b = np.random.default_rng(2).standard_normal(n)
+    r0 = fresh.projector()(np.concatenate([b, -b]))
+    fresh.precondition(r0, source=False)
+    fresh.precondition(r0, source=False)
+    assert sizes == ([2 * n - 1] if lam is None else [n])
+    fresh.precondition(r)
+    assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)], ids=["xx", "xy", "yy"])
@@ -429,35 +441,56 @@ def test_one_ulp_from_proportional_takes_the_general_path(monkeypatch, entry):
     assert sizes == [2 * n - 1]
 
 
-def test_split_solve_run_agrees_with_the_grounded_block_run(monkeypatch):
-    # K_e = 2 K_i: the run that solves each step as two scalar systems and
-    # the run that solves the grounded 2n block (ratio patched to None)
-    # agree to round-off, through noise and refreshes of loaded mechanics;
-    # the activation turns positive near t = 0.7, so the last refreshes
-    # build new systems
-    config = SimConfig(
-        mesh_nx=8, mesh_ny=8, T=1.0, mech_refresh=5, seed=7, n_modes=2,
-        noise_v=NoiseCoeff("linear-clipped", 0.1),
-        noise_w=NoiseCoeff("constant", 0.05),
-        mech=MechParams(g=(0.0, -1.0)),
-    )
-    n = 81
+def split_and_block_runs(monkeypatch, config):
+    """`config` run with the split solve and with the grounded 2n block
+    (`ratio` patched to None), with the orders each run factors."""
     sizes = recorded_factor_sizes(monkeypatch)
     split = run_simulation(config)
-    # the initial system and the active refreshes' ones, each factored once
-    assert sizes == [n, n - 1] * 5
+    split_sizes = list(sizes)
     sizes.clear()
     monkeypatch.setattr(
         physics.ConductivityParams, "ratio", property(lambda self: None)
     )
     block = run_simulation(config)
-    assert sizes == [2 * n - 1] * 5
     assert np.any(block.final.mech.u)
     np.testing.assert_allclose(split.probes, block.probes, rtol=0, atol=1e-12)
     for name, arr in split.energy.arrays().items():
         np.testing.assert_allclose(
             arr, block.energy.arrays()[name], rtol=1e-12, atol=0, err_msg=name
         )
+    return split_sizes, sizes
+
+
+# loaded (g = (0, -1)) and noisy; the activation turns positive near
+# t = 0.7, so the refreshes at steps 60, 65, 70 and 75 build new systems
+LOADED_NOISY = SimConfig(
+    mesh_nx=8, mesh_ny=8, T=1.0, mech_refresh=5, seed=7, n_modes=2,
+    noise_v=NoiseCoeff("linear-clipped", 0.1),
+    noise_w=NoiseCoeff("constant", 0.05),
+    mech=MechParams(g=(0.0, -1.0)),
+)
+
+
+def test_split_solve_run_agrees_with_the_grounded_block_run(monkeypatch):
+    # K_e = 2 K_i: the run that solves each step as two scalar systems and
+    # the run that solves the grounded 2n block agree to round-off, through
+    # noise and refreshes of loaded mechanics.  Only step 0 has applied
+    # current, so only the initial system factors its row-sum LU
+    split, block = split_and_block_runs(monkeypatch, LOADED_NOISY)
+    n = 81
+    assert split == [n, n - 1] + [n] * 4
+    assert block == [2 * n - 1] * 5
+
+
+def test_split_run_stimulated_at_a_refresh_agrees_with_the_block_run(monkeypatch):
+    # the stimulus is on while t < 0.77: through steps 60 and 61 of the
+    # first new system, so that deformed system takes sourced steps, then
+    # sourceless ones, and factors its row-sum LU on its first step
+    config = replace(LOADED_NOISY, stim_duration=0.77)
+    split, block = split_and_block_runs(monkeypatch, config)
+    n = 81
+    assert split == [n, n - 1] * 2 + [n] * 3
+    assert block == [2 * n - 1] * 5
 
 
 @pytest.mark.parametrize("n, deformed, cond", SOLVE_CASES)
@@ -471,6 +504,27 @@ def test_precondition_inverts_projected_block(n, deformed, cond):
     z_e = z[space.n_scalar:]
     assert np.linalg.norm(proj(sys_.block.dot(z)) - r) <= 1e-12 * np.linalg.norm(r)
     assert abs(sys_.lumped @ z_e) <= 1e-12 * np.linalg.norm(sys_.lumped) * np.linalg.norm(z_e)
+
+
+PROPORTIONAL_CASES = [case for case in SOLVE_CASES if case.values[2].ratio is not None]
+
+
+@pytest.mark.parametrize("n, deformed, cond", PROPORTIONAL_CASES)
+def test_sourceless_precondition_inverts_projected_block(n, deformed, cond):
+    # r = P(b, -b), as every residual of a step without applied current:
+    # the solve for v alone gives the z of the contract, and the same z as
+    # the two solves
+    space, _, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
+    proj = sys_.projector()
+    b = np.random.default_rng(n).standard_normal(space.n_scalar)
+    r = proj(np.concatenate([b, -b]))
+    z = sys_.precondition(r, source=False)
+    z_e = z[space.n_scalar:]
+    assert np.linalg.norm(proj(sys_.block.dot(z)) - r) <= 1e-12 * np.linalg.norm(r)
+    assert abs(sys_.lumped @ z_e) <= 1e-12 * np.linalg.norm(sys_.lumped) * np.linalg.norm(z_e)
+    assert np.linalg.norm(z - sys_.precondition(r)) <= 1e-12 * np.linalg.norm(z)
 
 
 def bordered_solve(sys_, rhs):
@@ -515,6 +569,32 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
     n_s = space.n_scalar
     assert np.abs(new.v_i - ref.x[:n_s]).max() < 1e-9
     assert np.abs(new.v_e - enforce_zero_mean(ref.x[n_s:], sys_.lumped)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, deformed, cond", PROPORTIONAL_CASES)
+def test_sourceless_noisy_step_matches_the_bordered_solve(n, deformed, cond):
+    # no applied current: the step solves for v alone, and the new state
+    # has v_i + lambda v_e constant, the monodomain reduction
+    space, mass, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
+    v0 = space.interpolate(initial_stimulus)
+    v_i, v_e = initial_split(v0, row_sums(mass))
+    state = ElectricState(v_i, v_e, v0, np.full_like(v0, 0.1))
+    ionic, i_app = physics.IonicParams(k=80.0), np.zeros_like(v0)
+    dW_v, coeff_v = np.array([0.1, -0.2]), NoiseCoeff("linear-clipped", 0.3)
+    new, info = step_bidomain(
+        sys_, state, ionic, i_app, dW_v, np.array([0.05, 0.1]), coeff_v,
+        NoiseCoeff("constant", 0.2), tol=1e-10,
+    )
+    assert info.converged and info.iterations == 1
+
+    ref_i, ref_e = bordered_solve(
+        sys_, reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    )
+    assert np.abs(new.v_i - ref_i).max() <= 1e-13
+    assert np.abs(new.v_e - ref_e).max() <= 1e-13
+    assert np.ptp(new.v_i + cond.ratio * new.v_e) <= 1e-13
 
 
 @pytest.mark.parametrize("system", ["fresh", "after-loaded-refresh"])

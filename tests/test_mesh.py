@@ -138,6 +138,55 @@ def test_load_rejects_out_of_range_index():
         load_mesh(text)
 
 
+def mesh_text(vertices, triangles):
+    """The plain-text mesh format, written without building a TriMesh."""
+    lines = [f"{len(vertices)} {len(triangles)}"]
+    lines += [f"{x!r} {y!r}" for x, y in np.asarray(vertices).tolist()]
+    lines += [f"{i} {j} {k}" for i, j, k in np.asarray(triangles).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def square_with_unused_vertex():
+    """The 4x4 square with its middle 2x2 cells cut out, keeping vertex 12."""
+    m = structured_unit_square(4, 4)
+    centroids = m.vertices[m.triangles].mean(axis=1)
+    keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
+    return m.vertices, m.triangles[keep]
+
+
+def two_squares():
+    """The 4x4 square and a copy of it shifted by x + 2."""
+    m = structured_unit_square(4, 4)
+    vertices = np.vstack([m.vertices, m.vertices + [2.0, 0.0]])
+    return vertices, np.vstack([m.triangles, m.triangles + m.num_vertices])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (square_with_unused_vertex, "vertex 12 belongs to no triangle"),
+        (two_squares, "mesh has 2 connected components"),
+    ],
+    ids=["unused-vertex", "two-components"],
+)
+def test_rejects_a_mesh_whose_stiffness_has_more_than_the_constants(make, message):
+    # either way the P1 stiffness matrix has a kernel beyond the constants,
+    # which the grounded bidomain solve cannot remove
+    vertices, triangles = make()
+    with pytest.raises(MeshTopologyError, match=message):
+        TriMesh(vertices, triangles)
+    with pytest.raises(MeshTopologyError, match=message):
+        load_mesh(mesh_text(vertices, triangles))
+
+
+def test_triangles_sharing_only_a_vertex_are_connected():
+    # a bow tie: P1 functions with zero gradient on both triangles agree at
+    # the shared vertex, so the stiffness kernel is still the constants
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    mesh = TriMesh(vertices, [[0, 1, 2], [0, 3, 4]])
+    assert mesh.num_triangles == 2 and mesh.num_vertices == 5
+
+
 def test_comments_allowed():
     text = "# a mesh\n3 1\n0 0\n1 0 # corner\n0 1\n0 1 2\n"
     m = load_mesh(text)
@@ -226,8 +275,10 @@ def holed_square_from_text():
     """A 4x4 square with its middle 2x2 cells cut out, read from text."""
     m = structured_unit_square(4, 4)
     centroids = m.vertices[m.triangles].mean(axis=1)
-    keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
-    text = serialize_mesh(TriMesh(m.vertices, m.triangles[keep]))
+    tris = m.triangles[~((np.abs(centroids - 0.5) < 0.25).all(axis=1))]
+    # the middle vertex belongs to no kept triangle: number the rest anew
+    used = np.unique(tris)
+    text = serialize_mesh(TriMesh(m.vertices[used], np.searchsorted(used, tris)))
     return load_mesh(text)
 
 
