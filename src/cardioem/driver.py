@@ -374,7 +374,7 @@ class Discretization:
         mesh without building the P2 space.
         """
         cfg = self.config
-        if mechanics.is_passive(gamma) and not np.any(cfg.mech.g):
+        if mechanics.is_passive(gamma) and not (cfg.mech.gx or cfg.mech.gy):
             n_u = self.mesh.num_vertices + self.mesh.num_edges
             res = SaddleResult(
                 np.zeros(2 * n_u), np.zeros(self.space.n_scalar),

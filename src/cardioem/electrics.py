@@ -255,7 +255,6 @@ def step_bidomain(
     coeff_v: NoiseCoeff,
     coeff_w: NoiseCoeff,
     tol: float = 1e-10,
-    maxit: int | None = None,
 ):
     """Advance (v_i, v_e, v, w) by one semi-implicit step.
 
@@ -282,7 +281,6 @@ def step_bidomain(
         system.block,
         rhs,
         tol=tol,
-        maxit=maxit,
         constraint=system.projector(),
         # without applied current every residual is P(b, -b)
         precondition=partial(system.precondition, source=bool(np.any(i_app))),

@@ -2,13 +2,18 @@
 
 Config files are flat `key = value` text with dotted section keys and `#`
 comments.  `CONFIG_KEYS` is the schema: each key names the attribute paths
-into `driver.SimConfig` that it sets.  The scalar fields of the parameter
-sections are keyed `section.field` from their dataclass fields.  A value is
-read as the type of the default it replaces, unspecified keys keep the
-defaults of `SimConfig()` (the standard square-domain experiment), and the
-dataclasses validate the result; unknown keys are rejected.  Every output
-file embeds the seed and a hash of the full configuration, so artifacts can
-be traced back to the exact run that produced them.
+into `driver.SimConfig` that it sets.  Every field of the four parameter
+sections (`ionic`, `activation`, `conductivity`, `mech`) is keyed
+`section.field`, generated from its dataclass; the hand-kept table holds
+only the keys whose names differ from their fields, and `noise.z_cap`,
+which sets both noise channels.  A value is read as the type of the
+default it replaces, unspecified keys keep the defaults of `SimConfig()`
+(the standard square-domain experiment), and the dataclasses validate the
+result; unknown keys are rejected, and so are `mesh.nx` and `mesh.ny`
+beside a `mesh.file`, which they could not affect.  Every output file
+embeds the seed and a hash of the full configuration, the mesh file's
+content included, so artifacts can be traced back to the exact run that
+produced them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,40 +36,26 @@ class ConfigError(ValueError):
 
 def _at(obj, path):
     for step in path:
-        obj = getattr(obj, step) if isinstance(step, str) else obj[step]
+        obj = getattr(obj, step)
     return obj
 
 
 def _section_keys(config) -> dict:
-    """The scalar fields of the parameter sections, keyed by their names."""
+    """The fields of the parameter sections, keyed by their names."""
     return {
         f"{section}.{f.name}": [(section, f.name)]
         for section in ("ionic", "activation", "conductivity", "mech")
         for f in fields(getattr(config, section))
-        if isinstance(_at(config, (section, f.name)), (int, float, str))
     }
 
 
-# every recognised key -> the attribute paths into SimConfig that it sets; a
-# step is a field name or an index into a tuple or a tensor
+# every recognised key -> the attribute paths into SimConfig that it sets
 CONFIG_KEYS = {
     "mesh.nx": [("mesh_nx",)],
     "mesh.ny": [("mesh_ny",)],
     "mesh.file": [("mesh_file",)],
     "time.T": [("T",)],
     "time.dt": [("dt",)],
-    "conductivity.ki_xx": [("conductivity", "K_i", (0, 0))],
-    "conductivity.ki_xy": [
-        ("conductivity", "K_i", (0, 1)), ("conductivity", "K_i", (1, 0)),
-    ],
-    "conductivity.ki_yy": [("conductivity", "K_i", (1, 1))],
-    "conductivity.ke_xx": [("conductivity", "K_e", (0, 0))],
-    "conductivity.ke_xy": [
-        ("conductivity", "K_e", (0, 1)), ("conductivity", "K_e", (1, 0)),
-    ],
-    "conductivity.ke_yy": [("conductivity", "K_e", (1, 1))],
-    "mech.gx": [("mech", "g", 0)],
-    "mech.gy": [("mech", "g", 1)],
     "noise.kind_v": [("noise_v", "kind")],
     "noise.beta0_v": [("noise_v", "beta0")],
     "noise.kind_w": [("noise_w", "kind")],
@@ -104,23 +95,15 @@ def _render(value) -> str:
 
 
 def _write(obj, tree: dict):
-    """obj with the leaves of `tree` ({step: subtree or value}) written in.
+    """obj with the leaves of `tree` ({field: subtree or value}) written in.
 
     Each dataclass on the way is rebuilt by one `replace`, so its
     `__post_init__` checks the finished values.
     """
-    new = {
-        step: _write(_at(obj, (step,)), sub) if isinstance(sub, dict) else sub
+    return replace(obj, **{
+        step: _write(getattr(obj, step), sub) if isinstance(sub, dict) else sub
         for step, sub in tree.items()
-    }
-    if is_dataclass(obj):
-        return replace(obj, **new)
-    if isinstance(obj, np.ndarray):
-        out = obj.copy()
-        for index, value in new.items():
-            out[index] = value
-        return out
-    return tuple(new.get(i, x) for i, x in enumerate(obj))
+    })
 
 
 def parse_config(text: str) -> driver.SimConfig:
@@ -150,6 +133,12 @@ def parse_config(text: str) -> driver.SimConfig:
             for step in path[:-1]:
                 node = node.setdefault(step, {})
             node[path[-1]] = value
+    sizes = sorted(seen & {"mesh.nx", "mesh.ny"})
+    if sizes and tree.get("mesh_file"):
+        raise ConfigError(
+            f"{', '.join(sizes)} cannot be used with 'mesh.file', which fixes "
+            "the mesh"
+        )
     try:
         return _write(base, tree)
     except ValueError as exc:
@@ -165,7 +154,12 @@ def serialize_config(config: driver.SimConfig) -> str:
 
 
 def config_hash(config: driver.SimConfig) -> str:
-    return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
+    """Hash of the serialized config and of the mesh file's bytes, if any."""
+    digest = hashlib.sha256(serialize_config(config).encode())
+    if config.mesh_file:
+        with open(config.mesh_file, "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = _load_cli_config(args)
-    out = _out_dir(args)
     result = driver.run_simulation(config)
+    out = _out_dir(args)
     write_probes(os.path.join(out, "probes.csv"), result)
     write_energy(os.path.join(out, "energy.csv"), result)
     mesh = config.build_mesh() if result.snapshots else None
@@ -321,8 +315,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     config = _load_cli_config(args)
-    out = _out_dir(args)
     stats, results = driver.run_ensemble(config, args.paths)
+    out = _out_dir(args)
     # results holds the surviving paths only: name each by its path index
     failed = {k for k, _ in stats.failures}
     survivors = [k for k in range(args.paths) if k not in failed]
@@ -372,7 +366,9 @@ def _cmd_diagnose(args) -> int:
     pseudo-compressible study replays.
     """
     config = _load_cli_config(args)
-    out = _out_dir(args)
+    # hashed first: a config whose mesh file cannot be read fails before
+    # the run, not halfway through writing the report
+    chash = config_hash(config)
     n_window = 20
     start = int(round(1.6 / config.dt))
     run_cfg = replace(
@@ -391,9 +387,10 @@ def _cmd_diagnose(args) -> int:
     p_norm = np.sqrt(sum(config.dt * float(p @ Mp.dot(p)) for p in window))
 
     t_end = result.times[-1]
+    out = _out_dir(args)
     report = os.path.join(out, "diagnostics.txt")
     with open(report, "w") as fh:
-        fh.write(f"seed={config.seed} config={config_hash(config)}\n")
+        fh.write(f"seed={config.seed} config={chash}\n")
         fh.write(f"energy suprema (6x6 mesh, t <= {t_end:g}):\n")
         for name, val in sup.items():
             fh.write(f"  {name}: {val:.6e}\n")
@@ -410,7 +407,7 @@ def _cmd_diagnose(args) -> int:
         for eps, gap in table:
             fh.write(f"  eps={eps:g}: {gap:.6e}\n")
     with open(os.path.join(out, "eps_pressure.csv"), "w") as fh:
-        fh.write(f"# seed={config.seed} config={config_hash(config)}\n")
+        fh.write(f"# seed={config.seed} config={chash}\n")
         fh.write("eps,pressure_gap\n")
         for eps, gap in table:
             fh.write(f"{eps:.17g},{gap:.17g}\n")

@@ -56,14 +56,15 @@ from .mesh import FiberField
 
 @dataclass(frozen=True)
 class MechParams:
-    """Robin coefficient alpha > 0 and constant body force g = (gx, gy).
+    """Robin coefficient alpha > 0 and the constant body force (gx, gy).
 
     The pseudo-compressible stepper takes its regularization parameter as
     an argument (`step_mechanics_regularized`), not from here.
     """
 
     alpha: float = 1.0
-    g: tuple = (0.0, 0.0)
+    gx: float = 0.0
+    gy: float = 0.0
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -201,10 +202,8 @@ def assemble_mechanics(
     traction = np.einsum("ekij,ej->eki", sig_b, normals)
     f += assemble_boundary_load(u_space, traction)
 
-    g = np.asarray(params.g, dtype=float)
-    if np.any(g != 0.0):
-        nq = len(w)
-        gfield = np.broadcast_to(g, (ne, nq, 2)).copy()
+    if params.gx or params.gy:
+        gfield = np.full((ne, len(w), 2), (params.gx, params.gy), dtype=float)
         f += assemble_load(u_space, gfield)
 
     return MechSystem(u_space, K, statics.B, f, statics)

@@ -68,10 +68,12 @@ class ActivationParams:
 class ConductivityParams:
     """Base conductivity tensors and the pullback clamps.
 
-    clamp_delta bounds the Frobenius norm of the displacement gradient that
-    enters F = I + grad(u); clamp_tau floors det(F).  Together they bound
-    the eigenvalues of every pulled-back tensor F^-1 K F^-T to
-    [lambda_min(K) / (1 + clamp_delta)^2,
+    K_i and K_e are symmetric, so each is set by its three free entries
+    (`ki_xx`, `ki_xy`, `ki_yy` and the same for `ke`) and built from them
+    on read.  clamp_delta bounds the Frobenius norm of the displacement
+    gradient that enters F = I + grad(u); clamp_tau floors det(F).
+    Together they bound the eigenvalues of every pulled-back tensor
+    F^-1 K F^-T to [lambda_min(K) / (1 + clamp_delta)^2,
     lambda_max(K) ((1 + clamp_delta) / clamp_tau)^2].
 
     When K_e = lambda K_i exactly (`ratio`, an equal anisotropy ratio in
@@ -81,48 +83,37 @@ class ConductivityParams:
     (`electrics.BidomainSystem.precondition`).
     """
 
-    K_i: np.ndarray = None
-    K_e: np.ndarray = None
+    ki_xx: float = 0.02
+    ki_xy: float = 0.0
+    ki_yy: float = 0.01
+    ke_xx: float = 0.04
+    ke_xy: float = 0.0
+    ke_yy: float = 0.02
     clamp_delta: float = 0.5
     clamp_tau: float = 0.25
 
     def __post_init__(self):
-        Ki = np.array([[0.02, 0.0], [0.0, 0.01]]) if self.K_i is None else np.asarray(self.K_i, float)
-        Ke = np.array([[0.04, 0.0], [0.0, 0.02]]) if self.K_e is None else np.asarray(self.K_e, float)
-        for name, K in (("K_i", Ki), ("K_e", Ke)):
-            # exactly symmetric: one config key sets both off-diagonals
-            if K.shape != (2, 2) or K[0, 1] != K[1, 0]:
-                raise ValueError(f"{name} must be a symmetric 2x2 tensor")
+        for name, K in (("K_i", self.K_i), ("K_e", self.K_e)):
             if np.trace(K) <= 0 or np.linalg.det(K) <= 0:
                 raise ValueError(f"{name} must be positive definite")
         if not 0.0 < self.clamp_delta < 1.0:
             raise ValueError("clamp_delta must lie in (0, 1)")
         if not 0.0 < self.clamp_tau < 1.0:
             raise ValueError("clamp_tau must lie in (0, 1)")
-        object.__setattr__(self, "K_i", Ki)
-        object.__setattr__(self, "K_e", Ke)
+
+    @property
+    def K_i(self) -> np.ndarray:
+        return np.array([[self.ki_xx, self.ki_xy], [self.ki_xy, self.ki_yy]], float)
+
+    @property
+    def K_e(self) -> np.ndarray:
+        return np.array([[self.ke_xx, self.ke_xy], [self.ke_xy, self.ke_yy]], float)
 
     @property
     def ratio(self) -> float | None:
         """lambda = K_e[0,0] / K_i[0,0] if lambda K_i == K_e exactly, else None."""
-        lam = float(self.K_e[0, 0] / self.K_i[0, 0])
+        lam = float(self.ke_xx / self.ki_xx)
         return lam if np.array_equal(lam * self.K_i, self.K_e) else None
-
-    def __eq__(self, other):
-        # the generated comparison would ask the K arrays for a truth value
-        if not isinstance(other, ConductivityParams):
-            return NotImplemented
-        return (
-            np.array_equal(self.K_i, other.K_i)
-            and np.array_equal(self.K_e, other.K_e)
-            and (self.clamp_delta, self.clamp_tau)
-            == (other.clamp_delta, other.clamp_tau)
-        )
-
-    def __hash__(self):
-        # agrees with __eq__: the entries hash as floats, -0.0 like 0.0
-        K = (*self.K_i.ravel(), *self.K_e.ravel())
-        return hash((K, self.clamp_delta, self.clamp_tau))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cardioem.io_cli import (
     parse_config,
     serialize_config,
 )
-from cardioem.mesh import structured_unit_square
+from cardioem.mesh import serialize_mesh, structured_unit_square
 from cardioem.noise import NoiseCoeff
 
 SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
@@ -36,28 +36,16 @@ def write_config(tmp_path, text):
     return str(path)
 
 
-def assert_same_config(a, b, where="config"):
-    # field by field: the ndarray conductivities break dataclass ==
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if dataclasses.is_dataclass(x):
-            assert_same_config(x, y, f"{where}.{f.name}")
-        elif isinstance(x, np.ndarray):
-            np.testing.assert_array_equal(x, y, err_msg=f"{where}.{f.name}")
-        else:
-            assert x == y, f"{where}.{f.name}: {x!r} != {y!r}"
-
-
 PERTURBED = SimConfig(
     mesh_nx=7, mesh_ny=5, T=0.5, dt=1 / 60,
     ionic=physics.IonicParams(k=-79.5, a=0.3, d1=0.2, d2=1.1),
     activation=physics.ActivationParams(eta1=0.1 + 0.2, mu=3.5, Gamma_t=0.15),
     conductivity=physics.ConductivityParams(
-        K_i=np.array([[0.03, 0.004], [0.004, 1 / 70]]),
-        K_e=np.array([[0.05, -0.003], [-0.003, 0.025]]),
+        ki_xx=0.03, ki_xy=0.004, ki_yy=1 / 70,
+        ke_xx=0.05, ke_xy=-0.003, ke_yy=0.025,
         clamp_delta=0.7, clamp_tau=0.4,
     ),
-    mech=mechanics.MechParams(alpha=2.5, g=(0.1, -0.2)),
+    mech=mechanics.MechParams(alpha=2.5, gx=0.1, gy=-0.2),
     noise_v=NoiseCoeff("linear-clipped", 0.1, z_cap=1.5),
     noise_w=NoiseCoeff("constant", 0.05, z_cap=1.5),
     n_modes=3, seed=11, mech_refresh=4, probes=((0.25, 0.75), (1 / 3, 0.5)),
@@ -79,13 +67,13 @@ BENCHMARK_CONFIGS = sorted(
 )
 def test_config_round_trips_through_its_serialization(config):
     assert "np.float64" not in serialize_config(config)
-    assert_same_config(parse_config(serialize_config(config)), config)
+    assert parse_config(serialize_config(config)) == config
 
 
 @pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.stem)
 def test_benchmark_configs_parse_and_round_trip(path):
     config = parse_config(path.read_text())
-    assert_same_config(parse_config(serialize_config(config)), config)
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_default_config_hash_is_pinned():
@@ -105,32 +93,32 @@ def test_every_config_field_is_reached_by_a_key():
         if not dataclasses.is_dataclass(value):
             expected.add((f.name,))
             continue
-        for g in dataclasses.fields(value):
-            leaf = getattr(value, g.name)
-            if isinstance(leaf, np.ndarray):
-                expected |= {(f.name, g.name, i) for i in np.ndindex(leaf.shape)}
-            elif isinstance(leaf, tuple):
-                expected |= {(f.name, g.name, i) for i in range(len(leaf))}
-            else:
-                expected.add((f.name, g.name))
+        expected |= {(f.name, g.name) for g in dataclasses.fields(value)}
     reached = {path for paths in CONFIG_KEYS.values() for path in paths}
     assert reached == expected
 
 
 NON_DEFAULT_TEXT = {
-    "mesh.file": "square.msh",
     "noise.kind_v": "linear-clipped",
     "noise.kind_w": "linear-clipped",
     "run.probes": "0.25,0.75",
 }
 
 
+def write_mesh(path, n):
+    path.write_text(serialize_mesh(structured_unit_square(n, n)))
+    return str(path)
+
+
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
-def test_every_config_key_changes_the_hash(key):
+def test_every_config_key_changes_the_hash(tmp_path, key):
     default = SimConfig()
     for step in CONFIG_KEYS[key][0]:
-        default = getattr(default, step) if isinstance(step, str) else default[step]
-    if key in NON_DEFAULT_TEXT:
+        default = getattr(default, step)
+    if key == "mesh.file":
+        # the hash reads the file's content, so the file must exist
+        text = write_mesh(tmp_path / "square.msh", 4)
+    elif key in NON_DEFAULT_TEXT:
         text = NON_DEFAULT_TEXT[key]
     elif isinstance(default, int):
         text = str(default + 1)
@@ -139,6 +127,39 @@ def test_every_config_key_changes_the_hash(key):
     config = parse_config(f"{key} = {text}\n")
     assert f"{key} = {text}\n" in serialize_config(config)
     assert config_hash(config) != config_hash(SimConfig())
+
+
+def test_config_hash_follows_the_mesh_file_content(tmp_path):
+    # two meshes saved in turn at one path are told apart by the hash
+    path = tmp_path / "square.msh"
+    config = SimConfig(mesh_file=write_mesh(path, 4))
+    first = config_hash(config)
+    write_mesh(path, 5)
+    assert config_hash(config) != first
+    write_mesh(path, 4)
+    assert config_hash(config) == first
+
+
+@pytest.mark.parametrize(
+    "lines, keys",
+    [
+        ("mesh.nx = 7\n", "mesh.nx"),
+        ("mesh.ny = 7\n", "mesh.ny"),
+        ("mesh.ny = 7\nmesh.nx = 7\n", "mesh.nx, mesh.ny"),
+    ],
+    ids=["nx", "ny", "both"],
+)
+def test_mesh_size_beside_a_mesh_file_exit_code(tmp_path, capsys, lines, keys):
+    # the file fixes the mesh, so the sizes could change only the hash
+    mesh_file = write_mesh(tmp_path / "square.msh", 4)
+    cfg = write_config(tmp_path, f"mesh.file = {mesh_file}\n{lines}")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {keys} cannot be used with 'mesh.file'" in err
+    assert not out.exists()
+    # without the file the sizes are accepted, and take effect
+    assert parse_config(lines) != SimConfig()
 
 
 def test_unequal_noise_caps_are_rejected():
@@ -184,6 +205,16 @@ def test_diagnose_writes_reports_whose_pressure_gaps_shrink(tmp_path):
     assert gaps[0] >= 1e-5
 
 
+def test_diagnose_with_a_missing_mesh_file_exit_code(tmp_path, capsys):
+    # the reports' hash reads the mesh file, so a missing one stops the
+    # command before its run and before any output is written
+    cfg = write_config(tmp_path, f"mesh.file = {tmp_path / 'missing.msh'}\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+    assert "missing.msh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_electric_stall_raises_with_checkpoint():
     config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.0125, solver_tol=1e-30)
     with pytest.raises(SimulationError) as info:
@@ -201,8 +232,10 @@ def test_electric_stall_raises_with_checkpoint():
 
 def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, STALL)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "runtime failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -304,7 +337,7 @@ def test_mesh_the_grounded_solve_cannot_handle_exit_code(
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not (out / "probes.csv").exists()
+    assert not out.exists()
 
 
 def test_run_snapshot_round_trips_through_vtk(tmp_path):

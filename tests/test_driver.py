@@ -30,7 +30,7 @@ from cardioem.physics import ActivationParams
 
 # the passive load is exactly zero and solves without iterating, so a body
 # force makes the failing initial solve a real one
-DOWNWARD = mechanics.MechParams(g=(0.0, -1.0))
+DOWNWARD = mechanics.MechParams(gy=-1.0)
 
 
 def test_initial_mechanics_failure_carries_checkpoint():
@@ -121,9 +121,9 @@ def test_shared_set_up_must_come_from_the_same_config():
 
 
 def test_shared_set_up_accepts_an_equal_config_built_apart():
-    # configs compare by value, K_i and K_e arrays included
+    # configs compare by value
     assert SimConfig() == SimConfig()
-    other_ki = physics.ConductivityParams(K_i=[[0.02, 0.0], [0.0, 0.011]])
+    other_ki = physics.ConductivityParams(ki_yy=0.011)
     assert SimConfig(conductivity=other_ki) != SimConfig()
     config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, seed=3)
     disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, T=0.025))
@@ -133,8 +133,8 @@ def test_shared_set_up_accepts_an_equal_config_built_apart():
 
 
 def test_equal_configs_built_apart_hash_equal():
-    # K_i given as a list, with -0.0 off-diagonals: equal, so hashed alike
-    signed_zero = physics.ConductivityParams(K_i=[[0.02, -0.0], [-0.0, 0.01]])
+    # a -0.0 off-diagonal equals the default 0.0, so it hashes alike
+    signed_zero = physics.ConductivityParams(ki_xy=-0.0)
     configs = [SimConfig(), SimConfig(conductivity=signed_zero)]
     assert configs[0] == configs[1]
     assert hash(configs[0]) == hash(configs[1])

@@ -260,18 +260,9 @@ def test_pull_back_matches_the_matmul_form_with_both_clamps_active():
 
 
 def test_conductivity_params_validation():
-    with pytest.raises(ValueError):
-        ConductivityParams(K_i=np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        ConductivityParams(ki_xx=0.1, ki_xy=0.2, ki_yy=0.1)
     with pytest.raises(ValueError):
         ConductivityParams(clamp_delta=1.5)
     with pytest.raises(ValueError):
         ConductivityParams(clamp_tau=0.0)
-
-
-def test_conductivity_off_diagonals_must_agree_exactly():
-    # one config key sets both off-diagonals, so a tensor whose off-diagonals
-    # differ even below 1e-12 would serialize, and hash, as a symmetric one
-    with pytest.raises(ValueError, match="symmetric"):
-        ConductivityParams(K_i=np.array([[0.02, 0.0], [5e-13, 0.01]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        ConductivityParams(K_e=np.array([[0.04, 1e-3], [1e-3 + 1e-16, 0.02]]))
