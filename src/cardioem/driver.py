@@ -127,16 +127,17 @@ class SimConfig:
     snapshot_iters: tuple = ()  # iterations in 0..n_steps
 
     def __post_init__(self):
-        if self.dt <= 0:
+        # each check is written to fail on NaN too
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.T < 0:
+        if not self.T >= 0:
             raise ValueError("T must be nonnegative")
         if self.mech_refresh < 1:
             raise ValueError("mech_refresh must be at least 1")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        # a tolerance <= 0 (or NaN) can never be met: reject it here, not
-        # as a stalled solve at run time
+        # a tolerance <= 0 can never be met: reject it here, not as a
+        # stalled solve at run time
         if not self.solver_tol > 0:
             raise ValueError("solver_tol must be positive")
         if not self.mech_tol > 0:

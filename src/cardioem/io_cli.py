@@ -7,19 +7,20 @@ sections (`ionic`, `activation`, `conductivity`, `mech`) is keyed
 `section.field`, generated from its dataclass; the hand-kept table holds
 only the keys whose names differ from their fields, and `noise.z_cap`,
 which sets both noise channels.  A value is read as the type of the
-default it replaces, unspecified keys keep the defaults of `SimConfig()`
-(the standard square-domain experiment), and the dataclasses validate the
-result; unknown keys are rejected, and so are `mesh.nx` and `mesh.ny`
-beside a `mesh.file`, which they could not affect.  Every output file
-embeds the seed and a hash of the full configuration, the mesh file's
-content included, so artifacts can be traced back to the exact run that
-produced them.
+default it replaces, and a float must be finite; unspecified keys keep
+the defaults of `SimConfig()` (the standard square-domain experiment),
+and the dataclasses validate the result.  Unknown keys are rejected, and
+so are `mesh.nx` and `mesh.ny` beside a `mesh.file`, which they could not
+affect.  Every output file embeds the seed and a hash of the full
+configuration, the mesh file's content included, so artifacts can be
+traced back to the exact run that produced them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -72,8 +73,22 @@ CONFIG_KEYS = {
 }
 
 
+def _finite(text: str) -> float:
+    """`text` as a float, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_value(default, text: str):
-    """`text` read as the type of `default`; probe lists as "x,y; x,y"."""
+    """`text` read as the type of `default`; probe lists as "x,y; x,y".
+
+    Every float must be finite: nan and inf are refused here, with the key
+    named by the caller, not left to fail, or to pass, at run time.
+    """
+    if isinstance(default, float):
+        return _finite(text)
     if not isinstance(default, tuple):
         return type(default)(text)
     pts = []
@@ -81,7 +96,7 @@ def _parse_value(default, text: str):
         xy = chunk.split(",")
         if len(xy) != 2:
             raise ValueError(f"bad probe point {chunk!r}")
-        pts.append((float(xy[0]), float(xy[1])))
+        pts.append((_finite(xy[0]), _finite(xy[1])))
     return tuple(pts)
 
 

@@ -10,7 +10,9 @@ coefficient fields that are only piecewise smooth.  Only the active part
 sigma_a = sigma - mu I enters (`physics.sigma_and_active`), because the
 constant mu I has no divergence; so a passive activation (gamma <= 0
 everywhere) gives a load of exact zeros and the zero solution, not a
-round-off load and a round-off solution.
+round-off load and a round-off solution.  The interior part of that load
+is one batched matrix product of the weighted sigma_a with the stored
+basis gradients.
 
 Two solution modes: a saddle solve of the divergence-free block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
@@ -23,11 +25,21 @@ in `MechStatics`.  Mp is factored on first use (`MechStatics.mass_p_lu`),
 not in `mech_statics`, so statics that no solve uses cost no LU.  The
 displacement is a component-major 2-vector field over the scalar P2
 space, and each of its operators is assembled as the scalar block.
+
+K keeps one sparsity pattern, the P2 space's: the stiffness is summed into
+it, and the Robin boundary mass is added at slots found once, in
+`MechStatics`, so no entry that cancels to zero is pruned.  So K's
+fill-reducing ordering is computed once per `MechStatics`, by one MMD LU
+of the first K that a saddle solve factors (`fem.SpdOrdering`), and every
+saddle solve's K, the first one included, is factored through it
+(`MechStatics.factor_stiffness`): a path's results do not depend on which
+path set the ordering.  The Mp LU and the pseudo-compressible stepper's
+K + (eps/dt) Mu keep SuperLU's own MMD ordering (`fem.factor_spd`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +49,9 @@ from scipy.sparse.linalg import SuperLU
 from . import physics
 from .fem import (
     FeSpace,
+    OrderedLU,
     SaddleResult,
+    SpdOrdering,
     assemble_boundary_load,
     assemble_boundary_mass,
     assemble_divergence,
@@ -67,7 +81,7 @@ class MechParams:
     gy: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
 
@@ -84,18 +98,34 @@ class MechStatics:
     """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
 
     `B` is the constraint -div of every system, `BT` its transpose as CSR.
+    `boundary_slots` holds the position of each entry of `boundary` in the
+    CSR data of the P2 space's pattern, which K is assembled on.
+    `ordering` is K's fill-reducing ordering, set by the first
+    `factor_stiffness`.
     """
 
     boundary: sp.csr_matrix
+    boundary_slots: np.ndarray
     B: sp.csr_matrix
     BT: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
+    ordering: SpdOrdering | None = field(default=None, repr=False)
 
     @cached_property
     def mass_p_lu(self) -> SuperLU:
         """The factored pressure mass, the Schur preconditioner; built on first use."""
         return factor_spd(self.mass_p)
+
+    def factor_stiffness(self, K: sp.csr_matrix) -> OrderedLU:
+        """The LU of an assembled K through the ordering of its pattern.
+
+        The first call computes the ordering from its K; every call, that
+        one included, factors through it.
+        """
+        if self.ordering is None:
+            self.ordering = SpdOrdering(K)
+        return self.ordering.factor(K)
 
 
 def mech_statics(
@@ -103,8 +133,15 @@ def mech_statics(
 ) -> MechStatics:
     """The operators of `MechStatics`, given the P1 mass of `p_space`."""
     B = (-assemble_divergence(u_space, p_space)).tocsr()
+    boundary = assemble_boundary_mass(u_space, alpha)
+    # the boundary's entries, keyed row * n + col, among the pattern's
+    indptr, indices, _ = u_space.pattern
+    n = u_space.n_scalar
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    own = np.repeat(np.arange(n), np.diff(boundary.indptr)) * n + boundary.indices
     return MechStatics(
-        boundary=assemble_boundary_mass(u_space, alpha),
+        boundary=boundary,
+        boundary_slots=np.searchsorted(keys, own).astype(np.int32),
         B=B,
         BT=B.T.tocsr(),
         mass_u=assemble_mass(u_space),
@@ -186,16 +223,24 @@ def assemble_mechanics(
             u_space, p_space, params.alpha, assemble_mass(p_space)
         )
     sigma, sig_a = physics.sigma_and_active(*_at_quad(u_space, gamma, fibers), act)
-    K = assemble_stiffness(u_space, sigma) + statics.boundary
+    # K on the space's fixed pattern: the boundary mass is added at its
+    # slots, so no entry that cancels to zero drops out of the pattern
+    K = assemble_stiffness(u_space, sigma)
+    K.data[statics.boundary_slots] += statics.boundary.data
 
     # the constant part mu I of sigma loads nothing (its divergence is
     # zero), so the weak body force is built from the active part alone:
-    # interior -int sigma_a : grad(v), boundary + int_{dO} (sigma_a n) . v
+    # interior -int sigma_a : grad(v), boundary + int_{dO} (sigma_a n) . v;
+    # the interior integral of component c and basis function l is
+    # sum_(q, j) w_q sigma_a[q, c, j] dphi_l/dx_j (q), one batched product
+    # over the stored (ne, nq, 2, nloc) gradients
     w = u_space.quad.weights
-    ne = len(u_space.conn)
-    integ = np.einsum("q,eqcj,eqlj->elc", w, sig_a, u_space.grads, optimize=True)
+    ne, nq, nloc = len(u_space.conn), len(w), u_space.nloc
+    S = (sig_a * w[:, None, None]).transpose(0, 2, 1, 3).reshape(ne, 2, 2 * nq)
+    G = u_space.grads.transpose(0, 1, 3, 2).reshape(ne, 2 * nq, nloc)
+    integ = np.matmul(S, G)
     integ *= u_space.detJ[:, None, None]
-    f = -scatter_load(u_space, integ)
+    f = -scatter_load(u_space, integ.transpose(0, 2, 1))
 
     sig_b = _active_on_boundary(u_space.mesh, gamma, fibers, act)
     _, normals, _ = edge_quad_geometry(u_space.mesh)
@@ -203,7 +248,7 @@ def assemble_mechanics(
     f += assemble_boundary_load(u_space, traction)
 
     if params.gx or params.gy:
-        gfield = np.full((ne, len(w), 2), (params.gx, params.gy), dtype=float)
+        gfield = np.full((ne, nq, 2), (params.gx, params.gy), dtype=float)
         f += assemble_load(u_space, gfield)
 
     return MechSystem(u_space, K, statics.B, f, statics)
@@ -212,10 +257,13 @@ def assemble_mechanics(
 def solve_mechanics(
     system: MechSystem, tol: float = 1e-10
 ) -> tuple[MechState, SaddleResult]:
-    """Solve the assembled block by CG on its pressure Schur complement."""
+    """Solve the assembled block by CG on its pressure Schur complement.
+
+    K is factored through the ordering that `system.statics` keeps for it.
+    """
     res = solve_saddle(
         system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol,
-        BT=system.statics.BT,
+        BT=system.statics.BT, factor=system.statics.factor_stiffness,
     )
     return MechState(res.u, res.p), res
 

@@ -62,7 +62,7 @@ class NoiseCoeff:
     def __post_init__(self):
         if self.kind not in ("constant", "linear-clipped"):
             raise ValueError(f"unknown noise coefficient kind {self.kind!r}")
-        if self.z_cap <= 0:
+        if not self.z_cap > 0:
             raise ValueError("z_cap must be positive")
 
 

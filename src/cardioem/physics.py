@@ -31,7 +31,7 @@ class IonicParams:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        if self.d2 <= 0.0:
+        if not self.d2 > 0.0:
             raise ValueError("d2 must be positive for bounded gating")
 
 
@@ -53,14 +53,14 @@ class ActivationParams:
     mu: float = 4.0
 
     def __post_init__(self):
-        if min(self.eta1, self.eta2, self.beta_act) < 0.0:
+        if not all(x >= 0.0 for x in (self.eta1, self.eta2, self.beta_act)):
             raise ValueError("eta1, eta2, beta_act must be nonnegative")
         for g in (self.Gamma_l, self.Gamma_t):
             if not 0.0 <= g < 1.0:
                 raise ValueError("contraction magnitudes must lie in [0, 1)")
-        if self.gamma_R <= 0.0:
+        if not self.gamma_R > 0.0:
             raise ValueError("gamma_R must be positive")
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise ValueError("mu must be positive")
 
 
@@ -94,7 +94,10 @@ class ConductivityParams:
 
     def __post_init__(self):
         for name, K in (("K_i", self.K_i), ("K_e", self.K_e)):
-            if np.trace(K) <= 0 or np.linalg.det(K) <= 0:
+            # finite first: np.linalg.det warns on a NaN entry
+            if not (
+                np.isfinite(K).all() and np.trace(K) > 0 and np.linalg.det(K) > 0
+            ):
                 raise ValueError(f"{name} must be positive definite")
         if not 0.0 < self.clamp_delta < 1.0:
             raise ValueError("clamp_delta must lie in (0, 1)")
@@ -159,15 +162,6 @@ def _fiber_stretches(gamma, p: ActivationParams):
     return gt / gl, gl / gt
 
 
-def _in_fiber_frame(cl, ct, d_l, d_t) -> np.ndarray:
-    """cl d_l (x) d_l + ct d_t (x) d_t, broadcast over leading axes."""
-    dl = np.asarray(d_l, dtype=float)
-    dt = np.asarray(d_t, dtype=float)
-    out = cl[..., None, None] * dl[..., :, None] * dl[..., None, :]
-    out += ct[..., None, None] * dt[..., :, None] * dt[..., None, :]
-    return out
-
-
 def sigma_and_active(gamma, d_l, d_t, p: ActivationParams):
     """The elastic coefficient sigma and its active part sigma - mu I.
 
@@ -178,13 +172,25 @@ def sigma_and_active(gamma, d_l, d_t, p: ActivationParams):
     in the fiber frame as mu ((c_l - 1) d_l(x)d_l + (c_t - 1) d_t(x)d_t),
     not by subtracting mu I, so it is exactly 0.0 wherever gamma <= 0, for
     any orthonormal frame.  Both come from one evaluation of the stretches
-    and broadcast over leading axes: gamma (...,), d_l/d_t (..., 2).
+    and broadcast over leading axes: gamma (...,), d_l/d_t (..., 2).  Each
+    entry (i, j) of c_l d_l(x)d_l + c_t d_t(x)d_t is filled on its own, as
+    (c_l d_l_i) d_l_j + (c_t d_t_i) d_t_j and then times mu, with no
+    outer-product temporaries over the leading axes.
     """
     cl, ct = _fiber_stretches(gamma, p)
-    return (
-        p.mu * _in_fiber_frame(cl, ct, d_l, d_t),
-        p.mu * _in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t),
-    )
+    dl = np.asarray(d_l, dtype=float)
+    dt = np.asarray(d_t, dtype=float)
+    shape = np.broadcast_shapes(cl.shape, dl.shape[:-1], dt.shape[:-1])
+    out = []
+    for c_l, c_t in ((cl, ct), (cl - 1.0, ct - 1.0)):
+        tensor = np.empty(shape + (2, 2))
+        for i in range(2):
+            cdl, cdt = c_l * dl[..., i], c_t * dt[..., i]
+            for j in range(2):
+                tensor[..., i, j] = cdl * dl[..., j] + cdt * dt[..., j]
+        tensor *= p.mu
+        out.append(tensor)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cardioem.driver import (
 )
 from cardioem.io_cli import (
     CONFIG_KEYS,
+    ConfigError,
     config_hash,
     main,
     parse_config,
@@ -296,7 +297,6 @@ def test_snapshot_iterations_outside_the_run_exit_code(tmp_path, capsys):
     "line, field",
     [
         ("solver.tol = -1", "solver_tol"),
-        ("solver.tol = nan", "solver_tol"),
         ("solver.mech_tol = 0", "mech_tol"),
     ],
 )
@@ -307,6 +307,73 @@ def test_tolerance_that_cannot_be_met_exit_code(tmp_path, capsys, line, field):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert f"{field} must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every float key that a run would take in and fail on, or run with, as nan
+# or inf; solver.tol was the one such key that a dataclass already caught
+NON_FINITE = [
+    ("time.dt", "nan"),
+    ("time.T", "nan"),
+    ("time.T", "inf"),
+    ("ionic.k", "nan"),
+    ("ionic.k", "inf"),
+    ("ionic.d2", "nan"),
+    ("activation.mu", "nan"),
+    ("activation.gamma_R", "nan"),
+    ("conductivity.ki_xy", "nan"),
+    ("mech.alpha", "nan"),
+    ("noise.beta0_v", "nan"),
+    ("solver.tol", "nan"),
+    ("run.probes", "0.5,nan"),
+]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE)
+def test_non_finite_config_number_is_refused(key, value):
+    with pytest.raises(ConfigError, match=f"bad value for '{key}'.*not a finite"):
+        parse_config(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE)
+def test_non_finite_config_number_exit_code(tmp_path, capsys, key, value):
+    # before, time.dt = nan failed to convert NaN to an integer, and
+    # time.T = inf and ionic.k = nan were runtime failures (exit 2)
+    cfg = write_config(tmp_path, f"mesh.nx = 4\nmesh.ny = 4\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"bad value for '{key}'" in err and "not a finite number" in err
+    assert not out.exists()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SimConfig(dt=NAN),
+        lambda: SimConfig(T=NAN),
+        lambda: SimConfig(solver_tol=NAN),
+        lambda: physics.IonicParams(d2=NAN),
+        lambda: physics.ActivationParams(eta1=NAN),
+        lambda: physics.ActivationParams(mu=NAN),
+        lambda: physics.ActivationParams(gamma_R=NAN),
+        lambda: physics.ConductivityParams(ki_xx=NAN),
+        lambda: physics.ConductivityParams(ki_xy=NAN),
+        lambda: physics.ConductivityParams(ke_xy=NAN),
+        lambda: mechanics.MechParams(alpha=NAN),
+        lambda: NoiseCoeff(z_cap=NAN),
+    ],
+    ids=[
+        "dt", "T", "solver_tol", "d2", "eta1", "mu", "gamma_R", "ki_xx",
+        "ki_xy", "ke_xy", "alpha", "z_cap",
+    ],
+)
+def test_parameter_dataclasses_reject_nan(build):
+    # each check is written so that a NaN fails it, without a warning
+    with pytest.raises(ValueError, match="must"):
+        build()
 
 
 SQUARE = structured_unit_square(4, 4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cardioem import driver, mechanics, physics
+from cardioem import driver, fem, mechanics, physics
 from cardioem.driver import (
     Discretization,
     SimConfig,
@@ -96,13 +96,41 @@ def _assert_same_path(a, b):
         np.testing.assert_array_equal(arr, b.energy.arrays()[name])
 
 
-def test_ensemble_paths_equal_single_runs():
-    stats, results = run_ensemble(ENSEMBLE, 3)
+class CountingOrdering(fem.SpdOrdering):
+    """`fem.SpdOrdering` that records each ordering computed in this process."""
+
+    made = []
+
+    def __init__(self, A):
+        CountingOrdering.made.append(A.shape)
+        super().__init__(A)
+
+
+def _active_refreshes(result):
+    # a reused passive solution reports zero residuals, a solve does not
+    return sum(res != (0.0, 0.0) for res in result.mech_residuals)
+
+
+def test_ensemble_paths_equal_single_runs(monkeypatch):
+    # on two CPUs the calling process runs paths 0 and 2, path 1 a forked
+    # worker; paths 0 and 2 both reach active refreshes, so path 2 factors
+    # K through the ordering that path 0 recorded in the shared set-up, and
+    # must still equal its single run bitwise
+    config = replace(ENSEMBLE, T=0.8125)
+    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
+    monkeypatch.setattr(CountingOrdering, "made", [])
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
+    stats, results = run_ensemble(config, 3)
     assert stats.n_paths == 3 and stats.failures == []
+    assert _active_refreshes(results[0]) >= 2
+    assert _active_refreshes(results[2]) >= 2
+    assert len(CountingOrdering.made) == 1
     singles = [
-        run_simulation(replace(ENSEMBLE, seed=path_seed(ENSEMBLE.seed, k)))
+        run_simulation(replace(config, seed=path_seed(config.seed, k)))
         for k in range(3)
     ]
+    # each single run has a set-up of its own, and orders it once
+    assert len(CountingOrdering.made) == 4
     for res, single in zip(results, singles):
         assert res.seed == single.seed
         _assert_same_path(res, single)
@@ -110,6 +138,23 @@ def test_ensemble_paths_equal_single_runs():
     np.testing.assert_array_equal(stats.mean, traces.mean(axis=0))
     np.testing.assert_array_equal(stats.variance, traces.var(axis=0))
     assert stats.energy_suprema == [r.energy.suprema() for r in singles]
+
+
+def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
+    # a body force factors K at set-up; the active refreshes of two paths
+    # on that set-up all factor through the ordering found then
+    config = SimConfig(
+        mesh_nx=6, mesh_ny=6, T=0.125, mech_refresh=2, mech=DOWNWARD
+    )
+    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
+    monkeypatch.setattr(CountingOrdering, "made", [])
+    disc = Discretization.build(config)
+    assert len(CountingOrdering.made) == 1
+    first = run_simulation(config, disc=disc)
+    second = run_simulation(replace(config, seed=1), disc=disc)
+    assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
+    assert len(CountingOrdering.made) == 1
+    assert disc.statics.ordering is not None
 
 
 def test_shared_set_up_must_come_from_the_same_config():

@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from cardioem import electrics, physics
-from cardioem.fem import FeSpace, assemble_mass
+from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness
 from cardioem.mechanics import (
     MechParams,
     MechState,
     assemble_mechanics,
     is_passive,
+    mech_statics,
     pressure_integral,
     pressure_offset,
     solve_mechanics,
@@ -75,6 +77,24 @@ def test_passive_activations_assemble_the_same_system():
     np.testing.assert_array_equal(system.f, zero.f)
 
 
+def outer_product_sigma(gamma, d_l, d_t, p):
+    """sigma and its active part by broadcast outer products, the reference.
+
+    mu (c_l d_l(x)d_l + c_t d_t(x)d_t), each term formed as (c d_i) d_j
+    over (..., 2, 2) temporaries.
+    """
+    dl = np.asarray(d_l, dtype=float)
+    dt = np.asarray(d_t, dtype=float)
+
+    def in_fiber_frame(cl, ct):
+        out = cl[..., None, None] * dl[..., :, None] * dl[..., None, :]
+        out += ct[..., None, None] * dt[..., :, None] * dt[..., None, :]
+        return p.mu * out
+
+    cl, ct = physics._fiber_stretches(gamma, p)
+    return in_fiber_frame(cl, ct), in_fiber_frame(cl - 1.0, ct - 1.0)
+
+
 @pytest.mark.parametrize(
     "make_fibers",
     [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.25)],
@@ -94,10 +114,8 @@ def test_one_stretch_evaluation_assembles_the_two_pass_system(
     got = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
 
     def two_pass(gamma, d_l, d_t, p):
-        cl, ct = physics._fiber_stretches(gamma, p)
-        sigma = p.mu * physics._in_fiber_frame(cl, ct, d_l, d_t)
-        cl, ct = physics._fiber_stretches(gamma, p)
-        return sigma, p.mu * physics._in_fiber_frame(cl - 1.0, ct - 1.0, d_l, d_t)
+        sigma = outer_product_sigma(gamma, d_l, d_t, p)[0]
+        return sigma, outer_product_sigma(gamma, d_l, d_t, p)[1]
 
     monkeypatch.setattr(physics, "sigma_and_active", two_pass)
     ref = assemble_mechanics(u_space, p_space, gamma, fibers, MechParams(), ACT)
@@ -105,6 +123,41 @@ def test_one_stretch_evaluation_assembles_the_two_pass_system(
         np.testing.assert_array_equal(getattr(got.K, name), getattr(ref.K, name))
     np.testing.assert_array_equal(got.f, ref.f)
     assert np.abs(ref.f).max() > 1e-6
+
+
+@pytest.mark.parametrize(
+    "make_fibers",
+    [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.4)],
+    ids=["axis-aligned", "rotated"],
+)
+def test_sigma_entries_equal_the_outer_product_formula(monkeypatch, make_fibers):
+    # every call that the assembly makes: the interior one, over (ne, nq)
+    # quadrature points, and the boundary one, over the (ne_b, 3) edge
+    # quadrature points of `_active_on_boundary`
+    mesh = structured_unit_square(8, 8)
+    u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    gamma = bump(*mesh.vertices.T) - 0.1
+    calls = []
+    one_pass = physics.sigma_and_active
+
+    def recording(*args):
+        calls.append(args)
+        return one_pass(*args)
+
+    monkeypatch.setattr(physics, "sigma_and_active", recording)
+    assemble_mechanics(
+        u_space, p_space, gamma, make_fibers(mesh), MechParams(), ACT
+    )
+    n_edges = len(mesh.boundary_edges)
+    assert [np.shape(args[0]) for args in calls] == [
+        (mesh.num_triangles, len(u_space.quad.weights)), (n_edges, 3),
+    ]
+    for args in calls:
+        got = one_pass(*args)
+        ref = outer_product_sigma(*args)
+        assert got[0].shape == ref[0].shape == np.shape(args[0]) + (2, 2)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_is_passive_rejects_positive_and_nan():
@@ -132,6 +185,50 @@ def test_alpha_scaling_boundary_only():
     b = assemble_boundary_mass(u_space, 1.0)
     bm = sp.block_diag((b, b))
     assert abs((displacement_block(s2) - displacement_block(s1)) - bm).max() < 1e-12
+
+
+def test_k_keeps_the_space_pattern_from_passive_to_active():
+    # the isotropic passive sigma gives stiffness entries that cancel to
+    # exactly zero; they stay in K's pattern, so its ordering holds for
+    # every activation
+    mesh, u_space, p_space, passive = setup(6)
+    _, _, _, active = setup(6, gamma_fn=bump)
+    indptr, indices, _ = u_space.pattern
+    for system in (passive, active):
+        np.testing.assert_array_equal(system.K.indptr, indptr)
+        np.testing.assert_array_equal(system.K.indices, indices)
+    assert np.count_nonzero(passive.K.data == 0.0) > 0
+    # K is the stiffness plus the boundary mass, bitwise the sum that a
+    # CSR addition forms
+    stiff = assemble_stiffness(u_space, ACT.mu * np.eye(2))
+    np.testing.assert_array_equal(
+        passive.K.toarray(), (stiff + passive.statics.boundary).toarray()
+    )
+
+
+def test_k_through_the_stored_ordering_solves_as_a_fresh_mmd_lu():
+    mesh = structured_unit_square(8, 8)
+    u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    statics = mech_statics(u_space, p_space, 1.0, assemble_mass(p_space))
+    fibers = FiberField.rotated(mesh, 0.4)
+    x, y = mesh.vertices.T
+    rhs = np.random.default_rng(5).standard_normal((u_space.n_scalar, 2))
+    orderings = []
+    for gamma in (bump(x, y), 0.5 * np.sin(3 * x) * np.cos(2 * y)):
+        K = assemble_mechanics(
+            u_space, p_space, gamma, fibers, MechParams(), ACT, statics=statics
+        ).K
+        got = statics.factor_stiffness(K).solve(rhs)
+        fresh = splu(
+            sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        ref = fresh.solve(rhs)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(K.dot(got) - rhs).max() <= 1e-12 * np.abs(rhs).max()
+        orderings.append(statics.ordering)
+    # the second activation factors through the ordering of the first
+    assert orderings[0] is orderings[1]
 
 
 def test_params_validation():
