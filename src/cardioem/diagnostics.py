@@ -84,30 +84,49 @@ def mech_energy(mech_state, disc) -> tuple[float, float]:
 
 
 def append_energy(
-    record: EnergyRecord,
+    records: list,
     state,
     gamma: np.ndarray,
-    mech_terms: tuple[float, float],
+    mech_terms: list,
     mass,
     stiff_unit,
     scalar_space: FeSpace,
     dt: float,
 ):
-    """Append one step's energies of the electric `state` and `gamma`.
+    """Append one step's energies of a batch of paths, one record each.
 
-    `mech_terms` comes from `mech_energy`.
+    Row j of the arrays of the electric `state` and of `gamma` is the path
+    of `records[j]`, whose `mech_energy` terms are `mech_terms[j]`.  The
+    quadratic forms x . op x are taken per path over contiguous rows, and
+    so is the L4 norm, so a path's energies do not depend on its batch.
     """
-    record.v_l2sq.append(float(state.v @ mass.dot(state.v)))
-    record.w_l2sq.append(float(state.w @ mass.dot(state.w)))
-    record.gamma_l2sq.append(float(gamma @ mass.dot(gamma)))
-    grad_vi_sq = float(state.v_i @ stiff_unit.dot(state.v_i))
-    grad_ve_sq = float(state.v_e @ stiff_unit.dot(state.v_e))
-    prev_grad = record.cum_grad[-1] if record.cum_grad else 0.0
-    record.cum_grad.append(prev_grad + dt * (grad_vi_sq + grad_ve_sq))
-    prev_v4 = record.cum_v4[-1] if record.cum_v4 else 0.0
-    record.cum_v4.append(prev_v4 + dt * l4_norm(scalar_space, state.v) ** 4)
-    record.u_h1sq.append(mech_terms[0])
-    record.p_l2sq.append(mech_terms[1])
+    k = len(records)
+    forms = []  # field-major: k values per field
+    for op, fields in (
+        (mass, (state.v, state.w, gamma)), (stiff_unit, (state.v_i, state.v_e))
+    ):
+        if k == 1:
+            # a product per field: scipy's product over a block of few
+            # columns is slower than separate ones
+            forms += [float(x[0] @ op.dot(x[0])) for x in fields]
+        else:
+            # one product over all rows; its column j is op x[j], bitwise
+            x = np.concatenate(fields)
+            ox = np.ascontiguousarray(op.dot(x.T).T)
+            forms += [float(a @ b) for a, b in zip(x, ox)]
+    v_l2sq, w_l2sq, gamma_l2sq, grad_vi_sq, grad_ve_sq = (
+        forms[i * k:(i + 1) * k] for i in range(5)
+    )
+    for j, record in enumerate(records):
+        record.v_l2sq.append(v_l2sq[j])
+        record.w_l2sq.append(w_l2sq[j])
+        record.gamma_l2sq.append(gamma_l2sq[j])
+        prev_grad = record.cum_grad[-1] if record.cum_grad else 0.0
+        record.cum_grad.append(prev_grad + dt * (grad_vi_sq[j] + grad_ve_sq[j]))
+        prev_v4 = record.cum_v4[-1] if record.cum_v4 else 0.0
+        record.cum_v4.append(prev_v4 + dt * l4_norm(scalar_space, state.v[j]) ** 4)
+        record.u_h1sq.append(mech_terms[j][0])
+        record.p_l2sq.append(mech_terms[j][1])
 
 
 # ---------------------------------------------------------------------------

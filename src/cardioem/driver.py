@@ -3,7 +3,7 @@
 Operator ordering per step (fixed):
 
   1. advance (v_i, v_e, v, w) with the semi-implicit electric step; a
-     step whose solve does not converge raises `SimulationError`,
+     path whose solve does not converge fails with a `SimulationError`,
   2. advance the activation field by explicit Euler using the fresh w,
   3. every `mech_refresh` steps, re-solve the mechanics with the current
      activation and rebuild the conductivity-dependent operators from the
@@ -18,7 +18,8 @@ The state of a path after iteration n is one `PathState`: (v_i, v_e, v,
 w), gamma and the current mechanics solution, at t = n dt.  A `SimResult`
 holds the records, the copies taken at `snapshot_iters` (keyed by n), the
 final `PathState` and the residuals of every mechanics solve.  A failing
-run raises `SimulationError`, whose checkpoint is the `PathState` the
+path ends in a `SimulationError` (`run_simulation` raises it, `run_batch`
+returns it in the path's place), whose checkpoint is the `PathState` the
 failing step started from: after a failure in step n (from t_n to
 t_{n+1}) it equals, bitwise, the final state of the same config run for n
 steps.  A failed set-up has the initial state as its checkpoint, with the
@@ -42,11 +43,21 @@ at the first solve with a load, so a run that never activates builds one
 (v_i, v_e) with a zero-mean extracellular part and starts w at zero.
 An ensemble builds one Discretization and shares it across its paths.
 
+Paths run in lockstep batches (`run_batch`); `run_simulation` is a batch
+of one.  The state of a batch has a leading path axis.  Per step the
+batch shares one call each of the electric step (ionic current, noise,
+right-hand sides, w update), the activation update, the probes and the
+energies.  What differs between paths once their activations do stays
+per path: the electric solve with the path's own bidomain system, the
+mechanics refresh, and failure handling, so a failing path leaves its
+batch and the others go on.  No operation mixes rows, so a path's
+results are bitwise the same in any batch.
+
 An ensemble splits its paths over W = min(paths, usable CPUs) processes,
-path k to share k mod W.  Shares 1..W-1 run in processes forked after the
-set-up, which inherit the Discretization (a stepped one holds a SuperLU,
-which does not pickle) and send their results back over a pipe; the
-calling process runs share 0, so a tracer in it sees that share's layers.
+path k to share k mod W, and each share runs as one batch.  Shares
+1..W-1 run in processes forked after the set-up, which inherit the
+Discretization (a stepped one holds a SuperLU, which does not pickle) and
+send their results back over a pipe; the calling process runs share 0.
 A config with no steps, or a platform with no `fork`, runs serially: a
 zero-step path costs less than a fork.  What is built on first use is
 built once per process.
@@ -58,7 +69,6 @@ reseeds with (seed, k).
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import warnings
@@ -127,11 +137,14 @@ class SimConfig:
     snapshot_iters: tuple = ()  # iterations in 0..n_steps
 
     def __post_init__(self):
+        physics.require_finite(self, "dt", "T", "stim_duration")
         # each check is written to fail on NaN too
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.T >= 0:
             raise ValueError("T must be nonnegative")
+        if not self.stim_duration >= 0:
+            raise ValueError("stim_duration must be nonnegative")
         if self.mech_refresh < 1:
             raise ValueError("mech_refresh must be at least 1")
         if self.n_modes < 1:
@@ -234,10 +247,10 @@ def locate_point(mesh: TriMesh, point) -> tuple[int, np.ndarray]:
 
 
 def _probe_values(mesh, locs, v):
-    out = np.empty(len(locs))
-    for i, (tri, wts) in enumerate(locs):
-        out[i] = float(v[mesh.triangles[tri]] @ wts)
-    return out
+    """(k, n_probes) values at the probes of the k rows of v."""
+    tris = mesh.triangles[[tri for tri, _ in locs]]
+    weights = np.array([wts for _, wts in locs])
+    return (v[:, tris] * weights).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,116 +423,178 @@ class Discretization:
 def run_simulation(
     config: SimConfig, disc: Discretization | None = None
 ) -> SimResult:
-    """One path of `config`.
+    """One path of `config`: a batch of one (`run_batch`).
 
     A shared `disc` (from `Discretization.build` of a config that differs
-    from `config` at most in the seed) replaces the set-up.
+    from `config` at most in the seed) replaces the set-up.  A failing
+    path raises its `SimulationError`.
+    """
+    [outcome] = run_batch([config], disc)
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    return outcome
+
+
+@dataclass
+class _Lane:
+    """What one path of a batch holds apart from its rows of the batch state."""
+
+    passive: PassiveSolution | None  # while the path may still reuse it
+    mech: mechanics.MechState
+    system: electrics.BidomainSystem
+    mech_terms: tuple
+    mech_residuals: list
+    energy: "diagnostics.EnergyRecord"
+    snapshots: dict
+
+    def refresh(self, disc: Discretization, gamma, shared: bool) -> str | None:
+        """The mechanics refresh at activation `gamma`; a failure message or None.
+
+        While `gamma` is passive the path reuses its passive solution; a
+        single run (not `shared`) drops that at its first active solve.
+        """
+        if self.passive is not None and mechanics.is_passive(gamma):
+            mech, mres, system = self.passive
+        else:
+            mech, mres = disc.solve_mechanics(gamma)
+            if not mres.converged:
+                return "mechanics solve failed"
+            system = disc.bidomain_system(mech.u)
+            if not shared:
+                self.passive = None
+        self.mech, self.system = mech, system
+        self.mech_residuals.append((mres.res_primal, mres.res_constraint))
+        self.mech_terms = diagnostics.mech_energy(mech, disc)
+        return None
+
+
+def run_batch(configs, disc: Discretization | None = None) -> list:
+    """The paths of `configs`, stepped in lockstep (module docstring); a
+    SimResult or a SimulationError for each, in order.
+
+    The configs differ at most in the seed.  A shared `disc` (from
+    `Discretization.build` of such a config) replaces the set-up; without
+    one the set-up is built here, and a failing set-up raises.
     """
     from .io_cli import config_hash  # local import to avoid a cycle
 
     shared = disc is not None
     if not shared:
-        disc = Discretization.build(config)
-    elif replace(config, seed=disc.config.seed) != disc.config:
-        raise ValueError(
-            "a shared Discretization must be built from this config, up to "
-            "its seed"
-        )
+        disc = Discretization.build(configs[0])
+    for cfg in configs:
+        if replace(cfg, seed=disc.config.seed) != disc.config:
+            raise ValueError(
+                "a shared Discretization must be built from this config, up "
+                "to its seed"
+            )
     passive = disc.passive
     if not shared:
         # hold the passive solution only while it is the current one, so a
         # single run keeps no second grounded LU alive beside an active one
         disc = replace(disc, passive=None)
+    config = disc.config
     mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
-    n_steps = config.n_steps
-
-    mech, mres, system = passive
-    path = PathState(0, 0.0, disc.initial_state(), disc.gamma0.copy(), mech)
-    mech_residuals = [(mres.res_primal, mres.res_constraint)]
-
-    noise = NoisePath(config.seed, config.dt, n_steps, config.n_modes)
-    incr_v = noise.increments("v")
-    incr_w = noise.increments("w")
-
-    probes = np.empty((n_steps + 1, len(locs)))
-    probes[0] = _probe_values(mesh, locs, path.electric.v)
-    times = config.dt * np.arange(n_steps + 1)
-
+    n_steps, dt = config.n_steps, config.dt
+    times = dt * np.arange(n_steps + 1)
     i_app_zero = np.zeros_like(disc.i_app)
 
-    energy = diagnostics.EnergyRecord()
-    mech_terms = diagnostics.mech_energy(mech, disc)
-    diagnostics.append_energy(
-        energy, path.electric, path.gamma, mech_terms, mass, disc.stiff_unit,
-        space, config.dt,
+    mres = passive.result
+    mech_terms = diagnostics.mech_energy(passive.mech, disc)
+    lanes = [
+        _Lane(passive, passive.mech, passive.system, mech_terms,
+              [(mres.res_primal, mres.res_constraint)],
+              diagnostics.EnergyRecord(), {})
+        for _ in configs
+    ]
+    del passive  # each lane holds it while it may reuse it
+    outcomes = [None] * len(configs)
+    probes = np.empty((len(configs), n_steps + 1, len(locs)))
+    noises = [NoisePath(cfg.seed, dt, n_steps, cfg.n_modes) for cfg in configs]
+    incr_v = np.stack([noise.increments("v") for noise in noises])
+    incr_w = np.stack([noise.increments("w") for noise in noises])
+
+    # the batch state: row r is path live[r]
+    live = list(range(len(configs)))
+    init = disc.initial_state()
+    electric = electrics.ElectricState(
+        *(np.tile(a, (len(live), 1)) for a in vars(init).values())
     )
+    gamma = np.tile(disc.gamma0, (len(live), 1))
 
-    snapshots = {}
-    chash = config_hash(config)
-    if 0 in config.snapshot_iters:
-        snapshots[0] = copy.deepcopy(path)
+    def path_state(n, r):
+        """The state of row r after iteration n, in arrays of its own."""
+        rows = (a[r].copy() for a in vars(electric).values())
+        return PathState(
+            n, float(times[n]), electrics.ElectricState(*rows), gamma[r].copy(),
+            lanes[live[r]].mech,
+        )
 
+    def record(n):
+        """The probes, energies and snapshots of iteration n."""
+        probes[live, n] = _probe_values(mesh, locs, electric.v)
+        diagnostics.append_energy(
+            [lanes[j].energy for j in live], electric, gamma,
+            [lanes[j].mech_terms for j in live], mass, disc.stiff_unit, space,
+            dt,
+        )
+        if n in config.snapshot_iters:
+            for r, j in enumerate(live):
+                lanes[j].snapshots[n] = path_state(n, r)
+
+    record(0)
     for n in range(n_steps):
-        i_app_vec = disc.i_app if path.t < config.stim_duration else i_app_zero
-        electric, info = electrics.step_bidomain(
-            system,
-            path.electric,
-            config.ionic,
-            i_app_vec,
-            incr_v[n],
-            incr_w[n],
-            config.noise_v,
-            config.noise_w,
+        i_app_vec = disc.i_app if times[n] < config.stim_duration else i_app_zero
+        stepped, info = electrics.step_bidomain(
+            [lanes[j].system for j in live], electric, config.ionic, i_app_vec,
+            incr_v[live, n], incr_w[live, n], config.noise_v, config.noise_w,
             tol=config.solver_tol,
         )
-        if not info.converged:
-            raise SimulationError(
-                f"electric solve stalled (relres {info.relres:.2e})", n,
-                checkpoint=path,
-            )
+        new_gamma = gamma + dt * physics.g_act(gamma, stepped.w, config.activation)
+        finite = np.isfinite(new_gamma).all(axis=1)
+        refresh = (n + 1) % config.mech_refresh == 0
+        if refresh:
+            # the old systems are done with: free them before the first
+            # mechanics solve, whose temporaries set the peak memory
+            for j in live:
+                lanes[j].system = None
 
-        gamma = path.gamma + config.dt * physics.g_act(
-            path.gamma, electric.w, config.activation
-        )
-        if not np.all(np.isfinite(gamma)):
-            raise SimulationError("activation is not finite", n, checkpoint=path)
-
-        mech = path.mech
-        if (n + 1) % config.mech_refresh == 0:
-            if passive is not None and mechanics.is_passive(gamma):
-                mech, mres, system = passive
+        keep = []
+        for r, j in enumerate(live):
+            if not info.converged[r]:
+                message = f"electric solve stalled (relres {info.relres[r]:.2e})"
+            elif not finite[r]:
+                message = "activation is not finite"
+            elif refresh:
+                message = lanes[j].refresh(disc, new_gamma[r], shared)
             else:
-                mech, mres = disc.solve_mechanics(gamma)
-                if not mres.converged:
-                    raise SimulationError(
-                        "mechanics solve failed", n, checkpoint=path
-                    )
-                system = disc.bidomain_system(mech.u)
-                if not shared:
-                    passive = None
-            mech_residuals.append((mres.res_primal, mres.res_constraint))
-            mech_terms = diagnostics.mech_energy(mech, disc)
+                message = None
+            if message is None:
+                keep.append(r)
+            else:
+                # the checkpoint is the state the failing step started from
+                outcomes[j] = SimulationError(
+                    message, n, checkpoint=path_state(n, r)
+                )
 
-        path = PathState(n + 1, float(times[n + 1]), electric, gamma, mech)
-        probes[n + 1] = _probe_values(mesh, locs, electric.v)
-        diagnostics.append_energy(
-            energy, electric, gamma, mech_terms, mass, disc.stiff_unit, space,
-            config.dt,
+        electric, gamma = stepped, new_gamma
+        if len(keep) < len(live):
+            live = [live[r] for r in keep]
+            electric = electrics.ElectricState(
+                *(a[keep] for a in vars(electric).values())
+            )
+            gamma = gamma[keep]
+            if not live:
+                break
+        record(n + 1)
+
+    for r, j in enumerate(live):
+        lane = lanes[j]
+        outcomes[j] = SimResult(
+            times, probes[j], lane.energy, lane.snapshots, configs[j].seed,
+            config_hash(configs[j]), n_steps, path_state(n_steps, r),
+            lane.mech_residuals,
         )
-        if path.n in config.snapshot_iters:
-            snapshots[path.n] = copy.deepcopy(path)
-
-    return SimResult(
-        times=times,
-        probes=probes,
-        energy=energy,
-        snapshots=snapshots,
-        seed=config.seed,
-        config_hash=chash,
-        n_steps=n_steps,
-        final=path,
-        mech_residuals=mech_residuals,
-    )
+    return outcomes
 
 
 def path_seed(base_seed: int, k: int) -> int:
@@ -535,18 +610,14 @@ def _usable_cpus() -> int:
 
 
 def _run_share(config: SimConfig, disc: Discretization, paths, conn=None):
-    """[(k, SimResult or SimulationError)] of the ensemble paths k in `paths`.
+    """[(k, SimResult or SimulationError)] of the ensemble paths k in `paths`,
+    run as one batch (`run_batch`).
 
     A worker process passes the sending end of its pipe as `conn`, and the
     list goes over it instead of being returned.
     """
-    out = []
-    for k in paths:
-        cfg_k = replace(config, seed=path_seed(config.seed, k))
-        try:
-            out.append((k, run_simulation(cfg_k, disc=disc)))
-        except SimulationError as exc:
-            out.append((k, exc))
+    configs = [replace(config, seed=path_seed(config.seed, k)) for k in paths]
+    out = list(zip(paths, run_batch(configs, disc)))
     if conn is None:
         return out
     conn.send(out)
@@ -556,18 +627,10 @@ def _run_share(config: SimConfig, disc: Discretization, paths, conn=None):
 def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     """Run n_paths independent paths and aggregate probe statistics.
 
-    The paths share one `Discretization`, built here.  They are split over
-    W = min(n_paths, usable CPUs) processes: path k goes to share k mod W.
-    Shares 1..W-1 each run in a process forked after the set-up, which so
-    inherits the Discretization instead of receiving a pickled copy (a
-    stepped one holds a SuperLU, which cannot be pickled), and which sends
-    its results back over a pipe.  The calling process runs share 0 itself,
-    so it does a share of the work and a tracer in it sees the layers of
-    its own paths.  W is 1, and nothing is forked, where the platform has
-    no `fork` or the config has no steps: a zero-step path only copies the
-    initial state, which costs less than a fork.  The operators built on
-    first use (the P2 space, the mechanics statics, the grounded LU) are
-    built once per process.
+    The paths share one `Discretization`, built here, and run in shares
+    over processes as the module docstring says: each share is one
+    lockstep batch (`run_batch`), and the calling process runs share 0, so
+    a tracer in it sees the layers of its own paths.
 
     A path's results do not depend on the process that ran it.  Failed
     paths are reported in stats.failures and skipped with a warning, in

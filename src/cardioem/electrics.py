@@ -6,26 +6,30 @@ Each step solves the symmetric 2x2 block system
      [-M/dt,      M/dt+A_e]] [v_e] = [rhs_e]
 
 where A_i and A_e are the stiffness matrices of the pulled-back
-conductivities (`conductivities_from_gradient`), held only inside the
-block; in the undeformed configuration those are the constant tensors K_i
-and K_e.  The block's kernel is the constant pair (c, c).  The kernel is
-removed by keeping v_e inside the zero-integral subspace: the
-conjugate-gradient solve runs on the orthogonally projected operator,
-which is the algebraic counterpart of testing the extracellular row
-against zero-mean functions only.  Diffusion is implicit; reaction,
-stimulus, and noise are explicit, and each noise channel is one
-evaluation of its coefficient times the step's mode-weighted increment.
+conductivities (`conductivities_from_gradient`); in the undeformed
+configuration those are the constant tensors K_i and K_e.  The block's
+kernel is the constant pair (c, c).  The kernel is removed by keeping v_e
+inside the zero-integral subspace: the conjugate-gradient solve runs on
+the orthogonally projected operator, which is the algebraic counterpart
+of testing the extracellular row against zero-mean functions only.
+Diffusion is implicit; reaction, stimulus, and noise are explicit, and
+each noise channel is one evaluation of its coefficient times the step's
+mode-weighted increment.
 
-The CG is preconditioned by an exact solve with the projected operator on
-the zero-mean subspace, so a step takes one iteration, and that iteration
-from zero (where `fem.solve_cg` always starts) is already the solution.
+Each path's step is one `fem.solve_cg` iteration from zero, whose
+residual check keeps the `solver.tol` contract.  A step with applied
+current, or any step on the general path, runs the CG on the projected 2n
+block with an exact preconditioner (below); the block is built on first
+use.  A source-free step with proportional tensors solves the scalar SPD
+system for v alone (below), with that system's LU as the exact
+preconditioner.
+
 A preconditioner solve takes off the part of the residual along
 (0, lumped), which the block cannot reach, solves the block with the last
 v_e dof grounded, and shifts v_i and v_e by one constant so that v_e has
 zero lumped mean.  Its sparse LUs (`fem.factor_spd`) are factored on first
-use, at most once per BidomainSystem; `run_simulation` assembles a new
-system only at a mechanics refresh.  The grounded solve takes one of two
-forms:
+use, at most once per BidomainSystem; the driver assembles a new system
+only at a mechanics refresh.  The grounded solve takes one of two forms:
 
 * in general, one LU of the grounded 2n block, which is symmetric
   positive definite: the constant pair that spans the kernel is not
@@ -46,21 +50,25 @@ forms:
 
   The step's right-hand side is (b + i_app, -b + i_app), the reaction and
   the noise entering both rows with opposite signs, so its row sum is
-  2 i_app.  On a step without applied current the projected residual
-  P(b, -b) has s = 0 (up to round-off), y is a constant (the kernel of
-  A_i on a connected mesh, which `mesh.TriMesh` requires), and
-  z_e = -v/(1 + lambda) before the shift: v_i + lambda v_e stays constant,
+  2 i_app.  On a step without applied current s = 0, y is a constant (the
+  kernel of A_i on a connected mesh, which `mesh.TriMesh` requires), and
+  v_e = -v/(1 + lambda) up to the shift: v_i + lambda v_e stays constant,
   the classical monodomain reduction for equal anisotropy ratios.  Such a
-  step (`precondition(r, source=False)`) makes only the solve for v, and
+  step solves (D + lambda/(1 + lambda) A_i) v = b and nothing else, and
   the grounded LU of (1 + lambda) A_i is factored only when a step with
   applied current first uses the system: in a run whose stimulus ends
   before the first refresh, once, for the initial system.
+
+`step_bidomain` advances a batch of paths, one state row and one system
+per path: the reaction, noise, right-hand sides (one sparse product) and
+gating update are computed once per batch, each solve per path, and no
+operation mixes rows, so a path's bits do not depend on its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,17 +98,26 @@ class ElectricState:
 class BidomainSystem:
     """Assembled operators for one conductivity configuration.
 
-    `ratio` is lambda when A_e = lambda A_i, and `stiff_i` then holds A_i;
-    both are None otherwise.
+    `ratio` is lambda when A_e = lambda A_i, and `stiff_e` is then None;
+    otherwise `stiff_e` holds A_e.
     """
 
     space: FeSpace
     mass: sp.csr_matrix
     dt: float
-    block: sp.csr_matrix
     lumped: np.ndarray  # row sums of the mass matrix (integrals of phi_j)
-    stiff_i: sp.csr_matrix | None = None
+    stiff_i: sp.csr_matrix
+    stiff_e: sp.csr_matrix | None = None
     ratio: float | None = None
+
+    @cached_property
+    def block(self) -> sp.csr_matrix:
+        """The 2n block, built on first use: only a step with applied
+        current or on the general path reads it."""
+        Mdt = (self.mass / self.dt).tocsr()
+        A_i = self.stiff_i
+        A_e = self.stiff_e if self.ratio is None else self.ratio * A_i
+        return sp.bmat([[Mdt + A_i, -Mdt], [-Mdt, Mdt + A_e]], format="csr")
 
     def projector(self):
         """Orthogonal projector removing the weighted-mean of the e-half."""
@@ -122,11 +139,23 @@ class BidomainSystem:
         # that spans its kernel is not grounded
         return factor_spd(self.block[:-1, :-1])
 
+    def _v_sum(self) -> sp.csr_matrix:
+        lam = self.ratio
+        return self.mass / self.dt + (lam / (1.0 + lam)) * self.stiff_i
+
+    @cached_property
+    def v_matrix(self) -> sp.csr_matrix:
+        """D + lam/(1+lam) A_i, the SPD matrix of the scalar step, kept
+        from its first use."""
+        return self._v_sum()
+
     @cached_property
     def _lu_v(self):
-        # D + lam/(1+lam) A_i is SPD
-        lam, A = self.ratio, self.stiff_i
-        return factor_spd(self.mass / self.dt + (lam / (1.0 + lam)) * A)
+        # a scalar step builds `v_matrix` first, and this factors it; a
+        # sourced step factors a sum that is not kept: at 44^2 one held
+        # through step 0's factorizations raised the peak memory of a run
+        A = self.__dict__.get("v_matrix")
+        return factor_spd(self._v_sum() if A is None else A)
 
     @cached_property
     def _lu_e(self):
@@ -134,15 +163,11 @@ class BidomainSystem:
         # its kernel not being grounded
         return factor_spd(((1.0 + self.ratio) * self.stiff_i)[:-1, :-1])
 
-    def precondition(self, r: np.ndarray, source: bool = True) -> np.ndarray:
+    def precondition(self, r: np.ndarray) -> np.ndarray:
         """The z with lumped . z_e = 0 and P block z = r, for zero-mean r.
 
         Two scalar solves when `ratio` is set, else the grounded-block
-        solve (module docstring).  `source=False` says that r is P(b, -b)
-        for some b, so that its two halves sum to a multiple of `lumped`:
-        with `ratio` set the row-sum solve then has the constants as its
-        solution, and only the solve for v is made.  The block path
-        ignores `source`.
+        solve (module docstring).
         """
         n = self.space.n_scalar
         m = self.lumped
@@ -162,14 +187,33 @@ class BidomainSystem:
             s = r[:n] + r[n:]
             s -= mu * m
             v = self._lu_v.solve(r[:n] - s / (1.0 + lam))
-            if source:
-                z[n:-1] = self._lu_e.solve(s[:-1])
-                z[n:] -= v / (1.0 + lam)
-            else:
-                z[n:] = -v / (1.0 + lam)
+            z[n:-1] = self._lu_e.solve(s[:-1])
+            z[n:] -= v / (1.0 + lam)
             z[:n] = v + z[n:]
         z -= float(m @ z[n:]) / total
         return z
+
+    def solve(self, b: np.ndarray, i_app: np.ndarray, source: bool, tol: float):
+        """(v_i, v_e, CgResult) of the step whose rows are (b + i_app, -b + i_app).
+
+        v_e has zero lumped mean.  Without a `source` (i_app all zero),
+        proportional tensors make the step the scalar solve for v, rebuilt
+        into v_e = -v/(1 + lambda) and v_i = v + v_e.  Its CG is held to
+        one iteration, whose recursive residual is the true one: a second
+        iteration would only push the recursive one below round-off.
+        """
+        if self.ratio is not None and not source:
+            res = solve_cg(
+                self.v_matrix, b, np.copy, self._lu_v.solve, tol=tol, maxit=1
+            )
+            v_e = enforce_zero_mean(-res.x / (1.0 + self.ratio), self.lumped)
+            return res.x + v_e, v_e, res
+        res = solve_cg(
+            self.block, np.concatenate([b + i_app, -b + i_app]),
+            self.projector(), self.precondition, tol=tol,
+        )
+        n = self.space.n_scalar
+        return res.x[:n], enforce_zero_mean(res.x[n:], self.lumped), res
 
 
 def assemble_bidomain(
@@ -181,23 +225,21 @@ def assemble_bidomain(
     lumped: np.ndarray,
     ratio: float | None = None,
 ) -> BidomainSystem:
-    """Build the block operator from the conductivity tensors.
+    """Build the system's operators from the conductivity tensors.
 
     `cond_i` and `cond_e` are per-quad-point tensors or constant 2x2 ones,
     as `assemble_stiffness` takes them; `lumped` holds the row sums of
     `mass`.  A `ratio` lambda says that `cond_e` is lambda `cond_i`, as
     `conductivities_from_gradient` returns them for proportional tensors:
     then one stiffness matrix A_i is assembled, A_e = lambda A_i, and the
-    system solves its block as two scalar systems.
+    system solves its block as two scalar systems, or as one when the step
+    has no applied current.  The 2n block is built on its first use.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    Mdt = (mass / dt).tocsr()
     A_i = assemble_stiffness(space, cond_i)
-    A_e = assemble_stiffness(space, cond_e) if ratio is None else ratio * A_i
-    block = sp.bmat([[Mdt + A_i, -Mdt], [-Mdt, Mdt + A_e]], format="csr")
-    stiff_i = None if ratio is None else A_i
-    return BidomainSystem(space, mass, dt, block, lumped, stiff_i, ratio)
+    A_e = assemble_stiffness(space, cond_e) if ratio is None else None
+    return BidomainSystem(space, mass, dt, lumped, A_i, A_e, ratio)
 
 
 def conductivities_from_gradient(
@@ -234,19 +276,21 @@ def enforce_zero_mean(v_e: np.ndarray, lumped: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepInfo:
-    converged: bool
+    """Per-path `converged` and `relres`, and the iterations of the batch."""
+
+    converged: np.ndarray
     iterations: int
-    relres: float
+    relres: np.ndarray
 
 
-def _mode_sum(dW) -> float:
-    """sum_k dW_k / (k+1) over the modes k of one step's increments."""
-    dW = np.atleast_1d(dW)
-    return float(dW @ (1.0 / np.arange(1, len(dW) + 1)))
+def _mode_sum(dW) -> np.ndarray:
+    """sum_k dW_k / (k+1) over the modes k of each row of increments."""
+    dW = np.asarray(dW, dtype=float)
+    return (dW * (1.0 / np.arange(1, dW.shape[-1] + 1))).sum(axis=-1)
 
 
 def step_bidomain(
-    system: BidomainSystem,
+    systems,
     state: ElectricState,
     ionic: physics.IonicParams,
     i_app: np.ndarray,
@@ -256,45 +300,41 @@ def step_bidomain(
     coeff_w: NoiseCoeff,
     tol: float = 1e-10,
 ):
-    """Advance (v_i, v_e, v, w) by one semi-implicit step.
+    """Advance a batch of paths, (v_i, v_e, v, w) each, by one semi-implicit step.
 
-    dW_v / dW_w hold one increment per noise mode; mode k's increment is
-    scaled by 1/(k+1), so the noise term of a channel is one evaluation of
-    its coefficient times sum_k dW_k / (k+1).  The two rows of the
-    right-hand side sum to 2 i_app, the noise and the reaction cancelling;
-    so a step whose `i_app` is all zero tells the preconditioner so
-    (`source=False`), and with proportional tensors it then skips the
-    row-sum solve.  Returns (new_state, StepInfo); on solver failure the
-    state is returned unchanged with converged=False.
+    Row j of the arrays of `state`, and of dW_v / dW_w (one increment per
+    noise mode), is path j, which steps with `systems[j]`; the systems
+    share space, mass and dt, and the applied current `i_app` is common.
+    Mode k's increment is scaled by 1/(k+1), so a channel's noise term is
+    one evaluation of its coefficient times sum_k dW_k / (k+1).  Returns
+    (new_state, StepInfo); a path whose solve does not converge keeps its
+    row of `state`, with converged False.
     """
-    M, dt = system.mass, system.dt
+    dt, M = systems[0].dt, systems[0].mass
     v, w = state.v, state.w
 
     ion = physics.i_ion(v, w, ionic)
-    noise_v = eval_coeff(coeff_v, v) * _mode_sum(dW_v)
-    noise_w = eval_coeff(coeff_w, v) * _mode_sum(dW_w)
+    noise_v = eval_coeff(coeff_v, v) * _mode_sum(dW_v)[:, None]
+    noise_w = eval_coeff(coeff_w, v) * _mode_sum(dW_w)[:, None]
+    # one sparse product over the (n, k) columns, whose column j is bitwise
+    # M times path j's; then contiguous rows again
+    base = np.ascontiguousarray(M.dot((v / dt - ion + noise_v / dt).T).T)
 
-    base = M.dot(v / dt - ion + noise_v / dt)
-    rhs = np.concatenate([base + i_app, -base + i_app])
-
-    res = solve_cg(
-        system.block,
-        rhs,
-        tol=tol,
-        constraint=system.projector(),
-        # without applied current every residual is P(b, -b)
-        precondition=partial(system.precondition, source=bool(np.any(i_app))),
-    )
-    info = StepInfo(res.converged, res.iterations, res.relres)
-    if not res.converged:
-        return state, info
-
-    n = system.space.n_scalar
-    v_i_new = res.x[:n]
-    v_e_new = enforce_zero_mean(res.x[n:], system.lumped)
-    v_new = v_i_new - v_e_new
+    # without applied current the two rows of a path's right-hand side sum
+    # to zero, and proportional tensors make its step the scalar solve
+    source = bool(np.any(i_app))
+    v_i, v_e = np.empty_like(v), np.empty_like(v)
+    info = StepInfo(np.zeros(len(systems), dtype=bool), 0, np.empty(len(systems)))
+    for j, system in enumerate(systems):
+        v_i[j], v_e[j], res = system.solve(base[j], i_app, source, tol)
+        info.converged[j], info.relres[j] = res.converged, res.relres
+        info.iterations += res.iterations
     w_new = w + dt * physics.h_kin(v, w, ionic) + noise_w
-    return ElectricState(v_i_new, v_e_new, v_new, w_new), info
+    new = ElectricState(v_i, v_e, v_i - v_e, w_new)
+    if not info.converged.all():
+        for a, old in zip(vars(new).values(), vars(state).values()):
+            a[~info.converged] = old[~info.converged]
+    return new, info
 
 
 def initial_split(v0: np.ndarray, lumped: np.ndarray):

@@ -22,13 +22,14 @@ assembled once per run, are summed through COO instead.
 There are two solvers.  `solve_cg` is a conjugate gradient on a
 subspace, started from zero, with a caller-supplied projector and
 preconditioner (the electric step passes the zero-mean projector and an
-exact solve of its bidomain block by sparse LUs).  `solve_saddle` solves
-the block [[A, B^T], [B, -C]] through its pressure Schur complement
-S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a caller-supplied
-approximation of S^-1 (in practice a factored pressure mass), with
-A = blockdiag(K, K) inverted by one sparse LU of K applied to both
-components of u at once.  Sparse LUs come from `factor_spd`, which lets
-SuperLU order the matrix, or, for a matrix refactored on one fixed
+exact solve of its bidomain block by sparse LUs, or, for its scalar
+source-free form, no projection and the LU of that scalar system).
+`solve_saddle` solves the block [[A, B^T], [B, -C]] through its pressure
+Schur complement S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a
+caller-supplied approximation of S^-1 (in practice a factored pressure
+mass), with A = blockdiag(K, K) inverted by one sparse LU of K applied to
+both components of u at once.  Sparse LUs come from `factor_spd`, which
+lets SuperLU order the matrix, or, for a matrix refactored on one fixed
 pattern, from `SpdOrdering`, which keeps that ordering and factors the
 pre-permuted matrix.
 """

@@ -81,6 +81,7 @@ class MechParams:
     gy: float = 0.0
 
     def __post_init__(self):
+        physics.require_finite(self, "alpha", "gx", "gy")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .physics import require_finite
+
 _CHANNELS = {"v": 0, "w": 1}
 
 
@@ -62,6 +64,7 @@ class NoiseCoeff:
     def __post_init__(self):
         if self.kind not in ("constant", "linear-clipped"):
             raise ValueError(f"unknown noise coefficient kind {self.kind!r}")
+        require_finite(self, "beta0", "z_cap")
         if not self.z_cap > 0:
             raise ValueError("z_cap must be positive")
 

@@ -11,9 +11,18 @@ numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def require_finite(params, *names):
+    """Raise a ValueError naming the first field in `names` of `params`
+    that is nan or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,7 @@ class IonicParams:
     d2: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "k", "a", "d1", "d2")
         if not 0.0 < self.a < 1.0:
             raise ValueError("a must lie in (0, 1)")
         if not self.d2 > 0.0:
@@ -53,6 +63,7 @@ class ActivationParams:
     mu: float = 4.0
 
     def __post_init__(self):
+        require_finite(self, "eta1", "eta2", "beta_act", "gamma_R", "mu")
         if not all(x >= 0.0 for x in (self.eta1, self.eta2, self.beta_act)):
             raise ValueError("eta1, eta2, beta_act must be nonnegative")
         for g in (self.Gamma_l, self.Gamma_t):
@@ -79,8 +90,8 @@ class ConductivityParams:
     When K_e = lambda K_i exactly (`ratio`, an equal anisotropy ratio in
     both media; the defaults have lambda = 2), every pulled-back pair
     goes through the same F, so M_e = lambda M_i and A_e = lambda A_i:
-    the electric step then splits into two scalar solves
-    (`electrics.BidomainSystem.precondition`).
+    the electric step then splits into two scalar solves, or one on a
+    step without applied current (`electrics.BidomainSystem.solve`).
     """
 
     ki_xx: float = 0.02

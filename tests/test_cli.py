@@ -1,6 +1,7 @@
 """The top layer: run_simulation failure reporting and the command line."""
 
 import dataclasses
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -376,6 +377,30 @@ def test_parameter_dataclasses_reject_nan(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SimConfig(T=math.inf), "T"),
+        (lambda: SimConfig(dt=math.inf), "dt"),
+        (lambda: SimConfig(stim_duration=NAN), "stim_duration"),
+        (lambda: SimConfig(stim_duration=-1.0), "stim_duration"),
+        (lambda: physics.IonicParams(k=NAN), "k"),
+        (lambda: NoiseCoeff("constant", NAN), "beta0"),
+        (lambda: NoiseCoeff("constant", math.inf), "beta0"),
+    ],
+    ids=[
+        "T-inf", "dt-inf", "stim_duration-nan", "stim_duration-negative",
+        "k-nan", "beta0-nan", "beta0-inf",
+    ],
+)
+def test_python_api_refuses_what_the_config_parser_refuses(build, field):
+    # the dataclasses check these themselves: T = inf would otherwise fail
+    # later in n_steps, and a nan or negative stim_duration would silently
+    # apply no stimulus
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        build()
+
+
 SQUARE = structured_unit_square(4, 4)
 
 
@@ -445,15 +470,19 @@ def test_run_snapshot_round_trips_through_vtk(tmp_path):
 def test_ensemble_names_probe_files_by_path_index(tmp_path, monkeypatch, capsys):
     # path 1 fails: the files of the others keep their own path numbers
     cfg = write_config(tmp_path, SMALL + "run.seed = 5\n")
-    run = driver.run_simulation
+    run = driver.run_batch
     seeds = [path_seed(5, k) for k in range(3)]
 
-    def flaky(config, *args, **kwargs):
-        if config.seed == seeds[1]:
-            raise SimulationError("forced failure", 0)
-        return run(config, *args, **kwargs)
+    def flaky(configs, *args, **kwargs):
+        good = [c for c in configs if c.seed != seeds[1]]
+        outcomes = iter(run(good, *args, **kwargs) if good else [])
+        return [
+            SimulationError("forced failure", 0) if c.seed == seeds[1]
+            else next(outcomes)
+            for c in configs
+        ]
 
-    monkeypatch.setattr(driver, "run_simulation", flaky)
+    monkeypatch.setattr(driver, "run_batch", flaky)
     out = tmp_path / "out"
     args = ["ensemble", "--config", cfg, "--out", str(out), "--paths", "3"]
     with pytest.warns(UserWarning, match="path 1 failed"):

@@ -14,6 +14,7 @@ from cardioem.driver import (
     SimConfig,
     SimulationError,
     path_seed,
+    run_batch,
     run_ensemble,
     run_simulation,
 )
@@ -94,6 +95,9 @@ def _assert_same_path(a, b):
     assert a.mech_residuals == b.mech_residuals
     for name, arr in a.energy.arrays().items():
         np.testing.assert_array_equal(arr, b.energy.arrays()[name])
+    assert a.snapshots.keys() == b.snapshots.keys()
+    for it, snap in a.snapshots.items():
+        _assert_same_state(snap, b.snapshots[it])
 
 
 class CountingOrdering(fem.SpdOrdering):
@@ -138,6 +142,79 @@ def test_ensemble_paths_equal_single_runs(monkeypatch):
     np.testing.assert_array_equal(stats.mean, traces.mean(axis=0))
     np.testing.assert_array_equal(stats.variance, traces.var(axis=0))
     assert stats.energy_suprema == [r.energy.suprema() for r in singles]
+
+
+# 12 x 12 and noisy: with these seeds path 0 solves its mechanics at 9 of
+# its 12 refreshes, path 3 at 1 and path 2 at none
+LOCKSTEP = SimConfig(
+    mesh_nx=12, mesh_ny=12, T=0.75, mech_refresh=5, seed=11, n_modes=2,
+    noise_v=NoiseCoeff("linear-clipped", 0.1),
+    noise_w=NoiseCoeff("constant", 0.05),
+    snapshot_iters=(0, 31, 60),
+)
+
+
+def _path_configs(config, paths):
+    return [replace(config, seed=path_seed(config.seed, k)) for k in paths]
+
+
+def test_a_path_is_bitwise_the_same_alone_and_in_any_batch():
+    alone = {
+        k: run_simulation(cfg)
+        for k, cfg in zip((0, 2, 3), _path_configs(LOCKSTEP, (0, 2, 3)))
+    }
+    assert [_active_refreshes(alone[k]) for k in (0, 2, 3)] == [9, 0, 1]
+    disc = Discretization.build(LOCKSTEP)
+    for share in ([0, 2, 3], [5, 3, 0, 2]):
+        for k, res in zip(share, run_batch(_path_configs(LOCKSTEP, share), disc)):
+            if k in alone:
+                _assert_same_path(res, alone[k])
+
+
+def test_a_failing_path_leaves_its_batch_and_the_others_run_on(monkeypatch):
+    # path 0 (row 1 of the batch) gets a NaN activation in step k, after
+    # active refreshes: its checkpoint is bitwise the final state of a
+    # k-step run, and paths 2 and 3 equal their single runs
+    config = replace(LOCKSTEP, snapshot_iters=())
+    share = [2, 0, 3]
+    configs = _path_configs(config, share)
+    k = 37
+    short = run_simulation(replace(configs[1], T=k * config.dt))
+    singles = [run_simulation(cfg) for cfg in configs]
+    g_act = physics.g_act
+    calls = []
+
+    def nan_in_row_1_at_step_k(gamma, w, p):
+        calls.append(1)
+        out = g_act(gamma, w, p)
+        if len(calls) == k + 1:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(physics, "g_act", nan_in_row_1_at_step_k)
+    outcomes = run_batch(configs, Discretization.build(config))
+    error = outcomes[1]
+    assert isinstance(error, SimulationError)
+    assert error.step == k and "activation is not finite" in str(error)
+    assert error.checkpoint.n == k and np.any(error.checkpoint.mech.u)
+    _assert_same_state(error.checkpoint, short.final)
+    for row in (0, 2):
+        _assert_same_path(outcomes[row], singles[row])
+
+
+def test_probe_values_of_a_batch_equal_the_per_probe_loop():
+    # the per-probe loop that the batched gather replaced is the reference;
+    # each value is a 3-term weighted sum, so they agree to a few ulps
+    config = replace(ENSEMBLE, probes=((0.0, 0.5), (0.37, 0.61), (1.0, 0.5)))
+    disc = Discretization.build(config)
+    v = np.random.default_rng(3).standard_normal((4, disc.space.n_scalar))
+    ref = np.array([
+        [float(row[disc.mesh.triangles[tri]] @ wts) for tri, wts in disc.probe_locs]
+        for row in v
+    ])
+    out = driver._probe_values(disc.mesh, disc.probe_locs, v)
+    atol = 4 * np.finfo(float).eps * np.abs(v).max()
+    np.testing.assert_allclose(out, ref, rtol=0, atol=atol)
 
 
 def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
@@ -366,17 +443,27 @@ def test_checkpoint_is_the_state_the_failing_step_started_from(monkeypatch):
     _assert_same_state(checkpoint, short.final)
 
 
+def batch_with_failure(run, bad_seed, error, check=lambda: None):
+    """A `run_batch` that reports `error` for the path of `bad_seed`, after
+    `check()`, and runs the other paths of the batch with `run`."""
+
+    def flaky(cfgs, *args, **kwargs):
+        good = [cfg for cfg in cfgs if cfg.seed != bad_seed]
+        if len(good) < len(cfgs):
+            check()
+        outcomes = iter(run(good, *args, **kwargs) if good else [])
+        return [error if cfg.seed == bad_seed else next(outcomes) for cfg in cfgs]
+
+    return flaky
+
+
 def fail_path(monkeypatch, config, k_fail):
-    """Make run_simulation raise for ensemble member k_fail."""
-    run = driver.run_simulation
+    """Make the batch of ensemble member k_fail report it as failed."""
     bad_seed = path_seed(config.seed, k_fail)
-
-    def flaky(cfg, *args, **kwargs):
-        if cfg.seed == bad_seed:
-            raise SimulationError("forced failure", 3)
-        return run(cfg, *args, **kwargs)
-
-    monkeypatch.setattr(driver, "run_simulation", flaky)
+    flaky = batch_with_failure(
+        driver.run_batch, bad_seed, SimulationError("forced failure", 3)
+    )
+    monkeypatch.setattr(driver, "run_batch", flaky)
 
 
 def test_failed_path_is_reported_and_skipped(monkeypatch):
@@ -398,17 +485,17 @@ def test_failed_path_in_a_worker_is_reported_and_skipped(monkeypatch):
     # error, checkpoint included, over the pipe
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
     short = run_simulation(replace(ENSEMBLE, T=3 * ENSEMBLE.dt))
-    run = driver.run_simulation
     bad_seed = path_seed(ENSEMBLE.seed, 1)
 
-    def flaky(cfg, *args, **kwargs):
-        if cfg.seed == bad_seed:
-            assert os.getpid() != parent
-            raise SimulationError("forced failure", 3, checkpoint=short.final)
-        return run(cfg, *args, **kwargs)
+    def in_worker():
+        assert os.getpid() != parent
 
+    flaky = batch_with_failure(
+        driver.run_batch, bad_seed,
+        SimulationError("forced failure", 3, checkpoint=short.final), in_worker,
+    )
     parent = os.getpid()
-    monkeypatch.setattr(driver, "run_simulation", flaky)
+    monkeypatch.setattr(driver, "run_batch", flaky)
     with pytest.warns(UserWarning, match="path 1 failed: step 3: forced failure"):
         stats, results = run_ensemble(ENSEMBLE, 3)
     assert multiprocessing.active_children() == []
@@ -475,11 +562,12 @@ needs_fork = pytest.mark.skipif(
 def test_forked_ensemble_equals_the_serial_one(monkeypatch, tmp_path):
     # 5 paths over 3 processes: shares {0, 3}, {1, 4} and {2}; each path
     # records the process it ran in
-    run = driver.run_simulation
+    run = driver.run_batch
 
-    def recorded(cfg, *args, **kwargs):
-        (tmp_path / str(cfg.seed)).write_text(str(os.getpid()))
-        return run(cfg, *args, **kwargs)
+    def recorded(cfgs, *args, **kwargs):
+        for cfg in cfgs:
+            (tmp_path / str(cfg.seed)).write_text(str(os.getpid()))
+        return run(cfgs, *args, **kwargs)
 
     def pids():
         return [
@@ -487,7 +575,7 @@ def test_forked_ensemble_equals_the_serial_one(monkeypatch, tmp_path):
             for k in range(5)
         ]
 
-    monkeypatch.setattr(driver, "run_simulation", recorded)
+    monkeypatch.setattr(driver, "run_batch", recorded)
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 1)
     serial_stats, serial = run_ensemble(ENSEMBLE, 5)
     assert pids() == [os.getpid()] * 5
@@ -511,14 +599,14 @@ def test_forked_ensemble_equals_the_serial_one(monkeypatch, tmp_path):
 def test_dead_worker_raises_naming_its_paths_and_code(monkeypatch):
     # 4 paths over 2 processes: the worker runs paths 1 and 3 and dies
     parent = os.getpid()
-    run = driver.run_simulation
+    run = driver.run_batch
 
-    def dying(cfg, *args, **kwargs):
+    def dying(cfgs, *args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return run(cfg, *args, **kwargs)
+        return run(cfgs, *args, **kwargs)
 
-    monkeypatch.setattr(driver, "run_simulation", dying)
+    monkeypatch.setattr(driver, "run_batch", dying)
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
     with pytest.raises(SimulationError, match=r"paths \[1, 3\] exited with code 3"):
         run_ensemble(ENSEMBLE, 4)
@@ -531,12 +619,12 @@ def test_failing_calling_process_terminates_its_workers(monkeypatch):
     # the worker is terminated, not waited for
     parent = os.getpid()
 
-    def stuck_or_broken(cfg, *args, **kwargs):
+    def stuck_or_broken(cfgs, *args, **kwargs):
         if os.getpid() != parent:
             time.sleep(60)
         raise RuntimeError("broken path")
 
-    monkeypatch.setattr(driver, "run_simulation", stuck_or_broken)
+    monkeypatch.setattr(driver, "run_batch", stuck_or_broken)
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="broken path"):

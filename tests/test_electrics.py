@@ -23,7 +23,7 @@ from cardioem.fem import (
     assemble_stiffness,
     solve_cg,
 )
-from cardioem.driver import Discretization, SimConfig, run_simulation
+from cardioem.driver import Discretization, SimConfig, SimulationError, run_simulation
 from cardioem.mechanics import MechParams
 from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseCoeff, eval_coeff
@@ -56,6 +56,15 @@ def uniform_state(space, v, w):
     v_i = np.full(n, v)
     v_e = np.zeros(n)
     return ElectricState(v_i, v_e, np.full(n, v), np.full(n, w))
+
+
+def step_one(sys_, state, ionic, i_app, dW_v, dW_w, *coeffs, **kwargs):
+    """`step_bidomain` on a batch of one path: its new state and the StepInfo."""
+    rows = ElectricState(*(a[None] for a in (state.v_i, state.v_e, state.v, state.w)))
+    new, info = step_bidomain(
+        [sys_], rows, ionic, i_app, dW_v[None], dW_w[None], *coeffs, **kwargs
+    )
+    return ElectricState(new.v_i[0], new.v_e[0], new.v[0], new.w[0]), info
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +234,7 @@ def step_no_noise(sys_, state, ionic, i_app=None, tol=1e-12):
     n = sys_.space.n_scalar
     if i_app is None:
         i_app = np.zeros(n)
-    return step_bidomain(
+    return step_one(
         sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO, tol=tol
     )
 
@@ -269,7 +278,7 @@ def test_state_identity_v_equals_vi_minus_ve():
     v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, physics.IonicParams(k=80.0), i_app,
         np.zeros(1), np.zeros(1), ZERO, ZERO,
     )
@@ -291,10 +300,10 @@ def test_noise_free_path_matches_deterministic_bitwise():
     s2 = ElectricState(v_i.copy(), v_e.copy(), v0.copy(), np.zeros_like(v0))
     for _ in range(5):
         dwa, dwb = rng.standard_normal(2), rng.standard_normal(2)
-        s1, _ = step_bidomain(
+        s1, _ = step_one(
             sys_, s1, ionic, np.zeros(space.n_scalar), dwa[:1], dwa[1:], ZERO, ZERO
         )
-        s2, _ = step_bidomain(
+        s2, _ = step_one(
             sys_, s2, ionic, np.zeros(space.n_scalar), dwb[:1], dwb[1:], ZERO, ZERO
         )
     assert np.array_equal(s1.v, s2.v)
@@ -308,7 +317,7 @@ def test_noise_enters_both_rows_identically():
     state = uniform_state(space, 0.2, 0.0)
     coeff = NoiseCoeff("constant", 0.5)
     dw = np.array([0.3])
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, physics.IonicParams(k=0.001), np.zeros(space.n_scalar),
         dw, np.zeros(1), coeff, ZERO, tol=1e-13,
     )
@@ -339,12 +348,13 @@ def test_nonconvergence_leaves_state_unchanged():
     space, _, sys_ = make_system(6)
     state = uniform_state(space, 0.5, 0.1)
     i_app = np.zeros(space.n_scalar)
-    out, info = step_bidomain(
+    out, info = step_one(
         sys_, state, PAPER_IONIC, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO,
         tol=1e-30,
     )
     assert not info.converged
-    assert out is state
+    for name in ("v_i", "v_e", "v", "w"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(state, name))
 
 
 def test_elliptic_compatibility_residual():
@@ -356,7 +366,7 @@ def test_elliptic_compatibility_residual():
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO,
     )
     x = np.concatenate([new.v_i, new.v_e])
@@ -410,21 +420,22 @@ def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deform
     grad_u = random_grad_u(8) if deformed else None
     space, _, sys_ = make_system(8, grad_u=grad_u, cond=cond)
     n = space.n_scalar
-    assert sys_.ratio == lam and (sys_.stiff_i is None) == (lam is None)
+    assert sys_.ratio == lam and (sys_.stiff_e is None) == (lam is not None)
     assert sizes == []
     r = sys_.projector()(np.random.default_rng(1).standard_normal(2 * n))
     sys_.precondition(r)
     sys_.precondition(r)
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
-    # a system whose first solves are sourceless factors only the LU for v,
-    # and the row-sum LU on its first sourced solve
+    # a system whose first steps are sourceless factors only the LU for v,
+    # and builds no 2n block; the row-sum LU comes with its first sourced
+    # solve
     sizes.clear()
     _, _, fresh = make_system(8, grad_u=grad_u, cond=cond)
     b = np.random.default_rng(2).standard_normal(n)
-    r0 = fresh.projector()(np.concatenate([b, -b]))
-    fresh.precondition(r0, source=False)
-    fresh.precondition(r0, source=False)
+    fresh.solve(b, np.zeros(n), False, 1e-10)
+    fresh.solve(b, np.zeros(n), False, 1e-10)
     assert sizes == ([2 * n - 1] if lam is None else [n])
+    assert ("block" in vars(fresh)) == (lam is None)
     fresh.precondition(r)
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
 
@@ -439,7 +450,7 @@ def test_one_ulp_from_proportional_takes_the_general_path(monkeypatch, entry):
     sizes = recorded_factor_sizes(monkeypatch)
     disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, conductivity=cond))
     sys_ = disc.passive.system
-    assert sys_.ratio is None and sys_.stiff_i is None
+    assert sys_.ratio is None and sys_.stiff_e is not None
     n = disc.space.n_scalar
     sys_.precondition(sys_.projector()(np.ones(2 * n)))
     assert sizes == [2 * n - 1]
@@ -515,16 +526,18 @@ PROPORTIONAL_CASES = [case for case in SOLVE_CASES if case.values[2].ratio is no
 
 @pytest.mark.parametrize("n, deformed, cond", PROPORTIONAL_CASES)
 def test_sourceless_precondition_inverts_projected_block(n, deformed, cond):
-    # r = P(b, -b), as every residual of a step without applied current:
-    # the solve for v alone gives the z of the contract, and the same z as
-    # the two solves
+    # r = P(b, -b), the projected right-hand side of a step without applied
+    # current: the scalar solve for v alone gives the z of the
+    # preconditioner's contract, and the same z as its two solves
     space, _, sys_ = make_system(
         n, grad_u=random_grad_u(n) if deformed else None, cond=cond
     )
     proj = sys_.projector()
     b = np.random.default_rng(n).standard_normal(space.n_scalar)
     r = proj(np.concatenate([b, -b]))
-    z = sys_.precondition(r, source=False)
+    v_i, v_e, res = sys_.solve(b, np.zeros_like(b), False, 1e-12)
+    assert res.converged and res.iterations == 1
+    z = np.concatenate([v_i, v_e])
     z_e = z[space.n_scalar:]
     assert np.linalg.norm(proj(sys_.block.dot(z)) - r) <= 1e-12 * np.linalg.norm(r)
     assert abs(sys_.lumped @ z_e) <= 1e-12 * np.linalg.norm(sys_.lumped) * np.linalg.norm(z_e)
@@ -556,7 +569,7 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)
     dW_v, coeff_v = np.array([0.1]), NoiseCoeff("constant", 0.3)
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, ionic, i_app, dW_v, np.array([0.05]), coeff_v, ZERO, tol=1e-10,
     )
     assert info.converged
@@ -587,18 +600,69 @@ def test_sourceless_noisy_step_matches_the_bordered_solve(n, deformed, cond):
     state = ElectricState(v_i, v_e, v0, np.full_like(v0, 0.1))
     ionic, i_app = physics.IonicParams(k=80.0), np.zeros_like(v0)
     dW_v, coeff_v = np.array([0.1, -0.2]), NoiseCoeff("linear-clipped", 0.3)
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, ionic, i_app, dW_v, np.array([0.05, 0.1]), coeff_v,
         NoiseCoeff("constant", 0.2), tol=1e-10,
     )
     assert info.converged and info.iterations == 1
 
-    ref_i, ref_e = bordered_solve(
-        sys_, reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
-    )
+    # a scalar solve, which builds no 2n block
+    assert "block" not in vars(sys_)
+
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() <= 1e-13
     assert np.abs(new.v_e - ref_e).max() <= 1e-13
     assert np.ptp(new.v_i + cond.ratio * new.v_e) <= 1e-13
+
+
+@pytest.mark.parametrize("n, deformed, cond", PROPORTIONAL_CASES)
+def test_scalar_step_matches_the_bordered_solve_and_the_block_cg(n, deformed, cond):
+    # the source-free step solves (D + lam/(1+lam) A_i) v = b; the step
+    # through the projected 2n block, with the preconditioner's two scalar
+    # solves, gives the same (v_i, v_e)
+    space, mass, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
+    v0 = space.interpolate(initial_stimulus)
+    v_i, v_e = initial_split(v0, row_sums(mass))
+    state = ElectricState(v_i, v_e, v0, np.full_like(v0, 0.1))
+    ionic, i_app = physics.IonicParams(k=80.0), np.zeros_like(v0)
+    dW_v, coeff_v = np.array([0.3]), NoiseCoeff("linear-clipped", 0.5)
+    new, info = step_one(
+        sys_, state, ionic, i_app, dW_v, np.array([0.1]), coeff_v, ZERO,
+        tol=1e-10,
+    )
+    assert info.converged and info.iterations == 1
+    assert info.relres[0] <= 1e-10
+
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    ref_i, ref_e = bordered_solve(sys_, rhs)
+    assert np.abs(new.v_i - ref_i).max() <= 1e-12
+    assert np.abs(new.v_e - ref_e).max() <= 1e-12
+    block = solve_cg(sys_.block, rhs, sys_.projector(), sys_.precondition, tol=1e-10)
+    assert block.converged and block.iterations == 1
+    n_s = space.n_scalar
+    assert np.abs(new.v_i - block.x[:n_s]).max() <= 1e-12
+    block_e = enforce_zero_mean(block.x[n_s:], sys_.lumped)
+    assert np.abs(new.v_e - block_e).max() <= 1e-12
+
+
+def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint():
+    # no stimulus at all, so step 0 is already a scalar source-free step;
+    # at solver_tol = 1e-30 its residual check fails
+    config = SimConfig(
+        mesh_nx=4, mesh_ny=4, T=0.025, stim_duration=0.0, solver_tol=1e-30
+    )
+    disc = Discretization.build(config)
+    with pytest.raises(SimulationError, match="electric solve stalled") as info:
+        run_simulation(config, disc=disc)
+    assert "block" not in vars(disc.passive.system)
+    assert info.value.step == 0
+    checkpoint = info.value.checkpoint
+    assert (checkpoint.n, checkpoint.t) == (0, 0.0)
+    np.testing.assert_array_equal(checkpoint.electric.v, disc.v0)
+    np.testing.assert_array_equal(checkpoint.gamma, disc.gamma0)
 
 
 @pytest.mark.parametrize("system", ["fresh", "after-loaded-refresh"])
@@ -615,7 +679,7 @@ def test_step_from_zero_matches_the_warm_started_step(system):
     state = disc.initial_state()
     dW_v, dW_w = np.array([0.1]), np.array([0.05])
     coeff_v = NoiseCoeff("constant", 0.3)
-    new, info = step_bidomain(
+    new, info = step_one(
         sys_, state, cfg.ionic, disc.i_app, dW_v, dW_w, coeff_v, ZERO,
         tol=cfg.solver_tol,
     )

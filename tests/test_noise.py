@@ -107,15 +107,17 @@ def gating_noise(coeff_w):
     lumped = np.asarray(mass.sum(axis=1)).ravel()
     system = assemble_bidomain(space, cond.K_i, cond.K_e, 0.0125, mass, lumped)
     zero = np.zeros(space.n_scalar)
-    rest = ElectricState(zero, zero, zero, zero)
+    rows = np.zeros((1, space.n_scalar))
+    rest = ElectricState(rows, rows, rows, rows)
 
     def w_after(dW):
+        # a batch of one path
         new, info = step_bidomain(
-            system, rest, IonicParams(), zero, np.zeros(len(dW)), dW,
-            NoiseCoeff(), coeff_w,
+            [system], rest, IonicParams(), zero, np.zeros((1, len(dW))),
+            dW[None], NoiseCoeff(), coeff_w,
         )
         assert info.converged
-        return new.w
+        return new.w[0]
 
     return w_after
 
