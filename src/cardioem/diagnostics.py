@@ -200,7 +200,7 @@ def eps_pressure_study(disc, result, eps_list) -> list:
     cfg = disc.config
     iters = sorted(result.snapshots)
     consecutive = len(iters) >= 2 and iters[-1] - iters[0] == len(iters) - 1
-    if cfg.mech_refresh != 1 or not consecutive:
+    if cfg.run.mech_refresh != 1 or not consecutive:
         raise ValueError(
             "the run needs mech_refresh = 1 and snapshots at two or more "
             "consecutive iterations"
@@ -221,14 +221,14 @@ def eps_pressure_study(disc, result, eps_list) -> list:
         gap2 = 0.0
         for snap, system in zip(window, systems):
             state, res = mechanics.step_mechanics_regularized(
-                state, system, cfg.dt, eps, tol=cfg.mech_tol
+                state, system, cfg.time.dt, eps, tol=cfg.solver.mech_tol
             )
             if not res.converged:
                 raise RuntimeError(
                     f"regularized mechanics step failed at eps={eps:g}"
                 )
             dp = state.p - snap.mech.p
-            gap2 += cfg.dt * float(dp @ Mp.dot(dp))
+            gap2 += cfg.time.dt * float(dp @ Mp.dot(dp))
         rows.append((float(eps), float(np.sqrt(gap2))))
     return rows
 

@@ -5,7 +5,7 @@ Operator ordering per step (fixed):
   1. advance (v_i, v_e, v, w) with the semi-implicit electric step; a
      path whose solve does not converge fails with a `SimulationError`,
   2. advance the activation field by explicit Euler using the fresh w,
-  3. every `mech_refresh` steps, re-solve the mechanics with the current
+  3. every `run.mech_refresh` steps, re-solve the mechanics with the current
      activation and rebuild the conductivity-dependent operators from the
      new displacement gradient; while the activation is nowhere positive
      (`mechanics.is_passive`) the system is bitwise the initial one, so the
@@ -26,8 +26,8 @@ steps.  A failed set-up has the initial state as its checkpoint, with the
 unconverged mechanics solution.
 
 Everything before the first step that the seed does not change is a
-`Discretization`, built once from the config: the mesh (`mesh_file`, or
-the `mesh_nx` x `mesh_ny` unit square), spaces and fixed operators, the
+`Discretization`, built once from the config: the mesh (`mesh.file`, or
+the `mesh.nx` x `mesh.ny` unit square), spaces and fixed operators, the
 probe locations and the stimulus load, v0 from the stimulus profile, the
 activation gamma0 = -0.3 v0 / (2 - v0), and the mechanics solution at
 gamma0 (the passive solution).  gamma0 is nowhere positive, so with no
@@ -87,7 +87,7 @@ from .fem import (
     assemble_stiffness,
 )
 from .mesh import FiberField, TriMesh, load_mesh, structured_unit_square
-from .noise import NoiseCoeff, NoisePath
+from .noise import NoiseParams, NoisePath
 
 
 class SimulationError(RuntimeError):
@@ -109,14 +109,76 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Full description of one simulation run."""
+class MeshParams:
+    """The mesh: `file`, in the format of `mesh.load_mesh`, or without one
+    the nx x ny structured unit square."""
 
-    mesh_nx: int = 22
-    mesh_ny: int = 22
-    mesh_file: str = ""
+    nx: int = 22
+    ny: int = 22
+    file: str = ""
+
+
+@dataclass(frozen=True)
+class TimeParams:
+    """The end time T and the step dt of a run."""
+
     T: float = 3.2
     dt: float = 0.0125
+
+    def __post_init__(self):
+        physics.require_finite(self, "dt", "T")
+        # each check is written to fail on NaN too
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not self.T >= 0:
+            raise ValueError("T must be nonnegative")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
+
+
+@dataclass(frozen=True)
+class RunParams:
+    """The seed, the mechanics refresh period in steps, how long the
+    stimulus is on, and the probe points."""
+
+    seed: int = 0
+    mech_refresh: int = 10
+    stim_duration: float = 0.01
+    probes: tuple = ((0.0, 0.5), (0.5, 0.5), (1.0, 0.5))
+
+    def __post_init__(self):
+        physics.require_finite(self, "stim_duration")
+        if not self.stim_duration >= 0:
+            raise ValueError("stim_duration must be nonnegative")
+        if self.mech_refresh < 1:
+            raise ValueError("mech_refresh must be at least 1")
+
+
+@dataclass(frozen=True)
+class SolverParams:
+    """Relative tolerances of the electric step and the mechanics solve."""
+
+    tol: float = 1e-10
+    mech_tol: float = 1e-9
+
+    def __post_init__(self):
+        # a tolerance <= 0 can never be met: reject it here, not as a
+        # stalled solve at run time
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if not self.mech_tol > 0:
+            raise ValueError("mech_tol must be positive")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Full description of one simulation run: one section per group of
+    config keys (`io_cli`), and the iterations whose state a run keeps."""
+
+    mesh: MeshParams = field(default_factory=MeshParams)
+    time: TimeParams = field(default_factory=TimeParams)
     ionic: physics.IonicParams = field(default_factory=physics.IonicParams)
     activation: physics.ActivationParams = field(
         default_factory=physics.ActivationParams
@@ -125,54 +187,29 @@ class SimConfig:
         default_factory=physics.ConductivityParams
     )
     mech: mechanics.MechParams = field(default_factory=mechanics.MechParams)
-    noise_v: NoiseCoeff = field(default_factory=NoiseCoeff)
-    noise_w: NoiseCoeff = field(default_factory=NoiseCoeff)
-    n_modes: int = 1
-    seed: int = 0
-    mech_refresh: int = 10
-    probes: tuple = ((0.0, 0.5), (0.5, 0.5), (1.0, 0.5))
-    stim_duration: float = 0.01
-    solver_tol: float = 1e-10
-    mech_tol: float = 1e-9
+    noise: NoiseParams = field(default_factory=NoiseParams)
+    run: RunParams = field(default_factory=RunParams)
+    solver: SolverParams = field(default_factory=SolverParams)
     snapshot_iters: tuple = ()  # iterations in 0..n_steps
 
     def __post_init__(self):
-        physics.require_finite(self, "dt", "T", "stim_duration")
-        # each check is written to fail on NaN too
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.T >= 0:
-            raise ValueError("T must be nonnegative")
-        if not self.stim_duration >= 0:
-            raise ValueError("stim_duration must be nonnegative")
-        if self.mech_refresh < 1:
-            raise ValueError("mech_refresh must be at least 1")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
-        # a tolerance <= 0 can never be met: reject it here, not as a
-        # stalled solve at run time
-        if not self.solver_tol > 0:
-            raise ValueError("solver_tol must be positive")
-        if not self.mech_tol > 0:
-            raise ValueError("mech_tol must be positive")
-        if self.noise_v.z_cap != self.noise_w.z_cap:
-            raise ValueError("noise_v and noise_w must share one z_cap")
-        outside = [it for it in self.snapshot_iters if not 0 <= it <= self.n_steps]
+        n_steps = self.time.n_steps
+        outside = [it for it in self.snapshot_iters if not 0 <= it <= n_steps]
         if outside:
             raise ValueError(
-                f"snapshot iterations {outside} lie outside 0..{self.n_steps}, "
+                f"snapshot iterations {outside} lie outside 0..{n_steps}, "
                 "the run's iterations"
             )
 
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+    def with_seed(self, seed: int) -> "SimConfig":
+        """This config with its run seeded by `seed`."""
+        return replace(self, run=replace(self.run, seed=seed))
 
     def build_mesh(self) -> TriMesh:
-        if self.mesh_file:
-            with open(self.mesh_file) as fh:
+        if self.mesh.file:
+            with open(self.mesh.file) as fh:
                 return load_mesh(fh.read())
-        return structured_unit_square(self.mesh_nx, self.mesh_ny)
+        return structured_unit_square(self.mesh.nx, self.mesh.ny)
 
 
 @dataclass(frozen=True)
@@ -323,7 +360,7 @@ class Discretization:
             mass=mass,
             lumped=np.asarray(mass.sum(axis=1)).ravel(),
             stiff_unit=assemble_stiffness(space),
-            probe_locs=[locate_point(mesh, q) for q in config.probes],
+            probe_locs=[locate_point(mesh, q) for q in config.run.probes],
             i_app=assemble_load(space, stim_profile),
             v0=v0,
             gamma0=-0.3 * v0 / (2.0 - v0),
@@ -399,7 +436,7 @@ class Discretization:
             self.u_space, self.space, gamma, self.fibers, cfg.mech,
             cfg.activation, statics=self.statics,
         )
-        return mechanics.solve_mechanics(mech_sys, tol=cfg.mech_tol)
+        return mechanics.solve_mechanics(mech_sys, tol=cfg.solver.mech_tol)
 
     def bidomain_system(self, u: np.ndarray) -> electrics.BidomainSystem:
         """Bidomain operators with the conductivities pulled back through u.
@@ -411,7 +448,7 @@ class Discretization:
         grad_u = self.u_space.vector_grad_at_qp(u) if np.any(u) else None
         Mi, Me = electrics.conductivities_from_gradient(self.space, grad_u, cond)
         return electrics.assemble_bidomain(
-            self.space, Mi, Me, self.config.dt, self.mass, self.lumped,
+            self.space, Mi, Me, self.config.time.dt, self.mass, self.lumped,
             ratio=cond.ratio,
         )
 
@@ -482,7 +519,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
     if not shared:
         disc = Discretization.build(configs[0])
     for cfg in configs:
-        if replace(cfg, seed=disc.config.seed) != disc.config:
+        if cfg.with_seed(disc.config.run.seed) != disc.config:
             raise ValueError(
                 "a shared Discretization must be built from this config, up "
                 "to its seed"
@@ -494,7 +531,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
         disc = replace(disc, passive=None)
     config = disc.config
     mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
-    n_steps, dt = config.n_steps, config.dt
+    n_steps, dt = config.time.n_steps, config.time.dt
     times = dt * np.arange(n_steps + 1)
     i_app_zero = np.zeros_like(disc.i_app)
 
@@ -509,7 +546,9 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
     del passive  # each lane holds it while it may reuse it
     outcomes = [None] * len(configs)
     probes = np.empty((len(configs), n_steps + 1, len(locs)))
-    noises = [NoisePath(cfg.seed, dt, n_steps, cfg.n_modes) for cfg in configs]
+    noises = [
+        NoisePath(cfg.run.seed, dt, n_steps, config.noise.modes) for cfg in configs
+    ]
     incr_v = np.stack([noise.increments("v") for noise in noises])
     incr_w = np.stack([noise.increments("w") for noise in noises])
 
@@ -543,15 +582,14 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
 
     record(0)
     for n in range(n_steps):
-        i_app_vec = disc.i_app if times[n] < config.stim_duration else i_app_zero
+        i_app_vec = disc.i_app if times[n] < config.run.stim_duration else i_app_zero
         stepped, info = electrics.step_bidomain(
             [lanes[j].system for j in live], electric, config.ionic, i_app_vec,
-            incr_v[live, n], incr_w[live, n], config.noise_v, config.noise_w,
-            tol=config.solver_tol,
+            incr_v[live, n], incr_w[live, n], config.noise, tol=config.solver.tol,
         )
         new_gamma = gamma + dt * physics.g_act(gamma, stepped.w, config.activation)
         finite = np.isfinite(new_gamma).all(axis=1)
-        refresh = (n + 1) % config.mech_refresh == 0
+        refresh = (n + 1) % config.run.mech_refresh == 0
         if refresh:
             # the old systems are done with: free them before the first
             # mechanics solve, whose temporaries set the peak memory
@@ -590,7 +628,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
     for r, j in enumerate(live):
         lane = lanes[j]
         outcomes[j] = SimResult(
-            times, probes[j], lane.energy, lane.snapshots, configs[j].seed,
+            times, probes[j], lane.energy, lane.snapshots, configs[j].run.seed,
             config_hash(configs[j]), n_steps, path_state(n_steps, r),
             lane.mech_residuals,
         )
@@ -616,7 +654,7 @@ def _run_share(config: SimConfig, disc: Discretization, paths, conn=None):
     A worker process passes the sending end of its pipe as `conn`, and the
     list goes over it instead of being returned.
     """
-    configs = [replace(config, seed=path_seed(config.seed, k)) for k in paths]
+    configs = [config.with_seed(path_seed(config.run.seed, k)) for k in paths]
     out = list(zip(paths, run_batch(configs, disc)))
     if conn is None:
         return out
@@ -647,7 +685,7 @@ def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
         warnings.warn(f"all {n_paths} paths failed in their shared set-up: {exc}")
         raise SimulationError("all ensemble paths failed", -1) from exc
     n_workers = 1
-    if config.n_steps > 0 and "fork" in multiprocessing.get_all_start_methods():
+    if config.time.n_steps > 0 and "fork" in multiprocessing.get_all_start_methods():
         n_workers = min(n_paths, _usable_cpus())
     shares = [range(i, n_paths, n_workers) for i in range(n_workers)]
     outcomes = {}

@@ -13,8 +13,8 @@ inside the zero-integral subspace: the conjugate-gradient solve runs on
 the orthogonally projected operator, which is the algebraic counterpart
 of testing the extracellular row against zero-mean functions only.
 Diffusion is implicit; reaction, stimulus, and noise are explicit, and
-each noise channel is one evaluation of its coefficient times the step's
-mode-weighted increment.
+each noise channel is one evaluation of its amplitude
+(`noise.NoiseParams`) times the step's mode-weighted increment.
 
 Each path's step is one `fem.solve_cg` iteration from zero, whose
 residual check keeps the `solver.tol` contract.  A step with applied
@@ -75,7 +75,7 @@ import scipy.sparse as sp
 
 from . import physics
 from .fem import FeSpace, assemble_stiffness, factor_spd, solve_cg
-from .noise import NoiseCoeff, eval_coeff
+from .noise import NoiseParams
 
 
 def initial_stimulus(x, y):
@@ -198,9 +198,10 @@ class BidomainSystem:
 
         v_e has zero lumped mean.  Without a `source` (i_app all zero),
         proportional tensors make the step the scalar solve for v, rebuilt
-        into v_e = -v/(1 + lambda) and v_i = v + v_e.  Its CG is held to
-        one iteration, whose recursive residual is the true one: a second
-        iteration would only push the recursive one below round-off.
+        into v_e = -v/(1 + lambda) and v_i = v + v_e.  Either CG is held to
+        one iteration: its preconditioner is an exact solve, so that
+        iteration is the direct solve and its recursive residual the true
+        one, which a second iteration would only push below round-off.
         """
         if self.ratio is not None and not source:
             res = solve_cg(
@@ -210,7 +211,7 @@ class BidomainSystem:
             return res.x + v_e, v_e, res
         res = solve_cg(
             self.block, np.concatenate([b + i_app, -b + i_app]),
-            self.projector(), self.precondition, tol=tol,
+            self.projector(), self.precondition, tol=tol, maxit=1,
         )
         n = self.space.n_scalar
         return res.x[:n], enforce_zero_mean(res.x[n:], self.lumped), res
@@ -296,8 +297,7 @@ def step_bidomain(
     i_app: np.ndarray,
     dW_v: np.ndarray,
     dW_w: np.ndarray,
-    coeff_v: NoiseCoeff,
-    coeff_w: NoiseCoeff,
+    noise: NoiseParams,
     tol: float = 1e-10,
 ):
     """Advance a batch of paths, (v_i, v_e, v, w) each, by one semi-implicit step.
@@ -306,16 +306,16 @@ def step_bidomain(
     noise mode), is path j, which steps with `systems[j]`; the systems
     share space, mass and dt, and the applied current `i_app` is common.
     Mode k's increment is scaled by 1/(k+1), so a channel's noise term is
-    one evaluation of its coefficient times sum_k dW_k / (k+1).  Returns
-    (new_state, StepInfo); a path whose solve does not converge keeps its
-    row of `state`, with converged False.
+    one evaluation of its amplitude (`noise.amplitude`) times
+    sum_k dW_k / (k+1).  Returns (new_state, StepInfo); a path whose solve
+    does not converge keeps its row of `state`, with converged False.
     """
     dt, M = systems[0].dt, systems[0].mass
     v, w = state.v, state.w
 
     ion = physics.i_ion(v, w, ionic)
-    noise_v = eval_coeff(coeff_v, v) * _mode_sum(dW_v)[:, None]
-    noise_w = eval_coeff(coeff_w, v) * _mode_sum(dW_w)[:, None]
+    noise_v = noise.amplitude("v", v) * _mode_sum(dW_v)[:, None]
+    noise_w = noise.amplitude("w", v) * _mode_sum(dW_w)[:, None]
     # one sparse product over the (n, k) columns, whose column j is bitwise
     # M times path j's; then contiguous rows again
     base = np.ascontiguousarray(M.dot((v / dt - ion + noise_v / dt).T).T)

@@ -1,19 +1,17 @@
 """Configuration files, result serialization, and the command line.
 
 Config files are flat `key = value` text with dotted section keys and `#`
-comments.  `CONFIG_KEYS` is the schema: each key names the attribute paths
-into `driver.SimConfig` that it sets.  Every field of the four parameter
-sections (`ionic`, `activation`, `conductivity`, `mech`) is keyed
-`section.field`, generated from its dataclass; the hand-kept table holds
-only the keys whose names differ from their fields, and `noise.z_cap`,
-which sets both noise channels.  A value is read as the type of the
-default it replaces, and a float must be finite; unspecified keys keep
-the defaults of `SimConfig()` (the standard square-domain experiment),
-and the dataclasses validate the result.  Unknown keys are rejected, and
-so are `mesh.nx` and `mesh.ny` beside a `mesh.file`, which they could not
-affect.  Every output file embeds the seed and a hash of the full
-configuration, the mesh file's content included, so artifacts can be
-traced back to the exact run that produced them.
+comments.  `CONFIG_KEYS` is the schema, one rule: every field of every
+section of `driver.SimConfig` (`mesh`, `time`, `ionic`, `activation`,
+`conductivity`, `mech`, `noise`, `run`, `solver`) is keyed
+`section.field`, generated from its dataclass.  A value is read as the
+type of the default it replaces, and a float must be finite; unspecified
+keys keep the defaults of `SimConfig()` (the standard square-domain
+experiment), and the dataclasses validate the result.  Unknown keys are
+rejected, and so are `mesh.nx` and `mesh.ny` beside a `mesh.file`, which
+they could not affect.  Every output file embeds the seed and a hash of
+the full configuration, the mesh file's content included, so artifacts
+can be traced back to the exact run that produced them.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -35,41 +33,12 @@ class ConfigError(ValueError):
     """Bad configuration input; message carries key and line context."""
 
 
-def _at(obj, path):
-    for step in path:
-        obj = getattr(obj, step)
-    return obj
-
-
-def _section_keys(config) -> dict:
-    """The fields of the parameter sections, keyed by their names."""
-    return {
-        f"{section}.{f.name}": [(section, f.name)]
-        for section in ("ionic", "activation", "conductivity", "mech")
-        for f in fields(getattr(config, section))
-    }
-
-
-# every recognised key -> the attribute paths into SimConfig that it sets
+# every recognised key -> the (section, field) of SimConfig that it sets
 CONFIG_KEYS = {
-    "mesh.nx": [("mesh_nx",)],
-    "mesh.ny": [("mesh_ny",)],
-    "mesh.file": [("mesh_file",)],
-    "time.T": [("T",)],
-    "time.dt": [("dt",)],
-    "noise.kind_v": [("noise_v", "kind")],
-    "noise.beta0_v": [("noise_v", "beta0")],
-    "noise.kind_w": [("noise_w", "kind")],
-    "noise.beta0_w": [("noise_w", "beta0")],
-    "noise.z_cap": [("noise_v", "z_cap"), ("noise_w", "z_cap")],
-    "noise.modes": [("n_modes",)],
-    "run.seed": [("seed",)],
-    "run.mech_refresh": [("mech_refresh",)],
-    "run.stim_duration": [("stim_duration",)],
-    "run.probes": [("probes",)],
-    "solver.tol": [("solver_tol",)],
-    "solver.mech_tol": [("mech_tol",)],
-    **_section_keys(driver.SimConfig()),
+    f"{section}.{f.name}": (section, f.name)
+    for section, params in vars(driver.SimConfig()).items()
+    if is_dataclass(params)
+    for f in fields(params)
 }
 
 
@@ -109,22 +78,10 @@ def _render(value) -> str:
     return str(value)
 
 
-def _write(obj, tree: dict):
-    """obj with the leaves of `tree` ({field: subtree or value}) written in.
-
-    Each dataclass on the way is rebuilt by one `replace`, so its
-    `__post_init__` checks the finished values.
-    """
-    return replace(obj, **{
-        step: _write(getattr(obj, step), sub) if isinstance(sub, dict) else sub
-        for step, sub in tree.items()
-    })
-
-
 def parse_config(text: str) -> driver.SimConfig:
     """Parse `key = value` lines into a validated SimConfig."""
     base = driver.SimConfig()
-    tree, seen = {}, set()
+    tree, seen = {}, set()  # tree: section -> {field: value}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -138,24 +95,25 @@ def parse_config(text: str) -> driver.SimConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        paths = CONFIG_KEYS[key]
+        section, name = CONFIG_KEYS[key]
         try:
-            value = _parse_value(_at(base, paths[0]), val)
+            value = _parse_value(getattr(getattr(base, section), name), val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
-        for path in paths:
-            node = tree
-            for step in path[:-1]:
-                node = node.setdefault(step, {})
-            node[path[-1]] = value
+        tree.setdefault(section, {})[name] = value
     sizes = sorted(seen & {"mesh.nx", "mesh.ny"})
-    if sizes and tree.get("mesh_file"):
+    if sizes and tree["mesh"].get("file"):
         raise ConfigError(
             f"{', '.join(sizes)} cannot be used with 'mesh.file', which fixes "
             "the mesh"
         )
     try:
-        return _write(base, tree)
+        # one replace per section, so each `__post_init__` checks its
+        # finished values, and SimConfig's checks them together
+        return replace(base, **{
+            section: replace(getattr(base, section), **values)
+            for section, values in tree.items()
+        })
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -163,16 +121,16 @@ def parse_config(text: str) -> driver.SimConfig:
 def serialize_config(config: driver.SimConfig) -> str:
     """Complete `key = value` rendering; parse(serialize(c)) == c."""
     return "".join(
-        f"{key} = {_render(_at(config, CONFIG_KEYS[key][0]))}\n"
-        for key in sorted(CONFIG_KEYS)
+        f"{key} = {_render(getattr(getattr(config, section), name))}\n"
+        for key, (section, name) in sorted(CONFIG_KEYS.items())
     )
 
 
 def config_hash(config: driver.SimConfig) -> str:
     """Hash of the serialized config and of the mesh file's bytes, if any."""
     digest = hashlib.sha256(serialize_config(config).encode())
-    if config.mesh_file:
-        with open(config.mesh_file, "rb") as fh:
+    if config.mesh.file:
+        with open(config.mesh.file, "rb") as fh:
             digest.update(hashlib.sha256(fh.read()).digest())
     return digest.hexdigest()[:16]
 
@@ -259,7 +217,7 @@ def _load_cli_config(args) -> driver.SimConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config.with_seed(args.seed)
     if getattr(args, "snapshots", None):
         iters = tuple(int(t) for t in args.snapshots.split(","))
         config = replace(config, snapshot_iters=iters)
@@ -340,7 +298,7 @@ def _cmd_ensemble(args) -> int:
     base = results[0]
     with open(os.path.join(out, "ensemble_stats.csv"), "w") as fh:
         fh.write(
-            f"# seed={config.seed} config={config_hash(config)} "
+            f"# seed={config.run.seed} config={config_hash(config)} "
             f"paths={stats.n_paths}\n"
         )
         heads = []
@@ -385,10 +343,12 @@ def _cmd_diagnose(args) -> int:
     # the run, not halfway through writing the report
     chash = config_hash(config)
     n_window = 20
-    start = int(round(1.6 / config.dt))
+    dt = config.time.dt
+    start = int(round(1.6 / dt))
     run_cfg = replace(
-        config, mesh_nx=6, mesh_ny=6, mesh_file="",
-        T=(start + n_window) * config.dt, mech_refresh=1,
+        config, mesh=driver.MeshParams(6, 6),
+        time=replace(config.time, T=(start + n_window) * dt),
+        run=replace(config.run, mech_refresh=1),
         snapshot_iters=tuple(range(start, start + n_window + 1)),
     )
     disc = driver.Discretization.build(run_cfg)
@@ -399,13 +359,13 @@ def _cmd_diagnose(args) -> int:
     table = diagnostics.eps_pressure_study(disc, result, [1e-1, 1e-2, 1e-3])
     Mp = disc.statics.mass_p
     window = [result.snapshots[it].mech.p for it in run_cfg.snapshot_iters[1:]]
-    p_norm = np.sqrt(sum(config.dt * float(p @ Mp.dot(p)) for p in window))
+    p_norm = np.sqrt(sum(dt * float(p @ Mp.dot(p)) for p in window))
 
     t_end = result.times[-1]
     out = _out_dir(args)
     report = os.path.join(out, "diagnostics.txt")
     with open(report, "w") as fh:
-        fh.write(f"seed={config.seed} config={chash}\n")
+        fh.write(f"seed={config.run.seed} config={chash}\n")
         fh.write(f"energy suprema (6x6 mesh, t <= {t_end:g}):\n")
         for name, val in sup.items():
             fh.write(f"  {name}: {val:.6e}\n")
@@ -417,12 +377,12 @@ def _cmd_diagnose(args) -> int:
         )
         fh.write(
             f"  pressure norm {p_norm:.6e}, solver floor mech_tol * norm "
-            f"{config.mech_tol * p_norm:.6e}\n"
+            f"{config.solver.mech_tol * p_norm:.6e}\n"
         )
         for eps, gap in table:
             fh.write(f"  eps={eps:g}: {gap:.6e}\n")
     with open(os.path.join(out, "eps_pressure.csv"), "w") as fh:
-        fh.write(f"# seed={config.seed} config={chash}\n")
+        fh.write(f"# seed={config.run.seed} config={chash}\n")
         fh.write("eps,pressure_gap\n")
         for eps, gap in table:
             fh.write(f"{eps:.17g},{gap:.17g}\n")

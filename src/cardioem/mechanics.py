@@ -300,18 +300,3 @@ def step_mechanics_regularized(
     )
     return MechState(res.u, res.p), res
 
-
-def pressure_offset(state: MechState, system: MechSystem) -> float:
-    """Integral of the pressure recovered from the momentum identity.
-
-    Tests the solved momentum equation with the divergence-one field
-    (x, 0); by the discrete weak form the value equals the mass-weighted
-    integral of p whenever (u, p) solve the system.
-    """
-    vtest = system.u_space.interpolate(lambda x, y: (x, 0.0))
-    return float(vtest @ component_dot(system.K, state.u) - vtest @ system.f)
-
-
-def pressure_integral(state: MechState, system: MechSystem) -> float:
-    m = np.asarray(system.statics.mass_p.sum(axis=1)).ravel()
-    return float(m @ state.p)

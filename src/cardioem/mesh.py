@@ -246,21 +246,13 @@ def structured_unit_square(nx: int, ny: int) -> TriMesh:
     return TriMesh(verts, tris)
 
 
-def serialize_mesh(mesh: TriMesh) -> str:
-    """Plain-text form: header `NV NT`, NV `x y` lines, NT `i j k` lines."""
-    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    return "\n".join(lines) + "\n"
-
-
 def load_mesh(text: str) -> TriMesh:
     """Parse the plain-text mesh format; `#` starts a comment.
 
-    Raises MeshFormatError with a 1-based line number on malformed input and
-    MeshTopologyError if the parsed mesh violates mesh invariants.
+    The format is a header `NV NT`, then NV `x y` vertex lines and NT
+    `i j k` triangle lines.  Raises MeshFormatError with a 1-based line
+    number on malformed input and MeshTopologyError if the parsed mesh
+    violates mesh invariants.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,4 +1,4 @@
-"""Reproducible Wiener increments and noise-coefficient evaluation.
+"""Reproducible Wiener increments and the noise amplitudes.
 
 Each (seed, channel, mode) stream is one generator, seeded by hashing that
 tuple, whose first n draws are the n increments of the stream.  So ensemble
@@ -22,23 +22,24 @@ _CHANNELS = {"v": 0, "w": 1}
 class NoisePath:
     """Seeded increment streams for the potential and gating channels.
 
-    With n_modes > 1 the stream carries one increment per mode and step.
+    With modes > 1 the stream carries one increment per mode and step.
     The increments are unscaled: `electrics.step_bidomain` weights mode k's
     increment by 1/(k+1), so the summed amplitudes remain square-summable,
-    and multiplies their sum by one evaluation of the coefficient.
+    and multiplies their sum by one evaluation of the channel's amplitude
+    (`NoiseParams.amplitude`).
     """
 
     seed: int
     dt: float
     n_steps: int
-    n_modes: int = 1
+    modes: int = 1
 
     def increments(self, channel: str) -> np.ndarray:
-        """(n_steps, n_modes) array of N(0, dt) draws of channel "v" or "w"."""
+        """(n_steps, modes) array of N(0, dt) draws of channel "v" or "w"."""
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        out = np.empty((self.n_steps, self.n_modes))
-        for m in range(self.n_modes):
+        out = np.empty((self.n_steps, self.modes))
+        for m in range(self.modes):
             ss = np.random.SeedSequence((int(self.seed), _CHANNELS[channel], m))
             out[:, m] = np.random.Generator(np.random.PCG64(ss)).standard_normal(
                 self.n_steps
@@ -47,32 +48,42 @@ class NoisePath:
 
 
 @dataclass(frozen=True)
-class NoiseCoeff:
-    """Noise amplitude as a function of the driven field.
+class NoiseParams:
+    """Noise amplitudes of the potential ("v") and gating ("w") channels,
+    and the number of increment modes.
 
+    Each channel's amplitude is a function beta of the potential v, of
+    its channel's kind:
     kind "constant": beta(z) = beta0.
     kind "linear-clipped": beta(z) = clip(beta0 z, +-beta0 z_cap), which is
     Lipschitz with constant beta0 and of linear growth, so both conditions
     |beta(z)|^2 <= C (1 + |z|^2) and |beta(z1) - beta(z2)| <= sqrt(C) |z1-z2|
-    hold with C = beta0^2 max(1, z_cap^2).
+    hold with C = beta0^2 max(1, z_cap^2).  The channels share one z_cap.
     """
 
-    kind: str = "constant"
-    beta0: float = 0.0
+    kind_v: str = "constant"
+    beta0_v: float = 0.0
+    kind_w: str = "constant"
+    beta0_w: float = 0.0
     z_cap: float = 2.0
+    modes: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear-clipped"):
-            raise ValueError(f"unknown noise coefficient kind {self.kind!r}")
-        require_finite(self, "beta0", "z_cap")
+        for kind in (self.kind_v, self.kind_w):
+            if kind not in ("constant", "linear-clipped"):
+                raise ValueError(f"unknown noise coefficient kind {kind!r}")
+        require_finite(self, "beta0_v", "beta0_w", "z_cap")
         if not self.z_cap > 0:
             raise ValueError("z_cap must be positive")
+        if self.modes < 1:
+            raise ValueError("modes must be at least 1")
 
-
-def eval_coeff(c: NoiseCoeff, z):
-    """Amplitude beta(z) at field value(s) z."""
-    z = np.asarray(z, dtype=float)
-    if c.kind == "constant":
-        return np.full_like(z, c.beta0)
-    cap = abs(c.beta0) * c.z_cap
-    return np.clip(c.beta0 * z, -cap, cap)
+    def amplitude(self, channel: str, z):
+        """Amplitude beta(z) of channel "v" or "w" at field value(s) z."""
+        kind = getattr(self, f"kind_{channel}")
+        beta0 = getattr(self, f"beta0_{channel}")
+        z = np.asarray(z, dtype=float)
+        if kind == "constant":
+            return np.full_like(z, beta0)
+        cap = abs(beta0) * self.z_cap
+        return np.clip(beta0 * z, -cap, cap)

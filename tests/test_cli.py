@@ -12,8 +12,12 @@ import pytest
 from cardioem import driver, mechanics, physics
 from cardioem.driver import (
     Discretization,
+    MeshParams,
+    RunParams,
     SimConfig,
     SimulationError,
+    SolverParams,
+    TimeParams,
     path_seed,
     run_simulation,
 )
@@ -25,8 +29,9 @@ from cardioem.io_cli import (
     parse_config,
     serialize_config,
 )
-from cardioem.mesh import serialize_mesh, structured_unit_square
-from cardioem.noise import NoiseCoeff
+from cardioem.mesh import structured_unit_square
+from cardioem.noise import NoiseParams
+from test_mesh import serialize_mesh
 
 SMALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.025\n"
 STALL = "mesh.nx = 4\nmesh.ny = 4\ntime.T = 0.0125\nsolver.tol = 1e-30\n"
@@ -39,7 +44,7 @@ def write_config(tmp_path, text):
 
 
 PERTURBED = SimConfig(
-    mesh_nx=7, mesh_ny=5, T=0.5, dt=1 / 60,
+    mesh=MeshParams(7, 5), time=TimeParams(T=0.5, dt=1 / 60),
     ionic=physics.IonicParams(k=-79.5, a=0.3, d1=0.2, d2=1.1),
     activation=physics.ActivationParams(eta1=0.1 + 0.2, mu=3.5, Gamma_t=0.15),
     conductivity=physics.ConductivityParams(
@@ -48,15 +53,19 @@ PERTURBED = SimConfig(
         clamp_delta=0.7, clamp_tau=0.4,
     ),
     mech=mechanics.MechParams(alpha=2.5, gx=0.1, gy=-0.2),
-    noise_v=NoiseCoeff("linear-clipped", 0.1, z_cap=1.5),
-    noise_w=NoiseCoeff("constant", 0.05, z_cap=1.5),
-    n_modes=3, seed=11, mech_refresh=4, probes=((0.25, 0.75), (1 / 3, 0.5)),
-    stim_duration=0.02, solver_tol=1e-11, mech_tol=3e-10,
+    noise=NoiseParams("linear-clipped", 0.1, "constant", 0.05, z_cap=1.5, modes=3),
+    run=RunParams(
+        seed=11, mech_refresh=4, stim_duration=0.02,
+        probes=((0.25, 0.75), (1 / 3, 0.5)),
+    ),
+    solver=SolverParams(tol=1e-11, mech_tol=3e-10),
 )
 
 
 # numpy scalars, probe coordinates included, render as plain float reprs
-NUMPY_PROBES = SimConfig(probes=((np.float64(0.25), np.float64(0.5)),))
+NUMPY_PROBES = SimConfig(
+    run=RunParams(probes=((np.float64(0.25), np.float64(0.5)),))
+)
 
 BENCHMARK_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "benchmark" / "configs").glob("*.cfg")
@@ -85,19 +94,30 @@ def test_default_config_hash_is_pinned():
     assert config_hash(SimConfig()) == "e883f932f7d2da66"
 
 
-def test_every_config_field_is_reached_by_a_key():
+SECTIONS = (
+    "mesh", "time", "ionic", "activation", "conductivity", "mech", "noise",
+    "run", "solver",
+)
+
+
+def test_every_config_key_is_a_section_field():
+    # SimConfig is the nine sections and the snapshot iterations, which
+    # only --snapshots sets; each key is `section.field` of the field it
+    # sets, and each field of a section has its key
     config = SimConfig()
-    expected = set()
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.name == "snapshot_iters":
-            continue
-        if not dataclasses.is_dataclass(value):
-            expected.add((f.name,))
-            continue
-        expected |= {(f.name, g.name) for g in dataclasses.fields(value)}
-    reached = {path for paths in CONFIG_KEYS.values() for path in paths}
-    assert reached == expected
+    assert [f.name for f in dataclasses.fields(config)] == [
+        *SECTIONS, "snapshot_iters",
+    ]
+    section_fields = {
+        (section, f.name)
+        for section in SECTIONS
+        for f in dataclasses.fields(getattr(config, section))
+    }
+    for key, target in CONFIG_KEYS.items():
+        assert key == ".".join(target)
+        assert target in section_fields
+    assert set(CONFIG_KEYS.values()) == section_fields
+    assert len(CONFIG_KEYS) == 39
 
 
 NON_DEFAULT_TEXT = {
@@ -114,9 +134,8 @@ def write_mesh(path, n):
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
 def test_every_config_key_changes_the_hash(tmp_path, key):
-    default = SimConfig()
-    for step in CONFIG_KEYS[key][0]:
-        default = getattr(default, step)
+    section, name = CONFIG_KEYS[key]
+    default = getattr(getattr(SimConfig(), section), name)
     if key == "mesh.file":
         # the hash reads the file's content, so the file must exist
         text = write_mesh(tmp_path / "square.msh", 4)
@@ -134,7 +153,7 @@ def test_every_config_key_changes_the_hash(tmp_path, key):
 def test_config_hash_follows_the_mesh_file_content(tmp_path):
     # two meshes saved in turn at one path are told apart by the hash
     path = tmp_path / "square.msh"
-    config = SimConfig(mesh_file=write_mesh(path, 4))
+    config = SimConfig(mesh=MeshParams(file=write_mesh(path, 4)))
     first = config_hash(config)
     write_mesh(path, 5)
     assert config_hash(config) != first
@@ -162,13 +181,6 @@ def test_mesh_size_beside_a_mesh_file_exit_code(tmp_path, capsys, lines, keys):
     assert not out.exists()
     # without the file the sizes are accepted, and take effect
     assert parse_config(lines) != SimConfig()
-
-
-def test_unequal_noise_caps_are_rejected():
-    # the file format has one noise.z_cap: configs that differed only in
-    # noise_w.z_cap would share a hash
-    with pytest.raises(ValueError, match="z_cap"):
-        SimConfig(noise_v=NoiseCoeff(z_cap=1.5), noise_w=NoiseCoeff(z_cap=3.0))
 
 
 def test_removed_mech_epsilon_key_exit_code(tmp_path, capsys):
@@ -218,7 +230,7 @@ def test_diagnose_with_a_missing_mesh_file_exit_code(tmp_path, capsys):
 
 
 def test_electric_stall_raises_with_checkpoint():
-    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.0125, solver_tol=1e-30)
+    config = parse_config(STALL)
     with pytest.raises(SimulationError) as info:
         run_simulation(config)
     assert "electric solve stalled" in str(info.value)
@@ -297,7 +309,7 @@ def test_snapshot_iterations_outside_the_run_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, field",
     [
-        ("solver.tol = -1", "solver_tol"),
+        ("solver.tol = -1", "tol"),
         ("solver.mech_tol = 0", "mech_tol"),
     ],
 )
@@ -353,9 +365,9 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SimConfig(dt=NAN),
-        lambda: SimConfig(T=NAN),
-        lambda: SimConfig(solver_tol=NAN),
+        lambda: TimeParams(dt=NAN),
+        lambda: TimeParams(T=NAN),
+        lambda: SolverParams(tol=NAN),
         lambda: physics.IonicParams(d2=NAN),
         lambda: physics.ActivationParams(eta1=NAN),
         lambda: physics.ActivationParams(mu=NAN),
@@ -364,10 +376,10 @@ NAN = float("nan")
         lambda: physics.ConductivityParams(ki_xy=NAN),
         lambda: physics.ConductivityParams(ke_xy=NAN),
         lambda: mechanics.MechParams(alpha=NAN),
-        lambda: NoiseCoeff(z_cap=NAN),
+        lambda: NoiseParams(z_cap=NAN),
     ],
     ids=[
-        "dt", "T", "solver_tol", "d2", "eta1", "mu", "gamma_R", "ki_xx",
+        "dt", "T", "tol", "d2", "eta1", "mu", "gamma_R", "ki_xx",
         "ki_xy", "ke_xy", "alpha", "z_cap",
     ],
 )
@@ -380,13 +392,13 @@ def test_parameter_dataclasses_reject_nan(build):
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda: SimConfig(T=math.inf), "T"),
-        (lambda: SimConfig(dt=math.inf), "dt"),
-        (lambda: SimConfig(stim_duration=NAN), "stim_duration"),
-        (lambda: SimConfig(stim_duration=-1.0), "stim_duration"),
+        (lambda: TimeParams(T=math.inf), "T"),
+        (lambda: TimeParams(dt=math.inf), "dt"),
+        (lambda: RunParams(stim_duration=NAN), "stim_duration"),
+        (lambda: RunParams(stim_duration=-1.0), "stim_duration"),
         (lambda: physics.IonicParams(k=NAN), "k"),
-        (lambda: NoiseCoeff("constant", NAN), "beta0"),
-        (lambda: NoiseCoeff("constant", math.inf), "beta0"),
+        (lambda: NoiseParams(beta0_v=NAN), "beta0_v"),
+        (lambda: NoiseParams(beta0_w=math.inf), "beta0_w"),
     ],
     ids=[
         "T-inf", "dt-inf", "stim_duration-nan", "stim_duration-negative",
@@ -474,10 +486,10 @@ def test_ensemble_names_probe_files_by_path_index(tmp_path, monkeypatch, capsys)
     seeds = [path_seed(5, k) for k in range(3)]
 
     def flaky(configs, *args, **kwargs):
-        good = [c for c in configs if c.seed != seeds[1]]
+        good = [c for c in configs if c.run.seed != seeds[1]]
         outcomes = iter(run(good, *args, **kwargs) if good else [])
         return [
-            SimulationError("forced failure", 0) if c.seed == seeds[1]
+            SimulationError("forced failure", 0) if c.run.seed == seeds[1]
             else next(outcomes)
             for c in configs
         ]

@@ -9,7 +9,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from cardioem import diagnostics, mechanics, physics
-from cardioem.driver import Discretization, SimConfig, run_simulation
+from cardioem.driver import (
+    Discretization,
+    MeshParams,
+    RunParams,
+    SimConfig,
+    run_simulation,
+)
 from cardioem.fem import (
     FeSpace,
     assemble_boundary_mass,
@@ -21,8 +27,9 @@ from cardioem.mesh import FiberField
 
 
 def per_step_run(config, snapshot_iters):
+    T = max(snapshot_iters) * config.time.dt
     config = replace(
-        config, T=max(snapshot_iters) * config.dt, snapshot_iters=snapshot_iters
+        config, time=replace(config.time, T=T), snapshot_iters=snapshot_iters
     )
     disc = Discretization.build(config)
     return disc, run_simulation(config, disc=disc)
@@ -31,9 +38,9 @@ def per_step_run(config, snapshot_iters):
 def test_eps_pressure_gap_shrinks_with_eps(monkeypatch):
     # 6x6 to t = 1.6 + 20 dt: the contraction is under way from t = 1.6, so
     # the replayed pressures lie far above the mechanics solver tolerance
-    start = int(round(1.6 / SimConfig().dt))
+    start = int(round(1.6 / SimConfig().time.dt))
     disc, result = per_step_run(
-        SimConfig(mesh_nx=6, mesh_ny=6, mech_refresh=1),
+        SimConfig(mesh=MeshParams(6, 6), run=RunParams(mech_refresh=1)),
         tuple(range(start, start + 21)),
     )
 
@@ -54,7 +61,8 @@ def test_eps_pressure_gap_shrinks_with_eps(monkeypatch):
 )
 def test_eps_pressure_study_needs_consecutive_per_step_snapshots(refresh, iters):
     disc, result = per_step_run(
-        SimConfig(mesh_nx=4, mesh_ny=4, mech_refresh=refresh), iters
+        SimConfig(mesh=MeshParams(4, 4), run=RunParams(mech_refresh=refresh)),
+        iters,
     )
     with pytest.raises(ValueError, match="consecutive"):
         diagnostics.eps_pressure_study(disc, result, [1e-1])
@@ -64,7 +72,7 @@ def test_dense_probes_match_the_full_vector_operators(monkeypatch):
     # reference: the full vector elastic form and H1 Gram, blockdiag of
     # scalar blocks assembled on fresh spaces, and the divergence, at an
     # activation that is positive in places
-    config = SimConfig(mesh_nx=4, mesh_ny=4)
+    config = SimConfig(mesh=MeshParams(4, 4))
     disc = Discretization.build(config)
     gamma = np.linspace(-0.1, 0.3, disc.mesh.num_vertices)
     u_space = FeSpace(disc.mesh, degree=2)

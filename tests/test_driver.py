@@ -11,22 +11,22 @@ import scipy.sparse as sp
 from cardioem import driver, fem, mechanics, physics
 from cardioem.driver import (
     Discretization,
+    MeshParams,
+    RunParams,
     SimConfig,
     SimulationError,
+    SolverParams,
+    TimeParams,
     path_seed,
     run_batch,
     run_ensemble,
     run_simulation,
 )
 from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness
-from cardioem.mesh import (
-    FiberField,
-    TriMesh,
-    serialize_mesh,
-    structured_unit_square,
-)
-from cardioem.noise import NoiseCoeff
+from cardioem.mesh import FiberField, TriMesh, structured_unit_square
+from cardioem.noise import NoiseParams
 from cardioem.physics import ActivationParams
+from test_mesh import serialize_mesh
 
 
 # the passive load is exactly zero and solves without iterating, so a body
@@ -34,16 +34,21 @@ from cardioem.physics import ActivationParams
 DOWNWARD = mechanics.MechParams(gy=-1.0)
 
 
+def with_end_time(config, T):
+    return replace(config, time=replace(config.time, T=T))
+
+
 def test_initial_mechanics_failure_carries_checkpoint():
     config = SimConfig(
-        mesh_nx=4, mesh_ny=4, T=0.025, mech_tol=1e-30, mech=DOWNWARD
+        mesh=MeshParams(4, 4), time=TimeParams(T=0.025),
+        solver=SolverParams(mech_tol=1e-30), mech=DOWNWARD,
     )
     with pytest.raises(SimulationError) as info:
         run_simulation(config)
     assert info.value.step == 0
     # the initial state, with the unconverged mechanics solution
     checkpoint = info.value.checkpoint
-    disc = Discretization.build(replace(config, mech_tol=1e-9))
+    disc = Discretization.build(replace(config, solver=SolverParams()))
     assert (checkpoint.n, checkpoint.t) == (0, 0.0)
     np.testing.assert_array_equal(checkpoint.electric.v, disc.v0)
     np.testing.assert_array_equal(checkpoint.gamma, disc.gamma0)
@@ -55,7 +60,10 @@ def test_h1_energy_uses_the_runs_own_mesh():
     # two meshes in one process: each run's u_h1sq must come from its own
     # P2 Gram matrix M + K
     for n in (4, 6):
-        config = SimConfig(mesh_nx=n, mesh_ny=n, T=0.025, mech_refresh=1)
+        config = SimConfig(
+            mesh=MeshParams(n, n), time=TimeParams(T=0.025),
+            run=RunParams(mech_refresh=1),
+        )
         result = run_simulation(config)
         u_space = FeSpace(config.build_mesh(), 2)
         block = assemble_mass(u_space) + assemble_stiffness(u_space)
@@ -70,10 +78,10 @@ def test_h1_energy_uses_the_runs_own_mesh():
 # ---------------------------------------------------------------------------
 # ensembles and the shared set-up
 
+NOISY = NoiseParams(kind_v="linear-clipped", beta0_v=0.1, beta0_w=0.05, modes=2)
 ENSEMBLE = SimConfig(
-    mesh_nx=8, mesh_ny=8, T=0.25, mech_refresh=5, seed=7, n_modes=2,
-    noise_v=NoiseCoeff("linear-clipped", 0.1),
-    noise_w=NoiseCoeff("constant", 0.05),
+    mesh=MeshParams(8, 8), time=TimeParams(T=0.25),
+    run=RunParams(seed=7, mech_refresh=5), noise=NOISY,
 )
 
 
@@ -120,7 +128,7 @@ def test_ensemble_paths_equal_single_runs(monkeypatch):
     # worker; paths 0 and 2 both reach active refreshes, so path 2 factors
     # K through the ordering that path 0 recorded in the shared set-up, and
     # must still equal its single run bitwise
-    config = replace(ENSEMBLE, T=0.8125)
+    config = with_end_time(ENSEMBLE, 0.8125)
     monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
     monkeypatch.setattr(CountingOrdering, "made", [])
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
@@ -130,7 +138,7 @@ def test_ensemble_paths_equal_single_runs(monkeypatch):
     assert _active_refreshes(results[2]) >= 2
     assert len(CountingOrdering.made) == 1
     singles = [
-        run_simulation(replace(config, seed=path_seed(config.seed, k)))
+        run_simulation(config.with_seed(path_seed(config.run.seed, k)))
         for k in range(3)
     ]
     # each single run has a set-up of its own, and orders it once
@@ -147,15 +155,14 @@ def test_ensemble_paths_equal_single_runs(monkeypatch):
 # 12 x 12 and noisy: with these seeds path 0 solves its mechanics at 9 of
 # its 12 refreshes, path 3 at 1 and path 2 at none
 LOCKSTEP = SimConfig(
-    mesh_nx=12, mesh_ny=12, T=0.75, mech_refresh=5, seed=11, n_modes=2,
-    noise_v=NoiseCoeff("linear-clipped", 0.1),
-    noise_w=NoiseCoeff("constant", 0.05),
+    mesh=MeshParams(12, 12), time=TimeParams(T=0.75),
+    run=RunParams(seed=11, mech_refresh=5), noise=NOISY,
     snapshot_iters=(0, 31, 60),
 )
 
 
 def _path_configs(config, paths):
-    return [replace(config, seed=path_seed(config.seed, k)) for k in paths]
+    return [config.with_seed(path_seed(config.run.seed, k)) for k in paths]
 
 
 def test_a_path_is_bitwise_the_same_alone_and_in_any_batch():
@@ -179,7 +186,7 @@ def test_a_failing_path_leaves_its_batch_and_the_others_run_on(monkeypatch):
     share = [2, 0, 3]
     configs = _path_configs(config, share)
     k = 37
-    short = run_simulation(replace(configs[1], T=k * config.dt))
+    short = run_simulation(with_end_time(configs[1], k * config.time.dt))
     singles = [run_simulation(cfg) for cfg in configs]
     g_act = physics.g_act
     calls = []
@@ -205,7 +212,10 @@ def test_a_failing_path_leaves_its_batch_and_the_others_run_on(monkeypatch):
 def test_probe_values_of_a_batch_equal_the_per_probe_loop():
     # the per-probe loop that the batched gather replaced is the reference;
     # each value is a 3-term weighted sum, so they agree to a few ulps
-    config = replace(ENSEMBLE, probes=((0.0, 0.5), (0.37, 0.61), (1.0, 0.5)))
+    config = replace(
+        ENSEMBLE,
+        run=replace(ENSEMBLE.run, probes=((0.0, 0.5), (0.37, 0.61), (1.0, 0.5))),
+    )
     disc = Discretization.build(config)
     v = np.random.default_rng(3).standard_normal((4, disc.space.n_scalar))
     ref = np.array([
@@ -221,14 +231,15 @@ def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
     # a body force factors K at set-up; the active refreshes of two paths
     # on that set-up all factor through the ordering found then
     config = SimConfig(
-        mesh_nx=6, mesh_ny=6, T=0.125, mech_refresh=2, mech=DOWNWARD
+        mesh=MeshParams(6, 6), time=TimeParams(T=0.125),
+        run=RunParams(mech_refresh=2), mech=DOWNWARD,
     )
     monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
     monkeypatch.setattr(CountingOrdering, "made", [])
     disc = Discretization.build(config)
     assert len(CountingOrdering.made) == 1
     first = run_simulation(config, disc=disc)
-    second = run_simulation(replace(config, seed=1), disc=disc)
+    second = run_simulation(config.with_seed(1), disc=disc)
     assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
     assert len(CountingOrdering.made) == 1
     assert disc.statics.ordering is not None
@@ -237,9 +248,11 @@ def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
 def test_shared_set_up_must_come_from_the_same_config():
     disc = Discretization.build(ENSEMBLE)
     with pytest.raises(ValueError):
-        run_simulation(replace(ENSEMBLE, dt=0.025), disc=disc)
+        run_simulation(
+            replace(ENSEMBLE, time=replace(ENSEMBLE.time, dt=0.025)), disc=disc
+        )
     with pytest.raises(ValueError):
-        run_simulation(replace(ENSEMBLE, mesh_nx=4), disc=disc)
+        run_simulation(replace(ENSEMBLE, mesh=MeshParams(4, 8)), disc=disc)
 
 
 def test_shared_set_up_accepts_an_equal_config_built_apart():
@@ -247,8 +260,11 @@ def test_shared_set_up_accepts_an_equal_config_built_apart():
     assert SimConfig() == SimConfig()
     other_ki = physics.ConductivityParams(ki_yy=0.011)
     assert SimConfig(conductivity=other_ki) != SimConfig()
-    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, seed=3)
-    disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, T=0.025))
+    built_apart = SimConfig(mesh=MeshParams(4, 4), time=TimeParams(T=0.025))
+    config = SimConfig(
+        mesh=MeshParams(4, 4), time=TimeParams(T=0.025), run=RunParams(seed=3)
+    )
+    disc = Discretization.build(built_apart)
     _assert_same_path(run_simulation(config, disc=disc), run_simulation(config))
     with pytest.raises(ValueError):
         run_simulation(replace(config, conductivity=other_ki), disc=disc)
@@ -266,8 +282,7 @@ def test_equal_configs_built_apart_hash_equal():
 # without active feedback gamma decays towards 0 from below, so every
 # refresh sees the passive system
 PASSIVE = replace(
-    ENSEMBLE, activation=ActivationParams(beta_act=0.0),
-    noise_v=NoiseCoeff(), noise_w=NoiseCoeff(),
+    ENSEMBLE, activation=ActivationParams(beta_act=0.0), noise=NoiseParams(),
 )
 
 
@@ -287,7 +302,7 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
     # with no body force the passive solution is the zero pair, taken
     # without a solve, and every refresh reuses it
     assert len(calls) == 0
-    assert len(result.mech_residuals) == 1 + config.n_steps // 5
+    assert len(result.mech_residuals) == 1 + config.time.n_steps // 5
 
     mesh = config.build_mesh()
     u_space = FeSpace(mesh, 2)
@@ -297,7 +312,7 @@ def test_passive_refreshes_reuse_the_initial_solve(monkeypatch):
             u_space, p_space, gamma, FiberField.axis_aligned(mesh),
             config.mech, config.activation,
         ),
-        tol=config.mech_tol,
+        tol=config.solver.mech_tol,
     )
     np.testing.assert_array_equal(result.final.mech.u, fresh.u)
     np.testing.assert_array_equal(result.final.mech.p, fresh.p)
@@ -329,10 +344,10 @@ def test_passive_unloaded_run_builds_no_mechanics(monkeypatch):
     monkeypatch.setattr(driver, "FeSpace", p1_space)
     result = run_simulation(PASSIVE)
     assert mechanics.is_passive(result.final.gamma)
-    assert result.times[-1] == pytest.approx(PASSIVE.T)
+    assert result.times[-1] == pytest.approx(PASSIVE.time.T)
     assert np.all(np.isfinite(result.probes))
     assert not np.any(result.final.mech.u) and not np.any(result.final.mech.p)
-    assert result.energy.u_h1sq == [0.0] * (PASSIVE.n_steps + 1)
+    assert result.energy.u_h1sq == [0.0] * (PASSIVE.time.n_steps + 1)
 
 
 def test_loaded_run_builds_the_statics_once(monkeypatch):
@@ -355,7 +370,9 @@ def test_loaded_run_builds_the_statics_once(monkeypatch):
 
     monkeypatch.setattr(mechanics, "mech_statics", counted)
     monkeypatch.setattr(driver, "FeSpace", counted_space)
-    config = replace(PASSIVE, mech=DOWNWARD, mech_refresh=1)
+    config = replace(
+        PASSIVE, mech=DOWNWARD, run=replace(PASSIVE.run, mech_refresh=1)
+    )
     result = run_simulation(config)
     assert len(calls) == 1 and len(p2_spaces) == 1
     assert result.energy.u_h1sq[-1] > 0.0
@@ -379,15 +396,15 @@ def mesh_file_config(tmp_path, mesh):
     """PASSIVE on `mesh`, written to a mesh file."""
     path = tmp_path / "mesh.txt"
     path.write_text(serialize_mesh(mesh))
-    return replace(PASSIVE, mesh_file=str(path))
+    return replace(PASSIVE, mesh=MeshParams(file=str(path)))
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda tmp: replace(PASSIVE, mesh_nx=1, mesh_ny=1),
-        lambda tmp: replace(PASSIVE, mesh_nx=3, mesh_ny=2),
-        lambda tmp: replace(PASSIVE, mesh_nx=22, mesh_ny=22),
+        lambda tmp: replace(PASSIVE, mesh=MeshParams(1, 1)),
+        lambda tmp: replace(PASSIVE, mesh=MeshParams(3, 2)),
+        lambda tmp: replace(PASSIVE, mesh=MeshParams(22, 22)),
         lambda tmp: mesh_file_config(tmp, perturbed_mesh()),
         lambda tmp: mesh_file_config(tmp, perturbed_mesh(5, 7, seed=4)),
     ],
@@ -423,7 +440,7 @@ def test_checkpoint_is_the_state_the_failing_step_started_from(monkeypatch):
     # refresh of the loaded mechanics included
     config = replace(ENSEMBLE, mech=DOWNWARD)
     k = 7
-    short = run_simulation(replace(config, T=k * config.dt))
+    short = run_simulation(with_end_time(config, k * config.time.dt))
     assert short.n_steps == k
     g_act = physics.g_act
     calls = []
@@ -448,18 +465,20 @@ def batch_with_failure(run, bad_seed, error, check=lambda: None):
     `check()`, and runs the other paths of the batch with `run`."""
 
     def flaky(cfgs, *args, **kwargs):
-        good = [cfg for cfg in cfgs if cfg.seed != bad_seed]
+        good = [cfg for cfg in cfgs if cfg.run.seed != bad_seed]
         if len(good) < len(cfgs):
             check()
         outcomes = iter(run(good, *args, **kwargs) if good else [])
-        return [error if cfg.seed == bad_seed else next(outcomes) for cfg in cfgs]
+        return [
+            error if cfg.run.seed == bad_seed else next(outcomes) for cfg in cfgs
+        ]
 
     return flaky
 
 
 def fail_path(monkeypatch, config, k_fail):
     """Make the batch of ensemble member k_fail report it as failed."""
-    bad_seed = path_seed(config.seed, k_fail)
+    bad_seed = path_seed(config.run.seed, k_fail)
     flaky = batch_with_failure(
         driver.run_batch, bad_seed, SimulationError("forced failure", 3)
     )
@@ -473,7 +492,8 @@ def test_failed_path_is_reported_and_skipped(monkeypatch):
         stats, results = run_ensemble(ENSEMBLE, 3)
     assert stats.n_paths == 2
     assert stats.failures == [(1, "step 3: forced failure")]
-    assert [r.seed for r in results] == [path_seed(ENSEMBLE.seed, k) for k in (0, 2)]
+    seeds = [path_seed(ENSEMBLE.run.seed, k) for k in (0, 2)]
+    assert [r.seed for r in results] == seeds
     traces = np.stack([r.probes for r in results])
     np.testing.assert_array_equal(stats.mean, traces.mean(axis=0))
     np.testing.assert_array_equal(stats.variance, traces.var(axis=0))
@@ -484,8 +504,8 @@ def test_failed_path_in_a_worker_is_reported_and_skipped(monkeypatch):
     # two processes: path 1 fails in the forked worker, which sends its
     # error, checkpoint included, over the pipe
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
-    short = run_simulation(replace(ENSEMBLE, T=3 * ENSEMBLE.dt))
-    bad_seed = path_seed(ENSEMBLE.seed, 1)
+    short = run_simulation(with_end_time(ENSEMBLE, 3 * ENSEMBLE.time.dt))
+    bad_seed = path_seed(ENSEMBLE.run.seed, 1)
 
     def in_worker():
         assert os.getpid() != parent
@@ -501,7 +521,8 @@ def test_failed_path_in_a_worker_is_reported_and_skipped(monkeypatch):
     assert multiprocessing.active_children() == []
     assert stats.n_paths == 2
     assert stats.failures == [(1, "step 3: forced failure")]
-    assert [r.seed for r in results] == [path_seed(ENSEMBLE.seed, k) for k in (0, 2)]
+    seeds = [path_seed(ENSEMBLE.run.seed, k) for k in (0, 2)]
+    assert [r.seed for r in results] == seeds
 
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
@@ -521,7 +542,7 @@ def test_failed_path_in_a_worker_is_reported_and_skipped(monkeypatch):
 
 
 def test_initial_mechanics_failure_fails_the_ensemble():
-    config = replace(ENSEMBLE, mech_tol=1e-30, mech=DOWNWARD)
+    config = replace(ENSEMBLE, solver=SolverParams(mech_tol=1e-30), mech=DOWNWARD)
     with pytest.warns(UserWarning, match="initial mechanics solve failed"):
         with pytest.raises(SimulationError, match="all ensemble paths failed") as info:
             run_ensemble(config, 2)
@@ -529,7 +550,10 @@ def test_initial_mechanics_failure_fails_the_ensemble():
 
 
 def test_simulation_error_pickles_with_its_checkpoint():
-    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.0125, solver_tol=1e-30)
+    config = SimConfig(
+        mesh=MeshParams(4, 4), time=TimeParams(T=0.0125),
+        solver=SolverParams(tol=1e-30),
+    )
     with pytest.raises(SimulationError) as info:
         run_simulation(config)
     error = info.value
@@ -540,13 +564,37 @@ def test_simulation_error_pickles_with_its_checkpoint():
 
 
 def test_snapshot_iterations_outside_the_run_are_rejected():
-    config = SimConfig(mesh_nx=4, mesh_ny=4, T=0.025, snapshot_iters=(0, 2))
-    assert config.n_steps == 2
+    config = SimConfig(
+        mesh=MeshParams(4, 4), time=TimeParams(T=0.025), snapshot_iters=(0, 2)
+    )
+    assert config.time.n_steps == 2
     with pytest.raises(ValueError, match=r"\[3, -1\] lie outside 0\.\.2"):
         replace(config, snapshot_iters=(0, 3, 2, -1))
     # a shorter run loses the iterations past its end
     with pytest.raises(ValueError, match=r"\[2\] lie outside 0\.\.1"):
-        replace(config, T=0.0125)
+        with_end_time(config, 0.0125)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TimeParams(dt=0.0), "dt must be positive"),
+        (lambda: TimeParams(dt=-0.0125), "dt must be positive"),
+        (lambda: TimeParams(T=-1.0), "T must be nonnegative"),
+        (lambda: RunParams(mech_refresh=0), "mech_refresh must be at least 1"),
+        (lambda: SolverParams(tol=0.0), "tol must be positive"),
+        (lambda: SolverParams(tol=-1e-10), "tol must be positive"),
+        (lambda: SolverParams(mech_tol=0.0), "mech_tol must be positive"),
+    ],
+    ids=[
+        "dt-zero", "dt-negative", "T-negative", "mech_refresh-zero",
+        "tol-zero", "tol-negative", "mech_tol-zero",
+    ],
+)
+def test_each_section_validates_its_own_fields(build, message):
+    # a bad value fails where it is built, also inside a SimConfig
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +614,12 @@ def test_forked_ensemble_equals_the_serial_one(monkeypatch, tmp_path):
 
     def recorded(cfgs, *args, **kwargs):
         for cfg in cfgs:
-            (tmp_path / str(cfg.seed)).write_text(str(os.getpid()))
+            (tmp_path / str(cfg.run.seed)).write_text(str(os.getpid()))
         return run(cfgs, *args, **kwargs)
 
     def pids():
         return [
-            int((tmp_path / str(path_seed(ENSEMBLE.seed, k))).read_text())
+            int((tmp_path / str(path_seed(ENSEMBLE.run.seed, k))).read_text())
             for k in range(5)
         ]
 
@@ -641,7 +689,7 @@ def test_zero_step_ensemble_starts_no_process(monkeypatch):
     fork_context = type(multiprocessing.get_context("fork"))
     monkeypatch.setattr(fork_context, "Process", forbidden)
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 3)
-    stats, results = run_ensemble(replace(ENSEMBLE, T=0.0), 3)
+    stats, results = run_ensemble(with_end_time(ENSEMBLE, 0.0), 3)
     assert stats.n_paths == 3 and stats.failures == []
     assert [r.n_steps for r in results] == [0, 0, 0]
     assert multiprocessing.active_children() == []

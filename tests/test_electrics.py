@@ -23,10 +23,19 @@ from cardioem.fem import (
     assemble_stiffness,
     solve_cg,
 )
-from cardioem.driver import Discretization, SimConfig, SimulationError, run_simulation
+from cardioem.driver import (
+    Discretization,
+    MeshParams,
+    RunParams,
+    SimConfig,
+    SimulationError,
+    SolverParams,
+    TimeParams,
+    run_simulation,
+)
 from cardioem.mechanics import MechParams
 from cardioem.mesh import structured_unit_square
-from cardioem.noise import NoiseCoeff, eval_coeff
+from cardioem.noise import NoiseParams
 
 PAPER_IONIC = physics.IonicParams(k=-80.0, a=0.25, d1=0.17, d2=1.0)
 COND = physics.ConductivityParams()
@@ -58,11 +67,11 @@ def uniform_state(space, v, w):
     return ElectricState(v_i, v_e, np.full(n, v), np.full(n, w))
 
 
-def step_one(sys_, state, ionic, i_app, dW_v, dW_w, *coeffs, **kwargs):
+def step_one(sys_, state, ionic, i_app, dW_v, dW_w, noise, **kwargs):
     """`step_bidomain` on a batch of one path: its new state and the StepInfo."""
     rows = ElectricState(*(a[None] for a in (state.v_i, state.v_e, state.v, state.w)))
     new, info = step_bidomain(
-        [sys_], rows, ionic, i_app, dW_v[None], dW_w[None], *coeffs, **kwargs
+        [sys_], rows, ionic, i_app, dW_v[None], dW_w[None], noise, **kwargs
     )
     return ElectricState(new.v_i[0], new.v_e[0], new.v[0], new.w[0]), info
 
@@ -217,15 +226,15 @@ def test_initial_split_properties():
 # stepping
 
 
-ZERO = NoiseCoeff("constant", 0.0)
+ZERO = NoiseParams()
 
 
-def reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v):
+def reference_rhs(sys_, state, ionic, i_app, dW_v, noise):
     """The step's right-hand side, rebuilt from the scheme: with
     b = M (v/dt - I_ion(v, w) + noise_v/dt), the rows are (b + i_app, -b + i_app),
     and noise_v sums beta(v) dW_k / (k+1) over the modes k."""
     v, dt = state.v, sys_.dt
-    noise_v = sum(eval_coeff(coeff_v, v) * dw / (k + 1) for k, dw in enumerate(dW_v))
+    noise_v = sum(noise.amplitude("v", v) * dw / (k + 1) for k, dw in enumerate(dW_v))
     base = sys_.mass.dot(v / dt - physics.i_ion(v, state.w, ionic) + noise_v / dt)
     return np.concatenate([base + i_app, -base + i_app])
 
@@ -235,7 +244,7 @@ def step_no_noise(sys_, state, ionic, i_app=None, tol=1e-12):
     if i_app is None:
         i_app = np.zeros(n)
     return step_one(
-        sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO, tol=tol
+        sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO, tol=tol
     )
 
 
@@ -280,7 +289,7 @@ def test_state_identity_v_equals_vi_minus_ve():
     i_app = assemble_load(space, initial_stimulus)
     new, info = step_one(
         sys_, state, physics.IonicParams(k=80.0), i_app,
-        np.zeros(1), np.zeros(1), ZERO, ZERO,
+        np.zeros(1), np.zeros(1), ZERO,
     )
     assert info.converged
     assert np.array_equal(new.v, new.v_i - new.v_e)
@@ -301,10 +310,10 @@ def test_noise_free_path_matches_deterministic_bitwise():
     for _ in range(5):
         dwa, dwb = rng.standard_normal(2), rng.standard_normal(2)
         s1, _ = step_one(
-            sys_, s1, ionic, np.zeros(space.n_scalar), dwa[:1], dwa[1:], ZERO, ZERO
+            sys_, s1, ionic, np.zeros(space.n_scalar), dwa[:1], dwa[1:], ZERO
         )
         s2, _ = step_one(
-            sys_, s2, ionic, np.zeros(space.n_scalar), dwb[:1], dwb[1:], ZERO, ZERO
+            sys_, s2, ionic, np.zeros(space.n_scalar), dwb[:1], dwb[1:], ZERO
         )
     assert np.array_equal(s1.v, s2.v)
     assert np.array_equal(s1.w, s2.w)
@@ -315,11 +324,11 @@ def test_noise_enters_both_rows_identically():
     # lies in the constant direction, absorbed by the i-potential)
     space, mass, sys_ = make_system(4)
     state = uniform_state(space, 0.2, 0.0)
-    coeff = NoiseCoeff("constant", 0.5)
+    noise = NoiseParams(beta0_v=0.5)
     dw = np.array([0.3])
     new, info = step_one(
         sys_, state, physics.IonicParams(k=0.001), np.zeros(space.n_scalar),
-        dw, np.zeros(1), coeff, ZERO, tol=1e-13,
+        dw, np.zeros(1), noise, tol=1e-13,
     )
     assert info.converged
     assert np.abs(new.v_e).max() < 1e-10
@@ -344,12 +353,35 @@ def test_linear_step_unconditionally_stable():
         state = new
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-16, 1e-18])
+@pytest.mark.parametrize(
+    "cond", [COND, rotated_anisotropic()], ids=["default", "rotated"]
+)
+def test_sourced_step_converges_only_on_its_true_residual(cond, tol):
+    # the block CG's preconditioner is an exact solve, so its first
+    # iteration is the direct solve, with the true residual (~1e-15 here).
+    # A second iteration only pushed the recursive residual below
+    # round-off: at 1e-16 it reported convergence on that alone, and at
+    # 1e-18 it ran 500 iterations before it stalled
+    space, mass, sys_ = make_system(4, cond=cond)
+    v0 = space.interpolate(initial_stimulus)
+    i_app = assemble_load(space, initial_stimulus)
+    b = mass.dot(v0 / sys_.dt - physics.i_ion(v0, np.zeros_like(v0), PAPER_IONIC))
+    rhs, proj = np.concatenate([b + i_app, -b + i_app]), sys_.projector()
+    v_i, v_e, res = sys_.solve(b, i_app, True, tol)
+    true = np.linalg.norm(proj(rhs - sys_.block.dot(res.x)))
+    if res.converged:
+        assert true <= tol * np.linalg.norm(proj(rhs))
+    assert res.converged == (tol == 1e-10)
+    assert res.iterations == 1
+
+
 def test_nonconvergence_leaves_state_unchanged():
     space, _, sys_ = make_system(6)
     state = uniform_state(space, 0.5, 0.1)
     i_app = np.zeros(space.n_scalar)
     out, info = step_one(
-        sys_, state, PAPER_IONIC, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO,
+        sys_, state, PAPER_IONIC, i_app, np.zeros(1), np.zeros(1), ZERO,
         tol=1e-30,
     )
     assert not info.converged
@@ -367,7 +399,7 @@ def test_elliptic_compatibility_residual():
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)
     new, info = step_one(
-        sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO, ZERO,
+        sys_, state, ionic, i_app, np.zeros(1), np.zeros(1), ZERO,
     )
     x = np.concatenate([new.v_i, new.v_e])
     r = sys_.block.dot(x) - reference_rhs(sys_, state, ionic, i_app, np.zeros(1), ZERO)
@@ -448,7 +480,7 @@ def test_one_ulp_from_proportional_takes_the_general_path(monkeypatch, entry):
     cond = physics.ConductivityParams(**tensor_fields("ke", K_e))
     assert cond.ratio is None
     sizes = recorded_factor_sizes(monkeypatch)
-    disc = Discretization.build(SimConfig(mesh_nx=4, mesh_ny=4, conductivity=cond))
+    disc = Discretization.build(SimConfig(mesh=MeshParams(4, 4), conductivity=cond))
     sys_ = disc.passive.system
     assert sys_.ratio is None and sys_.stiff_e is not None
     n = disc.space.n_scalar
@@ -479,9 +511,11 @@ def split_and_block_runs(monkeypatch, config):
 # loaded (gy = -1) and noisy; the activation turns positive near
 # t = 0.7, so the refreshes at steps 60, 65, 70 and 75 build new systems
 LOADED_NOISY = SimConfig(
-    mesh_nx=8, mesh_ny=8, T=1.0, mech_refresh=5, seed=7, n_modes=2,
-    noise_v=NoiseCoeff("linear-clipped", 0.1),
-    noise_w=NoiseCoeff("constant", 0.05),
+    mesh=MeshParams(8, 8), time=TimeParams(T=1.0),
+    run=RunParams(seed=7, mech_refresh=5),
+    noise=NoiseParams(
+        kind_v="linear-clipped", beta0_v=0.1, beta0_w=0.05, modes=2
+    ),
     mech=MechParams(gy=-1.0),
 )
 
@@ -501,7 +535,9 @@ def test_split_run_stimulated_at_a_refresh_agrees_with_the_block_run(monkeypatch
     # the stimulus is on while t < 0.77: through steps 60 and 61 of the
     # first new system, so that deformed system takes sourced steps, then
     # sourceless ones, and factors its row-sum LU on its first step
-    config = replace(LOADED_NOISY, stim_duration=0.77)
+    config = replace(
+        LOADED_NOISY, run=replace(LOADED_NOISY.run, stim_duration=0.77)
+    )
     split, block = split_and_block_runs(monkeypatch, config)
     n = 81
     assert split == [n, n - 1] * 2 + [n] * 3
@@ -568,14 +604,14 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
     state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
     i_app = assemble_load(space, initial_stimulus)
     ionic = physics.IonicParams(k=80.0)
-    dW_v, coeff_v = np.array([0.1]), NoiseCoeff("constant", 0.3)
+    dW_v, noise = np.array([0.1]), NoiseParams(beta0_v=0.3)
     new, info = step_one(
-        sys_, state, ionic, i_app, dW_v, np.array([0.05]), coeff_v, ZERO, tol=1e-10,
+        sys_, state, ionic, i_app, dW_v, np.array([0.05]), noise, tol=1e-10,
     )
     assert info.converged
-    assert info.iterations <= 2
+    assert info.iterations == 1
 
-    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, noise)
     ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() < 1e-9
     assert np.abs(new.v_e - ref_e).max() < 1e-9
@@ -599,17 +635,17 @@ def test_sourceless_noisy_step_matches_the_bordered_solve(n, deformed, cond):
     v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.full_like(v0, 0.1))
     ionic, i_app = physics.IonicParams(k=80.0), np.zeros_like(v0)
-    dW_v, coeff_v = np.array([0.1, -0.2]), NoiseCoeff("linear-clipped", 0.3)
+    dW_v = np.array([0.1, -0.2])
+    noise = NoiseParams(kind_v="linear-clipped", beta0_v=0.3, beta0_w=0.2)
     new, info = step_one(
-        sys_, state, ionic, i_app, dW_v, np.array([0.05, 0.1]), coeff_v,
-        NoiseCoeff("constant", 0.2), tol=1e-10,
+        sys_, state, ionic, i_app, dW_v, np.array([0.05, 0.1]), noise, tol=1e-10,
     )
     assert info.converged and info.iterations == 1
 
     # a scalar solve, which builds no 2n block
     assert "block" not in vars(sys_)
 
-    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, noise)
     ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() <= 1e-13
     assert np.abs(new.v_e - ref_e).max() <= 1e-13
@@ -628,15 +664,15 @@ def test_scalar_step_matches_the_bordered_solve_and_the_block_cg(n, deformed, co
     v_i, v_e = initial_split(v0, row_sums(mass))
     state = ElectricState(v_i, v_e, v0, np.full_like(v0, 0.1))
     ionic, i_app = physics.IonicParams(k=80.0), np.zeros_like(v0)
-    dW_v, coeff_v = np.array([0.3]), NoiseCoeff("linear-clipped", 0.5)
+    dW_v = np.array([0.3])
+    noise = NoiseParams(kind_v="linear-clipped", beta0_v=0.5)
     new, info = step_one(
-        sys_, state, ionic, i_app, dW_v, np.array([0.1]), coeff_v, ZERO,
-        tol=1e-10,
+        sys_, state, ionic, i_app, dW_v, np.array([0.1]), noise, tol=1e-10,
     )
     assert info.converged and info.iterations == 1
     assert info.relres[0] <= 1e-10
 
-    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, coeff_v)
+    rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, noise)
     ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() <= 1e-12
     assert np.abs(new.v_e - ref_e).max() <= 1e-12
@@ -650,9 +686,10 @@ def test_scalar_step_matches_the_bordered_solve_and_the_block_cg(n, deformed, co
 
 def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint():
     # no stimulus at all, so step 0 is already a scalar source-free step;
-    # at solver_tol = 1e-30 its residual check fails
+    # at solver.tol = 1e-30 its residual check fails
     config = SimConfig(
-        mesh_nx=4, mesh_ny=4, T=0.025, stim_duration=0.0, solver_tol=1e-30
+        mesh=MeshParams(4, 4), time=TimeParams(T=0.025),
+        run=RunParams(stim_duration=0.0), solver=SolverParams(tol=1e-30),
     )
     disc = Discretization.build(config)
     with pytest.raises(SimulationError, match="electric solve stalled") as info:
@@ -667,7 +704,7 @@ def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint():
 
 @pytest.mark.parametrize("system", ["fresh", "after-loaded-refresh"])
 def test_step_from_zero_matches_the_warm_started_step(system):
-    cfg = SimConfig(mesh_nx=8, mesh_ny=8)
+    cfg = SimConfig(mesh=MeshParams(8, 8))
     disc = Discretization.build(cfg)
     if system == "fresh":
         sys_ = disc.passive.system
@@ -678,14 +715,13 @@ def test_step_from_zero_matches_the_warm_started_step(system):
         sys_ = disc.bidomain_system(mech.u)
     state = disc.initial_state()
     dW_v, dW_w = np.array([0.1]), np.array([0.05])
-    coeff_v = NoiseCoeff("constant", 0.3)
+    noise = NoiseParams(beta0_v=0.3)
     new, info = step_one(
-        sys_, state, cfg.ionic, disc.i_app, dW_v, dW_w, coeff_v, ZERO,
-        tol=cfg.solver_tol,
+        sys_, state, cfg.ionic, disc.i_app, dW_v, dW_w, noise, tol=cfg.solver.tol,
     )
     assert info.converged and info.iterations == 1
 
-    rhs = reference_rhs(sys_, state, cfg.ionic, disc.i_app, dW_v, coeff_v)
+    rhs = reference_rhs(sys_, state, cfg.ionic, disc.i_app, dW_v, noise)
     ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() <= 1e-13
     assert np.abs(new.v_e - ref_e).max() <= 1e-13
@@ -694,7 +730,7 @@ def test_step_from_zero_matches_the_warm_started_step(system):
     x0 = np.concatenate([state.v_i, state.v_e])
     ref = solve_cg(
         sys_.block, rhs - sys_.block.dot(x0), sys_.projector(), sys_.precondition,
-        tol=cfg.solver_tol,
+        tol=cfg.solver.tol,
     )
     assert ref.converged and ref.iterations == 1
     warm, n = x0 + ref.x, disc.space.n_scalar

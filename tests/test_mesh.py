@@ -8,9 +8,19 @@ from cardioem.mesh import (
     TriMesh,
     boundary_edges,
     load_mesh,
-    serialize_mesh,
     structured_unit_square,
 )
+
+
+def serialize_mesh(mesh: TriMesh) -> str:
+    """The text that `load_mesh` reads: header `NV NT`, NV `x y` lines,
+    NT `i j k` lines."""
+    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r}")
+    for i, j, k in mesh.triangles:
+        lines.append(f"{i} {j} {k}")
+    return "\n".join(lines) + "\n"
 
 
 def test_smallest_split():

@@ -20,19 +20,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cardioem.driver import SimConfig, run_simulation
+from cardioem.driver import MeshParams, RunParams, SimConfig, TimeParams, run_simulation
 from cardioem.io_cli import config_hash, write_probes
-from cardioem.noise import NoiseCoeff
+from cardioem.noise import NoiseParams
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
-QUIET = SimConfig(mesh_nx=8, mesh_ny=8, T=0.25, mech_refresh=5)
+QUIET = SimConfig(
+    mesh=MeshParams(8, 8), time=TimeParams(T=0.25), run=RunParams(mech_refresh=5)
+)
 CASES = {
     "quiet": QUIET,
     "noisy": replace(
-        QUIET, seed=7, n_modes=2,
-        noise_v=NoiseCoeff("linear-clipped", 0.1),
-        noise_w=NoiseCoeff("constant", 0.05),
+        QUIET.with_seed(7),
+        noise=NoiseParams(
+            kind_v="linear-clipped", beta0_v=0.1, beta0_w=0.05, modes=2
+        ),
     ),
 }
 
@@ -49,7 +52,7 @@ def test_probes_match_golden_trace(name):
     assert f"config={config_hash(config)}" in header
     golden = np.loadtxt(_path(name), delimiter=",", skiprows=2)
     result = run_simulation(config)
-    assert golden.shape == (result.n_steps + 1, 1 + len(config.probes))
+    assert golden.shape == (result.n_steps + 1, 1 + len(config.run.probes))
     np.testing.assert_array_equal(golden[:, 0], result.times)
     np.testing.assert_allclose(result.probes, golden[:, 1:], rtol=0, atol=1e-8)
 
