@@ -56,8 +56,8 @@ results are bitwise the same in any batch.
 An ensemble splits its paths over W = min(paths, usable CPUs) processes,
 path k to share k mod W, and each share runs as one batch.  Shares
 1..W-1 run in processes forked after the set-up, which inherit the
-Discretization (a stepped one holds a SuperLU, which does not pickle) and
-send their results back over a pipe; the calling process runs share 0.
+Discretization with all that is built on it, and send their results back
+over a pipe; the calling process runs share 0.
 A config with no steps, or a platform with no `fork`, runs serially: a
 zero-step path costs less than a fork.  What is built on first use is
 built once per process.
@@ -240,7 +240,13 @@ class SimResult:
 
 @dataclass
 class EnsembleStats:
-    """Pointwise probe statistics across paths plus energy suprema."""
+    """Pointwise probe statistics across paths plus energy suprema.
+
+    `mean` and `variance` are (n_steps + 1, n_probes) over the paths that
+    did not fail.  `variance` is the population variance, ddof = 0: the
+    squared deviations are divided by the path count, not by one less.
+    The `var_i` columns of `ensemble_stats.csv` hold it.
+    """
 
     mean: np.ndarray
     variance: np.ndarray
@@ -527,7 +533,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
     passive = disc.passive
     if not shared:
         # hold the passive solution only while it is the current one, so a
-        # single run keeps no second grounded LU alive beside an active one
+        # single run keeps no second grounded factor alive beside an active one
         disc = replace(disc, passive=None)
     config = disc.config
     mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs

@@ -21,19 +21,21 @@ residual check keeps the `solver.tol` contract.  A step with applied
 current, or any step on the general path, runs the CG on the projected 2n
 block with an exact preconditioner (below); the block is built on first
 use.  A source-free step with proportional tensors solves the scalar SPD
-system for v alone (below), with that system's LU as the exact
+system for v alone (below), with that system's factor as the exact
 preconditioner.
 
 A preconditioner solve takes off the part of the residual along
 (0, lumped), which the block cannot reach, solves the block with the last
 v_e dof grounded, and shifts v_i and v_e by one constant so that v_e has
-zero lumped mean.  Its sparse LUs (`fem.factor_spd`) are factored on first
-use, at most once per BidomainSystem; the driver assembles a new system
-only at a mechanics refresh.  The grounded solve takes one of two forms:
+zero lumped mean.  Its factors are banded Cholesky factors in the
+space's vertex order (`fem.FeSpace.factor_banded`), factored on first use,
+at most once per BidomainSystem; the driver assembles a new system only
+at a mechanics refresh.  The grounded solve takes one of two forms:
 
-* in general, one LU of the grounded 2n block, which is symmetric
+* in general, one factor of the grounded 2n block, which is symmetric
   positive definite: the constant pair that spans the kernel is not
-  grounded;
+  grounded.  Its band holds the v_i and v_e dofs of each vertex side by
+  side, so it is 2 kd + 1 wide for a scalar band kd;
 * when K_e = lambda K_i (`physics.ConductivityParams.ratio`), both tensors
   are pulled back through the same F, so A_e = lambda A_i and the block
   splits exactly into two scalar systems.  With D = M/dt, s = b_i + b_e
@@ -45,8 +47,9 @@ only at a mechanics refresh.  The grounded solve takes one of two forms:
   grounded (s sums to zero); then v_e = y - v/(1 + lambda) and
   v_i = v + v_e, up to the constant that the final shift fixes.  The two
   solves are independent, and no product with A_i is needed.  This is the
-  same solution, not an approximation; each scalar LU has about a quarter
-  of the block's fill.
+  same solution, not an approximation; each scalar factor holds about a
+  quarter of the block's band storage ((kd + 1) n entries against
+  (2 kd + 2)(2n - 1)).
 
   The step's right-hand side is (b + i_app, -b + i_app), the reaction and
   the noise entering both rows with opposite signs, so its row sum is
@@ -55,7 +58,7 @@ only at a mechanics refresh.  The grounded solve takes one of two forms:
   v_e = -v/(1 + lambda) up to the shift: v_i + lambda v_e stays constant,
   the classical monodomain reduction for equal anisotropy ratios.  Such a
   step solves (D + lambda/(1 + lambda) A_i) v = b and nothing else, and
-  the grounded LU of (1 + lambda) A_i is factored only when a step with
+  the grounded factor of (1 + lambda) A_i is built only when a step with
   applied current first uses the system: in a run whose stimulus ends
   before the first refresh, once, for the initial system.
 
@@ -74,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import physics
-from .fem import FeSpace, assemble_stiffness, factor_spd, solve_cg
+from .fem import FeSpace, assemble_stiffness, solve_cg
 from .noise import NoiseParams
 
 
@@ -137,7 +140,7 @@ class BidomainSystem:
     def _grounded_lu(self):
         # without its last dof the block is SPD: the constant pair (c, c)
         # that spans its kernel is not grounded
-        return factor_spd(self.block[:-1, :-1])
+        return self.space.factor_banded(self.block[:-1, :-1])
 
     def _v_sum(self) -> sp.csr_matrix:
         lam = self.ratio
@@ -155,13 +158,15 @@ class BidomainSystem:
         # sourced step factors a sum that is not kept: at 44^2 one held
         # through step 0's factorizations raised the peak memory of a run
         A = self.__dict__.get("v_matrix")
-        return factor_spd(self._v_sum() if A is None else A)
+        return self.space.factor_banded(self._v_sum() if A is None else A)
 
     @cached_property
     def _lu_e(self):
         # (1+lam) A_i without its last dof is SPD, the constants that span
         # its kernel not being grounded
-        return factor_spd(((1.0 + self.ratio) * self.stiff_i)[:-1, :-1])
+        return self.space.factor_banded(
+            ((1.0 + self.ratio) * self.stiff_i)[:-1, :-1]
+        )
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The z with lumped . z_e = 0 and P block z = r, for zero-mean r.

@@ -22,16 +22,26 @@ assembled once per run, are summed through COO instead.
 There are two solvers.  `solve_cg` is a conjugate gradient on a
 subspace, started from zero, with a caller-supplied projector and
 preconditioner (the electric step passes the zero-mean projector and an
-exact solve of its bidomain block by sparse LUs, or, for its scalar
-source-free form, no projection and the LU of that scalar system).
-`solve_saddle` solves the block [[A, B^T], [B, -C]] through its pressure
-Schur complement S = B A^-1 B^T + C: scipy's CG on S, preconditioned by a
-caller-supplied approximation of S^-1 (in practice a factored pressure
-mass), with A = blockdiag(K, K) inverted by one sparse LU of K applied to
-both components of u at once.  Sparse LUs come from `factor_spd`, which
-lets SuperLU order the matrix, or, for a matrix refactored on one fixed
-pattern, from `SpdOrdering`, which keeps that ordering and factors the
-pre-permuted matrix.
+exact solve of its bidomain block by factors of P1 matrices, or, for its
+scalar source-free form, no projection and the factor of that scalar
+system).  `solve_saddle` solves the block [[A, B^T], [B, -C]] through its
+pressure Schur complement S = B A^-1 B^T + C: scipy's CG on S,
+preconditioned by a caller-supplied approximation of S^-1 (in practice a
+factored pressure mass), with A = blockdiag(K, K) inverted by one sparse
+LU of K applied to both components of u at once.
+
+Every P1 matrix (the bidomain systems, the pressure mass) is factored by
+`FeSpace.factor_banded`: a banded Cholesky factor (LAPACK dpbtrf, solved
+by dpbtrs) in the space's `vertex_order`, a sweep of the vertices along
+the longer side of the mesh, which keeps the band about one cross-section
+of vertices wide.  A matrix over several fields keeps each vertex's dofs
+side by side, so the band of the bidomain 2n block is about twice the
+scalar one.
+The map from a CSR pattern into the band storage is kept per matrix order
+(`BandLayout`).  The P2 block K has a wider band for its fill, and it
+stays on sparse LUs: `factor_spd` lets SuperLU order a matrix, and
+`SpdOrdering`, for a matrix refactored on one fixed pattern, keeps that
+ordering and factors the pre-permuted matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import LinearOperator, SuperLU, cg, splu
 
 from .mesh import TriMesh
@@ -232,6 +243,8 @@ class FeSpace:
         )
         # physical quadrature points: (ne, nq, 2)
         self.qpoints = np.einsum("qv,evx->eqx", lam, p)
+        # `factor_banded`'s band maps, by matrix order
+        self.band_layouts: dict[int, BandLayout] = {}
 
     # --- field evaluation helpers -------------------------------------
 
@@ -282,6 +295,42 @@ class FeSpace:
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         indices = (keys % n).astype(np.int32)
         return indptr, indices, slot.astype(np.int32).ravel()
+
+    @cached_property
+    def vertex_order(self) -> np.ndarray:
+        """The vertices swept along the longer side of the mesh's bounding box.
+
+        Sorted by the coordinate along the longer side (y on a square), ties
+        by the other one, so the order depends on the coordinates alone,
+        not on how the vertices are numbered.  On a mesh of straight rows
+        across the sweep, an edge joins vertices at most one row apart, so
+        the P1 band is about one row wide: on `structured_unit_square` the
+        order is its own row-by-row numbering, whose bandwidth is nx + 2.
+        Rows that are not straight mix in the sweep, which can double it.
+        """
+        x, y = self.mesh.vertices.T
+        along, across = (x, y) if np.ptp(x) > np.ptp(y) else (y, x)
+        return np.lexsort((across, along))
+
+    def factor_banded(self, A: sp.csr_matrix) -> "BandedCholesky":
+        """Banded Cholesky factor of an SPD matrix over this P1 space's dofs.
+
+        A is of order k n over k component-major copies of the n vertex
+        dofs, dof (c, s) = c n + s, or of order k n - 1 when the last dof
+        is grounded (dropped).  It is factored in `vertex_order` with the
+        k dofs of a vertex side by side, so a block of k fields has about k
+        times the scalar bandwidth, not n.  The band map of each order is kept
+        (`BandLayout`) and reused while the CSR pattern is the same.
+        """
+        if self.degree != 1:
+            raise ValueError("factor_banded needs the P1 space")
+        size, n = A.shape[0], self.n_scalar
+        layout = self.band_layouts.get(size)
+        if layout is None or not layout.matches(A):
+            k = -(-size // n)  # the fields, for size k n or k n - 1
+            q = (self.vertex_order[:, None] + n * np.arange(k)).ravel()
+            layout = self.band_layouts[size] = BandLayout(A, q[q < size])
+        return layout.factor(A)
 
     @cached_property
     def boundary_dofs(self) -> np.ndarray:
@@ -613,18 +662,23 @@ def factor_spd(A, ordered: bool = False) -> SuperLU:
     """Sparse LU of a symmetric positive definite matrix, diagonal pivots.
 
     By default SuperLU orders A itself, by minimum degree on A^T + A (MMD):
-    the P1 LUs (the bidomain blocks, the pressure mass) are factored so.
-    `ordered=True` says A is already permuted by such an ordering
-    (`SpdOrdering`, which the mechanics block K keeps for its fixed
-    pattern): it is factored in its own order, with `panel_size=1` and
-    `relax=1` (no relaxed supernodes) in place of SuperLU's defaults.  On
-    K, the factor time fell monotonically with the panel size from the
-    default down to 1, and relax=1 also made the solves faster: at 22^2
-    one factor plus 14 two-column solves, the work of a refresh, took
-    5.2 ms with (1, 1) against 6.3 ms with panel_size=4 and the default
-    relax, lower in 79 of 80 interleaved rounds.  The P1 LUs keep SuperLU's options: each is
-    factored once per mechanics refresh at most, and their solves moved
-    by no more than 4% with either option set.
+    K's ordering (`SpdOrdering`) and the pseudo-compressible stepper's
+    K + (eps/dt) Mu are found so.  `ordered=True` says A is already
+    permuted by such an ordering (`SpdOrdering`, which the mechanics block
+    K keeps for its fixed pattern): it is factored in its own order, with
+    `panel_size=1` and `relax=1` (no relaxed supernodes) in place of
+    SuperLU's defaults.  On K, the factor time fell monotonically with the
+    panel size from the default down to 1, and relax=1 also made the
+    solves faster: at 22^2 one factor plus 14 two-column solves, the work
+    of a refresh, took 5.2 ms with (1, 1) against 6.3 ms with panel_size=4
+    and the default relax, lower in 79 of 80 interleaved rounds.
+
+    The P1 matrices take `FeSpace.factor_banded` instead, which beat
+    SuperLU in factor and in solve at 12^2 to 44^2 (the scalar step
+    matrix at 22^2: 0.11 against 0.88 ms to factor, 15 against 29 us to
+    solve).  K does not: in reverse Cuthill-McKee order its band at 22^2
+    is 176 wide, and the banded factor took 3.9 ms against 2.5 ms through
+    `SpdOrdering`, its two-column solves 0.36 against 0.19 ms.
     """
     if ordered:
         opts = dict(permc_spec="NATURAL", panel_size=1, relax=1)
@@ -691,6 +745,71 @@ class SpdOrdering:
             (A.data[self.take], self.indices, self.indptr), shape=A.shape
         )
         return OrderedLU(factor_spd(Aq, ordered=True), self.q)
+
+
+class BandedCholesky(NamedTuple):
+    """U^T U = A[q][:, q], U in LAPACK upper band storage (`ab`, Fortran
+    order); `solve` takes and returns A's own order."""
+
+    ab: np.ndarray
+    q: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for b of shape (n,) or (n, k)."""
+        b = np.asarray(b)
+        y, _ = dpbtrs(self.ab, b[self.q].reshape(len(self.q), -1), overwrite_b=1)
+        x = np.empty_like(y)
+        x[self.q] = y
+        return x.reshape(b.shape)
+
+
+class BandLayout:
+    """Where a symmetric CSR pattern's upper band lies in LAPACK band storage.
+
+    For the order q (A[q][:, q] is factored), `take` lists the CSR slots
+    of the entries on or above the diagonal of the permuted matrix and
+    `slot` their flat positions in the (kd + 1, n) Fortran-order band
+    array, whose row kd + i - j holds entry (i, j), i <= j.  So `factor`
+    fills the band by one gather and one scatter of A's data, with no
+    index work per matrix.  The pattern is kept, for `matches`.
+    """
+
+    def __init__(self, A: sp.csr_matrix, q: np.ndarray):
+        n = len(q)
+        pos = np.empty(n, dtype=np.int64)
+        pos[q] = np.arange(n)
+        r = pos[np.repeat(np.arange(n), np.diff(A.indptr))]
+        c = pos[A.indices]
+        upper = np.flatnonzero(r <= c)
+        r, c = r[upper], c[upper]
+        self.kd = int((c - r).max())
+        self.take = upper.astype(np.int32)
+        self.slot = self.kd * (c + 1) + r  # (kd + r - c) + (kd + 1) c
+        self.q = q
+        self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
+
+    def matches(self, A: sp.csr_matrix) -> bool:
+        """True when A has the CSR pattern this layout was built from."""
+        return np.array_equal(A.indptr, self.indptr) and np.array_equal(
+            A.indices, self.indices
+        )
+
+    def factor(self, A: sp.csr_matrix) -> BandedCholesky:
+        """`dpbtrf` of A[q][:, q]; a matrix that is not positive definite raises.
+
+        A NaN entry can pass the factorization, so its solves return NaN:
+        callers check their residuals.
+        """
+        n, kd = len(self.q), self.kd
+        band = np.zeros(n * (kd + 1))
+        band[self.slot] = A.data[self.take]
+        ab, info = dpbtrf(band.reshape(n, kd + 1).T, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"the matrix of order {n} is not positive definite "
+                f"(dpbtrf info {info})"
+            )
+        return BandedCholesky(ab, self.q)
 
 
 def component_dot(K, u: np.ndarray) -> np.ndarray:

@@ -54,10 +54,15 @@ def _parse_value(default, text: str):
     """`text` read as the type of `default`; probe lists as "x,y; x,y".
 
     Every float must be finite: nan and inf are refused here, with the key
-    named by the caller, not left to fail, or to pass, at run time.
+    named by the caller, not left to fail, or to pass, at run time.  A
+    bool is `true` or `false`, nothing else.
     """
     if isinstance(default, float):
         return _finite(text)
+    if isinstance(default, bool):
+        if text not in ("true", "false"):
+            raise ValueError(f"{text!r} is not true or false")
+        return text == "true"
     if not isinstance(default, tuple):
         return type(default)(text)
     pts = []
@@ -72,6 +77,8 @@ def _parse_value(default, text: str):
 def _render(value) -> str:
     if isinstance(value, tuple):
         return "; ".join(",".join(map(_render, pt)) for pt in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         # float() first: numpy >= 2 reprs np.float64 as "np.float64(x)"
         return repr(float(value))

@@ -21,10 +21,12 @@ implicit Euler whose fixed point is the saddle solution.  Both go through
 B A^-1 B^T (+ C) by CG, with one sparse LU of the scalar block K serving
 both displacement components, and the pressure mass Mp as the
 preconditioner.  The constraint B = -div and its transpose are held once,
-in `MechStatics`.  Mp is factored on first use (`MechStatics.mass_p_lu`),
-not in `mech_statics`, so statics that no solve uses cost no LU.  The
-displacement is a component-major 2-vector field over the scalar P2
-space, and each of its operators is assembled as the scalar block.
+in `MechStatics`.  Mp is a P1 matrix, factored by a banded Cholesky in the
+pressure space's vertex order (`fem.FeSpace.factor_banded`) on first use
+(`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no
+solve uses cost no factor.  The displacement is a component-major
+2-vector field over the scalar P2 space, and each of its operators is
+assembled as the scalar block.
 
 K keeps one sparsity pattern, the P2 space's: the stiffness is summed into
 it, and the Robin boundary mass is added at slots found once, in
@@ -33,8 +35,8 @@ fill-reducing ordering is computed once per `MechStatics`, by one MMD LU
 of the first K that a saddle solve factors (`fem.SpdOrdering`), and every
 saddle solve's K, the first one included, is factored through it
 (`MechStatics.factor_stiffness`): a path's results do not depend on which
-path set the ordering.  The Mp LU and the pseudo-compressible stepper's
-K + (eps/dt) Mu keep SuperLU's own MMD ordering (`fem.factor_spd`).
+path set the ordering.  The pseudo-compressible stepper's K + (eps/dt) Mu
+keeps SuperLU's own MMD ordering (`fem.factor_spd`).
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 from . import physics
 from .fem import (
+    BandedCholesky,
     FeSpace,
     OrderedLU,
     SaddleResult,
@@ -61,7 +63,6 @@ from .fem import (
     component_dot,
     edge_quad_geometry,
     edge_rule,
-    factor_spd,
     scatter_load,
     solve_saddle,
 )
@@ -99,6 +100,8 @@ class MechStatics:
     """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
 
     `B` is the constraint -div of every system, `BT` its transpose as CSR.
+    `p_space` is the P1 space of the pressure, whose vertex order factors
+    `mass_p`.
     `boundary_slots` holds the position of each entry of `boundary` in the
     CSR data of the P2 space's pattern, which K is assembled on.
     `ordering` is K's fill-reducing ordering, set by the first
@@ -111,12 +114,13 @@ class MechStatics:
     BT: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
+    p_space: FeSpace = field(repr=False)
     ordering: SpdOrdering | None = field(default=None, repr=False)
 
     @cached_property
-    def mass_p_lu(self) -> SuperLU:
+    def mass_p_lu(self) -> BandedCholesky:
         """The factored pressure mass, the Schur preconditioner; built on first use."""
-        return factor_spd(self.mass_p)
+        return self.p_space.factor_banded(self.mass_p)
 
     def factor_stiffness(self, K: sp.csr_matrix) -> OrderedLU:
         """The LU of an assembled K through the ordering of its pattern.
@@ -147,6 +151,7 @@ def mech_statics(
         BT=B.T.tocsr(),
         mass_u=assemble_mass(u_space),
         mass_p=mass_p,
+        p_space=p_space,
     )
 
 

@@ -24,6 +24,8 @@ from cardioem.driver import (
 from cardioem.io_cli import (
     CONFIG_KEYS,
     ConfigError,
+    _parse_value,
+    _render,
     config_hash,
     main,
     parse_config,
@@ -345,6 +347,18 @@ NON_FINITE = [
 def test_non_finite_config_number_is_refused(key, value):
     with pytest.raises(ConfigError, match=f"bad value for '{key}'.*not a finite"):
         parse_config(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("default", [False, True])
+def test_bool_config_value_reads_true_or_false_only(default):
+    # no config field is a bool yet; a bool reads the "true" and "false"
+    # that `_render` writes and refuses anything else, "False" included,
+    # which bool(text) read as True
+    for value in (False, True):
+        assert _parse_value(default, _render(value)) is value
+    for text in ("False", "True", "0", "1", "yes", ""):
+        with pytest.raises(ValueError, match="is not true or false"):
+            _parse_value(default, text)
 
 
 @pytest.mark.parametrize("key, value", NON_FINITE)

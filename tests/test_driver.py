@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cardioem import driver, fem, mechanics, physics
+from cardioem import driver, electrics, fem, mechanics, physics
 from cardioem.driver import (
     Discretization,
     MeshParams,
@@ -420,6 +420,63 @@ def test_zero_passive_u_has_the_p2_length_without_the_p2_space(make, tmp_path):
     assert not np.any(u)
 
 
+# a loaded 8x8 run with a stimulated first step (both split factors), the
+# pressure mass factored at set-up, and four refreshes with loaded
+# mechanics, each factoring K and a deformed system
+LOADED_8X8 = SimConfig(
+    mesh=MeshParams(8, 8), time=TimeParams(T=0.25),
+    run=RunParams(mech_refresh=5), mech=DOWNWARD,
+)
+
+
+def test_shuffled_vertex_numbers_give_the_same_run_and_band(tmp_path):
+    # the sweep order depends on the coordinates alone, so the 8x8 square
+    # re-loaded with its vertices renumbered at random runs to the same
+    # probes, and its P1 factors have a band no wider than that of the
+    # square's own row-by-row numbering
+    square = structured_unit_square(8, 8)
+    new = np.random.default_rng(0).permutation(square.num_vertices)
+    verts = np.empty_like(square.vertices)
+    verts[new] = square.vertices
+    path = tmp_path / "shuffled.txt"
+    path.write_text(serialize_mesh(TriMesh(verts, new[square.triangles])))
+    config = replace(LOADED_8X8, mesh=MeshParams(file=str(path)))
+    disc = Discretization.build(config)
+    shuffled = run_simulation(config, disc=disc)
+    ref = run_simulation(LOADED_8X8)
+    assert _active_refreshes(ref) == 5
+    np.testing.assert_allclose(shuffled.probes, ref.probes, rtol=0, atol=1e-12)
+
+    indptr, indices, _ = FeSpace(square).pattern
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    natural = int(np.abs(rows - indices).max())
+    n = square.num_vertices
+    kd = {size: layout.kd for size, layout in disc.space.band_layouts.items()}
+    assert kd.keys() == {n, n - 1} and max(kd.values()) <= natural
+
+
+@pytest.mark.parametrize(
+    "conductivity",
+    [physics.ConductivityParams(), physics.ConductivityParams(ke_yy=0.03)],
+    ids=["split", "block"],
+)
+def test_superlu_factors_only_the_p2_block(monkeypatch, conductivity):
+    # every P1 matrix, the grounded 2n block of tensors that are not
+    # proportional included, takes the banded factor; SuperLU factors K
+    # alone: once for its ordering and once per solve
+    sizes = []
+    splu = fem.splu
+
+    def recording(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", recording)
+    result = run_simulation(replace(LOADED_8X8, conductivity=conductivity))
+    assert _active_refreshes(result) == 5
+    assert sizes == [81 + 208] * 6
+
+
 def test_nan_activation_raises(monkeypatch):
     # a NaN gamma must end the run, never reuse the passive solution; the
     # checkpoint holds the finite gamma the step started from
@@ -458,6 +515,31 @@ def test_checkpoint_is_the_state_the_failing_step_started_from(monkeypatch):
     assert checkpoint.n == k
     assert np.any(checkpoint.mech.u)
     _assert_same_state(checkpoint, short.final)
+
+
+@pytest.mark.parametrize("nx", [8, 36])
+def test_nan_conductivity_fails_the_electric_step(monkeypatch, nx):
+    # a NaN can pass the banded factorization (at 36^2 the scalar band is
+    # wider than LAPACK's block size); the step's residual check turns the
+    # NaN solution into a stalled solve, which ends the run with the state
+    # that the step started from
+    config = replace(
+        ENSEMBLE, mesh=MeshParams(nx, nx), time=TimeParams(T=0.125),
+        noise=NoiseParams(), mech=DOWNWARD,
+    )
+    pull_back = electrics.conductivities_from_gradient
+    calls = []
+
+    def nan_after_set_up(space, grad_u, params):
+        calls.append(1)
+        M_i, M_e = pull_back(space, grad_u, params)
+        return (M_i, M_e) if len(calls) == 1 else (M_i * np.nan, M_e * np.nan)
+
+    monkeypatch.setattr(electrics, "conductivities_from_gradient", nan_after_set_up)
+    with pytest.raises(SimulationError, match="electric solve stalled") as info:
+        run_simulation(config)
+    refresh = config.run.mech_refresh
+    assert info.value.step == refresh and info.value.checkpoint.n == refresh
 
 
 def batch_with_failure(run, bad_seed, error, check=lambda: None):

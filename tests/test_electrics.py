@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cardioem import electrics, physics
+from cardioem import electrics, fem, physics
 from cardioem.electrics import (
     BidomainSystem,
     ElectricState,
@@ -408,8 +408,8 @@ def test_elliptic_compatibility_residual():
 
 
 # ---------------------------------------------------------------------------
-# the preconditioner: two scalar LUs for proportional tensors, else the
-# grounded-block LU
+# the preconditioner: two scalar factors for proportional tensors, else the
+# grounded-block factor
 
 # the default pair (lambda = 2) keeps the bare ids; 3 K_i has a lambda that
 # is not a power of two; the rotated pair is not proportional
@@ -427,15 +427,15 @@ SOLVE_CASES = [
 
 
 def recorded_factor_sizes(monkeypatch):
-    """The orders of the matrices that `electrics` factors from now on."""
+    """The orders of the matrices that P1 spaces factor from now on."""
     sizes = []
-    factor = electrics.factor_spd
+    factor = fem.FeSpace.factor_banded
 
-    def recording(A):
+    def recording(space, A):
         sizes.append(A.shape[0])
-        return factor(A)
+        return factor(space, A)
 
-    monkeypatch.setattr(electrics, "factor_spd", recording)
+    monkeypatch.setattr(fem.FeSpace, "factor_banded", recording)
     return sizes
 
 
@@ -445,7 +445,7 @@ def recorded_factor_sizes(monkeypatch):
     ids=["default", "ke3", "rotated"],
 )
 def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deformed):
-    # two scalar LUs, of orders n and n - 1, for proportional tensors; the
+    # two scalar factors, of orders n and n - 1, for proportional tensors; the
     # grounded block, of order 2n - 1, otherwise; both on first use, once
     assert cond.ratio == lam
     sizes = recorded_factor_sizes(monkeypatch)
@@ -458,8 +458,8 @@ def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deform
     sys_.precondition(r)
     sys_.precondition(r)
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
-    # a system whose first steps are sourceless factors only the LU for v,
-    # and builds no 2n block; the row-sum LU comes with its first sourced
+    # a system whose first steps are sourceless factors only the matrix for v,
+    # and builds no 2n block; the row-sum factor comes with its first sourced
     # solve
     sizes.clear()
     _, _, fresh = make_system(8, grad_u=grad_u, cond=cond)
@@ -524,24 +524,26 @@ def test_split_solve_run_agrees_with_the_grounded_block_run(monkeypatch):
     # K_e = 2 K_i: the run that solves each step as two scalar systems and
     # the run that solves the grounded 2n block agree to round-off, through
     # noise and refreshes of loaded mechanics.  Only step 0 has applied
-    # current, so only the initial system factors its row-sum LU
+    # current, so only the initial system factors its row-sum matrix.  Each
+    # run first factors the pressure mass, of order n, for the set-up's
+    # loaded mechanics solve
     split, block = split_and_block_runs(monkeypatch, LOADED_NOISY)
     n = 81
-    assert split == [n, n - 1] + [n] * 4
-    assert block == [2 * n - 1] * 5
+    assert split == [n] + [n, n - 1] + [n] * 4
+    assert block == [n] + [2 * n - 1] * 5
 
 
 def test_split_run_stimulated_at_a_refresh_agrees_with_the_block_run(monkeypatch):
     # the stimulus is on while t < 0.77: through steps 60 and 61 of the
     # first new system, so that deformed system takes sourced steps, then
-    # sourceless ones, and factors its row-sum LU on its first step
+    # sourceless ones, and factors its row-sum matrix on its first step
     config = replace(
         LOADED_NOISY, run=replace(LOADED_NOISY.run, stim_duration=0.77)
     )
     split, block = split_and_block_runs(monkeypatch, config)
     n = 81
-    assert split == [n, n - 1] * 2 + [n] * 3
-    assert block == [2 * n - 1] * 5
+    assert split == [n] + [n, n - 1] * 2 + [n] * 3
+    assert block == [n] + [2 * n - 1] * 5
 
 
 @pytest.mark.parametrize("n, deformed, cond", SOLVE_CASES)
@@ -615,7 +617,7 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
     ref_i, ref_e = bordered_solve(sys_, rhs)
     assert np.abs(new.v_i - ref_i).max() < 1e-9
     assert np.abs(new.v_e - ref_e).max() < 1e-9
-    # and the CG with the projected Jacobi scaling in place of the grounded LU
+    # and the CG with the projected Jacobi scaling in place of the grounded factor
     proj, diag = sys_.projector(), sys_.block.diagonal()
     ref = solve_cg(sys_.block, rhs, proj, lambda r: proj(r / diag), tol=1e-12)
     assert ref.converged

@@ -709,6 +709,94 @@ def test_cg_projected_iterates_stay_mean_zero():
 
 
 # ---------------------------------------------------------------------------
+# banded Cholesky
+
+
+def banded_forms(mesh):
+    """The P1 space of `mesh` and the SPD matrices that are factored banded
+    on it: the scalar step matrix, the grounded stiffness, the grounded 2n
+    block of tensors that are not proportional, and the mass."""
+    space = FeSpace(mesh, 1)
+    M = assemble_mass(space)
+    K_i = np.array([[0.03, 0.01], [0.01, 0.004]])
+    K_e = np.array([[0.02, -0.003], [-0.003, 0.008]])
+    system = assemble_bidomain(
+        space, K_i, K_e, 0.0125, M, np.asarray(M.sum(axis=1)).ravel()
+    )
+    A_i = system.stiff_i
+    return space, {
+        "scalar": (M / 0.0125 + A_i).tocsr(),
+        "grounded": (3.0 * A_i)[:-1, :-1],
+        "block": system.block[:-1, :-1],
+        "mass": M,
+    }
+
+
+@pytest.mark.parametrize("form", ["scalar", "grounded", "block", "mass"])
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_banded_factor_matches_a_dense_solve(form, mesh, cols):
+    m = structured_unit_square(6, 5) if mesh == "structured" else perturbed_square(6)
+    space, forms = banded_forms(m)
+    A = forms[form]
+    size = A.shape[0]
+    shape = size if cols is None else (size, cols)
+    b = np.random.default_rng(3).standard_normal(shape)
+    ref = np.linalg.solve(A.toarray(), b)
+    for _ in range(2):  # the second factor reuses the band map
+        x = space.factor_banded(A).solve(b)
+        assert x.shape == b.shape
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_banded_factor_of_the_natural_square_order_has_band_nx_plus_2():
+    # `structured_unit_square` numbers its vertices row by row, which is
+    # the sweep order on a square; its diagonals join vertices nx + 2 apart
+    nx = 7
+    space, forms = banded_forms(structured_unit_square(nx, nx))
+    np.testing.assert_array_equal(space.vertex_order, np.arange(space.n_scalar))
+    for form in ("scalar", "mass", "grounded", "block"):
+        space.factor_banded(forms[form])
+    kd = {size: lay.kd for size, lay in space.band_layouts.items()}
+    n = space.n_scalar
+    assert kd == {n: nx + 2, n - 1: nx + 2, 2 * n - 1: 2 * (nx + 2) + 1}
+
+
+def test_band_layout_follows_a_new_pattern():
+    # a matrix of a kept order on another CSR pattern gets its own map
+    space, forms = banded_forms(structured_unit_square(4, 4))
+    A = forms["scalar"]
+    space.factor_banded(A)
+    D = sp.diags(A.diagonal(), format="csr")
+    b = np.arange(1.0, A.shape[0] + 1)
+    np.testing.assert_allclose(
+        space.factor_banded(D).solve(b), b / A.diagonal(), rtol=1e-15
+    )
+    assert space.band_layouts[A.shape[0]].kd == 0
+
+
+def test_banded_factor_refuses_a_matrix_that_is_not_positive_definite():
+    # the mass with one diagonal entry negated, on the same pattern, is
+    # indefinite; the error names the order of the matrix
+    space, forms = banded_forms(structured_unit_square(4, 4))
+    M = forms["mass"]
+    indefinite = M.copy()
+    indefinite.data[M.indptr[7] + np.flatnonzero(M[7].indices == 7)] *= -1.0
+    assert np.linalg.eigvalsh(indefinite.toarray()).min() < 0.0
+    n = space.n_scalar
+    with pytest.raises(np.linalg.LinAlgError, match=f"order {n} is not positive"):
+        space.factor_banded(indefinite)
+    with pytest.raises(np.linalg.LinAlgError, match=f"order {n - 1} is not"):
+        space.factor_banded(-assemble_stiffness(space)[:-1, :-1])
+
+
+def test_banded_factor_needs_the_p1_space():
+    space = FeSpace(structured_unit_square(2, 2), 2)
+    with pytest.raises(ValueError, match="P1"):
+        space.factor_banded(assemble_mass(space))
+
+
+# ---------------------------------------------------------------------------
 # saddle solver
 
 
