@@ -289,10 +289,9 @@ def locate_point(mesh: TriMesh, point) -> tuple[int, np.ndarray]:
     return k, weights
 
 
-def _probe_values(mesh, locs, v):
-    """(k, n_probes) values at the probes of the k rows of v."""
-    tris = mesh.triangles[[tri for tri, _ in locs]]
-    weights = np.array([wts for _, wts in locs])
+def _probe_values(tris, weights, v):
+    """(k, n_probes) values at the probes (`Discretization.probe_tris`) of
+    the k rows of v."""
     return (v[:, tris] * weights).sum(axis=-1)
 
 
@@ -313,8 +312,9 @@ class Discretization:
     """Everything a run builds before its first step that its seed leaves alone.
 
     Built once from a config by `build`: the mesh, fibers and spaces, the
-    operators assembled before the first step, the probe locations, the
-    stimulus load, the initial v0 and gamma0, and `passive`, the mechanics
+    operators assembled before the first step, the probe locations (also
+    as arrays of their triangles' vertices and weights), the stimulus
+    load, the initial v0 and gamma0, and `passive`, the mechanics
     solution at gamma0 with the bidomain system built from it.  v0 lies in
     [0, 1), so gamma0 is nowhere positive, and `passive` is the solution at
     every activation that `mechanics.is_passive` accepts; with no body
@@ -335,6 +335,8 @@ class Discretization:
     lumped: np.ndarray  # row sums of the mass matrix
     stiff_unit: sp.csr_matrix
     probe_locs: list
+    probe_tris: np.ndarray  # (n_probes, 3): the vertices of each probe's triangle
+    probe_weights: np.ndarray  # (n_probes, 3): its barycentric weights
     i_app: np.ndarray  # stimulus load while the stimulus is on
     v0: np.ndarray
     gamma0: np.ndarray
@@ -352,6 +354,7 @@ class Discretization:
         """
         mesh = config.build_mesh()
         space = FeSpace(mesh, degree=1)
+        locs = [locate_point(mesh, q) for q in config.run.probes]
         mass = assemble_mass(space)
         v0 = space.interpolate(electrics.initial_stimulus)
         # the stimulus profile is constant in time while active
@@ -366,7 +369,9 @@ class Discretization:
             mass=mass,
             lumped=np.asarray(mass.sum(axis=1)).ravel(),
             stiff_unit=assemble_stiffness(space),
-            probe_locs=[locate_point(mesh, q) for q in config.run.probes],
+            probe_locs=locs,
+            probe_tris=mesh.triangles[[tri for tri, _ in locs]],
+            probe_weights=np.array([wts for _, wts in locs]),
             i_app=assemble_load(space, stim_profile),
             v0=v0,
             gamma0=-0.3 * v0 / (2.0 - v0),
@@ -536,7 +541,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
         # single run keeps no second grounded factor alive beside an active one
         disc = replace(disc, passive=None)
     config = disc.config
-    mesh, space, mass, locs = disc.mesh, disc.space, disc.mass, disc.probe_locs
+    space, mass = disc.space, disc.mass
     n_steps, dt = config.time.n_steps, config.time.dt
     times = dt * np.arange(n_steps + 1)
     i_app_zero = np.zeros_like(disc.i_app)
@@ -551,7 +556,7 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
     ]
     del passive  # each lane holds it while it may reuse it
     outcomes = [None] * len(configs)
-    probes = np.empty((len(configs), n_steps + 1, len(locs)))
+    probes = np.empty((len(configs), n_steps + 1, len(disc.probe_tris)))
     noises = [
         NoisePath(cfg.run.seed, dt, n_steps, config.noise.modes) for cfg in configs
     ]
@@ -576,7 +581,9 @@ def run_batch(configs, disc: Discretization | None = None) -> list:
 
     def record(n):
         """The probes, energies and snapshots of iteration n."""
-        probes[live, n] = _probe_values(mesh, locs, electric.v)
+        probes[live, n] = _probe_values(
+            disc.probe_tris, disc.probe_weights, electric.v
+        )
         diagnostics.append_energy(
             [lanes[j].energy for j in live], electric, gamma,
             [lanes[j].mech_terms for j in live], mass, disc.stiff_unit, space,

@@ -62,6 +62,9 @@ at a mechanics refresh.  The grounded solve takes one of two forms:
   applied current first uses the system: in a run whose stimulus ends
   before the first refresh, once, for the initial system.
 
+A refresh pulls the conductivities back entry by entry on contiguous
+arrays over the quadrature points (`conductivities_from_gradient`).
+
 `step_bidomain` advances a batch of paths, one state row and one system
 per path: the reaction, noise, right-hand sides (one sparse product) and
 gating update are computed once per batch, each solve per path, and no
@@ -143,8 +146,14 @@ class BidomainSystem:
         return self.space.factor_banded(self.block[:-1, :-1])
 
     def _v_sum(self) -> sp.csr_matrix:
+        # the sum on the data of the space's pattern, which the mass and
+        # A_i share, as the sparse sum mass / dt + c A_i forms it
         lam = self.ratio
-        return self.mass / self.dt + (lam / (1.0 + lam)) * self.stiff_i
+        A = self.stiff_i
+        if self.mass.nnz != A.nnz:
+            raise ValueError("the mass is not on the space's pattern")
+        data = self.mass.data * (1.0 / self.dt) + (lam / (1.0 + lam)) * A.data
+        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
     @cached_property
     def v_matrix(self) -> sp.csr_matrix:
@@ -258,16 +267,22 @@ def conductivities_from_gradient(
     There F = I, and the result is the constant 2x2 pair (K_i, K_e),
     pulled back through the one identity F^-1 so that its bits are those
     of every point of a zero gradient.  Both tensors share one clamp and
-    one F^-1.  When K_e = lambda K_i (`params.ratio`), M_e is lambda M_i.
+    one F^-1, entry by entry (`physics.inverse_entries`).  When
+    K_e = lambda K_i (`params.ratio`), M_e is lambda M_i.
     """
     if grad_u is None:
         grad_u = np.zeros((2, 2))
-    Finv = physics.inverse_deformation(grad_u, params)
-    M_i = physics.pull_back(Finv, params.K_i)
+    finv = physics.inverse_entries(physics.entries(grad_u), params)
+
+    def pulled_back(K):
+        m00, m01, m11 = physics.pull_back_entries(finv, K)
+        return physics.entry_tensor(m00, m01, m01, m11)
+
+    M_i = pulled_back(params.K_i)
     lam = params.ratio
     if lam is not None:
         return M_i, lam * M_i
-    return M_i, physics.pull_back(Finv, params.K_e)
+    return M_i, pulled_back(params.K_e)
 
 
 def enforce_zero_mean(v_e: np.ndarray, lumped: np.ndarray) -> np.ndarray:

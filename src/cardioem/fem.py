@@ -25,10 +25,13 @@ preconditioner (the electric step passes the zero-mean projector and an
 exact solve of its bidomain block by factors of P1 matrices, or, for its
 scalar source-free form, no projection and the factor of that scalar
 system).  `solve_saddle` solves the block [[A, B^T], [B, -C]] through its
-pressure Schur complement S = B A^-1 B^T + C: scipy's CG on S,
-preconditioned by a caller-supplied approximation of S^-1 (in practice a
-factored pressure mass), with A = blockdiag(K, K) inverted by one sparse
-LU of K applied to both components of u at once.
+pressure Schur complement S = B A^-1 B^T + C: `solve_cg` on S, with no
+projection, preconditioned by a caller-supplied approximation of S^-1 (in
+practice a factored pressure mass), with A = blockdiag(K, K) inverted by
+one sparse LU of K applied to both components of u at once.  It works in
+the order its operators are given in; the mechanics passes its system
+permuted once into K's fill-reducing order, so that no CG iteration
+gathers or scatters (`mechanics.solve_mechanics`).
 
 Every P1 matrix (the bidomain systems, the pressure mass) is factored by
 `FeSpace.factor_banded`: a banded Cholesky factor (LAPACK dpbtrf, solved
@@ -38,10 +41,12 @@ of vertices wide.  A matrix over several fields keeps each vertex's dofs
 side by side, so the band of the bidomain 2n block is about twice the
 scalar one.
 The map from a CSR pattern into the band storage is kept per matrix order
-(`BandLayout`).  The P2 block K has a wider band for its fill, and it
-stays on sparse LUs: `factor_spd` lets SuperLU order a matrix, and
+(`BandLayout`); `BandedCholesky.solve_ordered` solves a right side that
+is already in that order.  The P2 block K has a wider band for its fill,
+and it stays on sparse LUs: `factor_spd` lets SuperLU order a matrix, and
 `SpdOrdering`, for a matrix refactored on one fixed pattern, keeps that
-ordering and factors the pre-permuted matrix.
+ordering and permutes each matrix on the pattern into it, for
+`factor_spd(..., ordered=True)`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import LinearOperator, SuperLU, cg, splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .mesh import TriMesh
 
@@ -258,13 +263,17 @@ class FeSpace:
         """
         return coeffs[self.conn] @ np.ascontiguousarray(self.basis_vals.T)
 
-    def scalar_grad_at_qp(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("eqli,el->eqi", self.grads, coeffs[self.conn])
-
     def vector_grad_at_qp(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gradient du_a/dx_b of a 2-vector field at quad points, (ne, nq, 2, 2)."""
-        comps = coeffs.reshape(2, self.n_scalar)
-        return np.stack([self.scalar_grad_at_qp(c) for c in comps], axis=2)
+        """Gradient du_a/dx_b of a 2-vector field at quad points, (ne, nq, 2, 2).
+
+        One batched product of the stored (ne, nq, 2, nloc) gradients with
+        the (ne, nloc, 2) element coefficients of both components; the
+        result is a view of its (ne, nq, b, a) product.
+        """
+        ne, nq = len(self.conn), len(self.quad.weights)
+        U = coeffs.reshape(2, self.n_scalar).T[self.conn]
+        G = self.grads.transpose(0, 1, 3, 2).reshape(ne, 2 * nq, self.nloc)
+        return np.matmul(G, U).reshape(ne, nq, 2, 2).transpose(0, 1, 3, 2)
 
     def interpolate(self, fn: Callable) -> np.ndarray:
         """Nodal interpolant of fn(x, y), component-major if fn is vector-valued.
@@ -375,9 +384,9 @@ def scatter_load(space: FeSpace, local: np.ndarray, dofs=None) -> np.ndarray:
     """
     dofs = space.conn if dofs is None else dofs
     idx = dofs.ravel()
-    comps = local.reshape(len(idx), -1).T
+    comps = [local] if local.ndim == dofs.ndim else np.moveaxis(local, -1, 0)
     return np.concatenate(
-        [np.bincount(idx, weights=c, minlength=space.n_scalar) for c in comps]
+        [np.bincount(idx, weights=c.ravel(), minlength=space.n_scalar) for c in comps]
     )
 
 
@@ -427,13 +436,16 @@ def _stiffness_kernel(space: FeSpace, c: np.ndarray) -> np.ndarray:
     G = space.grads.transpose(0, 1, 3, 2)
     ne, nq, _, nloc = G.shape
     if space.degree == 1:
-        # gradients are constant on each element: integrate C first, one
-        # point at a time, so that a constant C broadcast over the points
-        # sums in the same order as a per-point array
-        cbar = np.zeros((ne, 2, 2))
-        for q in range(nq):
-            cbar += wdet[:, q, None, None] * c[:, q]
+        # gradients are constant on each element: integrate C first, all
+        # four entries as (ne, nq) planes, one point at a time, so that a
+        # constant C broadcast over the points sums as a per-point array
+        # does; then G0^T Cbar G0
+        wc = np.moveaxis(c, (-2, -1), (0, 1)) * wdet
+        cbar = wc[..., 0]
+        for q in range(1, nq):
+            cbar = cbar + wc[..., q]
         G0 = G[:, 0]
+        cbar = np.ascontiguousarray(np.moveaxis(cbar, -1, 0))
         return np.matmul(G0.transpose(0, 2, 1), np.matmul(cbar, G0))
     # sum_q G_q^T (w_q detJ C_q) G_q, as one product over the pairs (q, i)
     CG = np.matmul(c * wdet[:, :, None, None], G).reshape(ne, 2 * nq, nloc)
@@ -453,7 +465,7 @@ def assemble_stiffness(space: FeSpace, coeff=None) -> sp.csr_matrix:
     return _scatter(space, local)
 
 
-def _edge_basis(space: FeSpace, s: np.ndarray):
+def edge_basis(space: FeSpace, s: np.ndarray):
     """Trace of the element basis on an edge param by s in [0, 1].
 
     Returns values (nq, n_edge_dofs) in the order of `space.boundary_dofs`:
@@ -469,7 +481,7 @@ def assemble_boundary_mass(space: FeSpace, alpha: float = 1.0) -> sp.csr_matrix:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     er = edge_rule()
-    vals = _edge_basis(space, er.points[:, 0])
+    vals = edge_basis(space, er.points[:, 0])
     base = np.einsum("q,ql,qm->lm", er.weights, vals, vals)
     dofs = space.boundary_dofs
     nd = dofs.shape[1]
@@ -532,7 +544,7 @@ def assemble_boundary_load(space: FeSpace, values) -> np.ndarray:
     mesh.boundary_edges and the edge rule.
     """
     er = edge_rule()
-    vals = _edge_basis(space, er.points[:, 0])
+    vals = edge_basis(space, er.points[:, 0])
     g = np.asarray(values, dtype=float)
     local = np.einsum("q,kq...,ql->kl...", er.weights, g, vals)
     lengths = space.mesh.boundary_lengths()
@@ -690,39 +702,17 @@ def factor_spd(A, ordered: bool = False) -> SuperLU:
     )
 
 
-class OrderedLU(NamedTuple):
-    """The LU of A[q][:, q]; `solve` takes and returns A's own order."""
-
-    lu: SuperLU
-    q: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for b of shape (n,) or (n, k).
-
-        The k columns are permuted as one flat vector, by one gather and
-        one scatter: indexing the rows of an (n, k) array directly costs
-        about five times as much.
-        """
-        n = len(self.q)
-        cols = np.asarray(b).T.reshape(-1, n)  # a view for a column-major b
-        idx = (self.q + n * np.arange(len(cols))[:, None]).ravel()
-        y = self.lu.solve(cols.ravel()[idx].reshape(-1, n).T)
-        x = np.empty(idx.size)
-        x[idx] = y.T.ravel()
-        return x.reshape(-1, n).T.reshape(np.shape(b))
-
-
 class SpdOrdering:
     """SuperLU's MMD ordering of one symmetric CSR pattern, kept for reuse.
 
     Built from a matrix A on the pattern by one MMD LU (`factor_spd`),
     which is freed at once: q lists the columns in SuperLU's order, its
-    elimination-tree postorder included.  `factor` takes any matrix on the
-    same CSR pattern, gathers the CSC arrays of A[q][:, q] from its data by
-    one stored int32 map (no conversion, and no transpose of A), and
-    factors that in its own order (`factor_spd(..., ordered=True)`).  The
-    ordering depends only on the pattern, so a factor through it is the
-    same whichever matrix set the ordering, and its fill is the MMD fill.
+    elimination-tree postorder included.  MMD reads the pattern alone, so
+    any SPD matrix on it gives the same q.  `permute` takes any matrix on
+    the same CSR pattern and gathers the CSC arrays of A[q][:, q] from its
+    data by one stored int32 map (no conversion, and no transpose of A),
+    which `factor_spd(..., ordered=True)` factors in its own order, with
+    the MMD fill.
     """
 
     def __init__(self, A: sp.csr_matrix):
@@ -738,13 +728,13 @@ class SpdOrdering:
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(c, minlength=n), out=self.indptr[1:])
 
-    def factor(self, A: sp.csr_matrix) -> OrderedLU:
+    def permute(self, A: sp.csr_matrix) -> sp.csc_matrix:
+        """A[q][:, q] as CSC, for A on the ordering's pattern."""
         if A.nnz != len(self.take):
             raise ValueError("the matrix is not on the ordering's pattern")
-        Aq = sp.csc_matrix(
+        return sp.csc_matrix(
             (A.data[self.take], self.indices, self.indptr), shape=A.shape
         )
-        return OrderedLU(factor_spd(Aq, ordered=True), self.q)
 
 
 class BandedCholesky(NamedTuple):
@@ -761,6 +751,11 @@ class BandedCholesky(NamedTuple):
         x = np.empty_like(y)
         x[self.q] = y
         return x.reshape(b.shape)
+
+    def solve_ordered(self, b: np.ndarray) -> np.ndarray:
+        """A[q][:, q]^-1 b, for b of shape (n,) or (n, k) already in the
+        order q; a new array, b is left as it is."""
+        return dpbtrs(self.ab, b)[0]
 
 
 class BandLayout:
@@ -842,13 +837,16 @@ def solve_saddle(
     `schur` applies the preconditioner, an approximation of S^-1: the
     pressure mass Mp is spectrally equivalent to B A^-1 B^T, so a factored
     Mp, scaled when C is a multiple of it, keeps the iteration count flat
-    under refinement.  CG stops at a relative residual 0.1 * tol; if the
-    true residuals then miss, one more pass solves for the correction.
+    under refinement.  The CG (`solve_cg`, no projection) stops at a
+    relative recursive residual 0.1 * tol; if the true residuals then
+    miss, one more pass solves for the correction.
     `BT` is B^T as CSR, for a caller that holds it; else it is formed here.
-    `factor` maps K to an object whose `solve` applies K^-1 to one or more
-    columns, `factor_spd` unless the caller keeps an ordering of K's
-    pattern (`SpdOrdering.factor`).  When f and g are exactly zero the
-    solution is zero, returned without factoring K.
+    `factor` maps K to a SuperLU factor whose `solve` applies K^-1 to one or
+    more columns, `factor_spd` unless the caller factors K in an order of
+    its own (`mechanics.solve_mechanics`, through `SpdOrdering`).  Every
+    operator, f, g and the returned u and p share one order, whichever the
+    caller gives them in.  When f and g are exactly zero the solution is
+    zero, returned without factoring K.
 
     `converged` is decided on the true residuals of both block rows,
     relative to |f| and to max(|g|, |u|), each within 10 * tol;
@@ -862,30 +860,25 @@ def solve_saddle(
     lu = (factor or factor_spd)(K)
     if BT is None:
         BT = B.T.tocsr()
+
     Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
 
     def solve_a(v):
         return lu.solve(v.reshape(2, -1).T).T.ravel()
 
-    S = LinearOperator(
-        (np_, np_), matvec=lambda q: B.dot(solve_a(BT.dot(q))) + Cdot(q),
-        dtype=float,
-    )
-    M = LinearOperator((np_, np_), matvec=schur, dtype=float)
+    def schur_dot(q):
+        return B.dot(solve_a(BT.dot(q))) + Cdot(q)
+
     iterations = 0
-
-    def count(_x):
-        nonlocal iterations
-        iterations += 1
-
     fscale = max(np.linalg.norm(f), 1e-300)
     u, p = np.zeros(nu), np.zeros(np_)
     r_u, r_p = f, g
     for _ in range(2):
         rhs = B.dot(solve_a(r_u)) - r_p
-        dp = cg(S, rhs, rtol=0.1 * tol, M=M, callback=count)[0]
-        u += solve_a(r_u - BT.dot(dp))
-        p += dp
+        dp = solve_cg(schur_dot, rhs, np.copy, schur, tol=0.1 * tol)
+        iterations += dp.iterations
+        u += solve_a(r_u - BT.dot(dp.x))
+        p += dp.x
         r_u = f - component_dot(K, u) - BT.dot(p)
         r_p = g - B.dot(u) + Cdot(p)
         res_primal = np.linalg.norm(r_u) / fscale

@@ -18,12 +18,11 @@ Two solution modes: a saddle solve of the divergence-free block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
 `fem.solve_saddle`, which recovers the pressure from its Schur complement
-B A^-1 B^T (+ C) by CG, with one sparse LU of the scalar block K serving
-both displacement components, and the pressure mass Mp as the
-preconditioner.  The constraint B = -div and its transpose are held once,
-in `MechStatics`.  Mp is a P1 matrix, factored by a banded Cholesky in the
-pressure space's vertex order (`fem.FeSpace.factor_banded`) on first use
-(`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no
+B A^-1 B^T (+ C) by CG (`fem.solve_cg`), with one sparse LU of the scalar
+block K serving both displacement components, and the pressure mass Mp as
+the preconditioner.  Mp is a P1 matrix, factored by a banded Cholesky in
+the pressure space's vertex order (`fem.FeSpace.factor_banded`) on first
+use (`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no
 solve uses cost no factor.  The displacement is a component-major
 2-vector field over the scalar P2 space, and each of its operators is
 assembled as the scalar block.
@@ -31,18 +30,17 @@ assembled as the scalar block.
 K keeps one sparsity pattern, the P2 space's: the stiffness is summed into
 it, and the Robin boundary mass is added at slots found once, in
 `MechStatics`, so no entry that cancels to zero is pruned.  So K's
-fill-reducing ordering is computed once per `MechStatics`, by one MMD LU
-of the first K that a saddle solve factors (`fem.SpdOrdering`), and every
-saddle solve's K, the first one included, is factored through it
-(`MechStatics.factor_stiffness`): a path's results do not depend on which
-path set the ordering.  The pseudo-compressible stepper's K + (eps/dt) Mu
-keeps SuperLU's own MMD ordering (`fem.factor_spd`).
+fill-reducing ordering, which depends on that pattern alone, is computed
+once, with the statics, and every solve runs in that order
+(`MechStatics.solve_in_k_order`), with B = -div and B^T held only in it:
+the Schur CG uses the raw LU of K and the raw banded solve of Mp and
+permutes nothing per iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,18 +49,18 @@ from . import physics
 from .fem import (
     BandedCholesky,
     FeSpace,
-    OrderedLU,
     SaddleResult,
     SpdOrdering,
-    assemble_boundary_load,
     assemble_boundary_mass,
     assemble_divergence,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     component_dot,
+    edge_basis,
     edge_quad_geometry,
     edge_rule,
+    factor_spd,
     scatter_load,
     solve_saddle,
 )
@@ -99,13 +97,17 @@ class MechState:
 class MechStatics:
     """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
 
-    `B` is the constraint -div of every system, `BT` its transpose as CSR.
-    `p_space` is the P1 space of the pressure, whose vertex order factors
-    `mass_p`.
+    `ordering` is K's fill-reducing ordering (`fem.SpdOrdering`).  The
+    saddle solve runs with the u dofs in `u_order` (both components in
+    K's order) and the p dofs in `p_order` (Mp's band order), and `B`, the
+    constraint -div, and `BT`, its transpose, are held in those orders
+    only: B[i, j] is the entry (p_order[i], u_order[j]), each row keeping
+    the entry order of the unpermuted -div.
     `boundary_slots` holds the position of each entry of `boundary` in the
     CSR data of the P2 space's pattern, which K is assembled on.
-    `ordering` is K's fill-reducing ordering, set by the first
-    `factor_stiffness`.
+    `edge_s`, `normals` and `edge_basis` (the edge length times the edge
+    rule's weight times each P2 trace, (n_boundary_edges, nq_edge, 3))
+    serve the load's boundary part.
     """
 
     boundary: sp.csr_matrix
@@ -115,35 +117,73 @@ class MechStatics:
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
     p_space: FeSpace = field(repr=False)
-    ordering: SpdOrdering | None = field(default=None, repr=False)
+    ordering: SpdOrdering = field(repr=False)
+    u_order: np.ndarray = field(repr=False)
+    p_order: np.ndarray = field(repr=False)
+    edge_s: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
+    edge_basis: np.ndarray = field(repr=False)
 
     @cached_property
     def mass_p_lu(self) -> BandedCholesky:
         """The factored pressure mass, the Schur preconditioner; built on first use."""
         return self.p_space.factor_banded(self.mass_p)
 
-    def factor_stiffness(self, K: sp.csr_matrix) -> OrderedLU:
-        """The LU of an assembled K through the ordering of its pattern.
+    def unpermuted_B(self) -> sp.csr_matrix:
+        """B with rows and columns in the dofs' own order, built on each call."""
+        rows = self.B[np.argsort(self.p_order)]
+        return sp.csr_matrix(
+            (rows.data, self.u_order[rows.indices], rows.indptr), shape=rows.shape
+        )
 
-        The first call computes the ordering from its K; every call, that
-        one included, factors through it.
+    def solve_in_k_order(self, K, f, schur, tol, g=None, C=None) -> SaddleResult:
+        """`fem.solve_saddle` of K (on the P2 pattern), f and g in K's order.
+
+        f, g, u and p are in the dofs' own order, permuted once each way;
+        C and `schur` act in `p_order`.
         """
-        if self.ordering is None:
-            self.ordering = SpdOrdering(K)
-        return self.ordering.factor(K)
+        u_order, p_order = self.u_order, self.p_order
+        res = solve_saddle(
+            self.ordering.permute(K), self.B, f[u_order], schur,
+            g=None if g is None else g[p_order], tol=tol, C=C, BT=self.BT,
+            factor=partial(factor_spd, ordered=True),
+        )
+        u, p = np.empty_like(res.u), np.empty_like(res.p)
+        u[u_order], p[p_order] = res.u, res.p
+        return res._replace(u=u, p=p)
 
 
 def mech_statics(
     u_space: FeSpace, p_space: FeSpace, alpha: float, mass_p: sp.csr_matrix
 ) -> MechStatics:
-    """The operators of `MechStatics`, given the P1 mass of `p_space`."""
-    B = (-assemble_divergence(u_space, p_space)).tocsr()
-    boundary = assemble_boundary_mass(u_space, alpha)
-    # the boundary's entries, keyed row * n + col, among the pattern's
+    """The operators of `MechStatics`, given the P1 mass of `p_space`.
+
+    MMD reads the pattern alone, so K's ordering is that of a diagonally
+    dominant matrix on the P2 pattern, and B is built once in its order.
+    """
     indptr, indices, _ = u_space.pattern
     n = u_space.n_scalar
-    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(n), degree)
+    ordering = SpdOrdering(sp.csr_matrix(
+        (np.where(rows == indices, degree[rows], -1.0), indices, indptr),
+        shape=(n, n),
+    ))
+    u_order = np.concatenate([ordering.q, n + ordering.q])
+    p_order = p_space.vertex_order
+    # rows gathered into p_order keep their entry order; the columns are
+    # renamed to their positions in u_order
+    div = (-assemble_divergence(u_space, p_space)).tocsr()[p_order]
+    pos = np.empty(2 * n, dtype=np.int32)
+    pos[u_order] = np.arange(2 * n)
+    B = sp.csr_matrix((div.data, pos[div.indices], div.indptr), shape=div.shape)
+
+    boundary = assemble_boundary_mass(u_space, alpha)
+    # the boundary's entries, keyed row * n + col, among the pattern's
+    keys = rows * n + indices
     own = np.repeat(np.arange(n), np.diff(boundary.indptr)) * n + boundary.indices
+    er = edge_rule()
+    _, normals, lengths = edge_quad_geometry(u_space.mesh)
     return MechStatics(
         boundary=boundary,
         boundary_slots=np.searchsorted(keys, own).astype(np.int32),
@@ -152,18 +192,31 @@ def mech_statics(
         mass_u=assemble_mass(u_space),
         mass_p=mass_p,
         p_space=p_space,
+        ordering=ordering,
+        u_order=u_order,
+        p_order=p_order,
+        edge_s=er.points[:, 0],
+        normals=normals,
+        edge_basis=lengths[:, None, None]
+        * (er.weights[:, None] * edge_basis(u_space, er.points[:, 0]))[None],
     )
 
 
 @dataclass
 class MechSystem:
-    """Assembled block: A u + B^T p = f, B u = 0, A = blockdiag(K, K), B = -div."""
+    """Assembled block: A u + B^T p = f, B u = 0, A = blockdiag(K, K), B = -div.
+
+    B is rebuilt on each read (`MechStatics.unpermuted_B`).
+    """
 
     u_space: FeSpace
     K: sp.csr_matrix
-    B: sp.csr_matrix
     f: np.ndarray
     statics: MechStatics
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        return self.statics.unpermuted_B()
 
 
 def _at_quad(u_space: FeSpace, gamma: np.ndarray, fibers: FiberField):
@@ -192,15 +245,14 @@ def is_passive(gamma: np.ndarray) -> bool:
 
 
 def _active_on_boundary(
-    mesh, gamma: np.ndarray, fibers: FiberField, act: physics.ActivationParams
+    mesh, gamma: np.ndarray, fibers: FiberField, act: physics.ActivationParams,
+    s: np.ndarray,
 ):
-    """Active part of sigma at the edge quadrature points of boundary edges.
+    """Active part of sigma at the edge points `s` of the boundary edges.
 
     Element [1] of `physics.sigma_and_active`, bitwise the active part that
     the interior load takes.
     """
-    er = edge_rule()
-    s = er.points[:, 0]
     be = mesh.boundary_edges
     gi = gamma[be[:, 0]]
     gj = gamma[be[:, 1]]
@@ -239,25 +291,30 @@ def assemble_mechanics(
     # interior -int sigma_a : grad(v), boundary + int_{dO} (sigma_a n) . v;
     # the interior integral of component c and basis function l is
     # sum_(q, j) w_q sigma_a[q, c, j] dphi_l/dx_j (q), one batched product
-    # over the stored (ne, nq, 2, nloc) gradients
+    # over the stored (ne, nq, 2, nloc) gradients, its left factor
+    # S[e, c, (q, j)] filled from the entry planes of sigma_a
     w = u_space.quad.weights
     ne, nq, nloc = len(u_space.conn), len(w), u_space.nloc
-    S = (sig_a * w[:, None, None]).transpose(0, 2, 1, 3).reshape(ne, 2, 2 * nq)
+    planes = np.moveaxis(sig_a, (-2, -1), (0, 1))
+    S = np.empty((ne, 2, nq, 2))
+    for c in range(2):
+        for j in range(2):
+            np.multiply(planes[c, j], w, out=S[:, c, :, j])
     G = u_space.grads.transpose(0, 1, 3, 2).reshape(ne, 2 * nq, nloc)
-    integ = np.matmul(S, G)
+    integ = np.matmul(S.reshape(ne, 2, 2 * nq), G)
     integ *= u_space.detJ[:, None, None]
     f = -scatter_load(u_space, integ.transpose(0, 2, 1))
 
-    sig_b = _active_on_boundary(u_space.mesh, gamma, fibers, act)
-    _, normals, _ = edge_quad_geometry(u_space.mesh)
-    traction = np.einsum("ekij,ej->eki", sig_b, normals)
-    f += assemble_boundary_load(u_space, traction)
+    sig_b = _active_on_boundary(u_space.mesh, gamma, fibers, act, statics.edge_s)
+    traction = np.einsum("ekij,ej->eki", sig_b, statics.normals)
+    local = np.einsum("ekl,eki->eli", statics.edge_basis, traction)
+    f += scatter_load(u_space, local, u_space.boundary_dofs)
 
     if params.gx or params.gy:
         gfield = np.full((ne, nq, 2), (params.gx, params.gy), dtype=float)
         f += assemble_load(u_space, gfield)
 
-    return MechSystem(u_space, K, statics.B, f, statics)
+    return MechSystem(u_space, K, f, statics)
 
 
 def solve_mechanics(
@@ -265,12 +322,10 @@ def solve_mechanics(
 ) -> tuple[MechState, SaddleResult]:
     """Solve the assembled block by CG on its pressure Schur complement.
 
-    K is factored through the ordering that `system.statics` keeps for it.
+    It runs in K's order (`MechStatics.solve_in_k_order`).
     """
-    res = solve_saddle(
-        system.K, system.B, system.f, system.statics.mass_p_lu.solve, tol=tol,
-        BT=system.statics.BT, factor=system.statics.factor_stiffness,
-    )
+    st = system.statics
+    res = st.solve_in_k_order(system.K, system.f, st.mass_p_lu.solve_ordered, tol)
     return MechState(res.u, res.p), res
 
 
@@ -287,21 +342,22 @@ def step_mechanics_regularized(
     state, with right side (f + (eps/dt) Mu u_old, -(eps/dt) Mp p_old).
     The stationary point of repeated stepping with frozen data is the
     saddle solution.  With C = (eps/dt) Mp the Schur block is
-    (1 + eps/dt) Mp, applied through the same factor of Mp.
+    (1 + eps/dt) Mp, applied through the same factor of Mp.  K + (eps/dt)
+    Mu is summed on the P2 pattern's data and solved in K's order.
     """
     if epsilon <= 0 or dt <= 0:
         raise ValueError("epsilon and dt must be positive")
     st = system.statics
     r = epsilon / dt
-    res = solve_saddle(
-        system.K + r * st.mass_u,
-        system.B,
+    K = system.K.copy()
+    K.data += r * st.mass_u.data
+    p_order = st.p_order
+    res = st.solve_in_k_order(
+        K,
         system.f + r * component_dot(st.mass_u, state.u),
-        lambda q: st.mass_p_lu.solve(q) / (1.0 + r),
+        lambda q: st.mass_p_lu.solve_ordered(q) / (1.0 + r),
+        tol,
         g=-r * st.mass_p.dot(state.p),
-        C=r * st.mass_p,
-        tol=tol,
-        BT=st.BT,
+        C=r * st.mass_p[p_order][:, p_order],
     )
     return MechState(res.u, res.p), res
-

@@ -6,7 +6,8 @@ coefficient sigma with its active part (`sigma_and_active`), and the
 deformation-dependent conductivity pullback F^-1 K F^-T
 (`pull_back(inverse_deformation(grad_u, p), K)`) with its safety clamps.
 Everything here is a pure function of its arguments and vectorizes over
-numpy arrays.
+numpy arrays.  2x2 tensors are computed entry by entry on contiguous
+arrays, and a (..., 2, 2) result is a view of its entry planes.
 """
 
 from __future__ import annotations
@@ -185,27 +186,98 @@ def sigma_and_active(gamma, d_l, d_t, p: ActivationParams):
     any orthonormal frame.  Both come from one evaluation of the stretches
     and broadcast over leading axes: gamma (...,), d_l/d_t (..., 2).  Each
     entry (i, j) of c_l d_l(x)d_l + c_t d_t(x)d_t is filled on its own, as
-    (c_l d_l_i) d_l_j + (c_t d_t_i) d_t_j and then times mu, with no
-    outer-product temporaries over the leading axes.
+    (c_l d_l_i) d_l_j + (c_t d_t_i) d_t_j and then times mu, into a
+    contiguous plane, and each result is a view of its four entry planes,
+    as `entry_tensor` makes them.
     """
     cl, ct = _fiber_stretches(gamma, p)
-    dl = np.asarray(d_l, dtype=float)
-    dt = np.asarray(d_t, dtype=float)
-    shape = np.broadcast_shapes(cl.shape, dl.shape[:-1], dt.shape[:-1])
+    shape = np.broadcast_shapes(cl.shape, np.shape(d_l)[:-1], np.shape(d_t)[:-1])
+    # each frame component as a contiguous array over all the points
+    dl, dt = (
+        [np.array(np.broadcast_to(d[..., i], shape)) for i in range(2)]
+        for d in (np.asarray(d_l, dtype=float), np.asarray(d_t, dtype=float))
+    )
     out = []
     for c_l, c_t in ((cl, ct), (cl - 1.0, ct - 1.0)):
-        tensor = np.empty(shape + (2, 2))
+        planes = np.empty((2, 2) + shape)
         for i in range(2):
-            cdl, cdt = c_l * dl[..., i], c_t * dt[..., i]
+            cdl, cdt = c_l * dl[i], c_t * dt[i]
             for j in range(2):
-                tensor[..., i, j] = cdl * dl[..., j] + cdt * dt[..., j]
-        tensor *= p.mu
-        out.append(tensor)
+                plane = planes[i, j, ...]
+                np.multiply(cdl, dl[j], out=plane)
+                plane += cdt * dt[j]
+        planes *= p.mu
+        out.append(np.moveaxis(planes, (0, 1), (-2, -1)))
     return out[0], out[1]
+
+
+def entries(A) -> tuple:
+    """The entries (a00, a01, a10, a11) of a (..., 2, 2) array, contiguous."""
+    A = np.asarray(A, dtype=float)
+    planes = (A[..., i, j] for i in (0, 1) for j in (0, 1))
+    return tuple(a if a.flags.c_contiguous else a.copy() for a in planes)
+
+
+def entry_tensor(a00, a01, a10, a11) -> np.ndarray:
+    """The (..., 2, 2) tensor of four entry arrays, as a view of a (2, 2, ...)
+    array, so that each entry stays one contiguous plane."""
+    planes = (a00, a01, a10, a11)
+    out = np.empty((2, 2) + np.broadcast_shapes(*map(np.shape, planes)))
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = planes
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
 # deformation-dependent conductivities
+
+
+def clamp_entries(g: tuple, p: ConductivityParams) -> tuple:
+    """`clamp_gradient` on the entry arrays (g00, g01, g10, g11).
+
+    The scaling and the bisection act only on the points that need them
+    (elsewhere they would multiply by 1.0); unclamped inputs are returned.
+    """
+    g00, g01, g10, g11 = g
+    fro = np.sqrt(g00 * g00 + g01 * g01 + g10 * g10 + g11 * g11)
+    over = fro > p.clamp_delta
+    if np.any(over):
+        scale = np.where(over, p.clamp_delta / np.maximum(fro, 1e-300), 1.0)
+        g00, g01, g10, g11 = (a * scale for a in (g00, g01, g10, g11))
+    trG = g00 + g11
+    dG = g00 * g11 - g01 * g10
+    bad = 1.0 + trG + dG < p.clamp_tau
+    if np.any(bad):
+        tb, db = trG[bad], dG[bad]
+        lo = np.zeros(tb.shape)
+        hi = np.ones(tb.shape)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ok = 1.0 + mid * tb + mid * mid * db >= p.clamp_tau
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        g00, g01, g10, g11 = (np.array(a) for a in (g00, g01, g10, g11))
+        for a in (g00, g01, g10, g11):
+            a[bad] *= lo
+    return g00, g01, g10, g11
+
+
+def inverse_entries(g: tuple, p: ConductivityParams) -> tuple:
+    """The entries of F^-1 for F = I + the clamped gradient of entries `g`."""
+    g00, g01, g10, g11 = clamp_entries(g, p)
+    f00 = g00 + 1.0
+    f11 = g11 + 1.0
+    det = f00 * f11 - g01 * g10
+    return f11 / det, -g01 / det, -g10 / det, f00 / det
+
+
+def pull_back_entries(finv: tuple, K: np.ndarray) -> tuple:
+    """The entries (m00, m01, m11) of F^-1 K F^-T, from those of F^-1."""
+    a, b, c, d = finv
+    K = np.asarray(K, dtype=float)
+    k00, k01, k11 = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
+    ta0, ta1 = a * k00 + b * k01, a * k01 + b * k11
+    tc0, tc1 = c * k00 + d * k01, c * k01 + d * k11
+    return ta0 * a + ta1 * b, ta0 * c + ta1 * d, tc0 * c + tc1 * d
 
 
 def clamp_gradient(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
@@ -216,55 +288,15 @@ def clamp_gradient(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
     bisection until det(I + s G) >= clamp_tau.  Total: every input maps to an
     admissible gradient; the zero gradient is a fixed point.
     """
-    G = np.array(grad_u, dtype=float, copy=True)
-    fro = np.sqrt(np.sum(G * G, axis=(-2, -1), keepdims=True))
-    scale = np.where(fro > p.clamp_delta, p.clamp_delta / np.maximum(fro, 1e-300), 1.0)
-    G *= scale
-
-    def detF(s):
-        trG = G[..., 0, 0] + G[..., 1, 1]
-        dG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        return 1.0 + s * trG + s * s * dG
-
-    bad = detF(1.0) < p.clamp_tau
-    if np.any(bad):
-        lo = np.zeros(bad.shape)
-        hi = np.ones(bad.shape)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            ok = detF(mid) >= p.clamp_tau
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        s = np.where(bad, lo, 1.0)
-        G *= s[..., None, None]
-    return G
+    return entry_tensor(*clamp_entries(entries(grad_u), p))
 
 
 def inverse_deformation(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
     """F^-1 for F = I + `clamp_gradient(grad_u, p)`, over leading axes."""
-    G = clamp_gradient(grad_u, p)
-    F = G.copy()
-    F[..., 0, 0] += 1.0
-    F[..., 1, 1] += 1.0
-    det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-    Finv = np.empty_like(F)
-    Finv[..., 0, 0] = F[..., 1, 1]
-    Finv[..., 0, 1] = -F[..., 0, 1]
-    Finv[..., 1, 0] = -F[..., 1, 0]
-    Finv[..., 1, 1] = F[..., 0, 0]
-    Finv /= det[..., None, None]
-    return Finv
+    return entry_tensor(*inverse_entries(entries(grad_u), p))
 
 
 def pull_back(Finv: np.ndarray, K: np.ndarray) -> np.ndarray:
     """F^-1 K F^-T for a symmetric 2x2 K, entry by entry and exactly symmetric."""
-    K = np.asarray(K, dtype=float)
-    (a, b), (c, d) = np.moveaxis(Finv, (-2, -1), (0, 1))
-    k00, k01, k11 = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
-    ta0, ta1 = a * k00 + b * k01, a * k01 + b * k11
-    tc0, tc1 = c * k00 + d * k01, c * k01 + d * k11
-    M = np.empty(np.broadcast_shapes(Finv.shape, K.shape))
-    M[..., 0, 0] = ta0 * a + ta1 * b
-    M[..., 1, 1] = tc0 * c + tc1 * d
-    M[..., 0, 1] = M[..., 1, 0] = ta0 * c + ta1 * d
-    return M
+    m00, m01, m11 = pull_back_entries(entries(Finv), K)
+    return entry_tensor(m00, m01, m01, m11)

@@ -222,7 +222,7 @@ def test_probe_values_of_a_batch_equal_the_per_probe_loop():
         [float(row[disc.mesh.triangles[tri]] @ wts) for tri, wts in disc.probe_locs]
         for row in v
     ])
-    out = driver._probe_values(disc.mesh, disc.probe_locs, v)
+    out = driver._probe_values(disc.probe_tris, disc.probe_weights, v)
     atol = 4 * np.finfo(float).eps * np.abs(v).max()
     np.testing.assert_allclose(out, ref, rtol=0, atol=atol)
 
@@ -243,6 +243,43 @@ def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
     assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
     assert len(CountingOrdering.made) == 1
     assert disc.statics.ordering is not None
+
+
+def test_statics_build_b_in_k_order_once_with_the_ordering(monkeypatch):
+    # the set-up's loaded solve builds the statics: one ordering, and B and
+    # B^T already in its order; every active refresh of two paths on that
+    # set-up solves with those same two matrices
+    divergences = []
+    assemble_divergence = mechanics.assemble_divergence
+
+    def counted(*args):
+        divergences.append(1)
+        return assemble_divergence(*args)
+
+    monkeypatch.setattr(mechanics, "assemble_divergence", counted)
+    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
+    monkeypatch.setattr(CountingOrdering, "made", [])
+    solved_with = []
+    solve_saddle = mechanics.solve_saddle
+
+    def recording(K, B, *args, BT=None, **kwargs):
+        solved_with.append((B, BT))
+        return solve_saddle(K, B, *args, BT=BT, **kwargs)
+
+    monkeypatch.setattr(mechanics, "solve_saddle", recording)
+    config = SimConfig(
+        mesh=MeshParams(6, 6), time=TimeParams(T=0.125),
+        run=RunParams(mech_refresh=2), mech=DOWNWARD,
+    )
+    disc = Discretization.build(config)
+    statics = disc.statics
+    assert len(divergences) == 1 and len(CountingOrdering.made) == 1
+    first = run_simulation(config, disc=disc)
+    second = run_simulation(config.with_seed(1), disc=disc)
+    assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
+    assert len(divergences) == 1 and len(CountingOrdering.made) == 1
+    assert len(solved_with) >= 9
+    assert all(B is statics.B and BT is statics.BT for B, BT in solved_with)
 
 
 def test_shared_set_up_must_come_from_the_same_config():

@@ -164,6 +164,130 @@ def test_shared_pull_back_matches_one_tensor_at_a_time():
         np.testing.assert_array_equal(M, physics.pull_back(Finv, K))
 
 
+# the chain that the entry-wise pull-back and the P1 kernel replaced, kept
+# as the reference: (..., 2, 2) arrays throughout, the P1 entries
+# integrated point by point over (ne, 2, 2) tensors
+
+
+def reference_clamp(grad_u, p):
+    G = np.array(grad_u, dtype=float, copy=True)
+    fro = np.sqrt(np.sum(G * G, axis=(-2, -1), keepdims=True))
+    scale = np.where(fro > p.clamp_delta, p.clamp_delta / np.maximum(fro, 1e-300), 1.0)
+    G *= scale
+
+    def detF(s):
+        trG = G[..., 0, 0] + G[..., 1, 1]
+        dG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        return 1.0 + s * trG + s * s * dG
+
+    bad = detF(1.0) < p.clamp_tau
+    if np.any(bad):
+        lo = np.zeros(bad.shape)
+        hi = np.ones(bad.shape)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ok = detF(mid) >= p.clamp_tau
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        s = np.where(bad, lo, 1.0)
+        G *= s[..., None, None]
+    return G
+
+
+def reference_inverse(grad_u, p):
+    F = reference_clamp(grad_u, p)
+    F[..., 0, 0] += 1.0
+    F[..., 1, 1] += 1.0
+    det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    Finv = np.empty_like(F)
+    Finv[..., 0, 0] = F[..., 1, 1]
+    Finv[..., 0, 1] = -F[..., 0, 1]
+    Finv[..., 1, 0] = -F[..., 1, 0]
+    Finv[..., 1, 1] = F[..., 0, 0]
+    Finv /= det[..., None, None]
+    return Finv
+
+
+def reference_pull_back(Finv, K):
+    (a, b), (c, d) = np.moveaxis(Finv, (-2, -1), (0, 1))
+    k00, k01, k11 = K[0, 0], K[0, 1], K[1, 1]
+    ta0, ta1 = a * k00 + b * k01, a * k01 + b * k11
+    tc0, tc1 = c * k00 + d * k01, c * k01 + d * k11
+    M = np.empty(Finv.shape)
+    M[..., 0, 0] = ta0 * a + ta1 * b
+    M[..., 1, 1] = tc0 * c + tc1 * d
+    M[..., 0, 1] = M[..., 1, 0] = ta0 * c + ta1 * d
+    return M
+
+
+def reference_p1_stiffness(space, c):
+    wdet = space.quad.weights[None, :] * space.detJ[:, None]
+    G0 = space.grads.transpose(0, 1, 3, 2)[:, 0]
+    cbar = np.zeros((len(space.conn), 2, 2))
+    for q in range(len(space.quad.weights)):
+        cbar += wdet[:, q, None, None] * c[:, q]
+    local = np.matmul(G0.transpose(0, 2, 1), np.matmul(cbar, G0))
+    return fem._scatter(space, local)
+
+
+CLAMP_CASES = {
+    # (conductivities, scale of the gradients, points that each clamp scales)
+    "no-clamp": (COND, 0.05, "none", "none"),
+    "frobenius": (physics.ConductivityParams(clamp_delta=0.3), 0.2, "some", "none"),
+    "both": (
+        physics.ConductivityParams(clamp_delta=0.9, clamp_tau=0.5), 5.0, "all", "some"
+    ),
+    "off-diagonal": (
+        physics.ConductivityParams(ki_xy=0.002, ke_xy=0.004, clamp_delta=0.3),
+        0.2, "some", "none",
+    ),
+    "unequal-ratios": (
+        physics.ConductivityParams(ke_yy=0.03, clamp_delta=0.9, clamp_tau=0.5),
+        5.0, "all", "some",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLAMP_CASES))
+def test_pull_back_and_p1_stiffness_match_the_reference_chain(case):
+    cond, size, frobenius, determinant = CLAMP_CASES[case]
+    n = 6
+    space = FeSpace(structured_unit_square(n, n), 1)
+    grad_u = (size / 0.2) * random_grad_u(n)
+    # the clamps act where the case says: the Frobenius one where |G| >
+    # clamp_delta, the determinant floor where det(I + G) < clamp_tau after it
+    fro = np.linalg.norm(grad_u, axis=(-2, -1))
+    G = grad_u * (np.minimum(fro, cond.clamp_delta) / fro)[..., None, None]
+    det = np.linalg.det(np.eye(2) + G)
+    for mask, how in (
+        (fro > cond.clamp_delta, frobenius), (det < cond.clamp_tau, determinant)
+    ):
+        assert how == ("none" if not mask.any() else "all" if mask.all() else "some")
+    assert (cond.ratio is None) == (case == "unequal-ratios")
+
+    Mi, Me = conductivities_from_gradient(space, grad_u, cond)
+    Finv = reference_inverse(grad_u, cond)
+    refs = [reference_pull_back(Finv, cond.K_i)]
+    refs.append(
+        cond.ratio * refs[0] if cond.ratio else reference_pull_back(Finv, cond.K_e)
+    )
+    for M, ref in zip((Mi, Me), refs):
+        np.testing.assert_array_equal(M, ref)
+        np.testing.assert_array_equal(
+            assemble_stiffness(space, M).data, reference_p1_stiffness(space, ref).data
+        )
+
+
+def test_step_matrix_is_the_csr_sum_on_the_shared_pattern():
+    _, mass, system = make_system(5, grad_u=random_grad_u(5))
+    lam = COND.ratio
+    ref = mass / system.dt + (lam / (1.0 + lam)) * system.stiff_i
+    A = system.v_matrix
+    np.testing.assert_array_equal(A.indptr, mass.indptr)
+    np.testing.assert_array_equal(A.indices, mass.indices)
+    np.testing.assert_array_equal(A.toarray(), ref.toarray())
+
+
 def test_block_symmetry():
     _, _, sys_ = make_system(5)
     d = abs(sys_.block - sys_.block.T).max()

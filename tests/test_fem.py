@@ -155,6 +155,25 @@ def test_vector_grad_of_interpolated_linear_field(degree):
     np.testing.assert_allclose(grad, expect, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_vector_grad_matches_the_per_component_einsum(degree):
+    s = FeSpace(perturbed_square(5), degree)
+    u = s.interpolate(lambda x, y: (np.sin(3 * x) * y, np.cos(2 * y) - x * x))
+    comps = u.reshape(2, s.n_scalar)
+
+    def per_component(grads, coeffs):
+        return np.stack(
+            [np.einsum("eqli,el->eqi", grads, c[s.conn]) for c in coeffs], axis=2
+        )
+
+    ref = per_component(s.grads, comps)
+    got = s.vector_grad_at_qp(u)
+    assert got.shape == ref.shape
+    # within round-off of each sum of nloc products
+    bound = 2 * s.nloc * np.finfo(float).eps * per_component(abs(s.grads), abs(comps))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # mass
 

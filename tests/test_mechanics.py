@@ -3,10 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from cardioem import electrics, physics
-from cardioem.fem import FeSpace, assemble_mass, assemble_stiffness, component_dot
+from cardioem.fem import (
+    FeSpace,
+    assemble_divergence,
+    assemble_mass,
+    assemble_stiffness,
+    component_dot,
+    factor_spd,
+)
 from cardioem.mechanics import (
     MechParams,
     MechState,
@@ -216,7 +223,9 @@ def test_k_through_the_stored_ordering_solves_as_a_fresh_mmd_lu():
         K = assemble_mechanics(
             u_space, p_space, gamma, fibers, MechParams(), ACT, statics=statics
         ).K
-        got = statics.factor_stiffness(K).solve(rhs)
+        q = statics.ordering.q
+        got = np.empty_like(rhs)
+        got[q] = factor_spd(statics.ordering.permute(K), ordered=True).solve(rhs[q])
         fresh = splu(
             sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -225,7 +234,7 @@ def test_k_through_the_stored_ordering_solves_as_a_fresh_mmd_lu():
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(K.dot(got) - rhs).max() <= 1e-12 * np.abs(rhs).max()
         orderings.append(statics.ordering)
-    # the second activation factors through the ordering of the first
+    # both activations factor through the one ordering of the statics
     assert orderings[0] is orderings[1]
 
 
@@ -364,6 +373,87 @@ def test_frame_invariance():
     np1 = np.sqrt(st1.p @ Mp1.dot(st1.p))
     assert nu0 == pytest.approx(nu1, abs=1e-8, rel=1e-6)
     assert np0 == pytest.approx(np1, abs=1e-8, rel=1e-6)
+
+
+def unpermuted_schur_cg(system, tol):
+    """The Schur CG in the dofs' own order, the reference for `solve_mechanics`.
+
+    scipy's `cg` on B A^-1 B^T through two `LinearOperator`s, with K
+    factored through the statics' ordering, and every K and Mp solve
+    gathering its right side into the factor's order and scattering the
+    result back: the solve as it ran before it moved into K's order.  One
+    pass, without the residual check.  Returns (u, p, iterations).
+    """
+    st = system.statics
+    q = st.ordering.q
+    lu = factor_spd(st.ordering.permute(system.K), ordered=True)
+
+    def solve_a(v):
+        cols = v.reshape(2, -1)
+        x = np.empty_like(cols)
+        x[:, q] = lu.solve(cols[:, q].T).T
+        return x.ravel()
+
+    B = system.B
+    BT = B.T.tocsr()
+    n_p = B.shape[0]
+    S = LinearOperator(
+        (n_p, n_p), matvec=lambda p: B.dot(solve_a(BT.dot(p))) + 0.0, dtype=float
+    )
+    M = LinearOperator((n_p, n_p), matvec=st.mass_p_lu.solve, dtype=float)
+    steps = []
+    p, _ = cg(
+        S, B.dot(solve_a(system.f)), rtol=0.1 * tol, M=M,
+        callback=lambda _x: steps.append(1),
+    )
+    return solve_a(system.f - BT.dot(p)), p, len(steps)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize(
+    "make_fibers",
+    [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.4)],
+    ids=["axis-aligned", "rotated"],
+)
+def test_k_order_solve_matches_the_bordered_solve_and_the_unpermuted_cg(
+    n, make_fibers
+):
+    # an active gamma and a body force; the solve runs in K's order, with
+    # B held there, and its u and p come back in the dofs' own order
+    mesh = structured_unit_square(n, n)
+    u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    system = assemble_mechanics(
+        u_space, p_space, bump(*mesh.vertices.T), make_fibers(mesh),
+        MechParams(gx=0.3, gy=-1.0), ACT,
+    )
+    assert not np.array_equal(system.statics.ordering.q, np.arange(u_space.n_scalar))
+    state, res = solve_mechanics(system, tol=1e-12)
+    assert res.converged
+    nu, k = 2 * u_space.n_scalar, p_space.n_scalar
+    block = np.zeros((nu + k, nu + k))
+    block[:nu, :nu] = displacement_block(system).toarray()
+    block[:nu, nu:] = system.B.T.toarray()
+    block[nu:, :nu] = system.B.toarray()
+    sol = np.linalg.solve(block, np.concatenate([system.f, np.zeros(k)]))
+    for got, ref in ((state.u, sol[:nu]), (state.p, sol[nu:])):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the same iterations as the CG in the dofs' own order, to the bit
+    u, p, iterations = unpermuted_schur_cg(system, 1e-12)
+    assert res.iterations == iterations
+    np.testing.assert_array_equal(state.p, p)
+    np.testing.assert_array_equal(state.u, u)
+
+
+def test_statics_hold_b_in_k_order_and_rebuild_it_unpermuted():
+    mesh = structured_unit_square(5, 5)
+    u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
+    statics = mech_statics(u_space, p_space, 1.0, assemble_mass(p_space))
+    div = -assemble_divergence(u_space, p_space).toarray()
+    np.testing.assert_array_equal(statics.unpermuted_B().toarray(), div)
+    u_order, p_order = statics.u_order, statics.p_order
+    np.testing.assert_array_equal(statics.B.toarray(), div[p_order][:, u_order])
+    np.testing.assert_array_equal(statics.BT.toarray(), statics.B.T.toarray())
+    np.testing.assert_array_equal(p_order, statics.mass_p_lu.q)
 
 
 # ---------------------------------------------------------------------------
