@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import pickle
@@ -812,3 +813,136 @@ def test_zero_step_ensemble_starts_no_process(monkeypatch):
     assert stats.n_paths == 3 and stats.failures == []
     assert [r.n_steps for r in results] == [0, 0, 0]
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# forked shares bound to CPUs
+
+can_bind = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or driver._usable_cpus() < 2,
+    reason="binding a share to a CPU needs sched_setaffinity and two usable CPUs",
+)
+
+
+@pytest.fixture
+def two_cpus():
+    """The last two CPUs of the test process's set, to which the process is
+    restricted for the test."""
+    own, restore = os.sched_getaffinity(0), os.sched_setaffinity
+    cpus = sorted(own)[-2:]
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield cpus
+    finally:
+        restore(0, own)
+
+
+def record_cpu_sets(monkeypatch, where):
+    """Make each process that runs a batch write its CPU set to a file in
+    `where` named by its pid; returns a reader of {pid: CPU set}."""
+    where.mkdir()
+    run = driver.run_batch
+
+    def recorded(cfgs, *args, **kwargs):
+        cpus = sorted(os.sched_getaffinity(0))
+        (where / str(os.getpid())).write_text(",".join(map(str, cpus)))
+        return run(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_batch", recorded)
+    return lambda: {
+        int(f.name): {int(c) for c in f.read_text().split(",")}
+        for f in where.iterdir()
+    }
+
+
+def assert_equals_serial(monkeypatch, stats, results, n_paths):
+    """The ensemble of ENSEMBLE equals, bitwise, its run in one process."""
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 1)
+    serial_stats, serial = run_ensemble(ENSEMBLE, n_paths)
+    assert stats.n_paths == n_paths and stats.failures == []
+    for res, single in zip(results, serial, strict=True):
+        assert res.seed == single.seed
+        _assert_same_path(res, single)
+    np.testing.assert_array_equal(stats.mean, serial_stats.mean)
+    np.testing.assert_array_equal(stats.variance, serial_stats.variance)
+
+
+@needs_fork
+@can_bind
+def test_each_share_binds_to_its_cpu_when_the_shares_fill_the_set(
+    monkeypatch, tmp_path, two_cpus
+):
+    # 3 paths on a set of 2 CPUs: the calling process runs paths 0 and 2
+    # bound to the first CPU, the worker path 1 bound to the second, and
+    # the calling process has its whole set back after the run
+    seen = record_cpu_sets(monkeypatch, tmp_path / "cpus")
+    stats, results = run_ensemble(ENSEMBLE, 3)
+    assert multiprocessing.active_children() == []
+    sets = seen()
+    assert sets.pop(os.getpid()) == {two_cpus[0]}
+    assert list(sets.values()) == [{two_cpus[1]}]
+    assert os.sched_getaffinity(0) == set(two_cpus)
+    assert_equals_serial(monkeypatch, stats, results, 3)
+
+
+@needs_fork
+@can_bind
+def test_a_worker_the_platform_will_not_bind_runs_unbound(
+    monkeypatch, tmp_path, two_cpus
+):
+    # the worker is refused; the calling process still binds for its share
+    parent, bind = os.getpid(), os.sched_setaffinity
+
+    def refused_in_worker(pid, cpus):
+        if os.getpid() != parent:
+            with open(tmp_path / "refused", "a") as fh:
+                fh.write(f"{sorted(cpus)}\n")
+            raise OSError(errno.EPERM, "not permitted")
+        bind(pid, cpus)
+
+    seen = record_cpu_sets(monkeypatch, tmp_path / "cpus")
+    monkeypatch.setattr(os, "sched_setaffinity", refused_in_worker)
+    stats, results = run_ensemble(ENSEMBLE, 3)
+    assert multiprocessing.active_children() == []
+    # the refused binding, then the refused restore of the whole set
+    refused = (tmp_path / "refused").read_text().splitlines()
+    assert refused == [str([two_cpus[1]]), str(two_cpus)]
+    sets = seen()
+    assert sets.pop(parent) == {two_cpus[0]}
+    assert list(sets.values()) == [set(two_cpus)]
+    assert os.sched_getaffinity(0) == set(two_cpus)
+    assert_equals_serial(monkeypatch, stats, results, 3)
+
+
+@needs_fork
+@can_bind
+def test_shares_that_do_not_fill_the_set_run_unbound(
+    monkeypatch, tmp_path, two_cpus
+):
+    # 3 shares on 2 CPUs: binding would put two shares on one CPU
+    seen = record_cpu_sets(monkeypatch, tmp_path / "cpus")
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 3)
+    stats, results = run_ensemble(ENSEMBLE, 3)
+    sets = seen()
+    assert len(sets) == 3 and all(s == set(two_cpus) for s in sets.values())
+    assert_equals_serial(monkeypatch, stats, results, 3)
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [("max 100000\n", None), ("150000 100000\n", 1), ("400000 100000\n", 4),
+     (None, None)],
+    ids=["no-quota", "one-and-a-half", "four", "no-file"],
+)
+def test_usable_cpus_are_at_most_the_whole_cpus_of_the_quota(
+    monkeypatch, tmp_path, text, bound
+):
+    path = tmp_path / "cpu.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(driver, "_CPU_MAX", str(path))
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    assert driver._usable_cpus() == (n if bound is None else min(n, bound))
