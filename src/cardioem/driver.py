@@ -55,18 +55,21 @@ results are bitwise the same in any batch.
 
 An ensemble splits its paths over W = min(paths, usable CPUs) processes,
 path k to share k mod W, and each share runs as one batch; the usable
-CPUs are those of the process's CPU set, at most the whole CPUs of its
-cgroup v2 quota.  Shares 1..W-1 run in processes forked after the
-set-up, which inherit the Discretization with all that is built on it,
-and send their results back over a pipe; the calling process runs share
-0.  When the W >= 2 shares fill the CPU set, share i runs bound to the
-i-th CPU of the sorted set, so no two shares take turns on one CPU while
-another idles: a scheduler that does not balance load across the set
-(a cpuset with `sched_load_balance` 0) keeps each process on the CPU it
-started on.  The calling process binds only for its own share and gets
-its CPU set back after it; a share that the platform does not let bind
-runs unbound.  No operation depends on its process or CPU, so every path
-is bitwise the same either way.
+CPUs are those of the process's CPU set.  Shares 1..W-1 run in processes
+forked after the set-up, which inherit the Discretization with all that
+is built on it, and send their results back over a pipe; the calling
+process runs share 0.  With W >= 2, share i runs bound to the i-th CPU
+of the sorted set, so no two shares take turns on one CPU while another
+idles: a scheduler that does not balance load across the set (a cpuset
+with `sched_load_balance` 0) keeps each process on the CPU it started
+on.  The binding acts on the thread that runs the share (Linux's
+`sched_setaffinity(0, ...)`), so it gives each share one CPU only where
+BLAS runs single-threaded, as the benchmark and CI set it; helper
+threads that BLAS started before the binding keep their CPU set.  The
+calling thread binds only for its own share and gets its CPU set back
+after it; a share that the platform does not let bind runs unbound.  No
+operation depends on its process or CPU, so every path is bitwise the
+same either way.
 A config with no steps, or a platform with no `fork`, runs serially: a
 zero-step path costs less than a fork.  What is built on first use is
 built once per process.
@@ -663,34 +666,28 @@ def path_seed(base_seed: int, k: int) -> int:
     return int(np.random.SeedSequence((int(base_seed), int(k))).generate_state(1)[0])
 
 
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # the cgroup v2 CPU quota: "quota period"
-
-
-def _cpu_quota() -> int | None:
-    """The whole CPUs of the cgroup v2 quota, at least 1; None without one."""
-    try:
-        with open(_CPU_MAX) as fh:
-            quota, period = fh.read().split()
-        if quota == "max":
-            return None
-        return max(1, int(quota) // int(period))
-    except (OSError, ValueError):
-        return None
-
-
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on, at most its CPU quota."""
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return n if quota is None else min(n, quota)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_cpus(n_workers: int) -> list:
+    """The CPU that each of `n_workers` shares runs bound to: the i-th of
+    the sorted CPU set for share i, or None for all of them with one
+    share, more shares than CPUs, or no `sched_setaffinity`."""
+    if n_workers > 1 and hasattr(os, "sched_setaffinity"):
+        own = sorted(os.sched_getaffinity(0))
+        if n_workers <= len(own):
+            return own[:n_workers]
+    return [None] * n_workers
 
 
 @contextmanager
 def _bound_to(cpu):
-    """The block run on `cpu` alone, with the CPU set given back after it.
+    """The block run with the calling thread on `cpu` alone, and the
+    thread's CPU set given back after it.
 
     Without a `cpu`, or where the platform refuses to bind, the block runs
     unbound.
@@ -716,9 +713,9 @@ def _run_share(
 
     A worker process passes the sending end of its pipe as `conn`, and the
     list goes over it instead of being returned.  With a `cpu`, the batch
-    runs bound to that CPU (`_bound_to`), and the process gets its CPU set
-    back after it; where the platform refuses, the batch runs unbound, with
-    the same results.
+    runs with the calling thread bound to that CPU (`_bound_to`), and the
+    thread gets its CPU set back after it; where the platform refuses, the
+    batch runs unbound, with the same results.
     """
     configs = [config.with_seed(path_seed(config.run.seed, k)) for k in paths]
     with _bound_to(cpu):
@@ -735,10 +732,10 @@ def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     The paths share one `Discretization`, built here, and run in shares
     over processes as the module docstring says: each share is one
     lockstep batch (`run_batch`), and the calling process runs share 0, so
-    a tracer in it sees the layers of its own paths.  When there are as
-    many shares as CPUs in the process's set, share i runs bound to the
-    i-th of them (`_run_share`), and the calling process has its own CPU
-    set back when this returns.
+    a tracer in it sees the layers of its own paths.  With 2 to as many
+    shares as CPUs in the process's set, share i runs bound to the i-th of
+    them (`_share_cpus`, `_run_share`), and the calling thread has its own
+    CPU set back when this returns.
 
     A path's results do not depend on the process that ran it.  Failed
     paths are reported in stats.failures and skipped with a warning, in
@@ -758,12 +755,7 @@ def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     if config.time.n_steps > 0 and "fork" in multiprocessing.get_all_start_methods():
         n_workers = min(n_paths, _usable_cpus())
     shares = [range(i, n_paths, n_workers) for i in range(n_workers)]
-    # share i runs on cpus[i] when the shares fill the CPU set
-    cpus = [None] * n_workers
-    if n_workers > 1 and hasattr(os, "sched_setaffinity"):
-        own = sorted(os.sched_getaffinity(0))
-        if len(own) == n_workers:
-            cpus = own
+    cpus = _share_cpus(n_workers)
     outcomes = {}
     workers = []  # (process, receiving end of its pipe, its paths)
     try:

@@ -11,9 +11,7 @@ experiment), and the dataclasses validate the result.  Unknown keys are
 rejected, and so are `mesh.nx` and `mesh.ny` beside a `mesh.file`, which
 they could not affect.  Every output file embeds the seed and a hash of
 the full configuration, the mesh file's content included, so artifacts
-can be traced back to the exact run that produced them.  A field added
-to a section with `metadata={"hash": "if-set"}` enters the hash only
-once it is set, so growing the schema keeps every earlier hash.
+can be traced back to the exact run that produced them.
 """
 
 from __future__ import annotations
@@ -35,19 +33,12 @@ class ConfigError(ValueError):
     """Bad configuration input; message carries key and line context."""
 
 
-def _section_fields(config):
-    """(key, section, field) of every field of every section of `config`."""
-    return [
-        (f"{section}.{f.name}", section, f)
-        for section, params in vars(config).items()
-        if is_dataclass(params)
-        for f in fields(params)
-    ]
-
-
 # every recognised key -> the (section, field) of SimConfig that it sets
 CONFIG_KEYS = {
-    key: (section, f.name) for key, section, f in _section_fields(driver.SimConfig())
+    f"{section}.{f.name}": (section, f.name)
+    for section, params in vars(driver.SimConfig()).items()
+    if is_dataclass(params)
+    for f in fields(params)
 }
 
 
@@ -134,31 +125,17 @@ def parse_config(text: str) -> driver.SimConfig:
         raise ConfigError(str(exc))
 
 
-def _rendered(config: driver.SimConfig, for_hash: bool) -> str:
-    """`key = value` lines of every section field of `config`, by key; for
-    the hash, without the "if-set" fields that hold their defaults."""
-    lines = []
-    for key, section, f in sorted(_section_fields(config), key=lambda t: t[0]):
-        value = getattr(getattr(config, section), f.name)
-        if for_hash and f.metadata.get("hash") == "if-set" and value == f.default:
-            continue
-        lines.append(f"{key} = {_render(value)}\n")
-    return "".join(lines)
-
-
 def serialize_config(config: driver.SimConfig) -> str:
     """Complete `key = value` rendering; parse(serialize(c)) == c."""
-    return _rendered(config, for_hash=False)
+    return "".join(
+        f"{key} = {_render(getattr(getattr(config, section), name))}\n"
+        for key, (section, name) in sorted(CONFIG_KEYS.items())
+    )
 
 
 def config_hash(config: driver.SimConfig) -> str:
-    """Hash of the serialized config and of the mesh file's bytes, if any.
-
-    A section field declared with `metadata={"hash": "if-set"}` (and a
-    plain default) is hashed only once it differs from its default, so a
-    key added that way leaves the hash of every earlier config as it was.
-    """
-    digest = hashlib.sha256(_rendered(config, for_hash=True).encode())
+    """Hash of the serialized config and of the mesh file's bytes, if any."""
+    digest = hashlib.sha256(serialize_config(config).encode())
     if config.mesh.file:
         with open(config.mesh.file, "rb") as fh:
             digest.update(hashlib.sha256(fh.read()).digest())

@@ -152,22 +152,6 @@ def test_every_config_key_changes_the_hash(tmp_path, key):
     assert config_hash(config) != config_hash(SimConfig())
 
 
-@dataclasses.dataclass(frozen=True)
-class RunWithFlag(RunParams):
-    """RunParams with a field added the way a new key is: hashed if set."""
-
-    flag: bool = dataclasses.field(default=False, metadata={"hash": "if-set"})
-
-
-def test_a_field_hashed_if_set_changes_the_hash_only_once_set():
-    at_default = replace(SimConfig(), run=RunWithFlag())
-    assert "run.flag = false\n" in serialize_config(at_default)
-    assert config_hash(at_default) == config_hash(SimConfig()) == "e883f932f7d2da66"
-    flagged = replace(SimConfig(), run=RunWithFlag(flag=True))
-    assert "run.flag = true\n" in serialize_config(flagged)
-    assert config_hash(flagged) != config_hash(SimConfig())
-
-
 def test_config_hash_follows_the_mesh_file_content(tmp_path):
     # two meshes saved in turn at one path are told apart by the hash
     path = tmp_path / "square.msh"

@@ -824,17 +824,26 @@ can_bind = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def two_cpus():
-    """The last two CPUs of the test process's set, to which the process is
-    restricted for the test."""
+def restricted_to_last(n):
+    """The last n CPUs of the test process's set, to which the process is
+    restricted until the generator is closed."""
     own, restore = os.sched_getaffinity(0), os.sched_setaffinity
-    cpus = sorted(own)[-2:]
+    cpus = sorted(own)[-n:]
     os.sched_setaffinity(0, cpus)
     try:
         yield cpus
     finally:
         restore(0, own)
+
+
+@pytest.fixture
+def two_cpus():
+    yield from restricted_to_last(2)
+
+
+@pytest.fixture
+def three_cpus():
+    yield from restricted_to_last(3)
 
 
 def record_cpu_sets(monkeypatch, where):
@@ -915,10 +924,26 @@ def test_a_worker_the_platform_will_not_bind_runs_unbound(
 
 
 @needs_fork
-@can_bind
-def test_shares_that_do_not_fill_the_set_run_unbound(
-    monkeypatch, tmp_path, two_cpus
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or driver._usable_cpus() < 3,
+    reason="fewer shares than CPUs needs sched_setaffinity and three usable CPUs",
+)
+def test_fewer_shares_than_cpus_bind_to_the_first_cpus(
+    monkeypatch, tmp_path, three_cpus
 ):
+    # 2 paths on a set of 3 CPUs: the shares run on the first two
+    seen = record_cpu_sets(monkeypatch, tmp_path / "cpus")
+    stats, results = run_ensemble(ENSEMBLE, 2)
+    sets = seen()
+    assert sets.pop(os.getpid()) == {three_cpus[0]}
+    assert list(sets.values()) == [{three_cpus[1]}]
+    assert os.sched_getaffinity(0) == set(three_cpus)
+    assert_equals_serial(monkeypatch, stats, results, 2)
+
+
+@needs_fork
+@can_bind
+def test_more_shares_than_cpus_run_unbound(monkeypatch, tmp_path, two_cpus):
     # 3 shares on 2 CPUs: binding would put two shares on one CPU
     seen = record_cpu_sets(monkeypatch, tmp_path / "cpus")
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 3)
@@ -929,20 +954,18 @@ def test_shares_that_do_not_fill_the_set_run_unbound(
 
 
 @pytest.mark.parametrize(
-    "text, bound",
-    [("max 100000\n", None), ("150000 100000\n", 1), ("400000 100000\n", 4),
-     (None, None)],
-    ids=["no-quota", "one-and-a-half", "four", "no-file"],
+    "n_workers, cpus",
+    [(1, [None]), (2, [1, 3]), (4, [1, 3, 6, 9]), (5, [None] * 5)],
+    ids=["one-share", "fewer-than-cpus", "as-many-as-cpus", "more-than-cpus"],
 )
-def test_usable_cpus_are_at_most_the_whole_cpus_of_the_quota(
-    monkeypatch, tmp_path, text, bound
+def test_share_i_binds_to_the_ith_cpu_of_the_sorted_set(
+    monkeypatch, n_workers, cpus
 ):
-    path = tmp_path / "cpu.max"
-    if text is not None:
-        path.write_text(text)
-    monkeypatch.setattr(driver, "_CPU_MAX", str(path))
-    if hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
-    assert driver._usable_cpus() == (n if bound is None else min(n, bound))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 3, 6, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    assert driver._share_cpus(n_workers) == cpus
+
+
+def test_shares_run_unbound_without_sched_setaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert driver._share_cpus(2) == [None, None]
