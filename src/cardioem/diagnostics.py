@@ -323,7 +323,9 @@ def mms_stokes_study(ns=(4, 8, 16), mu: float = 1.0, alpha: float = 1.0) -> Conv
         f += assemble_boundary_load(u_space, np.moveaxis(tr, 0, -1))
 
         schur = p_space.factor_banded(assemble_mass(p_space)).solve
-        res = solve_saddle(K, B, f, schur, tol=1e-11)
+        res = solve_saddle(
+            K, B, f, schur, lambda: u_space.factor_banded(K).solve, tol=1e-11
+        )
         errs_u.append(l2_error(u_space, res.u, u_ex))
         errs_p.append(l2_error(p_space, res.p, p_ex))
     study = ConvergenceStudy(list(ns), {"u": errs_u, "p": errs_p}, {})

@@ -63,11 +63,11 @@ of the sorted set, so no two shares take turns on one CPU while another
 idles: a scheduler that does not balance load across the set (a cpuset
 with `sched_load_balance` 0) keeps each process on the CPU it started
 on.  The binding acts on the thread that runs the share (Linux's
-`sched_setaffinity(0, ...)`), so it gives each share one CPU only where
-BLAS runs single-threaded, as the benchmark and CI set it; helper
-threads that BLAS started before the binding keep their CPU set.  The
-calling thread binds only for its own share and gets its CPU set back
-after it; a share that the platform does not let bind runs unbound.  No
+`sched_setaffinity(0, ...)`), and OpenBLAS runs on one thread while it
+holds, so no BLAS helper thread shares the CPU; helper threads that BLAS
+started before the binding keep their CPU set.  The calling thread binds
+only for its own share and gets its CPU set and BLAS threads back after
+it; a share that the platform does not let bind runs unbound.  No
 operation depends on its process or CPU, so every path is bitwise the
 same either way.
 A config with no steps, or a platform with no `fork`, runs serially: a
@@ -81,6 +81,7 @@ reseeds with (seed, k).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import warnings
@@ -684,25 +685,62 @@ def _share_cpus(n_workers: int) -> list:
     return [None] * n_workers
 
 
+def _openblas_threads() -> list:
+    """(get, set) of the thread count of each OpenBLAS in this process.
+
+    numpy and scipy each load a build of their own; they are found by name
+    among the files that /proc/self/maps lists, so the list is empty where
+    there is no such file or no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_", "scipy_openblas_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{name}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    controls.append((get, put))
+    return controls
+
+
 @contextmanager
 def _bound_to(cpu):
-    """The block run with the calling thread on `cpu` alone, and the
-    thread's CPU set given back after it.
+    """The block run with the calling thread on `cpu` alone and OpenBLAS on
+    one thread; the thread's CPU set and the BLAS thread counts are given
+    back after it.
 
-    Without a `cpu`, or where the platform refuses to bind, the block runs
-    unbound.
+    BLAS helper threads started after the binding would share its one CPU,
+    where a blocked LAPACK call (the band factor of K, kd > 32) waits on
+    them for whole time slices: on 2 CPUs, the 8 paths of the 12^2
+    `ensemble` benchmark config took 112 s that way, against 0.7 s with
+    one BLAS thread.  Without a `cpu`, or where the platform refuses to bind, the
+    block runs unbound.
     """
     if cpu is None:
         yield
         return
     own = os.sched_getaffinity(0)
+    blas = [(put, get()) for get, put in _openblas_threads()]
     try:
         with suppress(OSError):
             os.sched_setaffinity(0, {cpu})
+        for put, _ in blas:
+            put(1)
         yield
     finally:
         with suppress(OSError):
             os.sched_setaffinity(0, own)
+        for put, n in blas:
+            put(n)
 
 
 def _run_share(

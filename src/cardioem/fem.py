@@ -28,25 +28,27 @@ system).  `solve_saddle` solves the block [[A, B^T], [B, -C]] through its
 pressure Schur complement S = B A^-1 B^T + C: `solve_cg` on S, with no
 projection, preconditioned by a caller-supplied approximation of S^-1 (in
 practice a factored pressure mass), with A = blockdiag(K, K) inverted by
-one sparse LU of K applied to both components of u at once.  It works in
-the order its operators are given in; the mechanics passes its system
-permuted once into K's fill-reducing order, so that no CG iteration
-gathers or scatters (`mechanics.solve_mechanics`).
+one factor of K applied to both components of u at once.  It works in the
+order its operators are given in; the mechanics passes its system permuted
+once into K's band order, so that no CG iteration gathers or scatters
+(`mechanics.MechStatics.solve_in_band_order`).
 
-Every P1 matrix (the bidomain systems, the pressure mass) is factored by
-`FeSpace.factor_banded`: a banded Cholesky factor (LAPACK dpbtrf, solved
-by dpbtrs) in the space's `vertex_order`, a sweep of the vertices along
-the longer side of the mesh, which keeps the band about one cross-section
-of vertices wide.  A matrix over several fields keeps each vertex's dofs
-side by side, so the band of the bidomain 2n block is about twice the
-scalar one.
+Every SPD matrix (the bidomain systems, the pressure mass, the P2 block K)
+is factored by `FeSpace.factor_banded`: a banded Cholesky factor (LAPACK
+dpbtrf, solved by dpbtrs) in the space's `dof_order`, a sweep of the dof
+coordinates (the vertices, and for P2 also the edge midpoints) along the
+longer side of the mesh, which keeps the band about one cross-section of
+dofs wide.  A matrix over several fields keeps each dof's fields side by
+side, so the band of the bidomain 2n block is about twice the scalar one.
 The map from a CSR pattern into the band storage is kept per matrix order
 (`BandLayout`); `BandedCholesky.solve_ordered` solves a right side that
-is already in that order.  The P2 block K has a wider band for its fill,
-and it stays on sparse LUs: `factor_spd` lets SuperLU order a matrix, and
-`SpdOrdering`, for a matrix refactored on one fixed pattern, keeps that
-ordering and permutes each matrix on the pattern into it, for
-`factor_spd(..., ordered=True)`.
+is already in that order.  Band work grows as n kd^2 (George & Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981): on
+the unit square the P2 sweep gives K the band 4 nx + 4, and the work of
+a refresh, one factor of K and 16 two-column solves, took less than a
+sparse LU in minimum-degree order at 12^2 and 22^2 (0.87 against 1.63
+ms, 6.05 against 7.54 ms, one BLAS thread) but 1.2 and 1.5 times as
+long at 32^2 and 44^2.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import SuperLU, splu
 
 from .mesh import TriMesh
 
@@ -275,17 +276,23 @@ class FeSpace:
         G = self.grads.transpose(0, 1, 3, 2).reshape(ne, 2 * nq, self.nloc)
         return np.matmul(G, U).reshape(ne, nq, 2, 2).transpose(0, 1, 3, 2)
 
+    @property
+    def dof_points(self) -> np.ndarray:
+        """The (n_scalar, 2) dof coordinates: the vertices, then for P2 the
+        edge midpoints in edge order; a new array on each read."""
+        pts = self.mesh.vertices
+        if self.degree == 2:
+            i, j = np.divmod(self.edge_keys, self.mesh.num_vertices)
+            pts = np.vstack([pts, 0.5 * (pts[i] + pts[j])])
+        return pts
+
     def interpolate(self, fn: Callable) -> np.ndarray:
         """Nodal interpolant of fn(x, y), component-major if fn is vector-valued.
 
         fn is called once, on the arrays of all node coordinates, as
         `evaluate_at` describes.
         """
-        pts = self.mesh.vertices
-        if self.degree == 2:
-            i, j = np.divmod(self.edge_keys, self.mesh.num_vertices)
-            pts = np.vstack([pts, 0.5 * (pts[i] + pts[j])])
-        return evaluate_at(fn, pts).ravel()
+        return evaluate_at(fn, self.dof_points).ravel()
 
     # --- assembly structure, built on first use ------------------------
 
@@ -306,38 +313,40 @@ class FeSpace:
         return indptr, indices, slot.astype(np.int32).ravel()
 
     @cached_property
-    def vertex_order(self) -> np.ndarray:
-        """The vertices swept along the longer side of the mesh's bounding box.
+    def dof_order(self) -> np.ndarray:
+        """The dofs swept along the longer side of the mesh's bounding box.
 
         Sorted by the coordinate along the longer side (y on a square), ties
         by the other one, so the order depends on the coordinates alone,
-        not on how the vertices are numbered.  On a mesh of straight rows
+        not on how the dofs are numbered.  On a mesh of straight rows
         across the sweep, an edge joins vertices at most one row apart, so
         the P1 band is about one row wide: on `structured_unit_square` the
-        order is its own row-by-row numbering, whose bandwidth is nx + 2.
-        Rows that are not straight mix in the sweep, which can double it.
+        P1 order is its own row-by-row numbering, whose bandwidth is nx + 2.
+        P2 adds a row of edge midpoints between two vertex rows, and a
+        triangle's dofs span three such rows, so its band on that square is
+        4 nx + 4.  Rows that are not straight mix in the sweep, which can
+        double it.
         """
-        x, y = self.mesh.vertices.T
+        x, y = self.dof_points.T
         along, across = (x, y) if np.ptp(x) > np.ptp(y) else (y, x)
         return np.lexsort((across, along))
 
     def factor_banded(self, A: sp.csr_matrix) -> "BandedCholesky":
-        """Banded Cholesky factor of an SPD matrix over this P1 space's dofs.
+        """Banded Cholesky factor of an SPD matrix over this space's dofs.
 
-        A is of order k n over k component-major copies of the n vertex
+        A is of order k n over k component-major copies of the n scalar
         dofs, dof (c, s) = c n + s, or of order k n - 1 when the last dof
-        is grounded (dropped).  It is factored in `vertex_order` with the
-        k dofs of a vertex side by side, so a block of k fields has about k
-        times the scalar bandwidth, not n.  The band map of each order is kept
-        (`BandLayout`) and reused while the CSR pattern is the same.
+        is grounded (dropped).  It is factored in `dof_order` with the k
+        fields of a dof side by side, so a block of k fields has about k
+        times the scalar bandwidth, not n.  The band map of each order is
+        kept (`BandLayout`) and reused while the CSR pattern is the same.
+        A matrix that is not positive definite raises `LinAlgError`.
         """
-        if self.degree != 1:
-            raise ValueError("factor_banded needs the P1 space")
         size, n = A.shape[0], self.n_scalar
         layout = self.band_layouts.get(size)
         if layout is None or not layout.matches(A):
             k = -(-size // n)  # the fields, for size k n or k n - 1
-            q = (self.vertex_order[:, None] + n * np.arange(k)).ravel()
+            q = (self.dof_order[:, None] + n * np.arange(k)).ravel()
             layout = self.band_layouts[size] = BandLayout(A, q[q < size])
         return layout.factor(A)
 
@@ -670,73 +679,6 @@ class SaddleResult(NamedTuple):
     res_constraint: float
 
 
-def factor_spd(A, ordered: bool = False) -> SuperLU:
-    """Sparse LU of a symmetric positive definite matrix, diagonal pivots.
-
-    By default SuperLU orders A itself, by minimum degree on A^T + A (MMD):
-    K's ordering (`SpdOrdering`) and the pseudo-compressible stepper's
-    K + (eps/dt) Mu are found so.  `ordered=True` says A is already
-    permuted by such an ordering (`SpdOrdering`, which the mechanics block
-    K keeps for its fixed pattern): it is factored in its own order, with
-    `panel_size=1` and `relax=1` (no relaxed supernodes) in place of
-    SuperLU's defaults.  On K, the factor time fell monotonically with the
-    panel size from the default down to 1, and relax=1 also made the
-    solves faster: at 22^2 one factor plus 14 two-column solves, the work
-    of a refresh, took 5.2 ms with (1, 1) against 6.3 ms with panel_size=4
-    and the default relax, lower in 79 of 80 interleaved rounds.
-
-    The P1 matrices take `FeSpace.factor_banded` instead, which beat
-    SuperLU in factor and in solve at 12^2 to 44^2 (the scalar step
-    matrix at 22^2: 0.11 against 0.88 ms to factor, 15 against 29 us to
-    solve).  K does not: in reverse Cuthill-McKee order its band at 22^2
-    is 176 wide, and the banded factor took 3.9 ms against 2.5 ms through
-    `SpdOrdering`, its two-column solves 0.36 against 0.19 ms.
-    """
-    if ordered:
-        opts = dict(permc_spec="NATURAL", panel_size=1, relax=1)
-    else:
-        opts = dict(permc_spec="MMD_AT_PLUS_A")
-    return splu(
-        sp.csc_matrix(A), diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True), **opts,
-    )
-
-
-class SpdOrdering:
-    """SuperLU's MMD ordering of one symmetric CSR pattern, kept for reuse.
-
-    Built from a matrix A on the pattern by one MMD LU (`factor_spd`),
-    which is freed at once: q lists the columns in SuperLU's order, its
-    elimination-tree postorder included.  MMD reads the pattern alone, so
-    any SPD matrix on it gives the same q.  `permute` takes any matrix on
-    the same CSR pattern and gathers the CSC arrays of A[q][:, q] from its
-    data by one stored int32 map (no conversion, and no transpose of A),
-    which `factor_spd(..., ordered=True)` factors in its own order, with
-    the MMD fill.
-    """
-
-    def __init__(self, A: sp.csr_matrix):
-        n = A.shape[0]
-        pos = factor_spd(A).perm_c.astype(np.int64)  # new index of each dof
-        r = pos[np.repeat(np.arange(n), np.diff(A.indptr))]
-        c = pos[A.indices]
-        # the CSC slots of A[q][:, q] run by (column, row)
-        take = np.argsort(c * n + r)
-        self.q = np.argsort(pos).astype(np.int32)
-        self.take = take.astype(np.int32)
-        self.indices = r[take].astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(c, minlength=n), out=self.indptr[1:])
-
-    def permute(self, A: sp.csr_matrix) -> sp.csc_matrix:
-        """A[q][:, q] as CSC, for A on the ordering's pattern."""
-        if A.nnz != len(self.take):
-            raise ValueError("the matrix is not on the ordering's pattern")
-        return sp.csc_matrix(
-            (A.data[self.take], self.indices, self.indptr), shape=A.shape
-        )
-
-
 class BandedCholesky(NamedTuple):
     """U^T U = A[q][:, q], U in LAPACK upper band storage (`ab`, Fortran
     order); `solve` takes and returns A's own order."""
@@ -817,11 +759,11 @@ def solve_saddle(
     B,
     f: np.ndarray,
     schur: Callable[[np.ndarray], np.ndarray],
+    factor: Callable[[], Callable[[np.ndarray], np.ndarray]],
     g: np.ndarray | None = None,
     tol: float = 1e-10,
     C=None,
     BT=None,
-    factor: Callable | None = None,
 ) -> SaddleResult:
     """Solve the block system [[A, B^T], [B, -C]] (u, p) = (f, g).
 
@@ -833,7 +775,7 @@ def solve_saddle(
 
     which is symmetric positive definite for an inf-sup stable pair; it is
     solved by preconditioned CG from zero, and then u = A^-1 (f - B^T p).
-    A^-1 is one sparse LU of K, applied to both components at once.
+    A^-1 is one factor of K, applied to both components at once.
     `schur` applies the preconditioner, an approximation of S^-1: the
     pressure mass Mp is spectrally equivalent to B A^-1 B^T, so a factored
     Mp, scaled when C is a multiple of it, keeps the iteration count flat
@@ -841,12 +783,16 @@ def solve_saddle(
     relative recursive residual 0.1 * tol; if the true residuals then
     miss, one more pass solves for the correction.
     `BT` is B^T as CSR, for a caller that holds it; else it is formed here.
-    `factor` maps K to a SuperLU factor whose `solve` applies K^-1 to one or
-    more columns, `factor_spd` unless the caller factors K in an order of
-    its own (`mechanics.solve_mechanics`, through `SpdOrdering`).  Every
-    operator, f, g and the returned u and p share one order, whichever the
-    caller gives them in.  When f and g are exactly zero the solution is
-    zero, returned without factoring K.
+    `factor()` factors K and returns its solve, which maps an (n, 2) array
+    of two columns to K^-1 of them: `FeSpace.factor_banded(K).solve` for a
+    K in its space's own order, or `BandedCholesky.solve_ordered` of that
+    factor when the caller has permuted the system into the band order
+    (`mechanics.MechStatics.solve_in_band_order`).  Every operator, f, g
+    and the returned u and p share one order, whichever the caller gives
+    them in.  When f and g are exactly zero the solution is zero, returned
+    without calling `factor`.  A K that the factor refuses (`LinAlgError`,
+    not positive definite) gives a result with converged=False, NaN u and
+    p and infinite residuals.
 
     `converged` is decided on the true residuals of both block rows,
     relative to |f| and to max(|g|, |u|), each within 10 * tol;
@@ -857,14 +803,19 @@ def solve_saddle(
         g = np.zeros(np_)
     if not (np.any(f) or np.any(g)):
         return SaddleResult(np.zeros(nu), np.zeros(np_), True, 0, 0.0, 0.0)
-    lu = (factor or factor_spd)(K)
+    try:
+        solve_k = factor()
+    except np.linalg.LinAlgError:
+        return SaddleResult(
+            np.full(nu, np.nan), np.full(np_, np.nan), False, 0, math.inf, math.inf
+        )
     if BT is None:
         BT = B.T.tocsr()
 
     Cdot = (lambda q: C.dot(q)) if C is not None else (lambda q: 0.0)
 
     def solve_a(v):
-        return lu.solve(v.reshape(2, -1).T).T.ravel()
+        return solve_k(v.reshape(2, -1).T).T.ravel()
 
     def schur_dot(q):
         return B.dot(solve_a(BT.dot(q))) + Cdot(q)

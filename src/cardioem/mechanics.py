@@ -18,29 +18,30 @@ Two solution modes: a saddle solve of the divergence-free block, and a
 pseudo-compressible evolution (eps d/dt u, eps d/dt p added) stepped by
 implicit Euler whose fixed point is the saddle solution.  Both go through
 `fem.solve_saddle`, which recovers the pressure from its Schur complement
-B A^-1 B^T (+ C) by CG (`fem.solve_cg`), with one sparse LU of the scalar
-block K serving both displacement components, and the pressure mass Mp as
-the preconditioner.  Mp is a P1 matrix, factored by a banded Cholesky in
-the pressure space's vertex order (`fem.FeSpace.factor_banded`) on first
-use (`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no
-solve uses cost no factor.  The displacement is a component-major
-2-vector field over the scalar P2 space, and each of its operators is
-assembled as the scalar block.
+B A^-1 B^T (+ C) by CG (`fem.solve_cg`), with one banded Cholesky factor
+of the scalar block K serving both displacement components, and the
+pressure mass Mp as the preconditioner.  Every matrix is factored by
+`fem.FeSpace.factor_banded` in its space's band order (`dof_order`): K in
+the P2 space's, Mp in the P1 space's.  Mp is factored on first use
+(`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no solve
+uses cost no factor.  The displacement is a component-major 2-vector
+field over the scalar P2 space, and each of its operators is assembled as
+the scalar block.
 
 K keeps one sparsity pattern, the P2 space's: the stiffness is summed into
 it, and the Robin boundary mass is added at slots found once, in
-`MechStatics`, so no entry that cancels to zero is pruned.  So K's
-fill-reducing ordering, which depends on that pattern alone, is computed
-once, with the statics, and every solve runs in that order
-(`MechStatics.solve_in_k_order`), with B = -div and B^T held only in it:
-the Schur CG uses the raw LU of K and the raw banded solve of Mp and
-permutes nothing per iteration.
+`MechStatics`, so no entry that cancels to zero is pruned.  So the P2
+space keeps one band layout for every K, and every solve runs in the band
+orders (`MechStatics.solve_in_band_order`): K is gathered into its order
+by a map stored with the statics, and B = -div and B^T are held only in
+it, so the Schur CG uses the raw band solves of K and Mp and permutes
+nothing per iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +51,6 @@ from .fem import (
     BandedCholesky,
     FeSpace,
     SaddleResult,
-    SpdOrdering,
     assemble_boundary_mass,
     assemble_divergence,
     assemble_load,
@@ -60,7 +60,6 @@ from .fem import (
     edge_basis,
     edge_quad_geometry,
     edge_rule,
-    factor_spd,
     scatter_load,
     solve_saddle,
 )
@@ -97,12 +96,13 @@ class MechState:
 class MechStatics:
     """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
 
-    `ordering` is K's fill-reducing ordering (`fem.SpdOrdering`).  The
-    saddle solve runs with the u dofs in `u_order` (both components in
-    K's order) and the p dofs in `p_order` (Mp's band order), and `B`, the
-    constraint -div, and `BT`, its transpose, are held in those orders
-    only: B[i, j] is the entry (p_order[i], u_order[j]), each row keeping
-    the entry order of the unpermuted -div.
+    The saddle solve runs with the u dofs in `u_order` (both components in
+    the P2 space's band order, `FeSpace.dof_order`) and the p dofs in
+    `p_order` (the P1 space's), and `B`, the constraint -div, and `BT`, its
+    transpose, are held in those orders only: B[i, j] is the entry
+    (p_order[i], u_order[j]), each row keeping the entry order of the
+    unpermuted -div.  `k_take`, `k_indices` and `k_indptr` gather a matrix
+    on the P2 space's pattern into the band order (`in_band_order`).
     `boundary_slots` holds the position of each entry of `boundary` in the
     CSR data of the P2 space's pattern, which K is assembled on.
     `edge_s`, `normals` and `edge_basis` (the edge length times the edge
@@ -116,10 +116,13 @@ class MechStatics:
     BT: sp.csr_matrix
     mass_u: sp.csr_matrix
     mass_p: sp.csr_matrix
+    u_space: FeSpace = field(repr=False)
     p_space: FeSpace = field(repr=False)
-    ordering: SpdOrdering = field(repr=False)
     u_order: np.ndarray = field(repr=False)
     p_order: np.ndarray = field(repr=False)
+    k_take: np.ndarray = field(repr=False)
+    k_indices: np.ndarray = field(repr=False)
+    k_indptr: np.ndarray = field(repr=False)
     edge_s: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     edge_basis: np.ndarray = field(repr=False)
@@ -136,17 +139,25 @@ class MechStatics:
             (rows.data, self.u_order[rows.indices], rows.indptr), shape=rows.shape
         )
 
-    def solve_in_k_order(self, K, f, schur, tol, g=None, C=None) -> SaddleResult:
-        """`fem.solve_saddle` of K (on the P2 pattern), f and g in K's order.
+    def in_band_order(self, K: sp.csr_matrix) -> sp.csr_matrix:
+        """K[q][:, q] as CSR, q the P2 band order, for K on the P2 pattern."""
+        return sp.csr_matrix(
+            (K.data[self.k_take], self.k_indices, self.k_indptr), shape=K.shape
+        )
+
+    def solve_in_band_order(self, K, f, schur, tol, g=None, C=None) -> SaddleResult:
+        """`fem.solve_saddle` of K (on the P2 pattern), f and g in the band orders.
 
         f, g, u and p are in the dofs' own order, permuted once each way;
-        C and `schur` act in `p_order`.
+        C and `schur` act in `p_order`.  K is factored by the P2 space's
+        `factor_banded`, whose order is `u_order`'s, so its raw band solve
+        serves the permuted system.
         """
         u_order, p_order = self.u_order, self.p_order
         res = solve_saddle(
-            self.ordering.permute(K), self.B, f[u_order], schur,
+            self.in_band_order(K), self.B, f[u_order], schur,
+            lambda: self.u_space.factor_banded(K).solve_ordered,
             g=None if g is None else g[p_order], tol=tol, C=C, BT=self.BT,
-            factor=partial(factor_spd, ordered=True),
         )
         u, p = np.empty_like(res.u), np.empty_like(res.p)
         u[u_order], p[p_order] = res.u, res.p
@@ -158,25 +169,27 @@ def mech_statics(
 ) -> MechStatics:
     """The operators of `MechStatics`, given the P1 mass of `p_space`.
 
-    MMD reads the pattern alone, so K's ordering is that of a diagonally
-    dominant matrix on the P2 pattern, and B is built once in its order.
+    The band orders are those of the spaces' dof coordinates, so B and the
+    gather of K into band order are built once, from the patterns alone.
     """
     indptr, indices, _ = u_space.pattern
     n = u_space.n_scalar
-    degree = np.diff(indptr)
-    rows = np.repeat(np.arange(n), degree)
-    ordering = SpdOrdering(sp.csr_matrix(
-        (np.where(rows == indices, degree[rows], -1.0), indices, indptr),
-        shape=(n, n),
-    ))
-    u_order = np.concatenate([ordering.q, n + ordering.q])
-    p_order = p_space.vertex_order
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    q = u_space.dof_order
+    u_order = np.concatenate([q, n + q])
+    p_order = p_space.dof_order
     # rows gathered into p_order keep their entry order; the columns are
     # renamed to their positions in u_order
     div = (-assemble_divergence(u_space, p_space)).tocsr()[p_order]
     pos = np.empty(2 * n, dtype=np.int32)
     pos[u_order] = np.arange(2 * n)
     B = sp.csr_matrix((div.data, pos[div.indices], div.indptr), shape=div.shape)
+    # the entry (i, j) of K goes to (pos[i], pos[j]); k_take lists the CSR
+    # slots of K by permuted row, each row by permuted column
+    r, c = pos[rows], pos[indices]
+    k_take = np.lexsort((c, r)).astype(np.int32)
+    k_indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r, minlength=n), out=k_indptr[1:])
 
     boundary = assemble_boundary_mass(u_space, alpha)
     # the boundary's entries, keyed row * n + col, among the pattern's
@@ -191,10 +204,13 @@ def mech_statics(
         BT=B.T.tocsr(),
         mass_u=assemble_mass(u_space),
         mass_p=mass_p,
+        u_space=u_space,
         p_space=p_space,
-        ordering=ordering,
         u_order=u_order,
         p_order=p_order,
+        k_take=k_take,
+        k_indices=c[k_take],
+        k_indptr=k_indptr,
         edge_s=er.points[:, 0],
         normals=normals,
         edge_basis=lengths[:, None, None]
@@ -322,10 +338,10 @@ def solve_mechanics(
 ) -> tuple[MechState, SaddleResult]:
     """Solve the assembled block by CG on its pressure Schur complement.
 
-    It runs in K's order (`MechStatics.solve_in_k_order`).
+    It runs in the band orders (`MechStatics.solve_in_band_order`).
     """
     st = system.statics
-    res = st.solve_in_k_order(system.K, system.f, st.mass_p_lu.solve_ordered, tol)
+    res = st.solve_in_band_order(system.K, system.f, st.mass_p_lu.solve_ordered, tol)
     return MechState(res.u, res.p), res
 
 
@@ -343,7 +359,7 @@ def step_mechanics_regularized(
     The stationary point of repeated stepping with frozen data is the
     saddle solution.  With C = (eps/dt) Mp the Schur block is
     (1 + eps/dt) Mp, applied through the same factor of Mp.  K + (eps/dt)
-    Mu is summed on the P2 pattern's data and solved in K's order.
+    Mu is summed on the P2 pattern's data and solved in the band orders.
     """
     if epsilon <= 0 or dt <= 0:
         raise ValueError("epsilon and dt must be positive")
@@ -352,7 +368,7 @@ def step_mechanics_regularized(
     K = system.K.copy()
     K.data += r * st.mass_u.data
     p_order = st.p_order
-    res = st.solve_in_k_order(
+    res = st.solve_in_band_order(
         K,
         system.f + r * component_dot(st.mass_u, state.u),
         lambda q: st.mass_p_lu.solve_ordered(q) / (1.0 + r),

@@ -3,11 +3,13 @@
 Covers the cubic ionic current and linear gating kinetics, the activation
 ODE right-hand side, the arctan contraction map, the active-strain elastic
 coefficient sigma with its active part (`sigma_and_active`), and the
-deformation-dependent conductivity pullback F^-1 K F^-T
-(`pull_back(inverse_deformation(grad_u, p), K)`) with its safety clamps.
+deformation-dependent conductivity pullback F^-1 K F^-T with its safety
+clamps, on the entry arrays of the displacement gradient
+(`pull_back_entries(inverse_entries(entries(grad_u), p), K)`).
 Everything here is a pure function of its arguments and vectorizes over
 numpy arrays.  2x2 tensors are computed entry by entry on contiguous
-arrays, and a (..., 2, 2) result is a view of its entry planes.
+arrays, and a (..., 2, 2) result is a view of its entry planes
+(`entry_tensor`).
 """
 
 from __future__ import annotations
@@ -232,9 +234,14 @@ def entry_tensor(a00, a01, a10, a11) -> np.ndarray:
 
 
 def clamp_entries(g: tuple, p: ConductivityParams) -> tuple:
-    """`clamp_gradient` on the entry arrays (g00, g01, g10, g11).
+    """The displacement gradient of entries (g00, g01, g10, g11), scaled
+    into the admissible set.
 
-    The scaling and the bisection act only on the points that need them
+    First rescales so the Frobenius norm is at most clamp_delta, then (if
+    the determinant of I + G still falls below clamp_tau) shrinks further
+    by bisection until det(I + s G) >= clamp_tau.  Total: every input maps
+    to an admissible gradient; the zero gradient is a fixed point.  The
+    scaling and the bisection act only on the points that need them
     (elsewhere they would multiply by 1.0); unclamped inputs are returned.
     """
     g00, g01, g10, g11 = g
@@ -278,25 +285,3 @@ def pull_back_entries(finv: tuple, K: np.ndarray) -> tuple:
     ta0, ta1 = a * k00 + b * k01, a * k01 + b * k11
     tc0, tc1 = c * k00 + d * k01, c * k01 + d * k11
     return ta0 * a + ta1 * b, ta0 * c + ta1 * d, tc0 * c + tc1 * d
-
-
-def clamp_gradient(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
-    """Scale the displacement gradient into the admissible set.
-
-    First rescales so the Frobenius norm is at most clamp_delta, then (if the
-    determinant of I + G still falls below clamp_tau) shrinks further by
-    bisection until det(I + s G) >= clamp_tau.  Total: every input maps to an
-    admissible gradient; the zero gradient is a fixed point.
-    """
-    return entry_tensor(*clamp_entries(entries(grad_u), p))
-
-
-def inverse_deformation(grad_u: np.ndarray, p: ConductivityParams) -> np.ndarray:
-    """F^-1 for F = I + `clamp_gradient(grad_u, p)`, over leading axes."""
-    return entry_tensor(*inverse_entries(entries(grad_u), p))
-
-
-def pull_back(Finv: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """F^-1 K F^-T for a symmetric 2x2 K, entry by entry and exactly symmetric."""
-    m00, m01, m11 = pull_back_entries(entries(Finv), K)
-    return entry_tensor(m00, m01, m01, m11)

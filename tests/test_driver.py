@@ -109,14 +109,20 @@ def _assert_same_path(a, b):
         _assert_same_state(snap, b.snapshots[it])
 
 
-class CountingOrdering(fem.SpdOrdering):
-    """`fem.SpdOrdering` that records each ordering computed in this process."""
+class CountingLayout(fem.BandLayout):
+    """`fem.BandLayout` that records the order of each band layout built in
+    this process."""
 
     made = []
 
-    def __init__(self, A):
-        CountingOrdering.made.append(A.shape)
-        super().__init__(A)
+    def __init__(self, A, q):
+        CountingLayout.made.append(A.shape[0])
+        super().__init__(A, q)
+
+
+def _k_layouts(n):
+    """The band layouts built for K on the P2 space of an n x n square."""
+    return CountingLayout.made.count((2 * n + 1) ** 2)
 
 
 def _active_refreshes(result):
@@ -127,23 +133,23 @@ def _active_refreshes(result):
 def test_ensemble_paths_equal_single_runs(monkeypatch):
     # on two CPUs the calling process runs paths 0 and 2, path 1 a forked
     # worker; paths 0 and 2 both reach active refreshes, so path 2 factors
-    # K through the ordering that path 0 recorded in the shared set-up, and
+    # K through the band layout that path 0 built in the shared set-up, and
     # must still equal its single run bitwise
     config = with_end_time(ENSEMBLE, 0.8125)
-    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
-    monkeypatch.setattr(CountingOrdering, "made", [])
+    monkeypatch.setattr(fem, "BandLayout", CountingLayout)
+    monkeypatch.setattr(CountingLayout, "made", [])
     monkeypatch.setattr(driver, "_usable_cpus", lambda: 2)
     stats, results = run_ensemble(config, 3)
     assert stats.n_paths == 3 and stats.failures == []
     assert _active_refreshes(results[0]) >= 2
     assert _active_refreshes(results[2]) >= 2
-    assert len(CountingOrdering.made) == 1
+    assert _k_layouts(8) == 1
     singles = [
         run_simulation(config.with_seed(path_seed(config.run.seed, k)))
         for k in range(3)
     ]
-    # each single run has a set-up of its own, and orders it once
-    assert len(CountingOrdering.made) == 4
+    # each single run has a set-up of its own, and lays K out once
+    assert _k_layouts(8) == 4
     for res, single in zip(results, singles):
         assert res.seed == single.seed
         _assert_same_path(res, single)
@@ -210,6 +216,41 @@ def test_a_failing_path_leaves_its_batch_and_the_others_run_on(monkeypatch):
         _assert_same_path(outcomes[row], singles[row])
 
 
+def test_a_k_the_band_factor_refuses_fails_only_its_own_path(monkeypatch):
+    # the first active refresh of the batch [2, 0, 3] is path 3's only one
+    # (path 2 never solves, path 0 at 9 later refreshes); its K is made
+    # negative definite, which the banded Cholesky refuses: path 3 fails
+    # there with its checkpoint, and paths 2 and 0 run on to equal their
+    # single runs
+    config = replace(LOCKSTEP, snapshot_iters=())
+    configs = _path_configs(config, (2, 0, 3))
+    singles = [run_simulation(cfg) for cfg in configs]
+    first = next(
+        i for i, res in enumerate(singles[2].mech_residuals) if res != (0.0, 0.0)
+    )
+    step = first * config.run.mech_refresh - 1
+    short = run_simulation(with_end_time(configs[2], step * config.time.dt))
+    assemble = mechanics.assemble_mechanics
+    calls = []
+
+    def indefinite_first(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 1:
+            system.K.data *= -1.0
+        return system
+
+    monkeypatch.setattr(mechanics, "assemble_mechanics", indefinite_first)
+    outcomes = run_batch(configs, Discretization.build(config))
+    error = outcomes[2]
+    assert isinstance(error, SimulationError)
+    assert error.message == "mechanics solve failed" and error.step == step
+    _assert_same_state(error.checkpoint, short.final)
+    assert len(calls) == 1 + _active_refreshes(singles[1])
+    for row in (0, 1):
+        _assert_same_path(outcomes[row], singles[row])
+
+
 def test_probe_values_of_a_batch_equal_the_per_probe_loop():
     # the per-probe loop that the batched gather replaced is the reference;
     # each value is a 3-term weighted sum, so they agree to a few ulps
@@ -230,26 +271,31 @@ def test_probe_values_of_a_batch_equal_the_per_probe_loop():
 
 def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
     # a body force factors K at set-up; the active refreshes of two paths
-    # on that set-up all factor through the ordering found then
+    # on that set-up all factor through the band layout built then, in the
+    # P2 space's dof order, which the statics' u_order repeats
     config = SimConfig(
         mesh=MeshParams(6, 6), time=TimeParams(T=0.125),
         run=RunParams(mech_refresh=2), mech=DOWNWARD,
     )
-    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
-    monkeypatch.setattr(CountingOrdering, "made", [])
+    monkeypatch.setattr(fem, "BandLayout", CountingLayout)
+    monkeypatch.setattr(CountingLayout, "made", [])
     disc = Discretization.build(config)
-    assert len(CountingOrdering.made) == 1
+    assert _k_layouts(6) == 1
+    layout = disc.u_space.band_layouts[13**2]
     first = run_simulation(config, disc=disc)
     second = run_simulation(config.with_seed(1), disc=disc)
     assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
-    assert len(CountingOrdering.made) == 1
-    assert disc.statics.ordering is not None
+    assert _k_layouts(6) == 1
+    assert disc.u_space.band_layouts[13**2] is layout
+    q = disc.u_space.dof_order
+    np.testing.assert_array_equal(layout.q, q)
+    np.testing.assert_array_equal(disc.statics.u_order, np.concatenate([q, 169 + q]))
 
 
 def test_statics_build_b_in_k_order_once_with_the_ordering(monkeypatch):
-    # the set-up's loaded solve builds the statics: one ordering, and B and
-    # B^T already in its order; every active refresh of two paths on that
-    # set-up solves with those same two matrices
+    # the set-up's loaded solve builds the statics: one band layout of K,
+    # and B and B^T already in its order; every active refresh of two paths
+    # on that set-up solves with those same two matrices
     divergences = []
     assemble_divergence = mechanics.assemble_divergence
 
@@ -258,8 +304,8 @@ def test_statics_build_b_in_k_order_once_with_the_ordering(monkeypatch):
         return assemble_divergence(*args)
 
     monkeypatch.setattr(mechanics, "assemble_divergence", counted)
-    monkeypatch.setattr(mechanics, "SpdOrdering", CountingOrdering)
-    monkeypatch.setattr(CountingOrdering, "made", [])
+    monkeypatch.setattr(fem, "BandLayout", CountingLayout)
+    monkeypatch.setattr(CountingLayout, "made", [])
     solved_with = []
     solve_saddle = mechanics.solve_saddle
 
@@ -274,11 +320,11 @@ def test_statics_build_b_in_k_order_once_with_the_ordering(monkeypatch):
     )
     disc = Discretization.build(config)
     statics = disc.statics
-    assert len(divergences) == 1 and len(CountingOrdering.made) == 1
+    assert len(divergences) == 1 and _k_layouts(6) == 1
     first = run_simulation(config, disc=disc)
     second = run_simulation(config.with_seed(1), disc=disc)
     assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
-    assert len(divergences) == 1 and len(CountingOrdering.made) == 1
+    assert len(divergences) == 1 and _k_layouts(6) == 1
     assert len(solved_with) >= 9
     assert all(B is statics.B and BT is statics.BT for B, BT in solved_with)
 
@@ -498,21 +544,51 @@ def test_shuffled_vertex_numbers_give_the_same_run_and_band(tmp_path):
     [physics.ConductivityParams(), physics.ConductivityParams(ke_yy=0.03)],
     ids=["split", "block"],
 )
-def test_superlu_factors_only_the_p2_block(monkeypatch, conductivity):
-    # every P1 matrix, the grounded 2n block of tensors that are not
-    # proportional included, takes the banded factor; SuperLU factors K
-    # alone: once for its ordering and once per solve
-    sizes = []
-    splu = fem.splu
+def test_no_run_calls_superlu_and_k_takes_the_banded_factor(
+    monkeypatch, conductivity
+):
+    # every SPD matrix, K and the grounded 2n block of tensors that are not
+    # proportional included, takes the banded factor: the set-up's loaded
+    # solve and each of the 4 active refreshes factor K, of order 81 + 208,
+    # through `factor_banded` of the P2 space; SuperLU is never called
+    import scipy.sparse.linalg as spla
 
-    def recording(A, *args, **kwargs):
-        sizes.append(A.shape[0])
-        return splu(A, *args, **kwargs)
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("SuperLU must not be called")
 
-    monkeypatch.setattr(fem, "splu", recording)
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(spla, "spilu", forbidden)
+    factored = []
+    factor_banded = fem.FeSpace.factor_banded
+
+    def recording(space, A):
+        factored.append((space.degree, A.shape[0]))
+        return factor_banded(space, A)
+
+    monkeypatch.setattr(fem.FeSpace, "factor_banded", recording)
     result = run_simulation(replace(LOADED_8X8, conductivity=conductivity))
     assert _active_refreshes(result) == 5
-    assert sizes == [81 + 208] * 6
+    assert [size for degree, size in factored if degree == 2] == [81 + 208] * 5
+    assert {degree for degree, _ in factored} == {1, 2}
+
+
+def test_importing_the_cli_does_not_load_the_sparse_solvers():
+    # scipy.sparse.linalg (SuperLU and the Krylov solvers) costs about 2 MB
+    # of resident memory to import; no module of the package needs it
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, cardioem.io_cli; "
+        "sys.exit('scipy.sparse.linalg' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0
 
 
 def test_nan_activation_raises(monkeypatch):
@@ -969,3 +1045,23 @@ def test_share_i_binds_to_the_ith_cpu_of_the_sorted_set(
 def test_shares_run_unbound_without_sched_setaffinity(monkeypatch):
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     assert driver._share_cpus(2) == [None, None]
+
+
+@can_bind
+def test_a_bound_share_runs_openblas_on_one_thread_and_gives_its_threads_back():
+    # BLAS helper threads started in a share bound to one CPU would wait on
+    # each other there; the block runs on one BLAS thread, and the caller's
+    # thread counts, 2 here, are given back after it
+    controls = driver._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        with driver._bound_to(sorted(os.sched_getaffinity(0))[0]):
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), n in zip(controls, before):
+            put(n)

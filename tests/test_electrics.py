@@ -159,9 +159,9 @@ def test_shared_pull_back_matches_one_tensor_at_a_time():
     space = FeSpace(structured_unit_square(4, 4), 1)
     grad_u = 5.0 * random_grad_u(4)
     Mi, Me = conductivities_from_gradient(space, grad_u, cond)
+    Finv = reference_inverse(grad_u, cond)
     for M, K in ((Mi, cond.K_i), (Me, cond.K_e)):
-        Finv = physics.inverse_deformation(grad_u, cond)
-        np.testing.assert_array_equal(M, physics.pull_back(Finv, K))
+        np.testing.assert_array_equal(M, reference_pull_back(Finv, K))
 
 
 # the chain that the entry-wise pull-back and the P1 kernel replaced, kept
@@ -551,12 +551,14 @@ SOLVE_CASES = [
 
 
 def recorded_factor_sizes(monkeypatch):
-    """The orders of the matrices that P1 spaces factor from now on."""
+    """The orders of the matrices that P1 spaces factor from now on; the
+    P2 space's factors of the mechanics block K are left out."""
     sizes = []
     factor = fem.FeSpace.factor_banded
 
     def recording(space, A):
-        sizes.append(A.shape[0])
+        if space.degree == 1:
+            sizes.append(A.shape[0])
         return factor(space, A)
 
     monkeypatch.setattr(fem.FeSpace, "factor_banded", recording)

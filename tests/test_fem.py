@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from cardioem import fem
 from cardioem.fem import (
@@ -17,7 +16,6 @@ from cardioem.fem import (
     assemble_stiffness,
     component_dot,
     edge_rule,
-    factor_spd,
     l2_error,
     l4_norm,
     solve_cg,
@@ -608,10 +606,9 @@ def test_cg_nonconvergence_flag():
 
 def test_cg_exact_preconditioner_takes_one_iteration():
     s = FeSpace(structured_unit_square(8, 8), 1)
-    K = (assemble_stiffness(s) + assemble_mass(s)).tocsc()
+    K = (assemble_stiffness(s) + assemble_mass(s)).tocsr()
     b = np.random.default_rng(2).standard_normal(s.n_scalar)
-    lu = splu(K)
-    res = solve_cg(K, b, no_constraint, lu.solve, tol=1e-12)
+    res = solve_cg(K, b, no_constraint, s.factor_banded(K).solve, tol=1e-12)
     assert res.converged
     assert res.iterations == 1
     assert np.linalg.norm(K.dot(res.x) - b) <= 1e-12 * np.linalg.norm(b)
@@ -751,12 +748,26 @@ def banded_forms(mesh):
     }
 
 
-@pytest.mark.parametrize("form", ["scalar", "grounded", "block", "mass"])
+def p2_forms(mesh):
+    """The P2 space of `mesh` and the SPD matrices that are factored banded
+    on it: an elastic block K (an anisotropic stiffness plus the Robin
+    boundary mass) and the mass."""
+    space = FeSpace(mesh, 2)
+    K = assemble_stiffness(space, np.array([[2.0, 0.3], [0.3, 1.0]]))
+    return space, {
+        "p2-elastic": (K + assemble_boundary_mass(space, 1.0)).tocsr(),
+        "p2-mass": assemble_mass(space),
+    }
+
+
+@pytest.mark.parametrize(
+    "form", ["scalar", "grounded", "block", "mass", "p2-elastic", "p2-mass"]
+)
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
 @pytest.mark.parametrize("cols", [None, 3])
 def test_banded_factor_matches_a_dense_solve(form, mesh, cols):
     m = structured_unit_square(6, 5) if mesh == "structured" else perturbed_square(6)
-    space, forms = banded_forms(m)
+    space, forms = (p2_forms if form.startswith("p2") else banded_forms)(m)
     A = forms[form]
     size = A.shape[0]
     shape = size if cols is None else (size, cols)
@@ -773,7 +784,7 @@ def test_banded_factor_of_the_natural_square_order_has_band_nx_plus_2():
     # the sweep order on a square; its diagonals join vertices nx + 2 apart
     nx = 7
     space, forms = banded_forms(structured_unit_square(nx, nx))
-    np.testing.assert_array_equal(space.vertex_order, np.arange(space.n_scalar))
+    np.testing.assert_array_equal(space.dof_order, np.arange(space.n_scalar))
     for form in ("scalar", "mass", "grounded", "block"):
         space.factor_banded(forms[form])
     kd = {size: lay.kd for size, lay in space.band_layouts.items()}
@@ -809,10 +820,19 @@ def test_banded_factor_refuses_a_matrix_that_is_not_positive_definite():
         space.factor_banded(-assemble_stiffness(space)[:-1, :-1])
 
 
-def test_banded_factor_needs_the_p1_space():
-    space = FeSpace(structured_unit_square(2, 2), 2)
-    with pytest.raises(ValueError, match="P1"):
-        space.factor_banded(assemble_mass(space))
+def test_p2_sweep_of_the_square_has_band_4nx_plus_4():
+    # the P2 sweep runs over rows of vertices and horizontal-edge midpoints
+    # and rows of the other midpoints, 2 nx + 1 dofs each; a triangle's
+    # dofs span three rows, and the vertices keep their P1 order
+    nx = 5
+    space, forms = p2_forms(structured_unit_square(nx, nx))
+    nv = (nx + 1) ** 2
+    vertices = space.dof_order[space.dof_order < nv]
+    np.testing.assert_array_equal(vertices, np.arange(nv))
+    x, y = space.dof_points[space.dof_order].T
+    assert np.all(np.diff(y) >= 0.0)
+    space.factor_banded(forms["p2-elastic"])
+    assert space.band_layouts[space.n_scalar].kd == 4 * nx + 4
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +848,17 @@ def th_blocks(n, alpha=1.0):
     return u_space, p_space, K, B, assemble_mass(p_space)
 
 
+def banded(space, A):
+    """The `factor` argument of `solve_saddle` for A over `space`."""
+    return lambda: space.factor_banded(A).solve
+
+
 def test_saddle_zero_data():
-    u_space, _, K, B, Mp = th_blocks(2)
-    res = solve_saddle(K, B, np.zeros(2 * u_space.n_scalar), factor_spd(Mp).solve)
+    u_space, p_space, K, B, Mp = th_blocks(2)
+    res = solve_saddle(
+        K, B, np.zeros(2 * u_space.n_scalar), p_space.factor_banded(Mp).solve,
+        banded(u_space, K),
+    )
     assert res.converged
     assert np.linalg.norm(res.u) == 0.0
     assert np.linalg.norm(res.p) == 0.0
@@ -839,25 +867,40 @@ def test_saddle_zero_data():
 def test_saddle_zero_load_returns_zeros_without_factoring(monkeypatch):
     # -0.0 entries count as zero: the passive mechanics load is built so
     u_space, p_space, K, B, Mp = th_blocks(2)
-    schur = factor_spd(Mp).solve
+    schur = p_space.factor_banded(Mp).solve
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a zero load must not factor K")
 
-    monkeypatch.setattr(fem, "factor_spd", forbidden)
+    monkeypatch.setattr(fem.FeSpace, "factor_banded", forbidden)
     f = np.full(2 * u_space.n_scalar, -0.0)
-    res = solve_saddle(K, B, f, schur, g=np.zeros(p_space.n_scalar))
+    res = solve_saddle(
+        K, B, f, schur, banded(u_space, K), g=np.zeros(p_space.n_scalar)
+    )
     assert res.converged and res.iterations == 0
     assert not np.any(res.u) and not np.any(res.p)
     assert res.u.shape == f.shape and res.p.shape == (p_space.n_scalar,)
     assert res.res_primal == 0.0 and res.res_constraint == 0.0
 
 
+def test_saddle_reports_a_k_the_factor_refuses():
+    # -K is negative definite: the banded Cholesky raises, and the solve
+    # returns an unconverged result instead of the error
+    u_space, p_space, K, B, Mp = th_blocks(2)
+    f = np.ones(2 * u_space.n_scalar)
+    res = solve_saddle(-K, B, f, p_space.factor_banded(Mp).solve, banded(u_space, -K))
+    assert not res.converged and res.iterations == 0
+    assert np.all(np.isnan(res.u)) and np.all(np.isnan(res.p))
+    assert res.res_primal == res.res_constraint == math.inf
+
+
 def test_saddle_decoupled_block():
     K = sp.diags([1.0, 2.0], format="csr")
     B = sp.csr_matrix((2, 4))
     f = np.array([1.0, -2.0, 3.0, 0.5])
-    res = solve_saddle(K, B, f, lambda q: q)
+    res = solve_saddle(
+        K, B, f, lambda q: q, lambda: fem.BandLayout(K, np.arange(2)).factor(K).solve
+    )
     assert np.allclose(res.u, f / np.array([1.0, 2.0, 1.0, 2.0]), atol=1e-12)
     assert np.allclose(res.p, 0.0)
 
@@ -876,9 +919,9 @@ def test_saddle_matches_dense_lu_oracle(c_scale):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(2 * u_space.n_scalar)
     C = None if c_scale is None else c_scale * Mp
-    lu = factor_spd(Mp)
+    lu = p_space.factor_banded(Mp)
     schur = lambda q: lu.solve(q) / (1.0 + (c_scale or 0.0))
-    res = solve_saddle(K, B, f, schur, tol=1e-12, C=C)
+    res = solve_saddle(K, B, f, schur, banded(u_space, K), tol=1e-12, C=C)
     assert res.converged
 
     n, k = 2 * u_space.n_scalar, p_space.n_scalar
@@ -894,9 +937,11 @@ def test_saddle_matches_dense_lu_oracle(c_scale):
 
 
 def test_saddle_residual_contracts():
-    u_space, _, K, B, Mp = th_blocks(3, alpha=2.0)
+    u_space, p_space, K, B, Mp = th_blocks(3, alpha=2.0)
     f = assemble_load(u_space, lambda x, y: (np.sin(np.pi * x), np.cos(np.pi * y)))
-    res = solve_saddle(K, B, f, factor_spd(Mp).solve, tol=1e-10)
+    res = solve_saddle(
+        K, B, f, p_space.factor_banded(Mp).solve, banded(u_space, K), tol=1e-10
+    )
     assert res.converged
     assert res.res_primal <= 1e-9
     assert res.res_constraint <= 1e-9

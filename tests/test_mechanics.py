@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from cardioem import electrics, physics
 from cardioem.fem import (
@@ -12,7 +12,6 @@ from cardioem.fem import (
     assemble_mass,
     assemble_stiffness,
     component_dot,
-    factor_spd,
 )
 from cardioem.mechanics import (
     MechParams,
@@ -194,7 +193,7 @@ def test_alpha_scaling_boundary_only():
 
 def test_k_keeps_the_space_pattern_from_passive_to_active():
     # the isotropic passive sigma gives stiffness entries that cancel to
-    # exactly zero; they stay in K's pattern, so its ordering holds for
+    # exactly zero; they stay in K's pattern, so its band layout holds for
     # every activation
     mesh, u_space, p_space, passive = setup(6)
     _, _, _, active = setup(6, gamma_fn=bump)
@@ -211,31 +210,34 @@ def test_k_keeps_the_space_pattern_from_passive_to_active():
     )
 
 
-def test_k_through_the_stored_ordering_solves_as_a_fresh_mmd_lu():
+def test_k_through_the_stored_band_layout_solves_as_a_fresh_factor():
     mesh = structured_unit_square(8, 8)
     u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     statics = mech_statics(u_space, p_space, 1.0, assemble_mass(p_space))
     fibers = FiberField.rotated(mesh, 0.4)
     x, y = mesh.vertices.T
     rhs = np.random.default_rng(5).standard_normal((u_space.n_scalar, 2))
-    orderings = []
+    layouts = []
     for gamma in (bump(x, y), 0.5 * np.sin(3 * x) * np.cos(2 * y)):
         K = assemble_mechanics(
             u_space, p_space, gamma, fibers, MechParams(), ACT, statics=statics
         ).K
-        q = statics.ordering.q
-        got = np.empty_like(rhs)
-        got[q] = factor_spd(statics.ordering.permute(K), ordered=True).solve(rhs[q])
-        fresh = splu(
-            sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-        ref = fresh.solve(rhs)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        got = u_space.factor_banded(K).solve(rhs)
+        # a fresh space builds its band layout anew
+        fresh = FeSpace(mesh, 2).factor_banded(K).solve(rhs)
+        np.testing.assert_array_equal(got, fresh)
+        ref = np.linalg.solve(K.toarray(), rhs)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(K.dot(got) - rhs).max() <= 1e-12 * np.abs(rhs).max()
-        orderings.append(statics.ordering)
-    # both activations factor through the one ordering of the statics
-    assert orderings[0] is orderings[1]
+        layouts.append(u_space.band_layouts[u_space.n_scalar])
+    # both activations factor through the one layout, in the statics' order
+    assert layouts[0] is layouts[1]
+    np.testing.assert_array_equal(statics.u_order[: u_space.n_scalar], layouts[0].q)
+    # the statics gather K into that order
+    q = layouts[0].q
+    np.testing.assert_array_equal(
+        statics.in_band_order(K).toarray(), K.toarray()[q][:, q]
+    )
 
 
 def test_params_validation():
@@ -379,20 +381,17 @@ def unpermuted_schur_cg(system, tol):
     """The Schur CG in the dofs' own order, the reference for `solve_mechanics`.
 
     scipy's `cg` on B A^-1 B^T through two `LinearOperator`s, with K
-    factored through the statics' ordering, and every K and Mp solve
+    factored by the same banded Cholesky, and every K and Mp solve
     gathering its right side into the factor's order and scattering the
-    result back: the solve as it ran before it moved into K's order.  One
-    pass, without the residual check.  Returns (u, p, iterations).
+    result back (`BandedCholesky.solve`): the solve as it would run in
+    the dofs' own order.  One pass, without the residual check.  Returns
+    (u, p, iterations).
     """
     st = system.statics
-    q = st.ordering.q
-    lu = factor_spd(st.ordering.permute(system.K), ordered=True)
+    lu = system.u_space.factor_banded(system.K)
 
     def solve_a(v):
-        cols = v.reshape(2, -1)
-        x = np.empty_like(cols)
-        x[:, q] = lu.solve(cols[:, q].T).T
-        return x.ravel()
+        return lu.solve(v.reshape(2, -1).T).T.ravel()
 
     B = system.B
     BT = B.T.tocsr()
@@ -418,15 +417,15 @@ def unpermuted_schur_cg(system, tol):
 def test_k_order_solve_matches_the_bordered_solve_and_the_unpermuted_cg(
     n, make_fibers
 ):
-    # an active gamma and a body force; the solve runs in K's order, with
-    # B held there, and its u and p come back in the dofs' own order
+    # an active gamma and a body force; the solve runs in the band orders,
+    # with B held there, and its u and p come back in the dofs' own order
     mesh = structured_unit_square(n, n)
     u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     system = assemble_mechanics(
         u_space, p_space, bump(*mesh.vertices.T), make_fibers(mesh),
         MechParams(gx=0.3, gy=-1.0), ACT,
     )
-    assert not np.array_equal(system.statics.ordering.q, np.arange(u_space.n_scalar))
+    assert not np.array_equal(system.statics.u_order, np.arange(2 * u_space.n_scalar))
     state, res = solve_mechanics(system, tol=1e-12)
     assert res.converged
     nu, k = 2 * u_space.n_scalar, p_space.n_scalar

@@ -5,13 +5,15 @@ from cardioem.physics import (
     ActivationParams,
     ConductivityParams,
     IonicParams,
-    clamp_gradient,
+    clamp_entries,
+    entries,
+    entry_tensor,
     gamma_kappa,
     g_act,
     h_kin,
     i_ion,
-    inverse_deformation,
-    pull_back,
+    inverse_entries,
+    pull_back_entries,
     sigma_and_active,
 )
 
@@ -190,6 +192,26 @@ def test_activation_params_validation():
 # conductivity pullback
 
 
+# the (..., 2, 2) forms of the entry-wise chain that
+# `electrics.conductivities_from_gradient` runs
+
+
+def clamp_gradient(grad_u, p):
+    """The clamped displacement gradient (`clamp_entries`), (..., 2, 2)."""
+    return entry_tensor(*clamp_entries(entries(grad_u), p))
+
+
+def inverse_deformation(grad_u, p):
+    """F^-1 for F = I + `clamp_gradient(grad_u, p)`, over leading axes."""
+    return entry_tensor(*inverse_entries(entries(grad_u), p))
+
+
+def pull_back(Finv, K):
+    """F^-1 K F^-T for a symmetric 2x2 K, entry by entry and exactly symmetric."""
+    m00, m01, m11 = pull_back_entries(entries(Finv), K)
+    return entry_tensor(m00, m01, m01, m11)
+
+
 def conductivity(grad_u, K, p):
     """F^-1 K F^-T with F = I + the clamped gradient."""
     return pull_back(inverse_deformation(grad_u, p), K)
@@ -236,8 +258,6 @@ def test_conductivity_clamp_keeps_determinant_floor():
     p = ConductivityParams(clamp_delta=0.9, clamp_tau=0.5)
     # strongly compressive gradient disallowed by the determinant floor
     G = np.array([[-0.6, 0.0], [0.0, -0.6]])
-    from cardioem.physics import clamp_gradient
-
     Gc = clamp_gradient(G, p)
     F = np.eye(2) + Gc
     assert np.linalg.det(F) >= p.clamp_tau - 1e-9
