@@ -168,7 +168,7 @@ def infsup_estimate(disc) -> float:
     """
     if 2 * disc.u_space.n_scalar > _DENSE_LIMIT:
         raise ValueError("mesh too large for dense inf-sup probe")
-    B = disc.statics.unpermuted_B().toarray()
+    B = disc.statics.B.toarray()
     H = sp.block_diag((disc.h1_gram, disc.h1_gram)).toarray()
     Lh = scipy.linalg.cholesky(H, lower=True)
     Lp = scipy.linalg.cholesky(disc.statics.mass_p.toarray(), lower=True)

@@ -1,9 +1,12 @@
 """Reference elements, quadrature, operator assembly, and Krylov solvers.
 
-Scalar Lagrange spaces of degree 1 and 2 over a TriMesh.  A 2-vector field
-is a component-major array of length 2 * n_scalar over a scalar space,
-dof(c, s) = c * n_scalar + s; the field routines read the component count
-from the shape of the array or of the function's value.
+Scalar Lagrange spaces of degree 1 and 2 over a TriMesh.  P1 numbers its
+dofs as the mesh numbers its vertices; P2 numbers its vertex and
+edge-midpoint dofs in their sweep order (`sweep`), the band order of its
+matrices.  A 2-vector field is a component-major array of length
+2 * n_scalar over a scalar space, dof(c, s) = c * n_scalar + s; the field
+routines read the component count from the shape of the array or of the
+function's value.
 All bilinear forms are assembled with the same degree-4 symmetric triangle
 rule (exact for every product appearing in the P2/P1 pair with affine
 coefficients); boundary terms use a 3-point Gauss rule on edges.
@@ -29,9 +32,7 @@ pressure Schur complement S = B A^-1 B^T + C: `solve_cg` on S, with no
 projection, preconditioned by a caller-supplied approximation of S^-1 (in
 practice a factored pressure mass), with A = blockdiag(K, K) inverted by
 one factor of K applied to both components of u at once.  It works in the
-order its operators are given in; the mechanics passes its system permuted
-once into K's band order, so that no CG iteration gathers or scatters
-(`mechanics.MechStatics.solve_in_band_order`).
+order its operators are given in, the spaces' own.
 
 Every SPD matrix (the bidomain systems, the pressure mass, the P2 block K)
 is factored by `FeSpace.factor_banded`: a banded Cholesky factor (LAPACK
@@ -41,10 +42,11 @@ longer side of the mesh, which keeps the band about one cross-section of
 dofs wide.  A matrix over several fields keeps each dof's fields side by
 side, so the band of the bidomain 2n block is about twice the scalar one.
 The map from a CSR pattern into the band storage is kept per matrix order
-(`BandLayout`); `BandedCholesky.solve_ordered` solves a right side that
-is already in that order.  Band work grows as n kd^2 (George & Liu,
-Computer Solution of Large Sparse Positive Definite Systems, 1981): on
-the unit square the P2 sweep gives K the band 4 nx + 4, and the work of
+(`BandLayout`).  A factor whose order is the identity (every P2 matrix,
+and every P1 matrix of one field on `structured_unit_square`) solves with
+no gather or scatter.  Band work grows as n kd^2 (George & Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981): on the unit
+square the P2 sweep gives K the band 4 nx + 4, and the work of
 a refresh, one factor of K and 16 two-column solves, took less than a
 sparse LU in minimum-degree order at 12^2 and 22^2 (0.87 against 1.63
 ms, 6.05 against 7.54 ms, one BLAS thread) but 1.2 and 1.5 times as
@@ -181,18 +183,38 @@ _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 # finite element spaces
 
 
+def sweep(points: np.ndarray) -> np.ndarray:
+    """The (n, 2) points swept along the longer side of their bounding box.
+
+    Sorted by the coordinate along the longer side (y on a square), ties
+    by the other one, so the order depends on the coordinates alone, not
+    on how the points are numbered.  On a mesh of straight rows across the
+    sweep, an edge joins vertices at most one row apart, so a matrix over
+    the points in this order has a band about one row wide.  This is the
+    one place a dof order is decided: P1 factors its matrices in it
+    (`FeSpace.dof_order`), and P2 numbers its dofs by it.
+    """
+    x, y = points.T
+    along, across = (x, y) if np.ptp(x) > np.ptp(y) else (y, x)
+    return np.lexsort((across, along))
+
+
 class FeSpace:
     """Scalar Lagrange space of degree 1 or 2.
 
-    P1 dofs are the vertices; P2 adds one dof per undirected edge, numbered
-    after the vertices.  A 2-vector field over the space is a
-    component-major array of length 2 * n_scalar.  Element geometry
-    (Jacobians, physical quadrature points, physical basis gradients) is
-    precomputed once; the sparsity pattern and the boundary-edge dofs are
-    built on first use.  `grads` has the shape (ne, nq, nloc, 2) on both
-    degrees, but P1 gradients are constant on each triangle, so a P1 space
-    holds them once per element and `grads` is a read-only view that
-    broadcasts them over the quadrature points (stride 0 on that axis).
+    P1 dofs are the vertices, in the mesh's numbering.  P2 has a node at
+    each vertex and at each undirected edge's midpoint, and numbers its
+    dofs in the sweep of those points (`sweep`), so every P2 matrix is
+    assembled in its band order; `node_dofs` maps the nodes, the vertices
+    and then the edges in `edge_keys` order, to their dofs.  A 2-vector
+    field over the space is a component-major array of length 2 * n_scalar.
+    Element geometry (Jacobians, physical quadrature points, physical basis
+    gradients) is precomputed once; the sparsity pattern and the
+    boundary-edge dofs are built on first use.  `grads` has the shape
+    (ne, nq, nloc, 2) on both degrees, but P1 gradients are constant on
+    each triangle, so a P1 space holds them once per element and `grads` is
+    a read-only view that broadcasts them over the quadrature points
+    (stride 0 on that axis).
     """
 
     def __init__(self, mesh: TriMesh, degree: int = 1):
@@ -207,6 +229,7 @@ class FeSpace:
         if degree == 1:
             self.n_scalar = nv
             self.conn = tris.copy()
+            self._points = mesh.vertices
         else:
             # the key i * nv + j of each local edge's sorted vertex pair;
             # the edges are numbered in ascending key order, which is the
@@ -215,8 +238,18 @@ class FeSpace:
             pairs = tris[:, _LOCAL_EDGES]
             keys = (pairs.min(axis=2) * nv + pairs.max(axis=2)).ravel()
             self.edge_keys, edge_of = np.unique(keys, return_inverse=True)
-            self.n_scalar = nv + len(self.edge_keys)
-            self.conn = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
+            # the nodes, the vertices and then the edges, take their dof
+            # numbers in the sweep of their points
+            i, j = np.divmod(self.edge_keys, nv)
+            v = mesh.vertices
+            nodes = np.vstack([v, 0.5 * (v[i] + v[j])])
+            order = sweep(nodes)
+            self.n_scalar = len(nodes)
+            self.node_dofs = np.empty_like(order)
+            self.node_dofs[order] = np.arange(self.n_scalar)
+            self._points = nodes[order]
+            nodes_of = np.hstack([tris, nv + edge_of.reshape(-1, 3)])
+            self.conn = self.node_dofs[nodes_of]
         self.nloc = self.conn.shape[1]
 
         lam = self.quad.points
@@ -278,13 +311,10 @@ class FeSpace:
 
     @property
     def dof_points(self) -> np.ndarray:
-        """The (n_scalar, 2) dof coordinates: the vertices, then for P2 the
-        edge midpoints in edge order; a new array on each read."""
-        pts = self.mesh.vertices
-        if self.degree == 2:
-            i, j = np.divmod(self.edge_keys, self.mesh.num_vertices)
-            pts = np.vstack([pts, 0.5 * (pts[i] + pts[j])])
-        return pts
+        """The (n_scalar, 2) dof coordinates, in dof order: the vertices for
+        P1; for P2 the vertices and edge midpoints in their sweep order.
+        The array is the space's own; do not write to it."""
+        return self._points
 
     def interpolate(self, fn: Callable) -> np.ndarray:
         """Nodal interpolant of fn(x, y), component-major if fn is vector-valued.
@@ -314,22 +344,16 @@ class FeSpace:
 
     @cached_property
     def dof_order(self) -> np.ndarray:
-        """The dofs swept along the longer side of the mesh's bounding box.
+        """The band order of the dofs, `sweep` of `dof_points`.
 
-        Sorted by the coordinate along the longer side (y on a square), ties
-        by the other one, so the order depends on the coordinates alone,
-        not on how the dofs are numbered.  On a mesh of straight rows
-        across the sweep, an edge joins vertices at most one row apart, so
-        the P1 band is about one row wide: on `structured_unit_square` the
-        P1 order is its own row-by-row numbering, whose bandwidth is nx + 2.
-        P2 adds a row of edge midpoints between two vertex rows, and a
-        triangle's dofs span three such rows, so its band on that square is
-        4 nx + 4.  Rows that are not straight mix in the sweep, which can
-        double it.
+        P2 dofs are numbered in it, so for P2 it is the identity.  On
+        `structured_unit_square` the P1 order is the identity too, the
+        mesh's row-by-row numbering, whose bandwidth is nx + 2.  P2 adds a
+        row of edge midpoints between two vertex rows, and a triangle's
+        dofs span three such rows, so its band on that square is 4 nx + 4.
+        Rows that are not straight mix in the sweep, which can double it.
         """
-        x, y = self.dof_points.T
-        along, across = (x, y) if np.ptp(x) > np.ptp(y) else (y, x)
-        return np.lexsort((across, along))
+        return sweep(self.dof_points)
 
     def factor_banded(self, A: sp.csr_matrix) -> "BandedCholesky":
         """Banded Cholesky factor of an SPD matrix over this space's dofs.
@@ -359,7 +383,7 @@ class FeSpace:
         nv = self.mesh.num_vertices
         keys = ij.min(axis=1) * nv + ij.max(axis=1)
         mids = nv + np.searchsorted(self.edge_keys, keys)
-        return np.column_stack([ij, mids])
+        return self.node_dofs[np.column_stack([ij, mids])]
 
 
 # ---------------------------------------------------------------------------
@@ -681,23 +705,25 @@ class SaddleResult(NamedTuple):
 
 class BandedCholesky(NamedTuple):
     """U^T U = A[q][:, q], U in LAPACK upper band storage (`ab`, Fortran
-    order); `solve` takes and returns A's own order."""
+    order); q is None when the order is the identity.  `solve` takes and
+    returns A's own order."""
 
     ab: np.ndarray
-    q: np.ndarray
+    q: np.ndarray | None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for b of shape (n,) or (n, k)."""
+        """A^-1 b for b of shape (n,) or (n, k); a new array.
+
+        In the identity order b goes to `dpbtrs` as it is, with no gather
+        or scatter, and `dpbtrs` solves a copy of it.
+        """
         b = np.asarray(b)
+        if self.q is None:
+            return dpbtrs(self.ab, b.reshape(len(b), -1))[0].reshape(b.shape)
         y, _ = dpbtrs(self.ab, b[self.q].reshape(len(self.q), -1), overwrite_b=1)
         x = np.empty_like(y)
         x[self.q] = y
         return x.reshape(b.shape)
-
-    def solve_ordered(self, b: np.ndarray) -> np.ndarray:
-        """A[q][:, q]^-1 b, for b of shape (n,) or (n, k) already in the
-        order q; a new array, b is left as it is."""
-        return dpbtrs(self.ab, b)[0]
 
 
 class BandLayout:
@@ -723,6 +749,7 @@ class BandLayout:
         self.take = upper.astype(np.int32)
         self.slot = self.kd * (c + 1) + r  # (kd + r - c) + (kd + 1) c
         self.q = q
+        self.identity = bool(np.all(pos == np.arange(n)))
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
 
     def matches(self, A: sp.csr_matrix) -> bool:
@@ -746,7 +773,7 @@ class BandLayout:
                 f"the matrix of order {n} is not positive definite "
                 f"(dpbtrf info {info})"
             )
-        return BandedCholesky(ab, self.q)
+        return BandedCholesky(ab, None if self.identity else self.q)
 
 
 def component_dot(K, u: np.ndarray) -> np.ndarray:
@@ -784,12 +811,11 @@ def solve_saddle(
     miss, one more pass solves for the correction.
     `BT` is B^T as CSR, for a caller that holds it; else it is formed here.
     `factor()` factors K and returns its solve, which maps an (n, 2) array
-    of two columns to K^-1 of them: `FeSpace.factor_banded(K).solve` for a
-    K in its space's own order, or `BandedCholesky.solve_ordered` of that
-    factor when the caller has permuted the system into the band order
-    (`mechanics.MechStatics.solve_in_band_order`).  Every operator, f, g
-    and the returned u and p share one order, whichever the caller gives
-    them in.  When f and g are exactly zero the solution is zero, returned
+    of two columns to K^-1 of them, in practice
+    `FeSpace.factor_banded(K).solve`.  Every operator, f, g and the
+    returned u and p are in the spaces' own dof orders; the P2 space
+    numbers its dofs in K's band order, so K's solve permutes nothing.
+    When f and g are exactly zero the solution is zero, returned
     without calling `factor`.  A K that the factor refuses (`LinAlgError`,
     not positive definite) gives a result with converged=False, NaN u and
     p and infinite residuals.

@@ -26,6 +26,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 
 from . import diagnostics, driver
+from .fem import FeSpace
 from .mesh import boundary_edges
 
 
@@ -146,13 +147,15 @@ def config_hash(config: driver.SimConfig) -> str:
 # writers
 
 
-def write_vtk(path, mesh, snapshot, seed: int, chash: str):
+def write_vtk(path, u_space, snapshot, seed: int, chash: str):
     """Legacy-ASCII VTK unstructured grid of one `driver.PathState`.
 
-    Scalars are written on the vertices; the displacement becomes a
-    3-component VECTORS array with zero z.  Values carry 9 significant
-    digits.
+    The grid is the mesh of `u_space`, the P2 space of the displacement.
+    Scalars are written on the vertices; the displacement, read at the P2
+    vertex dofs (`FeSpace.node_dofs`), becomes a 3-component VECTORS array
+    with zero z.  Values carry 9 significant digits.
     """
+    mesh = u_space.mesh
     nv = mesh.num_vertices
     nt = mesh.num_triangles
     fmt = lambda x: f"{x:.9g}"
@@ -181,8 +184,7 @@ def write_vtk(path, mesh, snapshot, seed: int, chash: str):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for value in arr[:nv]:
                 fh.write(fmt(value) + "\n")
-        n_s = len(u) // 2
-        ux, uy = u[:n_s][:nv], u[n_s:][:nv]
+        ux, uy = u.reshape(2, -1)[:, u_space.node_dofs[:nv]]
         fh.write("VECTORS u double\n")
         for a, b in zip(ux, uy):
             fh.write(f"{fmt(a)} {fmt(b)} 0\n")
@@ -280,11 +282,11 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     write_probes(os.path.join(out, "probes.csv"), result)
     write_energy(os.path.join(out, "energy.csv"), result)
-    mesh = config.build_mesh() if result.snapshots else None
+    u_space = FeSpace(config.build_mesh(), degree=2) if result.snapshots else None
     for it, snap in sorted(result.snapshots.items()):
         write_vtk(
             os.path.join(out, f"snapshot_{it:05d}.vtk"),
-            mesh, snap, result.seed, result.config_hash,
+            u_space, snap, result.seed, result.config_hash,
         )
     print(
         f"run complete: {result.n_steps} steps, seed={result.seed}, "

@@ -22,7 +22,8 @@ B A^-1 B^T (+ C) by CG (`fem.solve_cg`), with one banded Cholesky factor
 of the scalar block K serving both displacement components, and the
 pressure mass Mp as the preconditioner.  Every matrix is factored by
 `fem.FeSpace.factor_banded` in its space's band order (`dof_order`): K in
-the P2 space's, Mp in the P1 space's.  Mp is factored on first use
+the P2 space's, which is the P2 numbering itself, so K's solves permute
+nothing, and Mp in the P1 space's.  Mp is factored on first use
 (`MechStatics.mass_p_lu`), not in `mech_statics`, so statics that no solve
 uses cost no factor.  The displacement is a component-major 2-vector
 field over the scalar P2 space, and each of its operators is assembled as
@@ -31,11 +32,8 @@ the scalar block.
 K keeps one sparsity pattern, the P2 space's: the stiffness is summed into
 it, and the Robin boundary mass is added at slots found once, in
 `MechStatics`, so no entry that cancels to zero is pruned.  So the P2
-space keeps one band layout for every K, and every solve runs in the band
-orders (`MechStatics.solve_in_band_order`): K is gathered into its order
-by a map stored with the statics, and B = -div and B^T are held only in
-it, so the Schur CG uses the raw band solves of K and Mp and permutes
-nothing per iteration.
+space keeps one band layout for every K.  B = -div and B^T are built once,
+with the statics.
 """
 
 from __future__ import annotations
@@ -96,13 +94,8 @@ class MechState:
 class MechStatics:
     """Activation-independent operators; `boundary`, `mass_u` are scalar P2 blocks.
 
-    The saddle solve runs with the u dofs in `u_order` (both components in
-    the P2 space's band order, `FeSpace.dof_order`) and the p dofs in
-    `p_order` (the P1 space's), and `B`, the constraint -div, and `BT`, its
-    transpose, are held in those orders only: B[i, j] is the entry
-    (p_order[i], u_order[j]), each row keeping the entry order of the
-    unpermuted -div.  `k_take`, `k_indices` and `k_indptr` gather a matrix
-    on the P2 space's pattern into the band order (`in_band_order`).
+    Every operator is in the spaces' own dof orders: `B`, the constraint
+    -div, and `BT`, its transpose, are held once for every solve.
     `boundary_slots` holds the position of each entry of `boundary` in the
     CSR data of the P2 space's pattern, which K is assembled on.
     `edge_s`, `normals` and `edge_basis` (the edge length times the edge
@@ -118,11 +111,6 @@ class MechStatics:
     mass_p: sp.csr_matrix
     u_space: FeSpace = field(repr=False)
     p_space: FeSpace = field(repr=False)
-    u_order: np.ndarray = field(repr=False)
-    p_order: np.ndarray = field(repr=False)
-    k_take: np.ndarray = field(repr=False)
-    k_indices: np.ndarray = field(repr=False)
-    k_indptr: np.ndarray = field(repr=False)
     edge_s: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)
     edge_basis: np.ndarray = field(repr=False)
@@ -132,64 +120,15 @@ class MechStatics:
         """The factored pressure mass, the Schur preconditioner; built on first use."""
         return self.p_space.factor_banded(self.mass_p)
 
-    def unpermuted_B(self) -> sp.csr_matrix:
-        """B with rows and columns in the dofs' own order, built on each call."""
-        rows = self.B[np.argsort(self.p_order)]
-        return sp.csr_matrix(
-            (rows.data, self.u_order[rows.indices], rows.indptr), shape=rows.shape
-        )
-
-    def in_band_order(self, K: sp.csr_matrix) -> sp.csr_matrix:
-        """K[q][:, q] as CSR, q the P2 band order, for K on the P2 pattern."""
-        return sp.csr_matrix(
-            (K.data[self.k_take], self.k_indices, self.k_indptr), shape=K.shape
-        )
-
-    def solve_in_band_order(self, K, f, schur, tol, g=None, C=None) -> SaddleResult:
-        """`fem.solve_saddle` of K (on the P2 pattern), f and g in the band orders.
-
-        f, g, u and p are in the dofs' own order, permuted once each way;
-        C and `schur` act in `p_order`.  K is factored by the P2 space's
-        `factor_banded`, whose order is `u_order`'s, so its raw band solve
-        serves the permuted system.
-        """
-        u_order, p_order = self.u_order, self.p_order
-        res = solve_saddle(
-            self.in_band_order(K), self.B, f[u_order], schur,
-            lambda: self.u_space.factor_banded(K).solve_ordered,
-            g=None if g is None else g[p_order], tol=tol, C=C, BT=self.BT,
-        )
-        u, p = np.empty_like(res.u), np.empty_like(res.p)
-        u[u_order], p[p_order] = res.u, res.p
-        return res._replace(u=u, p=p)
-
 
 def mech_statics(
     u_space: FeSpace, p_space: FeSpace, alpha: float, mass_p: sp.csr_matrix
 ) -> MechStatics:
-    """The operators of `MechStatics`, given the P1 mass of `p_space`.
-
-    The band orders are those of the spaces' dof coordinates, so B and the
-    gather of K into band order are built once, from the patterns alone.
-    """
+    """The operators of `MechStatics`, given the P1 mass of `p_space`."""
     indptr, indices, _ = u_space.pattern
     n = u_space.n_scalar
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    q = u_space.dof_order
-    u_order = np.concatenate([q, n + q])
-    p_order = p_space.dof_order
-    # rows gathered into p_order keep their entry order; the columns are
-    # renamed to their positions in u_order
-    div = (-assemble_divergence(u_space, p_space)).tocsr()[p_order]
-    pos = np.empty(2 * n, dtype=np.int32)
-    pos[u_order] = np.arange(2 * n)
-    B = sp.csr_matrix((div.data, pos[div.indices], div.indptr), shape=div.shape)
-    # the entry (i, j) of K goes to (pos[i], pos[j]); k_take lists the CSR
-    # slots of K by permuted row, each row by permuted column
-    r, c = pos[rows], pos[indices]
-    k_take = np.lexsort((c, r)).astype(np.int32)
-    k_indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(r, minlength=n), out=k_indptr[1:])
+    B = -assemble_divergence(u_space, p_space)
 
     boundary = assemble_boundary_mass(u_space, alpha)
     # the boundary's entries, keyed row * n + col, among the pattern's
@@ -206,11 +145,6 @@ def mech_statics(
         mass_p=mass_p,
         u_space=u_space,
         p_space=p_space,
-        u_order=u_order,
-        p_order=p_order,
-        k_take=k_take,
-        k_indices=c[k_take],
-        k_indptr=k_indptr,
         edge_s=er.points[:, 0],
         normals=normals,
         edge_basis=lengths[:, None, None]
@@ -222,7 +156,7 @@ def mech_statics(
 class MechSystem:
     """Assembled block: A u + B^T p = f, B u = 0, A = blockdiag(K, K), B = -div.
 
-    B is rebuilt on each read (`MechStatics.unpermuted_B`).
+    B is the statics' (`MechStatics.B`).
     """
 
     u_space: FeSpace
@@ -232,7 +166,7 @@ class MechSystem:
 
     @property
     def B(self) -> sp.csr_matrix:
-        return self.statics.unpermuted_B()
+        return self.statics.B
 
 
 def _at_quad(u_space: FeSpace, gamma: np.ndarray, fibers: FiberField):
@@ -336,12 +270,12 @@ def assemble_mechanics(
 def solve_mechanics(
     system: MechSystem, tol: float = 1e-10
 ) -> tuple[MechState, SaddleResult]:
-    """Solve the assembled block by CG on its pressure Schur complement.
-
-    It runs in the band orders (`MechStatics.solve_in_band_order`).
-    """
-    st = system.statics
-    res = st.solve_in_band_order(system.K, system.f, st.mass_p_lu.solve_ordered, tol)
+    """Solve the assembled block by CG on its pressure Schur complement."""
+    st, K = system.statics, system.K
+    res = solve_saddle(
+        K, st.B, system.f, st.mass_p_lu.solve,
+        lambda: st.u_space.factor_banded(K).solve, tol=tol, BT=st.BT,
+    )
     return MechState(res.u, res.p), res
 
 
@@ -359,7 +293,7 @@ def step_mechanics_regularized(
     The stationary point of repeated stepping with frozen data is the
     saddle solution.  With C = (eps/dt) Mp the Schur block is
     (1 + eps/dt) Mp, applied through the same factor of Mp.  K + (eps/dt)
-    Mu is summed on the P2 pattern's data and solved in the band orders.
+    Mu is summed on the P2 pattern's data, so it keeps K's band layout.
     """
     if epsilon <= 0 or dt <= 0:
         raise ValueError("epsilon and dt must be positive")
@@ -367,13 +301,15 @@ def step_mechanics_regularized(
     r = epsilon / dt
     K = system.K.copy()
     K.data += r * st.mass_u.data
-    p_order = st.p_order
-    res = st.solve_in_band_order(
+    res = solve_saddle(
         K,
+        st.B,
         system.f + r * component_dot(st.mass_u, state.u),
-        lambda q: st.mass_p_lu.solve_ordered(q) / (1.0 + r),
-        tol,
+        lambda q: st.mass_p_lu.solve(q) / (1.0 + r),
+        lambda: st.u_space.factor_banded(K).solve,
         g=-r * st.mass_p.dot(state.p),
-        C=r * st.mass_p[p_order][:, p_order],
+        tol=tol,
+        C=r * st.mass_p,
+        BT=st.BT,
     )
     return MechState(res.u, res.p), res

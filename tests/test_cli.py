@@ -31,6 +31,7 @@ from cardioem.io_cli import (
     parse_config,
     serialize_config,
 )
+from cardioem.fem import FeSpace
 from cardioem.mesh import structured_unit_square
 from cardioem.noise import NoiseParams
 from test_mesh import serialize_mesh
@@ -458,8 +459,10 @@ def test_mesh_the_grounded_solve_cannot_handle_exit_code(
     assert not out.exists()
 
 
-def test_run_snapshot_round_trips_through_vtk(tmp_path):
-    cfg = write_config(tmp_path, SMALL)
+def check_snapshot_round_trips_through_vtk(tmp_path, text):
+    """Run `text` with snapshots at 0 and 2 and compare the second file
+    with the run's snapshot; returns the snapshot."""
+    cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     args = ["run", "--config", cfg, "--out", str(out), "--snapshots", "0,2"]
     assert main(args) == 0
@@ -467,7 +470,7 @@ def test_run_snapshot_round_trips_through_vtk(tmp_path):
         "energy.csv", "probes.csv", "snapshot_00000.vtk", "snapshot_00002.vtk",
     ]
 
-    config = replace(parse_config(SMALL), snapshot_iters=(0, 2))
+    config = replace(parse_config(text), snapshot_iters=(0, 2))
     result = run_simulation(config)
     with open(out / "probes.csv") as fh:
         assert fh.readline() == f"# seed=0 config={config_hash(config)}\n"
@@ -486,11 +489,26 @@ def test_run_snapshot_round_trips_through_vtk(tmp_path):
         np.testing.assert_allclose(
             arr, expected[name][:nv], rtol=1e-8, atol=1e-300
         )
-    n_s = len(snap.mech.u) // 2
-    u = np.column_stack(
-        [snap.mech.u[:n_s][:nv], snap.mech.u[n_s:][:nv], np.zeros(nv)]
-    )
+    # u at each vertex is the value of the P2 dof at that vertex's point
+    dof_at = {
+        tuple(p): k for k, p in enumerate(FeSpace(mesh, 2).dof_points.tolist())
+    }
+    dofs = [dof_at[tuple(p)] for p in mesh.vertices.tolist()]
+    ux, uy = snap.mech.u.reshape(2, -1)[:, dofs]
+    u = np.column_stack([ux, uy, np.zeros(nv)])
     np.testing.assert_allclose(vectors["u"], u, rtol=1e-8, atol=1e-300)
+    return snap
+
+
+def test_run_snapshot_round_trips_through_vtk(tmp_path):
+    snap = check_snapshot_round_trips_through_vtk(tmp_path, SMALL)
+    assert not np.any(snap.mech.u)
+
+
+def test_loaded_run_snapshot_round_trips_through_vtk(tmp_path):
+    # a body force gives a nonzero u, which must land on the right vertices
+    snap = check_snapshot_round_trips_through_vtk(tmp_path, SMALL + "mech.gy = -1.0\n")
+    assert np.abs(snap.mech.u).max() > 1e-3
 
 
 def test_ensemble_names_probe_files_by_path_index(tmp_path, monkeypatch, capsys):

@@ -272,7 +272,7 @@ def test_probe_values_of_a_batch_equal_the_per_probe_loop():
 def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
     # a body force factors K at set-up; the active refreshes of two paths
     # on that set-up all factor through the band layout built then, in the
-    # P2 space's dof order, which the statics' u_order repeats
+    # P2 space's dof order, which is its numbering
     config = SimConfig(
         mesh=MeshParams(6, 6), time=TimeParams(T=0.125),
         run=RunParams(mech_refresh=2), mech=DOWNWARD,
@@ -287,15 +287,16 @@ def test_k_ordering_is_computed_once_per_discretization(monkeypatch):
     assert _active_refreshes(first) >= 4 and _active_refreshes(second) >= 4
     assert _k_layouts(6) == 1
     assert disc.u_space.band_layouts[13**2] is layout
-    q = disc.u_space.dof_order
-    np.testing.assert_array_equal(layout.q, q)
-    np.testing.assert_array_equal(disc.statics.u_order, np.concatenate([q, 169 + q]))
+    np.testing.assert_array_equal(layout.q, disc.u_space.dof_order)
+    np.testing.assert_array_equal(layout.q, np.arange(169))
+    assert layout.identity
 
 
 def test_statics_build_b_in_k_order_once_with_the_ordering(monkeypatch):
     # the set-up's loaded solve builds the statics: one band layout of K,
-    # and B and B^T already in its order; every active refresh of two paths
-    # on that set-up solves with those same two matrices
+    # and B and B^T, which K's order, the P2 numbering, needs no permuting
+    # of; every active refresh of two paths on that set-up solves with
+    # those same two matrices
     divergences = []
     assemble_divergence = mechanics.assemble_divergence
 

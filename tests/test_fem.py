@@ -93,13 +93,38 @@ def test_p2_interpolates_quadratics_exactly():
     assert l2_error(s, coeffs, f) < 1e-13
 
 
+def node_points(mesh):
+    """The P2 nodes, the vertices and then the edge midpoints in the order
+    of mesh.edges(), as an (n, 2) array."""
+    v = mesh.vertices
+    edges = mesh.edges()
+    return np.vstack([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])])
+
+
+def node_dofs(mesh):
+    """Reference P2 numbering, the dof of each node of `node_points`: the
+    nodes sorted one at a time along the longer side of the mesh, ties by
+    the other coordinate."""
+    pts = node_points(mesh).tolist()
+    x, y = mesh.vertices.T
+    a = 0 if np.ptp(x) > np.ptp(y) else 1
+    order = sorted(range(len(pts)), key=lambda k: (pts[k][a], pts[k][1 - a]))
+    dof = np.empty(len(pts), dtype=np.int64)
+    dof[order] = np.arange(len(pts))
+    return dof
+
+
 def loop_interpolate(space, fn):
-    """Reference: fn at each node, the vertices then the edge midpoints."""
-    pts = space.mesh.vertices
-    if space.degree == 2:
-        edges = space.mesh.edges()
-        pts = np.vstack([pts, 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])])
-    return np.array([fn(x, y) for x, y in pts], dtype=float).T.ravel()
+    """Reference: fn at each node, the vertices then the edge midpoints,
+    placed at the node's dof."""
+    if space.degree == 1:
+        pts, dof = space.mesh.vertices, np.arange(space.mesh.num_vertices)
+    else:
+        pts, dof = node_points(space.mesh), node_dofs(space.mesh)
+    vals = np.array([fn(x, y) for x, y in pts], dtype=float)
+    out = np.empty_like(vals)
+    out[dof] = vals
+    return out.T.ravel()
 
 
 # ufuncs give one result per element, on arrays and on the np.float64 nodes
@@ -353,16 +378,19 @@ def test_boundary_load_matches_edge_loop(degree, load_rank):
     shape = (len(m.boundary_edges), len(t)) + ((2,) if load_rank else ())
     g = np.random.default_rng(3).standard_normal(shape)
     ref = np.zeros(ncomp * s.n_scalar)
-    # P2 numbers the midside dofs in the lexicographic order of mesh.edges()
+    # the P2 nodes are the vertices and then the edges in the lexicographic
+    # order of mesh.edges(), each at its dof in the sweep (`node_dofs`)
     edge_number = {(int(i), int(j)): k for k, (i, j) in enumerate(m.edges())}
+    dof = node_dofs(m) if degree == 2 else np.arange(m.num_vertices)
     for k, (i, j, _owner) in enumerate(m.boundary_edges):
-        dofs = [i, j]
+        nodes = [i, j]
         if degree == 2:
-            dofs.append(m.num_vertices + edge_number[(min(i, j), max(i, j))])
+            nodes.append(m.num_vertices + edge_number[(min(i, j), max(i, j))])
+        dofs = dof[nodes]
         length = np.linalg.norm(m.vertices[j] - m.vertices[i])
         for c in range(ncomp):
             gk = g[k, :, c] if load_rank else g[k]
-            ref[c * s.n_scalar + np.array(dofs)] += length * (er.weights * gk) @ vals
+            ref[c * s.n_scalar + dofs] += length * (er.weights * gk) @ vals
     F = assemble_boundary_load(s, g)
     assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -772,11 +800,19 @@ def test_banded_factor_matches_a_dense_solve(form, mesh, cols):
     size = A.shape[0]
     shape = size if cols is None else (size, cols)
     b = np.random.default_rng(3).standard_normal(shape)
+    b0 = b.copy()
     ref = np.linalg.solve(A.toarray(), b)
+    # every P2 matrix, and each P1 matrix of one field on the square, is in
+    # its band order already: its factor solves with no gather or scatter
+    identity = form.startswith("p2") or (mesh == "structured" and form != "block")
     for _ in range(2):  # the second factor reuses the band map
-        x = space.factor_banded(A).solve(b)
+        factor = space.factor_banded(A)
+        if identity:
+            assert factor.q is None
+        x = factor.solve(b)
         assert x.shape == b.shape
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_array_equal(b, b0)
 
 
 def test_banded_factor_of_the_natural_square_order_has_band_nx_plus_2():
@@ -826,13 +862,58 @@ def test_p2_sweep_of_the_square_has_band_4nx_plus_4():
     # dofs span three rows, and the vertices keep their P1 order
     nx = 5
     space, forms = p2_forms(structured_unit_square(nx, nx))
-    nv = (nx + 1) ** 2
-    vertices = space.dof_order[space.dof_order < nv]
-    np.testing.assert_array_equal(vertices, np.arange(nv))
-    x, y = space.dof_points[space.dof_order].T
+    assert np.all(np.diff(space.node_dofs[: (nx + 1) ** 2]) > 0)
+    x, y = space.dof_points.T
     assert np.all(np.diff(y) >= 0.0)
     space.factor_banded(forms["p2-elastic"])
     assert space.band_layouts[space.n_scalar].kd == 4 * nx + 4
+
+
+def test_p2_band_of_the_default_square_is_92():
+    # the mechanics block K of the shipped 22 x 22 square
+    space, forms = p2_forms(structured_unit_square(22, 22))
+    assert space.factor_banded(forms["p2-elastic"]).q is None
+    assert space.band_layouts[space.n_scalar].kd == 4 * 22 + 4 == 92
+
+
+def rectangle(nx, ny):
+    """`structured_unit_square` stretched to [0, 2] x [0, 1]: its rows run
+    along the longer side, so the sweep is not the vertex numbering."""
+    m = structured_unit_square(nx, ny)
+    return TriMesh(m.vertices * [2.0, 1.0], np.array(m.triangles))
+
+
+P2_MESHES = {
+    "square": lambda: structured_unit_square(5, 5),
+    "perturbed": lambda: perturbed_square(5),
+    "rectangle": lambda: rectangle(8, 4),
+}
+
+
+@pytest.mark.parametrize("mesh", list(P2_MESHES))
+def test_p2_numbers_its_dofs_in_the_sweep_order(mesh):
+    m = P2_MESHES[mesh]()
+    s = FeSpace(m, 2)
+    v, tris, be = m.vertices, m.triangles, m.boundary_edges
+    np.testing.assert_array_equal(s.dof_order, np.arange(s.n_scalar))
+    np.testing.assert_array_equal(s.node_dofs, node_dofs(m))
+    np.testing.assert_array_equal(s.dof_points[s.node_dofs], node_points(m))
+    # each element's vertex dofs sit at its vertices, and the dof of its
+    # local edge (k, k + 1) at that edge's midpoint
+    np.testing.assert_array_equal(s.dof_points[s.conn[:, :3]], v[tris])
+    mids = 0.5 * (v[tris] + v[np.roll(tris, -1, axis=1)])
+    np.testing.assert_array_equal(s.dof_points[s.conn[:, 3:]], mids)
+    bd = s.boundary_dofs
+    np.testing.assert_array_equal(s.dof_points[bd[:, :2]], v[be[:, :2]])
+    np.testing.assert_array_equal(
+        s.dof_points[bd[:, 2]], 0.5 * (v[be[:, 0]] + v[be[:, 1]])
+    )
+    # the P1 space keeps the mesh's numbering, which on the rectangle is
+    # not its sweep
+    p1 = FeSpace(m, 1)
+    np.testing.assert_array_equal(p1.dof_points, v)
+    if mesh == "rectangle":
+        assert not np.array_equal(p1.dof_order, np.arange(m.num_vertices))
 
 
 # ---------------------------------------------------------------------------

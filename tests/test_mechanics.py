@@ -230,14 +230,10 @@ def test_k_through_the_stored_band_layout_solves_as_a_fresh_factor():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(K.dot(got) - rhs).max() <= 1e-12 * np.abs(rhs).max()
         layouts.append(u_space.band_layouts[u_space.n_scalar])
-    # both activations factor through the one layout, in the statics' order
+    # both activations factor through the one layout, whose order is the
+    # P2 numbering itself, so its solves permute nothing
     assert layouts[0] is layouts[1]
-    np.testing.assert_array_equal(statics.u_order[: u_space.n_scalar], layouts[0].q)
-    # the statics gather K into that order
-    q = layouts[0].q
-    np.testing.assert_array_equal(
-        statics.in_band_order(K).toarray(), K.toarray()[q][:, q]
-    )
+    assert layouts[0].identity and u_space.factor_banded(K).q is None
 
 
 def test_params_validation():
@@ -377,15 +373,12 @@ def test_frame_invariance():
     assert np0 == pytest.approx(np1, abs=1e-8, rel=1e-6)
 
 
-def unpermuted_schur_cg(system, tol):
-    """The Schur CG in the dofs' own order, the reference for `solve_mechanics`.
+def reference_schur_cg(system, tol):
+    """The Schur CG that `solve_mechanics` runs, as the reference for it.
 
-    scipy's `cg` on B A^-1 B^T through two `LinearOperator`s, with K
-    factored by the same banded Cholesky, and every K and Mp solve
-    gathering its right side into the factor's order and scattering the
-    result back (`BandedCholesky.solve`): the solve as it would run in
-    the dofs' own order.  One pass, without the residual check.  Returns
-    (u, p, iterations).
+    scipy's `cg` on B A^-1 B^T through two `LinearOperator`s, with K and
+    Mp factored by the same banded Cholesky.  One pass, without the
+    residual check.  Returns (u, p, iterations).
     """
     st = system.statics
     lu = system.u_space.factor_banded(system.K)
@@ -408,24 +401,14 @@ def unpermuted_schur_cg(system, tol):
     return solve_a(system.f - BT.dot(p)), p, len(steps)
 
 
-@pytest.mark.parametrize("n", [6, 8])
-@pytest.mark.parametrize(
-    "make_fibers",
-    [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.4)],
-    ids=["axis-aligned", "rotated"],
-)
-def test_k_order_solve_matches_the_bordered_solve_and_the_unpermuted_cg(
-    n, make_fibers
-):
-    # an active gamma and a body force; the solve runs in the band orders,
-    # with B held there, and its u and p come back in the dofs' own order
-    mesh = structured_unit_square(n, n)
+def check_against_the_bordered_solve_and_scipy_cg(mesh, fibers):
+    # an active gamma and a body force; u and p match a dense solve of the
+    # bordered block, and bitwise the reference CG in the same iterations
     u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     system = assemble_mechanics(
-        u_space, p_space, bump(*mesh.vertices.T), make_fibers(mesh),
+        u_space, p_space, bump(*mesh.vertices.T), fibers,
         MechParams(gx=0.3, gy=-1.0), ACT,
     )
-    assert not np.array_equal(system.statics.u_order, np.arange(2 * u_space.n_scalar))
     state, res = solve_mechanics(system, tol=1e-12)
     assert res.converged
     nu, k = 2 * u_space.n_scalar, p_space.n_scalar
@@ -436,23 +419,56 @@ def test_k_order_solve_matches_the_bordered_solve_and_the_unpermuted_cg(
     sol = np.linalg.solve(block, np.concatenate([system.f, np.zeros(k)]))
     for got, ref in ((state.u, sol[:nu]), (state.p, sol[nu:])):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the same iterations as the CG in the dofs' own order, to the bit
-    u, p, iterations = unpermuted_schur_cg(system, 1e-12)
+    u, p, iterations = reference_schur_cg(system, 1e-12)
     assert res.iterations == iterations
     np.testing.assert_array_equal(state.p, p)
     np.testing.assert_array_equal(state.u, u)
+    return system
 
 
-def test_statics_hold_b_in_k_order_and_rebuild_it_unpermuted():
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize(
+    "make_fibers",
+    [FiberField.axis_aligned, lambda mesh: FiberField.rotated(mesh, 0.4)],
+    ids=["axis-aligned", "rotated"],
+)
+def test_k_order_solve_matches_the_bordered_solve_and_the_unpermuted_cg(
+    n, make_fibers
+):
+    # on the square both spaces number their dofs in their band orders, so
+    # neither K's nor Mp's factor permutes
+    mesh = structured_unit_square(n, n)
+    system = check_against_the_bordered_solve_and_scipy_cg(mesh, make_fibers(mesh))
+    st = system.statics
+    assert st.mass_p_lu.q is None
+    assert st.u_space.band_layouts[st.u_space.n_scalar].identity
+
+
+def test_solve_on_a_rectangle_matches_the_bordered_solve_and_scipy_cg():
+    # on [0, 2] x [0, 1], rows of 12 cells along x, the P1 sweep runs along
+    # x and is not the vertex numbering: the factor of Mp gathers and
+    # scatters each solve, while K's, in the P2 numbering, does not
+    m = structured_unit_square(12, 6)
+    mesh = TriMesh(m.vertices * [2.0, 1.0], np.array(m.triangles))
+    st = check_against_the_bordered_solve_and_scipy_cg(
+        mesh, FiberField.rotated(mesh, 0.4)
+    ).statics
+    assert st.mass_p_lu.q is not None
+    assert st.u_space.band_layouts[st.u_space.n_scalar].identity
+
+
+def test_statics_hold_b_as_the_negative_divergence():
     mesh = structured_unit_square(5, 5)
     u_space, p_space = FeSpace(mesh, 2), FeSpace(mesh, 1)
     statics = mech_statics(u_space, p_space, 1.0, assemble_mass(p_space))
-    div = -assemble_divergence(u_space, p_space).toarray()
-    np.testing.assert_array_equal(statics.unpermuted_B().toarray(), div)
-    u_order, p_order = statics.u_order, statics.p_order
-    np.testing.assert_array_equal(statics.B.toarray(), div[p_order][:, u_order])
+    div = assemble_divergence(u_space, p_space).toarray()
+    np.testing.assert_array_equal(statics.B.toarray(), -div)
     np.testing.assert_array_equal(statics.BT.toarray(), statics.B.T.toarray())
-    np.testing.assert_array_equal(p_order, statics.mass_p_lu.q)
+    system = assemble_mechanics(
+        u_space, p_space, bump(*mesh.vertices.T), FiberField.axis_aligned(mesh),
+        MechParams(), ACT, statics=statics,
+    )
+    assert system.B is statics.B
 
 
 # ---------------------------------------------------------------------------
