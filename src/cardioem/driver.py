@@ -63,13 +63,12 @@ of the sorted set, so no two shares take turns on one CPU while another
 idles: a scheduler that does not balance load across the set (a cpuset
 with `sched_load_balance` 0) keeps each process on the CPU it started
 on.  The binding acts on the thread that runs the share (Linux's
-`sched_setaffinity(0, ...)`), and OpenBLAS runs on one thread while it
-holds, so no BLAS helper thread shares the CPU; helper threads that BLAS
-started before the binding keep their CPU set.  The calling thread binds
-only for its own share and gets its CPU set and BLAS threads back after
-it; a share that the platform does not let bind runs unbound.  No
-operation depends on its process or CPU, so every path is bitwise the
-same either way.
+`sched_setaffinity(0, ...)`), and OpenBLAS runs on one thread through a
+whole run or ensemble (`_one_blas_thread`), so no BLAS helper thread
+shares the CPU.  The calling thread binds only for its own share and gets
+its CPU set back after it; a share that the platform does not let bind
+runs unbound.  No operation depends on its process or CPU, so every path
+is bitwise the same either way.
 A config with no steps, or a platform with no `fork`, runs serially: a
 zero-step path costs less than a fork.  What is built on first use is
 built once per process.
@@ -90,6 +89,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import diagnostics, electrics, mechanics, physics
@@ -482,6 +482,24 @@ class Discretization:
 # the coupled loop
 
 
+@contextmanager
+def _one_blas_thread():
+    """The block, or the function it decorates, with every OpenBLAS on one
+    thread (`_openblas_threads`), whose counts are given back after it.  On
+    2 CPUs a band factor on both threads ran 3x slower, and the bound shares
+    (`_bound_to`) of the 12^2 `ensemble` config 160x.  Larger machines are
+    unmeasured."""
+    blas = [(put, get()) for get, put in _openblas_threads()]
+    try:
+        for put, _ in blas:
+            put(1)
+        yield
+    finally:
+        for put, n in blas:
+            put(n)
+
+
+@_one_blas_thread()
 def run_simulation(
     config: SimConfig, disc: Discretization | None = None
 ) -> SimResult:
@@ -688,21 +706,17 @@ def _share_cpus(n_workers: int) -> list:
 def _openblas_threads() -> list:
     """(get, set) of the thread count of each OpenBLAS in this process.
 
-    numpy and scipy each load a build of their own; they are found by name
-    among the files that /proc/self/maps lists, so the list is empty where
-    there is no such file or no OpenBLAS.
+    numpy and scipy each link a build of their own.  Each is reached
+    through the handle of the extension module that links it, numpy's
+    `linalg._umath_linalg` and scipy's `linalg._flapack`, whose
+    dependencies the symbol lookup searches.  On a 2-CPU machine that took
+    about 0.3 ms, where listing the loaded libraries from /proc/self/maps
+    took 1-2 ms of every run.  The list is empty where neither links an
+    OpenBLAS.
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        return []
     controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for module in (np.linalg._umath_linalg, scipy.linalg._flapack):
+        lib = ctypes.CDLL(module.__file__)
         for name in ("openblas_", "scipy_openblas_"):
             for suffix in ("", "64_"):
                 get = getattr(lib, f"{name}get_num_threads{suffix}", None)
@@ -714,33 +728,20 @@ def _openblas_threads() -> list:
 
 @contextmanager
 def _bound_to(cpu):
-    """The block run with the calling thread on `cpu` alone and OpenBLAS on
-    one thread; the thread's CPU set and the BLAS thread counts are given
-    back after it.
-
-    BLAS helper threads started after the binding would share its one CPU,
-    where a blocked LAPACK call (the band factor of K, kd > 32) waits on
-    them for whole time slices: on 2 CPUs, the 8 paths of the 12^2
-    `ensemble` benchmark config took 112 s that way, against 0.7 s with
-    one BLAS thread.  Without a `cpu`, or where the platform refuses to bind, the
-    block runs unbound.
-    """
+    """The block run with the calling thread on `cpu` alone, its CPU set
+    given back after it; without a `cpu`, or where the platform refuses
+    to bind, unbound.  `run_ensemble` holds OpenBLAS on one thread."""
     if cpu is None:
         yield
         return
     own = os.sched_getaffinity(0)
-    blas = [(put, get()) for get, put in _openblas_threads()]
     try:
         with suppress(OSError):
             os.sched_setaffinity(0, {cpu})
-        for put, _ in blas:
-            put(1)
         yield
     finally:
         with suppress(OSError):
             os.sched_setaffinity(0, own)
-        for put, n in blas:
-            put(n)
 
 
 def _run_share(
@@ -764,6 +765,7 @@ def _run_share(
     conn.close()
 
 
+@_one_blas_thread()
 def run_ensemble(config: SimConfig, n_paths: int) -> tuple[EnsembleStats, list]:
     """Run n_paths independent paths and aggregate probe statistics.
 

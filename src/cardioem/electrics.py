@@ -19,10 +19,10 @@ each noise channel is one evaluation of its amplitude
 Each path's step is one `fem.solve_cg` iteration from zero, whose
 residual check keeps the `solver.tol` contract.  A step with applied
 current, or any step on the general path, runs the CG on the projected 2n
-block with an exact preconditioner (below); the block is built on first
-use.  A source-free step with proportional tensors solves the scalar SPD
-system for v alone (below), with that system's factor as the exact
-preconditioner.
+block, a product through M, A_i and A_e, with an exact preconditioner
+(below); the 2n matrix is assembled only to be factored.  A source-free
+step with proportional tensors solves the scalar SPD system for v alone
+(below), with that system's factor as the exact preconditioner.
 
 A preconditioner solve takes off the part of the residual along
 (0, lumped), which the block cannot reach, solves the block with the last
@@ -105,7 +105,7 @@ class BidomainSystem:
     """Assembled operators for one conductivity configuration.
 
     `ratio` is lambda when A_e = lambda A_i, and `stiff_e` is then None;
-    otherwise `stiff_e` holds A_e.
+    otherwise `stiff_e` holds A_e.  Steps apply the 2n block (`block_dot`).
     """
 
     space: FeSpace
@@ -116,14 +116,22 @@ class BidomainSystem:
     stiff_e: sp.csr_matrix | None = None
     ratio: float | None = None
 
-    @cached_property
+    @property
     def block(self) -> sp.csr_matrix:
-        """The 2n block, built on first use: only a step with applied
-        current or on the general path reads it."""
+        """The 2n block, assembled anew on each read: only `_grounded_lu`
+        reads it, to factor it; the steps apply `block_dot`."""
         Mdt = (self.mass / self.dt).tocsr()
         A_i = self.stiff_i
         A_e = self.stiff_e if self.ratio is None else self.ratio * A_i
         return sp.bmat([[Mdt + A_i, -Mdt], [-Mdt, Mdt + A_e]], format="csr")
+
+    def block_dot(self, x: np.ndarray) -> np.ndarray:
+        """block x through M, A_i and A_e (lambda A_i when `ratio` is set)."""
+        n, A_i, lam = self.space.n_scalar, self.stiff_i, self.ratio
+        x_i, x_e = x[:n], x[n:]
+        Dd = self.mass.dot(x_i - x_e) / self.dt
+        Ae_xe = self.stiff_e.dot(x_e) if lam is None else lam * A_i.dot(x_e)
+        return np.concatenate([Dd + A_i.dot(x_i), Ae_xe - Dd])
 
     def projector(self):
         """Orthogonal projector removing the weighted-mean of the e-half."""
@@ -141,8 +149,8 @@ class BidomainSystem:
 
     @cached_property
     def _grounded_lu(self):
-        # without its last dof the block is SPD: the constant pair (c, c)
-        # that spans its kernel is not grounded
+        # the one read of `block`; without its last dof it is SPD: the
+        # constant pair (c, c) that spans its kernel is not grounded
         return self.space.factor_banded(self.block[:-1, :-1])
 
     def _v_sum(self) -> sp.csr_matrix:
@@ -212,7 +220,8 @@ class BidomainSystem:
 
         v_e has zero lumped mean.  Without a `source` (i_app all zero),
         proportional tensors make the step the scalar solve for v, rebuilt
-        into v_e = -v/(1 + lambda) and v_i = v + v_e.  Either CG is held to
+        into v_e = -v/(1 + lambda) and v_i = v + v_e; otherwise the CG runs
+        on the 2n block as the product `block_dot`.  Either CG is held to
         one iteration: its preconditioner is an exact solve, so that
         iteration is the direct solve and its recursive residual the true
         one, which a second iteration would only push below round-off.
@@ -224,7 +233,7 @@ class BidomainSystem:
             v_e = enforce_zero_mean(-res.x / (1.0 + self.ratio), self.lumped)
             return res.x + v_e, v_e, res
         res = solve_cg(
-            self.block, np.concatenate([b + i_app, -b + i_app]),
+            self.block_dot, np.concatenate([b + i_app, -b + i_app]),
             self.projector(), self.precondition, tol=tol, maxit=1,
         )
         n = self.space.n_scalar
@@ -248,7 +257,7 @@ def assemble_bidomain(
     `conductivities_from_gradient` returns them for proportional tensors:
     then one stiffness matrix A_i is assembled, A_e = lambda A_i, and the
     system solves its block as two scalar systems, or as one when the step
-    has no applied current.  The 2n block is built on its first use.
+    has no applied current.  No 2n block is built here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -334,8 +334,10 @@ class FeSpace:
         the entry (conn[e, l], conn[e, m]).
         """
         n = self.n_scalar
-        rows = np.repeat(self.conn, self.nloc, axis=1).ravel()
-        cols = np.tile(self.conn, (1, self.nloc)).ravel()
+        # int32 keys, while n^2 fits, sort in half the memory of int64 ones
+        conn = self.conn.astype(np.int32) if n * n < 2**31 else self.conn
+        rows = np.repeat(conn, self.nloc, axis=1).ravel()
+        cols = np.tile(conn, (1, self.nloc)).ravel()
         keys, slot = np.unique(rows * n + cols, return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])

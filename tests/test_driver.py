@@ -1048,21 +1048,66 @@ def test_shares_run_unbound_without_sched_setaffinity(monkeypatch):
     assert driver._share_cpus(2) == [None, None]
 
 
+@needs_fork
 @can_bind
-def test_a_bound_share_runs_openblas_on_one_thread_and_gives_its_threads_back():
-    # BLAS helper threads started in a share bound to one CPU would wait on
-    # each other there; the block runs on one BLAS thread, and the caller's
+def test_a_bound_share_runs_openblas_on_one_thread_and_gives_its_threads_back(
+    monkeypatch, two_cpus
+):
+    # BLAS helper threads in a share bound to one CPU would wait on each
+    # other there; the ensemble holds every loaded OpenBLAS on one thread,
+    # so the calling process's bound share runs on one, and the caller's
     # thread counts, 2 here, are given back after it
     controls = driver._openblas_threads()
     if not controls:
         pytest.skip("no OpenBLAS is loaded")
+    seen, run = [], driver.run_batch
+
+    def recorded(cfgs, *args, **kwargs):
+        seen.append((os.sched_getaffinity(0), [get() for get, _ in controls]))
+        return run(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_batch", recorded)
     before = [get() for get, _ in controls]
     try:
         for _, put in controls:
             put(2)
-        with driver._bound_to(sorted(os.sched_getaffinity(0))[0]):
-            assert [get() for get, _ in controls] == [1] * len(controls)
+        run_ensemble(ENSEMBLE, 2)
+        assert seen == [({two_cpus[0]}, [1] * len(controls))]
         assert [get() for get, _ in controls] == [2] * len(controls)
     finally:
         for (_, put), n in zip(controls, before):
             put(n)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("run", ["run_simulation", "run_ensemble"])
+def test_a_run_holds_openblas_on_one_thread_and_gives_the_counts_back(
+    monkeypatch, run, fails
+):
+    # two faked OpenBLAS controls, at 4 and 2 threads: a serial run or
+    # ensemble batch sees both at one, and both are given back after it,
+    # also when the batch raises
+    counts = [4, 2]
+    controls = [
+        (lambda i=i: counts[i], lambda k, i=i: counts.__setitem__(i, k))
+        for i in range(2)
+    ]
+    monkeypatch.setattr(driver, "_openblas_threads", lambda: controls)
+    monkeypatch.setattr(driver, "_usable_cpus", lambda: 1)
+    seen, batch = [], driver.run_batch
+
+    def recorded(cfgs, *args, **kwargs):
+        seen.append(list(counts))
+        if fails:
+            raise RuntimeError("the batch failed")
+        return batch(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_batch", recorded)
+    args = (ENSEMBLE, 2) if run == "run_ensemble" else (ENSEMBLE,)
+    if fails:
+        with pytest.raises(RuntimeError, match="the batch failed"):
+            getattr(driver, run)(*args)
+    else:
+        getattr(driver, run)(*args)
+    assert seen == [[1, 1]]
+    assert counts == [4, 2]

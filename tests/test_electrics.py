@@ -307,6 +307,44 @@ def test_block_positive_semidefinite_dense():
     assert evals[1] > 1e-10  # one-dimensional kernel only
 
 
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize(
+    "cond", [COND, rotated_anisotropic()], ids=["default", "rotated"]
+)
+def test_block_product_matches_the_assembled_block(cond, deformed):
+    # the steps apply the block through M, A_i and A_e (lambda A_i when the
+    # tensors are proportional); the assembled block is the reference
+    n = 6
+    space, _, sys_ = make_system(
+        n, grad_u=random_grad_u(n) if deformed else None, cond=cond
+    )
+    assert (sys_.ratio is None) == (cond is not COND)
+    block = sys_.block
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(2 * space.n_scalar)
+        ref = block.dot(x)
+        assert np.linalg.norm(sys_.block_dot(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_proportional_sourced_step_assembles_no_block(monkeypatch):
+    # applied current runs the CG on the 2n block, as a product, with the
+    # two scalar factors as its preconditioner: no sp.bmat, nothing kept
+    space, mass, sys_ = make_system(6, grad_u=random_grad_u(6))
+    bmats = recorded_bmat_calls(monkeypatch)
+    v0 = space.interpolate(initial_stimulus)
+    v_i, v_e = initial_split(v0, row_sums(mass))
+    state = ElectricState(v_i, v_e, v0, np.zeros_like(v0))
+    i_app = assemble_load(space, initial_stimulus)
+    for _ in range(2):
+        state, info = step_one(
+            sys_, state, PAPER_IONIC, i_app, np.zeros(1), np.zeros(1), ZERO,
+        )
+        assert info.converged and info.iterations == 1
+    assert bmats == []
+    assert "block" not in vars(sys_)
+    assert {"_lu_v", "_lu_e"} <= vars(sys_).keys()
+
+
 def test_assemble_rejects_bad_dt():
     space, mass, _ = make_system(2)
     Mi, Me = conductivities_from_gradient(space, None, COND)
@@ -550,6 +588,20 @@ SOLVE_CASES = [
 ]
 
 
+def recorded_bmat_calls(monkeypatch):
+    """A list that gains one entry per `sp.bmat` call from now on: each
+    assembly of the 2n block is one."""
+    calls = []
+    bmat = sp.bmat
+
+    def recording(*args, **kwargs):
+        calls.append(None)
+        return bmat(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "bmat", recording)
+    return calls
+
+
 def recorded_factor_sizes(monkeypatch):
     """The orders of the matrices that P1 spaces factor from now on; the
     P2 space's factors of the mechanics block K are left out."""
@@ -586,14 +638,17 @@ def test_proportional_system_factors_no_2n_matrix(monkeypatch, cond, lam, deform
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
     # a system whose first steps are sourceless factors only the matrix for v,
     # and builds no 2n block; the row-sum factor comes with its first sourced
-    # solve
+    # solve.  The general path assembles the block once, for its factor, and
+    # keeps only the factor
     sizes.clear()
+    bmats = recorded_bmat_calls(monkeypatch)
     _, _, fresh = make_system(8, grad_u=grad_u, cond=cond)
     b = np.random.default_rng(2).standard_normal(n)
     fresh.solve(b, np.zeros(n), False, 1e-10)
     fresh.solve(b, np.zeros(n), False, 1e-10)
     assert sizes == ([2 * n - 1] if lam is None else [n])
-    assert ("block" in vars(fresh)) == (lam is None)
+    assert len(bmats) == (lam is None)
+    assert "block" not in vars(fresh)
     fresh.precondition(r)
     assert sizes == ([2 * n - 1] if lam is None else [n, n - 1])
 
@@ -753,9 +808,12 @@ def test_preconditioned_step_matches_jacobi_reference(n, deformed, cond):
 
 
 @pytest.mark.parametrize("n, deformed, cond", PROPORTIONAL_CASES)
-def test_sourceless_noisy_step_matches_the_bordered_solve(n, deformed, cond):
+def test_sourceless_noisy_step_matches_the_bordered_solve(
+    monkeypatch, n, deformed, cond
+):
     # no applied current: the step solves for v alone, and the new state
     # has v_i + lambda v_e constant, the monodomain reduction
+    bmats = recorded_bmat_calls(monkeypatch)
     space, mass, sys_ = make_system(
         n, grad_u=random_grad_u(n) if deformed else None, cond=cond
     )
@@ -771,7 +829,7 @@ def test_sourceless_noisy_step_matches_the_bordered_solve(n, deformed, cond):
     assert info.converged and info.iterations == 1
 
     # a scalar solve, which builds no 2n block
-    assert "block" not in vars(sys_)
+    assert bmats == []
 
     rhs = reference_rhs(sys_, state, ionic, i_app, dW_v, noise)
     ref_i, ref_e = bordered_solve(sys_, rhs)
@@ -812,7 +870,9 @@ def test_scalar_step_matches_the_bordered_solve_and_the_block_cg(n, deformed, co
     assert np.abs(new.v_e - block_e).max() <= 1e-12
 
 
-def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint():
+def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint(
+    monkeypatch,
+):
     # no stimulus at all, so step 0 is already a scalar source-free step;
     # at solver.tol = 1e-30 its residual check fails
     config = SimConfig(
@@ -820,9 +880,10 @@ def test_scalar_step_that_cannot_meet_its_tolerance_raises_with_checkpoint():
         run=RunParams(stim_duration=0.0), solver=SolverParams(tol=1e-30),
     )
     disc = Discretization.build(config)
+    bmats = recorded_bmat_calls(monkeypatch)
     with pytest.raises(SimulationError, match="electric solve stalled") as info:
         run_simulation(config, disc=disc)
-    assert "block" not in vars(disc.passive.system)
+    assert bmats == []
     assert info.value.step == 0
     checkpoint = info.value.checkpoint
     assert (checkpoint.n, checkpoint.t) == (0, 0.0)

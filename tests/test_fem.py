@@ -1026,3 +1026,19 @@ def test_saddle_residual_contracts():
     assert res.converged
     assert res.res_primal <= 1e-9
     assert res.res_constraint <= 1e-9
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pattern_from_int32_keys_equals_the_int64_one(degree):
+    # the keys rows * n + cols are built from an int32 copy of conn; the
+    # pattern and slots are bitwise those of int64 keys
+    s = FeSpace(rectangle(8, 4), degree)
+    n, conn = s.n_scalar, s.conn.astype(np.int64)
+    rows = np.repeat(conn, s.nloc, axis=1).ravel()
+    cols = np.tile(conn, (1, s.nloc)).ravel()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr, indices, slots = s.pattern
+    assert indptr.dtype == indices.dtype == slots.dtype == np.int32
+    np.testing.assert_array_equal(indptr, np.cumsum(np.bincount(keys // n + 1)))
+    np.testing.assert_array_equal(indices, keys % n)
+    np.testing.assert_array_equal(slots, slot.ravel())
